@@ -1196,20 +1196,22 @@ let prove_cmd =
 
 (* ---- goodstein ---- *)
 
+(** A usage error (exit 2, nothing printed on stdout) unless every named
+    count is non-negative. *)
+let require_non_negative counts =
+  List.iter
+    (fun (name, v) -> if v < 0 then or_die (Error (name ^ " must be non-negative")))
+    counts
+
 let goodstein_cmd =
   let action n max_len =
-    if n < 0 then begin
-      Format.eprintf "tfiris: seed must be non-negative@.";
-      2
-    end
-    else begin
-      List.iter
-        (fun (base, v) ->
-          Format.printf "base %3d: value %-12d ordinal %a@." base v Ord.pp
-            (Goodstein.ordinal_of ~base v))
-        (Goodstein.sequence ~max_len n);
-      0
-    end
+    require_non_negative [ ("seed", n); ("--max-len", max_len) ];
+    List.iter
+      (fun (base, v) ->
+        Format.printf "base %3d: value %-12d ordinal %a@." base v Ord.pp
+          (Goodstein.ordinal_of ~base v))
+      (Goodstein.sequence ~max_len n);
+    0
   in
   let seed =
     Arg.(value & pos 0 int 3 & info [] ~docv:"N" ~doc:"Starting value.")
@@ -1229,6 +1231,7 @@ let goodstein_cmd =
 
 let hydra_cmd =
   let action width depth regrow adversarial =
+    require_non_negative [ ("--width", width); ("--depth", depth); ("--regrow", regrow) ];
     let h = Hydra.bush ~width ~depth in
     Format.printf "hydra: %a@.measure: %a@." Hydra.pp h Ord.pp (Hydra.measure h);
     let choose = if adversarial then Hydra.choose_fattest else Hydra.choose_first in

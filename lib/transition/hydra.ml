@@ -123,18 +123,93 @@ let bush ~width ~depth =
 
 (** Greedy strategies for Hercules (the point is that {e any} strategy
     wins). *)
-let choose_first = function s :: _ -> s | [] -> invalid_arg "no successor"
+type strategy = First | Fattest
 
-let choose_fattest succs =
-  match succs with
-  | [] -> invalid_arg "no successor"
-  | s :: rest ->
-    (* adversarial: keep the hydra as big as possible *)
-    List.fold_left (fun best s' -> if size s' > size best then s' else best) s rest
+let choose_first = First
 
-(** Play to the death; the result is the number of chops. *)
+(* adversarial: keep the hydra as big as possible *)
+let choose_fattest = Fattest
+
+(** The list-level reference: the first successor, or the first of the
+    largest ones; each candidate is sized once. *)
+let pick strategy succs =
+  match (strategy, succs) with
+  | _, [] -> invalid_arg "no successor"
+  | First, s :: _ -> s
+  | Fattest, s :: rest ->
+    fst
+      (List.fold_left
+         (fun (best, n) s' ->
+           let n' = size s' in
+           if n' > n then (s', n') else (best, n))
+         (s, size s) rest)
+
+type site = { path : int list; size : int }
+
+(** The chop sites in [chops]' order: at each node its leaf children
+    first, then the sites inside its other children.  Chopping a head of
+    the maimed node [p] leaves [size t - 1 + regrow * (size p - 1)]
+    nodes ([p] loses the head, the grandparent gains [regrow] copies of
+    what is left of [p]); a head at the root leaves [size t - 1]. *)
+let sites ~regrow t : site Seq.t =
+  let total = size t in
+  let rec under rpath (Node ts as p) =
+    let after =
+      if rpath = [] then total - 1 else total - 1 + (regrow * (size p - 1))
+    in
+    let children = Seq.zip (Seq.ints 0) (List.to_seq ts) in
+    let here =
+      Seq.filter_map
+        (function
+          | i, Node [] -> Some { path = List.rev (i :: rpath); size = after }
+          | _, Node _ -> None)
+        children
+    in
+    let deeper =
+      Seq.concat_map
+        (function _, Node [] -> Seq.empty | i, c -> under (i :: rpath) c)
+        children
+    in
+    Seq.append here deeper
+  in
+  under [] t
+
+(** The hydra left by chopping the head at [path], built the way
+    [chops] builds it. *)
+let chop_at ~regrow (Node roots) path =
+  let without i ts = List.filteri (fun j _ -> j <> i) ts in
+  let replace i c' ts = List.mapi (fun j c -> if j = i then c' else c) ts in
+  (* the children of a node once the head at [path] below it is chopped *)
+  let rec go ts = function
+    | [] -> invalid_arg "Hydra.chop_at: empty path"
+    | [ i ] -> without i ts
+    | [ j; i ] ->
+      let (Node p) = List.nth ts j in
+      let after = Node (without i p) in
+      replace j after ts @ List.init regrow (fun _ -> after)
+    | j :: path ->
+      let (Node c) = List.nth ts j in
+      replace j (Node (go c path)) ts
+  in
+  Node (go roots path)
+
+let successor ~regrow strategy t =
+  let chosen =
+    match strategy with
+    | First -> Option.map fst (Seq.uncons (sites ~regrow t))
+    | Fattest ->
+      Seq.fold_left
+        (fun best s ->
+          match best with Some b when b.size >= s.size -> best | _ -> Some s)
+        None (sites ~regrow t)
+  in
+  Option.map (fun s -> chop_at ~regrow t s.path) chosen
+
+(** Play to the death; the result is the number of chops.  Only the
+    chosen successor is built at each step, and {!Measure.descend}
+    re-checks the descent of its measure. *)
 let play ?(regrow = 2) ~choose (h : tree) : (int, tree Measure.violation) result
     =
-  match Measure.run (system ~regrow) ~choose h with
+  match Measure.descend ~measure ~next:(successor ~regrow choose) h with
   | Ok states -> Ok (List.length states - 1)
   | Error v -> Error v

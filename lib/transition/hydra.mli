@@ -28,13 +28,42 @@ val line : int -> tree
 
 val bush : width:int -> depth:int -> tree
 
-val choose_first : tree list -> tree
-val choose_fattest : tree list -> tree
-(** Adversarial Hercules: keep the hydra as big as possible. *)
+type strategy
+(** How Hercules picks one of the possible chops. *)
+
+val choose_first : strategy
+(** The first chop in {!chops}' order. *)
+
+val choose_fattest : strategy
+(** Adversarial Hercules: keep the hydra as big as possible (the first
+    of the largest successors in {!chops}' order). *)
+
+val pick : strategy -> tree list -> tree
+(** The list-level reference: the successor a strategy picks among
+    {!chops}' results, each candidate sized once.  Raises
+    [Invalid_argument] on [[]]. *)
+
+type site = { path : int list; size : int }
+(** A chop site: the child indices from the root down to a head, and the
+    size of the hydra the chop leaves. *)
+
+val sites : regrow:int -> tree -> site Seq.t
+(** The chop sites, in {!chops}' order, none of them built.  A site's
+    size comes from the size [n] of the maimed node: [size t - 1 +
+    regrow * (n - 1)], or [size t - 1] for a head at the root. *)
+
+val chop_at : regrow:int -> tree -> int list -> tree
+(** The hydra left by chopping the head at a path from {!sites}:
+    [List.map (chop_at ~regrow t) paths = chops ~regrow t]. *)
+
+val successor : regrow:int -> strategy -> tree -> tree option
+(** [pick strategy (chops ~regrow t)] with only the picked successor
+    built; [None] once the hydra is dead. *)
 
 val play :
   ?regrow:int ->
-  choose:(tree list -> tree) ->
+  choose:strategy ->
   tree ->
   (int, tree Measure.violation) result
-(** Play to the death; [Ok n] is the number of chops. *)
+(** Play to the death, re-validating the descent of {!measure} at every
+    chop; [Ok n] is the number of chops. *)

@@ -60,24 +60,30 @@ let validate ?(bound = 10_000) (sys : 'a t) (start : 'a) :
   in
   go [ start ] [ start ] bound
 
-(** Run to termination under a successor-choice function, re-validating
-    the strict descent at every step; the descent makes fuel
+(** Follow [next] until it returns [None], re-validating the strict
+    descent of [measure] at every step; the descent makes fuel
     unnecessary.  Returns the visited states (including the terminal
     one) or the violation that stopped the run. *)
-let run (sys : 'a t) ~(choose : 'a list -> 'a) (start : 'a) :
+let descend ~(measure : 'a -> Ord.t) ~(next : 'a -> 'a option) (start : 'a) :
     ('a list, 'a violation) result =
   let rec go s acc =
-    match sys.step s with
-    | [] -> Ok (List.rev (s :: acc))
-    | succs ->
-      let s' = choose succs in
-      let m = sys.measure s and m' = sys.measure s' in
+    match next s with
+    | None -> Ok (List.rev (s :: acc))
+    | Some s' ->
+      let m = measure s and m' = measure s' in
       if Ord.lt m' m then go s' (s :: acc)
       else
         Error
           { from_state = s; to_state = s'; from_measure = m; to_measure = m' }
   in
   go start []
+
+(** Run to termination under a successor-choice function. *)
+let run (sys : 'a t) ~(choose : 'a list -> 'a) (start : 'a) :
+    ('a list, 'a violation) result =
+  descend ~measure:sys.measure
+    ~next:(fun s -> match sys.step s with [] -> None | succs -> Some (choose succs))
+    start
 
 (** Length of the run under a choice function. *)
 let run_length sys ~choose start =

@@ -26,9 +26,14 @@ val validate :
     exploration): [Ok None] = validated, [Ok (Some v)] = counterexample,
     [Error _] = bound exhausted. *)
 
+val descend :
+  measure:('a -> Ord.t) -> next:('a -> 'a option) -> 'a -> ('a list, 'a violation) result
+(** Follow [next] until it returns [None], re-validating the strict
+    descent of [measure] at every step.  Returns the visited states or
+    the violation that stopped the run. *)
+
 val run : 'a t -> choose:('a list -> 'a) -> 'a -> ('a list, 'a violation) result
-(** Run to termination under any successor choice, re-validating strict
-    descent at every step.  Returns the visited states or the violation
-    that stopped the run. *)
+(** {!descend} along [choose]'s pick among the system's successors: a
+    run to termination under any successor choice. *)
 
 val run_length : 'a t -> choose:('a list -> 'a) -> 'a -> int option

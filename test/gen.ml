@@ -105,6 +105,20 @@ let print_ts (ts : Ts.t) =
   Buffer.add_char b ')';
   Buffer.contents b
 
+(* ---------- hydras ---------- *)
+
+(* A random hydra of depth at most [depth]: every node has at most
+   [width] children, each of a random smaller depth. *)
+let rec hydra ~width ~depth : Hydra.tree Q.t =
+  let open Q in
+  if depth = 0 then return Hydra.leaf
+  else
+    let* n = int_bound width in
+    let* ts = list_repeat n (int_bound (depth - 1) >>= fun depth -> hydra ~width ~depth) in
+    return (Hydra.Node ts)
+
+let print_hydra h = Format.asprintf "%a" Hydra.pp h
+
 (* ---------- SHL expressions ---------- *)
 
 (* Closed, well-scoped expressions over a variable environment; built to

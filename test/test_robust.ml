@@ -334,18 +334,34 @@ let cli_garbage_inputs =
     "explore -e 'fork (";
   ]
 
+(* Negative counts are usage errors, reported before anything is
+   printed (a negative depth used to overflow the stack). *)
+let cli_negative_counts =
+  [
+    "hydra --width=-1";
+    "hydra --depth=-2";
+    "hydra --regrow=-1";
+    "goodstein --max-len=-1";
+    "goodstein -- -3";
+  ]
+
+let cli_exe = "../bin/tfiris_cli.exe"
+
+(* Run the CLI; the exit code and what it printed, with stderr either
+   merged into the text or dropped. *)
+let run_cli ~stderr args =
+  let out = Filename.temp_file "tfiris_chaos_cli" ".out" in
+  let redirect = if stderr then "2>&1" else "2>/dev/null" in
+  let code = Sys.command (Printf.sprintf "%s %s > %s %s" cli_exe args out redirect) in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  (code, text)
+
 let test_cli_structured_errors () =
-  let exe = "../bin/tfiris_cli.exe" in
-  if not (Sys.file_exists exe) then Alcotest.skip ();
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   List.iter
     (fun args ->
-      let out = Filename.temp_file "tfiris_chaos_cli" ".err" in
-      let code = Sys.command (Printf.sprintf "%s %s > %s 2>&1" exe args out) in
-      let ic = open_in out in
-      let n = in_channel_length ic in
-      let text = really_input_string ic n in
-      close_in ic;
-      Sys.remove out;
+      let code, text = run_cli ~stderr:true args in
       (* 125 is cmdliner's "uncaught exception" exit; a backtrace on
          stderr means an exception escaped the structured path *)
       if code = 125 then
@@ -355,7 +371,16 @@ let test_cli_structured_errors () =
           if contains ~affix:marker text then
             Alcotest.failf "%S: unstructured failure leaked:\n%s" args text)
         [ "Fatal error"; "Raised at"; "Raised by" ])
-    cli_garbage_inputs
+    (cli_garbage_inputs @ cli_negative_counts)
+
+let test_cli_negative_counts () =
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
+  List.iter
+    (fun args ->
+      let code, stdout = run_cli ~stderr:false args in
+      Alcotest.(check int) (args ^ ": exit") 2 code;
+      Alcotest.(check string) (args ^ ": stdout") "" stdout)
+    cli_negative_counts
 
 let suite =
   [
@@ -381,4 +406,5 @@ let suite =
       test_chaos_deterministic;
     Alcotest.test_case "chaos restores hooks" `Quick test_chaos_restores_hooks;
     Alcotest.test_case "cli structured errors" `Quick test_cli_structured_errors;
+    Alcotest.test_case "cli negative counts" `Quick test_cli_negative_counts;
   ]

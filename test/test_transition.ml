@@ -117,17 +117,56 @@ let test_measure_run_rejects_cheat () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-descending run accepted"
 
+(* Exact chop counts: the benchmark's 14 bush shapes, where a depth-2
+   bush of width w with regrowth r dies after w·f(w) chops under either
+   strategy (f(0) = 1, f(k) = 1 + (r+1)·f(k−1)), and 2×3 with regrowth 1
+   after its recorded 1202; plus a line whose chop regrows 5 heads. *)
 let test_hydra_dies () =
+  let bush2 ~width ~regrow =
+    let rec f k = if k = 0 then 1 else 1 + ((regrow + 1) * f (k - 1)) in
+    width * f width
+  in
+  let bushes =
+    List.map
+      (fun (width, depth, regrow, adversarial) ->
+        ( Printf.sprintf "bush %dx%d, regrow %d%s" width depth regrow
+            (if adversarial then ", adversarial" else ""),
+          Hydra.bush ~width ~depth,
+          regrow,
+          (if adversarial then Hydra.choose_fattest else Hydra.choose_first),
+          if depth = 2 then bush2 ~width ~regrow else 1202 ))
+      [
+        (3, 2, 4, true); (4, 2, 2, true); (5, 2, 1, true); (3, 2, 3, true);
+        (4, 2, 3, false); (2, 3, 1, false); (3, 2, 2, true); (4, 2, 1, true);
+        (2, 2, 4, true); (4, 2, 2, false); (3, 2, 4, false); (5, 2, 1, false);
+        (3, 2, 3, false); (2, 2, 2, false);
+      ]
+  in
   List.iter
-    (fun (h, regrow, choose, name) ->
+    (fun (name, h, regrow, choose, chops) ->
       match Hydra.play ~regrow ~choose h with
-      | Ok n -> Alcotest.(check bool) (name ^ " takes chops") true (n > 0)
+      | Ok n -> Alcotest.(check int) (name ^ ": chops") chops n
       | Error _ -> Alcotest.failf "%s: measure violation" name)
-    [
-      (Hydra.bush ~width:2 ~depth:2, 2, Hydra.choose_first, "bush greedy");
-      (Hydra.bush ~width:2 ~depth:2, 3, Hydra.choose_fattest, "bush adversarial");
-      (Hydra.line 1, 5, Hydra.choose_fattest, "line heavy regrow");
-    ]
+    (("line 1, regrow 5", Hydra.line 1, 5, Hydra.choose_fattest, 7) :: bushes)
+
+(* The ordinal work of E11's heaviest game is pinned: the descent check
+   measures both ends of every chop, whatever builds the successor. *)
+let test_hydra_ordinal_counts () =
+  let module Metrics = Obs.Metrics in
+  Metrics.reset ();
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+  @@ fun () ->
+  ignore
+    (Hydra.play ~regrow:4 ~choose:Hydra.choose_fattest (Hydra.bush ~width:3 ~depth:2)
+      : (int, Hydra.tree Measure.violation) result);
+  let s = Metrics.snapshot () in
+  Alcotest.(check (option int)) "ordinal.hsum" (Some 183096)
+    (Metrics.counter_value s "ordinal.hsum");
+  Alcotest.(check (option int)) "ordinal.compare" (Some 198664)
+    (Metrics.counter_value s "ordinal.compare")
 
 let test_hydra_measure () =
   Alcotest.(check string) "μ(bush 2x2) = ω²·2" "\xcf\x89^2\xc2\xb72"
@@ -136,17 +175,46 @@ let test_hydra_measure () =
     (Ord.to_string (Hydra.measure (Hydra.line 3)));
   Alcotest.(check string) "μ(leaf) = 0" "0" (Ord.to_string (Hydra.measure Hydra.leaf))
 
-let hydra_descent_prop =
+(* Random hydras of depth ≤ [depth] and width ≤ [width] with regrowth
+   0–4, under either strategy. *)
+let hydra_prop ~count ~width ~depth name f =
   QCheck_alcotest.to_alcotest
-    (Q.Test.make ~count:60 ~name:"every chop strictly decreases μ"
-       ~print:(fun (w, r) -> Printf.sprintf "width %d, regrow %d" w r)
-       (Q.Gen.pair (Q.Gen.int_range 1 3) (Q.Gen.int_range 1 3))
-       (fun (width, regrow) ->
-         let h = Hydra.bush ~width ~depth:2 in
-         let m = Hydra.measure h in
-         List.for_all
-           (fun h' -> Ord.lt (Hydra.measure h') m)
-           (Hydra.chops ~regrow h)))
+    (Q.Test.make ~count ~name
+       ~print:(fun (h, regrow, fattest) ->
+         Printf.sprintf "%s, regrow %d, %s" (Gen.print_hydra h) regrow
+           (if fattest then "fattest" else "first"))
+       (Q.Gen.triple (Gen.hydra ~width ~depth) (Q.Gen.int_range 0 4) Q.Gen.bool)
+       (fun (h, regrow, fattest) ->
+         f h ~regrow (if fattest then Hydra.choose_fattest else Hydra.choose_first)))
+
+let hydra_descent_prop =
+  hydra_prop ~count:200 ~width:4 ~depth:4 "every chop strictly decreases μ"
+    (fun h ~regrow _ ->
+      let m = Hydra.measure h in
+      List.for_all (fun h' -> Ord.lt (Hydra.measure h') m) (Hydra.chops ~regrow h))
+
+(* The sites are the chops, in order and sized right, and the strategy
+   picks among them what [pick] picks among the built successors. *)
+let hydra_sites_prop =
+  hydra_prop ~count:300 ~width:4 ~depth:4 "chop sites build and size chops' successors"
+    (fun h ~regrow strategy ->
+      let chops = Hydra.chops ~regrow h in
+      let sites = List.of_seq (Hydra.sites ~regrow h) in
+      List.map (fun (s : Hydra.site) -> Hydra.chop_at ~regrow h s.path) sites = chops
+      && List.map (fun (s : Hydra.site) -> s.size) sites = List.map Hydra.size chops
+      && Hydra.successor ~regrow strategy h
+         = match chops with [] -> None | cs -> Some (Hydra.pick strategy cs))
+
+(* Whole games on small hydras: the site-based play follows the
+   list-level reference state by state. *)
+let hydra_trajectory_prop =
+  hydra_prop ~count:100 ~width:3 ~depth:2 "site-based play follows Measure.run"
+    (fun h ~regrow strategy ->
+      let reference = Measure.run (Hydra.system ~regrow) ~choose:(Hydra.pick strategy) h in
+      Measure.descend ~measure:Hydra.measure ~next:(Hydra.successor ~regrow strategy) h
+      = reference
+      && Hydra.play ~regrow ~choose:strategy h
+         = Result.map (fun states -> List.length states - 1) reference)
 
 (* ---------- properties: simulation adequacy on random systems ---------- *)
 
@@ -215,6 +283,9 @@ let suite =
       test_measure_run_rejects_cheat;
     Alcotest.test_case "hydra always dies" `Quick test_hydra_dies;
     Alcotest.test_case "hydra measures" `Quick test_hydra_measure;
+    Alcotest.test_case "hydra ordinal work" `Quick test_hydra_ordinal_counts;
     hydra_descent_prop;
+    hydra_sites_prop;
+    hydra_trajectory_prop;
   ]
   @ properties

@@ -702,13 +702,14 @@ let e17 () =
 (* ------------------------------------------------------------------ *)
 
 (* The bi-abductive pass runs two halves per program — the concrete
-   safety/leak checker and the Jacobi summary fixpoint — and both must
-   stay cheap enough to sit inside `tfiris analyze` on every example.
-   This experiment times each half separately over the shipped corpus
-   and reports the verdict, the checker's visited-node count, and how
-   many function summaries converged exactly vs were widened, so a
-   precision regression (more [approx], fewer exact) is as visible as
-   a wall-time one. *)
+   safety/leak checker and the summary fixpoint — and both must stay
+   cheap enough to sit inside `tfiris analyze` on every example.  This
+   experiment times each half alone over the shipped corpus and reports
+   the verdict, the checker's visited-node count, how many function
+   summaries converged exactly vs were widened, and how many function
+   analyses the fixpoint ran vs reused from the previous round, so a
+   precision regression (more [approx], fewer exact) or lost reuse is as
+   visible as a wall-time one. *)
 let e18 () =
   section "E18  symbolic heaps: concrete checker and bi-abduced summaries";
   let module An = Tfiris.Analysis in
@@ -728,23 +729,31 @@ let e18 () =
     let t1 = Obs.Trace.now_ns () in
     (x, Int64.to_float (Int64.sub t1 t0) /. 1e6)
   in
+  let counter snap name =
+    Option.value ~default:0 (Obs.Metrics.counter_value snap name)
+  in
   List.iter
     (fun (name, e) ->
-      let r, t_check = time (fun () -> An.Biabd.check e) in
-      (* the summary half alone, re-run to split the wall time *)
-      let _, t_sum = time (fun () -> An.Biabd.summaries e) in
+      let r, t_check = time (fun () -> An.Biabd.concrete e) in
+      let before = Obs.Metrics.snapshot () in
+      let sums, t_sum = time (fun () -> An.Biabd.summaries e) in
+      let after = Obs.Metrics.snapshot () in
+      let delta c = counter after c - counter before c in
       let exact, widened =
         List.fold_left
           (fun (ex, ap) s ->
             if s.An.Biabd.s_exact then (ex + 1, ap) else (ex, ap + 1))
-          (0, 0) r.An.Biabd.r_summaries
+          (0, 0) sums
       in
       row
-        "  %-18s %-7s %5d nodes | %d exact + %d widened summaries | check \
-         %6.2f ms | summaries %6.2f ms\n"
+        "  %-18s %-7s %5d nodes | %d exact + %d widened summaries | %2d \
+         analyses + %2d reused | check %6.2f ms | summaries %6.2f ms\n"
         name
         (An.Biabd.verdict_to_string r.An.Biabd.r_verdict)
-        r.An.Biabd.r_steps exact widened t_check t_sum)
+        r.An.Biabd.r_steps exact widened
+        (delta "analysis.symheap.fn_analyses")
+        (delta "analysis.symheap.fn_reused")
+        t_check t_sum)
     corpus
 
 (* ------------------------------------------------------------------ *)

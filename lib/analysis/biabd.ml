@@ -33,6 +33,7 @@ module Heap = Tfiris_shl.Heap
 module Sh = Symheap
 module F = Finding
 module Json = Tfiris_obs.Json
+module Metrics = Tfiris_obs.Metrics
 module Iset = Set.Make (Int)
 module Imap = Map.Make (Int)
 
@@ -341,6 +342,7 @@ type sctx = {
   fns : fn array;
   names : (string, int) Hashtbl.t;  (** unambiguous name → fn index *)
   cand : disjunct list array;  (** summaries of the previous round *)
+  mutable reads : Iset.t;  (** functions whose [cand] this analysis read *)
   mutable budget : int;
   mutable approx : bool;
   dyn : (int, dyn) Hashtbl.t;
@@ -958,6 +960,7 @@ and cas_cell ctx st a old_v new_v =
    bi-abduction composes), then conjoin the postcondition. *)
 and call_summary ctx (st : sst) fid (args : Sh.sval list) :
     (sst * Sh.sval) list =
+  ctx.reads <- Iset.add fid ctx.reads;
   let disjs = ctx.cand.(fid) in
   if disjs = [] then begin
     (* no candidate yet (first round of a recursive cycle): cut *)
@@ -1076,7 +1079,29 @@ let names_of (fns : fn list) : (string, int) Hashtbl.t =
     fns;
   tbl
 
-let analyze_fn ctx fid : disjunct list =
+let context (fns : fn array) : sctx =
+  let n = Array.length fns in
+  {
+    fns;
+    names = names_of (Array.to_list fns);
+    cand = Array.make n [];
+    reads = Iset.empty;
+    budget = 0;
+    approx = false;
+    dyn = Hashtbl.create 16;
+    ndyn = n + 1;
+  }
+
+(* One analysis of one function against [ctx.cand].  Every other piece
+   of [ctx] it touches is reset first, so the result (and [ctx.approx],
+   [ctx.reads] afterwards) depends only on the [cand] entries it reads:
+   the same reads give the same run. *)
+let analyze_fn ctx ~budget fid : disjunct list =
+  ctx.reads <- Iset.empty;
+  ctx.approx <- false;
+  ctx.budget <- budget;
+  Hashtbl.reset ctx.dyn;
+  ctx.ndyn <- Array.length ctx.fns + 1;
   let f = ctx.fns.(fid) in
   let sh, param_vs =
     List.fold_left
@@ -1118,46 +1143,52 @@ let analyze_fn ctx fid : disjunct list =
 
 let fix_rounds = 6
 let fn_budget = 2000
+let m_analyses = Metrics.counter "analysis.symheap.fn_analyses"
+let m_reused = Metrics.counter "analysis.symheap.fn_reused"
 
 (** Infer candidate summaries for every discovered function by
     round-robin fixpoint iteration (Jacobi: each round reads the
-    previous round's summaries). *)
+    previous round's summaries).  From the second round on, a function
+    is re-analyzed only when a summary its last analysis read changed
+    in the previous round; otherwise {!analyze_fn} would repeat that
+    run, so its result is kept and counts as stable. *)
 let summaries ?(rounds = fix_rounds) ?(budget = fn_budget)
     (prog : Ast.expr) : summary list =
   let fns = Array.of_list (discover prog) in
   let n = Array.length fns in
   if n = 0 then []
   else begin
-    let ctx =
-      {
-        fns;
-        names = names_of (Array.to_list fns);
-        cand = Array.make n [];
-        budget = 0;
-        approx = false;
-        dyn = Hashtbl.create 16;
-        ndyn = n + 1;
-      }
-    in
+    let ctx = context fns in
     let exact = Array.make n true in
     let stable = Array.make n false in
+    (* the read set of each function's last analysis; None before it *)
+    let reads = Array.make n None in
+    let analyses = ref 0 and reused = ref 0 in
     (try
        for _round = 1 to rounds do
+         (* last round's stability bits, fixed for this round (Jacobi) *)
+         let was_stable = Array.copy stable in
          let next = Array.make n [] in
          for fid = 0 to n - 1 do
-           ctx.approx <- false;
-           ctx.budget <- budget;
-           Hashtbl.reset ctx.dyn;
-           ctx.ndyn <- n + 1;
-           let ds = analyze_fn ctx fid in
-           exact.(fid) <- not ctx.approx;
-           stable.(fid) <- ds = ctx.cand.(fid);
-           next.(fid) <- ds
+           match reads.(fid) with
+           | Some r when Iset.for_all (Array.get was_stable) r ->
+             incr reused;
+             stable.(fid) <- true;
+             next.(fid) <- ctx.cand.(fid)
+           | _ ->
+             incr analyses;
+             let ds = analyze_fn ctx ~budget fid in
+             reads.(fid) <- Some ctx.reads;
+             exact.(fid) <- not ctx.approx;
+             stable.(fid) <- ds = ctx.cand.(fid);
+             next.(fid) <- ds
          done;
          Array.blit next 0 ctx.cand 0 n;
          if Array.for_all (fun b -> b) stable then raise Exit
        done
      with Exit -> ());
+    Metrics.add m_analyses !analyses;
+    Metrics.add m_reused !reused;
     List.mapi
       (fun fid (f : fn) ->
         {
@@ -1221,8 +1252,9 @@ type result = {
 
 let default_budget = 4000
 
-(** Run both halves of the analyzer on a whole program. *)
-let check ?(budget = default_budget) (e : Ast.expr) : result =
+(** The concrete half alone: verdict, findings, leaks and node count of
+    the whole-program checker; [r_summaries] is empty. *)
+let concrete ?(budget = default_budget) (e : Ast.expr) : result =
   let st =
     {
       cells = Imap.empty;
@@ -1279,8 +1311,12 @@ let check ?(budget = default_budget) (e : Ast.expr) : result =
     r_findings = List.rev st.findings;
     r_leaked = leaked;
     r_steps = st.visited;
-    r_summaries = summaries e;
+    r_summaries = [];
   }
+
+(** Run both halves of the analyzer on a whole program. *)
+let check ?budget (e : Ast.expr) : result =
+  { (concrete ?budget e) with r_summaries = summaries e }
 
 (** The analyzer-pass entry point: concrete errors and leaks, plus one
     [Info] finding per inferred function summary. *)

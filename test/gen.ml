@@ -287,6 +287,145 @@ let typed_shl_int : Shl.Ast.expr Q.t =
   in
   Q.sized_size (Q.int_bound 4) (fun d -> int_term (Stdlib.min d 4) [] [])
 
+(* ---------- let-chains of named functions ---------- *)
+
+(* ints, cells holding an int, and cells holding a list node *)
+type sort = S_int | S_ref | S_list
+
+(* Programs that bind several named functions in a row, for the
+   symbolic-heap summary fixpoint ([shl_expr] rarely names one).  Each
+   [let f<i> = …] is a plain, curried or self-recursive ([rec]) function
+   of one or two parameters.  Its body is sorted so most paths finish:
+   it allocates, loads and stores, walks lists with
+   [match !l with inl/inr], and calls itself and the earlier functions,
+   fully applied or through a partial application.  The chain ends by
+   calling the last function. *)
+let shl_fn_chain : Shl.Ast.expr Q.t =
+  let open Q in
+  let open Shl.Ast in
+  let app f args = List.fold_left (fun acc a -> App (acc, a)) (Var f) args in
+  let nil = Ref (Inj_l_e unit_) in
+  let cons h t = Ref (Inj_r_e (Pair_e (h, t))) in
+  (* [env]: variables and projections in scope, with their sorts;
+     [fns]: name, parameter sorts and result sort of each callable *)
+  let rec gen sort env fns depth =
+    let leaf =
+      match sort with
+      | S_int -> map int_ (int_bound 3)
+      | S_ref -> map (fun n -> Ref (int_ n)) (int_bound 3)
+      | S_list -> oneofl [ nil; cons (int_ 1) nil ]
+    in
+    let leaves =
+      match List.filter (fun (_, s) -> s = sort) env with
+      | [] -> [ leaf ]
+      | atoms -> [ leaf; map fst (oneofl atoms) ]
+    in
+    if depth = 0 then oneof leaves
+    else
+      let sub s = gen s env fns (depth - 1) in
+      let v = Printf.sprintf "v%d" depth in
+      let returning = List.filter (fun (_, _, r) -> r = sort) fns in
+      let calls =
+        if returning = [] then []
+        else
+          [
+            (let* f, params, _ = oneofl returning in
+             map (app f) (flatten_l (List.map sub params)));
+          ]
+      in
+      let partial =
+        match List.filter (fun (_, ps, _) -> List.length ps = 2) returning with
+        | [] -> []
+        | two ->
+          [
+            (let* f, ps, _ = oneofl two in
+             let* a = sub (List.nth ps 0) in
+             let* b = sub (List.nth ps 1) in
+             let p = "p" ^ v in
+             return (Let (p, App (Var f, a), App (Var p, b))));
+          ]
+      in
+      let own =
+        match sort with
+        | S_int ->
+          [
+            map2 (fun a b -> Bin_op (Add, a, b)) (sub S_int) (sub S_int);
+            map (fun c -> Load c) (sub S_ref);
+            map3
+              (fun a b c -> If (Bin_op (Eq, a, int_ 0), b, c))
+              (sub S_int) (sub S_int) (sub S_int);
+          ]
+        | S_ref -> [ map (fun a -> Ref a) (sub S_int) ]
+        | S_list -> [ map2 cons (sub S_int) (sub S_list) ]
+      in
+      let store =
+        oneof
+          [
+            map2 (fun c x -> Store (c, x)) (sub S_ref) (sub S_int);
+            map2
+              (fun c l -> Store (c, Load l))
+              (sub S_list) (sub S_list);
+          ]
+      in
+      oneof
+        (leaves @ calls @ calls @ partial @ own
+        @ [
+            map2 (fun st k -> Seq (st, k)) store (sub sort);
+            (let* s' = oneofl [ S_int; S_ref; S_list ] in
+             let* e = sub s' in
+             map
+               (fun k -> Let (v, e, k))
+               (gen sort ((Var v, s') :: env) fns (depth - 1)));
+            (* the list walk *)
+            (let* l = sub S_list in
+             let* on_nil = sub sort in
+             let* on_cons =
+               gen sort
+                 ((Fst (Var v), S_int) :: (Snd (Var v), S_list) :: env)
+                 fns (depth - 1)
+             in
+             return (Case (Load l, (v, on_nil), (v, on_cons))));
+          ])
+  in
+  let sort = oneofl [ S_int; S_ref; S_list ] in
+  let rec chain i fns n =
+    let name = Printf.sprintf "f%d" i in
+    let* params =
+      oneof [ map (fun s -> [ s ]) sort; map2 (fun a b -> [ a; b ]) sort sort ]
+    in
+    let* result = sort in
+    let* recursive = bool in
+    let names = List.filteri (fun j _ -> j < List.length params) [ "x"; "y" ] in
+    let self = (name, params, result) in
+    let* body =
+      gen result
+        (List.map2 (fun n s -> (Var n, s)) names params)
+        (if recursive then self :: fns else fns)
+        3
+    in
+    let self_name = if recursive then Some name else None in
+    let fn =
+      match names with
+      | [ x ] -> Rec (self_name, x, body)
+      | _ -> Rec (self_name, "x", lam "y" body)
+    in
+    let* rest =
+      if i + 1 < n then chain (i + 1) (self :: fns) n
+      else
+        return
+          (app name
+             (List.map
+                (function
+                  | S_int -> int_ 1
+                  | S_ref -> Ref (int_ 1)
+                  | S_list -> cons (int_ 1) (cons (int_ 2) nil))
+                params))
+    in
+    return (Let (name, fn, rest))
+  in
+  let* n = int_range 1 4 in
+  chain 0 [] n
+
 (* ---------- queue operation scripts ---------- *)
 
 let queue_ops : Refinement.Queue_spec.op list Q.t =

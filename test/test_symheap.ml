@@ -321,6 +321,102 @@ let differential_typed =
   prop ~count:250 "analyzer verdicts vs machine (well-typed programs)"
     Gen.typed_shl_int Gen.print_shl differential
 
+(* ---------- the summary fixpoint vs plain Jacobi iteration ---------- *)
+
+(* The oracle for [B.summaries]: every round re-analyzes every
+   discovered function against the previous round's summaries, until a
+   round changes nothing or [B.fix_rounds] rounds have run.  Returns the
+   summaries and the number of rounds run. *)
+let jacobi prog =
+  let fns = Array.of_list (B.discover prog) in
+  let n = Array.length fns in
+  let ctx = B.context fns in
+  let exact = Array.make n true and stable = Array.make n false in
+  let rec go round =
+    let next =
+      Array.init n (fun fid ->
+          let ds = B.analyze_fn ctx ~budget:B.fn_budget fid in
+          exact.(fid) <- not ctx.B.approx;
+          stable.(fid) <- ds = ctx.B.cand.(fid);
+          ds)
+    in
+    Array.blit next 0 ctx.B.cand 0 n;
+    if Array.for_all Fun.id stable || round = B.fix_rounds then round
+    else go (round + 1)
+  in
+  let rounds = if n = 0 then 0 else go 1 in
+  ( Array.to_list
+      (Array.mapi
+         (fun fid (f : B.fn) ->
+           {
+             B.s_name = f.B.f_name;
+             s_path = f.B.f_path;
+             s_params = f.B.f_params;
+             s_exact = exact.(fid) && stable.(fid);
+             s_disjuncts = ctx.B.cand.(fid);
+           })
+         fns),
+    rounds )
+
+(* [B.summaries prog], with the counters of that one run *)
+let summaries_with_work prog =
+  let module Metrics = Tfiris.Obs.Metrics in
+  Metrics.reset ();
+  Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+    (fun () ->
+      let sums = B.summaries prog in
+      let s = Metrics.snapshot () in
+      let get name = Option.value ~default:0 (Metrics.counter_value s name) in
+      (sums, (get "analysis.symheap.fn_analyses", get "analysis.symheap.fn_reused")))
+
+(* Same summaries as the plain loop, and analyses plus reuses add up to
+   what the plain loop analyzes. *)
+let same_summaries prog =
+  let expected, rounds = jacobi prog in
+  let got, (analyses, reused) = summaries_with_work prog in
+  let render l = String.concat "\n" (List.map B.summary_to_string l) in
+  if got <> expected then
+    Q.Test.fail_reportf "summaries differ:\njacobi:\n%s\nsummaries:\n%s"
+      (render expected) (render got)
+  else if analyses + reused <> rounds * List.length expected then
+    Q.Test.fail_reportf "%d analyses + %d reused, but %d rounds of %d functions"
+      analyses reused rounds (List.length expected)
+  else true
+
+(* per shipped example: function analyses run and reused *)
+let example_work =
+  [
+    ("ackermann.shl", 4, 0); ("conc_locked.shl", 7, 8);
+    ("event_loop.shl", 7, 9); ("fib.shl", 3, 0); ("memo_fib.shl", 11, 13);
+    ("slen.shl", 3, 0); ("sort.shl", 8, 0);
+  ]
+
+(* The plain loop's summaries and rendering on every shipped example,
+   and the work the dependency tracking saves there, pinned. *)
+let test_fixpoint_examples () =
+  List.iter
+    (fun (file, analyses, reused) ->
+      let prog = parse_example file in
+      let expected, _ = jacobi prog in
+      let got, work = summaries_with_work prog in
+      Alcotest.(check (list string))
+        (file ^ ": rendered summaries")
+        (List.map B.summary_to_string expected)
+        (List.map B.summary_to_string got);
+      Alcotest.(check bool) (file ^ ": summaries equal") true
+        (same_summaries prog);
+      Alcotest.(check (pair int int))
+        (file ^ ": analyses, reused") (analyses, reused) work)
+    example_work
+
+let fixpoint_chains =
+  prop ~count:300 "summaries vs plain Jacobi (let-chains of functions)"
+    Gen.shl_fn_chain Gen.print_shl same_summaries
+
 let suite =
   [
     Alcotest.test_case "unification" `Quick test_unify;
@@ -335,6 +431,9 @@ let suite =
       test_slen_golden;
     Alcotest.test_case "example summaries golden" `Quick
       test_example_summaries;
+    Alcotest.test_case "fixpoint vs plain Jacobi (examples)" `Quick
+      test_fixpoint_examples;
+    fixpoint_chains;
     differential_wild;
     differential_typed;
   ]

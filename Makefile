@@ -37,7 +37,10 @@ chaos: build
 # content keys and verdicts are byte-stable across machines (wall times
 # are the only thing that varies).  `tfiris report LEDGER.jsonl`
 # summarises it; CI diffs a fresh corpus against the committed
-# BENCH_history/baseline-ledger.jsonl and fails on verdict flips.
+# BENCH_history/baseline-ledger.jsonl and fails on verdict flips.  The
+# paper's two divergent examples — `rec f x. f x` under $ω (§5) and
+# `e_loop ⪯ skip` (§4.1) — are in it as rejections: they must exit 1,
+# and the diff holds their verdicts.
 LEDGER ?= LEDGER.jsonl
 
 ledger: build
@@ -47,6 +50,8 @@ ledger: build
 	dune exec bin/tfiris_cli.exe -- run -e "let r = ref 0 in fork (r := 1); fork (r := !r + 1); !r" --domains=2 --ledger=$(LEDGER)
 	dune exec bin/tfiris_cli.exe -- check-term -e "(rec f n. if n = 0 then 0 else f (n - 1)) 64" --ledger=$(LEDGER)
 	dune exec bin/tfiris_cli.exe -- refine --target="1 + 2" --source="3 - 0" --ledger=$(LEDGER)
+	dune exec bin/tfiris_cli.exe -- check-term -e "(rec f x. f x) 0" --ledger=$(LEDGER); test $$? -eq 1
+	dune exec bin/tfiris_cli.exe -- refine --target="(rec loop f x. if f () then loop f x else ()) (fun u -> true) ()" --source="()" --ledger=$(LEDGER); test $$? -eq 1
 	dune exec bin/tfiris_cli.exe -- analyze examples/shl/memo_fib.shl --ledger=$(LEDGER)
 	dune exec bin/tfiris_cli.exe -- chaos --seeds=10 --ledger=$(LEDGER) --out=CHAOS_report.json
 	dune exec bin/tfiris_cli.exe -- report $(LEDGER)

@@ -1084,7 +1084,7 @@ let refine_cmd =
         ?detail:c.Obs.Certcache.detail ();
       if c.Obs.Certcache.ok then 0 else 1
     | None ->
-    let finish ~strategy v =
+    let finish ?(store = true) ~strategy v =
       let verdict, ok, st =
         match v with
         | Refinement.Driver.Accepted (Refinement.Driver.Terminated _, st) ->
@@ -1102,9 +1102,10 @@ let refine_cmd =
           ("stutters", st.Refinement.Driver.stutters);
         ]
       in
-      cache_put cache ~cmd:"refine" ~label
-        ~engine:("refinement.driver/" ^ strategy)
-        ~program:program_text ~spec:spec_text ~verdict ~ok ~consumed ();
+      if store then
+        cache_put cache ~cmd:"refine" ~label
+          ~engine:("refinement.driver/" ^ strategy)
+          ~program:program_text ~spec:spec_text ~verdict ~ok ~consumed ();
       ledger_append ledger ~cmd:"refine" ~label
         ~engine:("refinement.driver/" ^ strategy)
         ~program:program_text ~spec:spec_text ?budget ~consumed ~t0 ~verdict
@@ -1114,10 +1115,18 @@ let refine_cmd =
       | Refinement.Driver.Rejected _ -> 1
     in
     with_explain explain (fun () ->
-        match Refinement.Strategy.oracle ~fuel ~target:tc ~source:sc () with
+        (* the oracle's pre-runs stop at the budget's wall deadline (its
+           step and cell limits count driver steps only), and the
+           driver then gets what is left of the budget *)
+        let pre = Option.map Robust.Budget.meter budget in
+        let rest () = Option.map Robust.Budget.remaining pre in
+        match
+          Refinement.Strategy.oracle ~fuel ?meter:pre ~target:tc ~source:sc ()
+        with
         | Some strat ->
           let v =
-            Refinement.Driver.run ~fuel ?budget ~target:tc ~source:sc strat
+            Refinement.Driver.run ~fuel ?budget:(rest ()) ~target:tc ~source:sc
+              strat
           in
           Format.printf "%a@." Refinement.Driver.pp_verdict v;
           finish ~strategy:"oracle" v
@@ -1125,12 +1134,15 @@ let refine_cmd =
           (* no oracle certificate: fall back to lockstep (handles the
              diverging/diverging case) *)
           let v =
-            Refinement.Driver.run ~fuel ?budget ~target:tc ~source:sc
-              Refinement.Strategy.lockstep
+            Refinement.Driver.run ~fuel ?budget:(rest ()) ~target:tc
+              ~source:sc Refinement.Strategy.lockstep
           in
           Format.printf "(no oracle certificate; lockstep attempt)@.%a@."
             Refinement.Driver.pp_verdict v;
-          finish ~strategy:"lockstep" v)
+          (* after a pre-run cut at the deadline, which strategy ran —
+             hence the verdict — depends on the budget: never cached *)
+          let cut = Option.bind pre Robust.Budget.exhausted <> None in
+          finish ~store:(not cut) ~strategy:"lockstep" v)
   in
   let target =
     Arg.(

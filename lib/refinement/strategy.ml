@@ -57,23 +57,15 @@ let stutter_only (b0 : Ord.t) : Driver.strategy =
     terminate, emit a schedule that distributes the source's [S] steps
     evenly over the target's [T] steps, stuttering with exact finite
     budgets in between.  Produces [None] when either side fails to
-    terminate within [fuel] — an oracle certificate only exists for
-    terminating pairs (for diverging pairs write an online strategy such
-    as {!lockstep}). *)
-let oracle ?(fuel = 10_000_000) ~(target : Step.config)
-    ~(source : Step.config) () : Driver.strategy option =
-  let count cfg =
-    (* the pre-runs go through the frame-stack machine: on deep-context
-       programs (exactly the memoization targets) the reference
-       stepper's per-step decompose/fill is quadratic *)
-    let rec go cfg n k =
-      match Machine.prim_step cfg with
-      | Error Step.Finished -> Some k
-      | Error (Step.Stuck _) -> None
-      | Ok (cfg', _) -> if n = 0 then None else go cfg' (n - 1) (k + 1)
-    in
-    go (Machine.of_config cfg) fuel 0
-  in
+    terminate within [fuel], cycles, or hits [meter]'s wall deadline —
+    an oracle certificate only exists for terminating pairs (for
+    diverging pairs write an online strategy such as {!lockstep}). *)
+let oracle ?fuel ?meter ~(target : Step.config) ~(source : Step.config) () :
+    Driver.strategy option =
+  (* the pre-runs go through the frame-stack machine: on deep-context
+     programs (exactly the memoization targets) the reference stepper's
+     per-step decompose/fill is quadratic *)
+  let count cfg = Machine.steps_to_value ?fuel ?meter (Machine.of_config cfg) in
   match count target, count source with
   | Some t_total, Some s_total when t_total > 0 ->
     (* Source steps scheduled at target step i: enough to reach

@@ -20,6 +20,7 @@ val stutter_only : Ord.t -> Driver.strategy
 
 val oracle :
   ?fuel:int ->
+  ?meter:Tfiris_robust.Budget.meter ->
   target:Step.config ->
   source:Step.config ->
   unit ->
@@ -28,7 +29,10 @@ val oracle :
     evenly along the target's with exact finite budgets — the generic
     certificate generator for terminating pairs (the analogue of
     discharging the proof once in Coq, then replaying it).  [None] when
-    either side fails to terminate within [fuel]. *)
+    either side fails to terminate within [fuel] (default 10⁷ steps),
+    provably cycles, or reaches [meter]'s wall deadline — the pre-runs
+    are {!Machine.steps_to_value}, polling [meter] but never charging
+    it. *)
 
 val scripted : Driver.decision list -> Driver.strategy
 (** An explicit move list (tests); falls back to canonical-descent

@@ -186,6 +186,27 @@ let exhausted m = m.exhausted_
 let tripped m = match m.exhausted_ with Some r -> r | None -> Steps
 let steps_used m = m.steps_charged
 
+(* [trip] answers [false] (a refused charge); here that means expired *)
+let wall_expired (m : meter) =
+  m.exhausted_ <> None
+  || m.deadline_ns <> Int64.max_int
+     && Int64.compare (now_ns ()) m.deadline_ns > 0
+     && not (trip m Wall_ms)
+
+let remaining (m : meter) : t =
+  let left limit n = Option.map (fun _ -> n) limit in
+  {
+    steps = left m.limits.steps m.steps_left;
+    states = left m.limits.states m.states_left;
+    heap_cells = left m.limits.heap_cells m.cells_left;
+    wall_ms =
+      Option.map
+        (fun _ ->
+          let ns = Int64.sub m.deadline_ns (now_ns ()) in
+          max 0 (Int64.to_int (Int64.div ns 1_000_000L)))
+        m.limits.wall_ms;
+  }
+
 (* ---------- shared (cross-domain) metering ---------- *)
 
 module Shared = struct

@@ -87,6 +87,18 @@ val tripped : meter -> resource
 
 val steps_used : meter -> int
 
+val wall_expired : meter -> bool
+(** Consult the clock now, charging nothing: [true] iff the meter is
+    already exhausted or its wall deadline has passed (which trips it
+    with [Wall_ms]).  For work done on a run's behalf that must honour
+    the caller's deadline without spending its deterministic resources —
+    a strategy's pre-run polls this instead of charging {!step}. *)
+
+val remaining : meter -> t
+(** What is left: each bounded resource's unspent amount, the wall
+    bound as the milliseconds until the deadline (0 once past).  A
+    follow-up run given this budget shares the first one's deadline. *)
+
 val limits : meter -> t
 (** The budget this meter was created from. *)
 

@@ -155,6 +155,111 @@ let prim_step (c : config) : (config * Step.kind, Step.error) result =
   | Stuck_redex r -> Error (Step.Stuck r)
   | Stepped (th', h', kind) -> Ok ({ thread = th'; heap = h' }, kind)
 
+(** {1 Pre-runs} *)
+
+(* Frame stacks of one run are equal iff they reach a physically shared
+   tail at the same height with structurally equal frames above it:
+   frames are only ever pushed and popped, so between two visits of a
+   cycle the frames below its lowest point stay the very same cells.
+   The walk gives up (a false negative, never a false positive) after
+   [cycle_window] frames without meeting the shared tail — comparing whole
+   stacks of a deep non-cycling recursion at every check would make the
+   pre-run quadratic. *)
+let cycle_window = 32
+
+let same_frames (a : Ctx.t) (b : Ctx.t) =
+  let rec meet a b n =
+    a == b
+    || n > 0
+       && match a, b with _ :: a', _ :: b' -> meet a' b' (n - 1) | _ -> false
+  in
+  let rec above a b =
+    a == b
+    || match a, b with
+       | fa :: a', fb :: b' -> compare fa fb = 0 && above a' b'
+       | _ -> false
+  in
+  meet a b cycle_window && above a b
+
+(* The same machine state: [fresh] first — O(1), and it rules out every
+   pair separated by an allocation — then the focused redex, the frame
+   stacks and the heap bindings.  [compare] rather than [=]: it skips
+   physically shared subterms (closures substituted into a body, heap
+   subtrees two snapshots of one run share).  Not {!Heap.equal}: that
+   ignores the allocation counter and treats closures as
+   incomparable. *)
+let same_config (a : config) (b : config) =
+  Heap.fresh a.heap = Heap.fresh b.heap
+  && compare a.thread.focus b.thread.focus = 0
+  && same_frames a.thread.ctx b.thread.ctx
+  && compare a.heap b.heap = 0
+
+(** How a pre-run ended. *)
+type prerun =
+  | Value_in of int  (** reached a value after this many steps *)
+  | Stuck_in of int  (** stuck after this many steps *)
+  | Cycle_in of int
+      (** the configuration after this many steps repeats an earlier
+          one: the run never finishes *)
+  | Cut of Tfiris_robust.Budget.resource
+      (** [Steps]: out of fuel; [Wall_ms]: the meter's deadline passed *)
+
+(** [prerun ?fuel ?meter c]: run [c] to a value, for at most [fuel]
+    steps, stopping early at the first repeated configuration.
+
+    Only configurations about to take a β-step (an [App] redex in
+    focus) are checked: every other head step shrinks the program
+    outside its values, so every cycle contains a β-step, and the
+    β-configurations of a cycling run repeat too.  Repeats are found by
+    Brent's cycle detection over them: one saved configuration,
+    re-saved at power-of-two β-counts, compared with every new one — a
+    cycle of [λ] β-steps entered after [μ] of them is caught within
+    [2·max(μ, λ) + λ] β-steps, unless its frame stack swings by more
+    than [cycle_window] frames within one turn (then the fuel bound
+    applies).  [prim_step] is a function of exactly the compared state
+    (focus, frame stack, heap bindings, allocation counter; an
+    allocation-fault hook cannot fire in between, since a cycle never
+    allocates), so a repeat proves divergence.  [meter] is polled for
+    its wall deadline every {!Tfiris_robust.Budget.wall_check_period}
+    steps and never charged. *)
+let prerun ?(fuel = 10_000_000) ?meter (c : config) : prerun =
+  let out_of_time k =
+    match meter with
+    | None -> false
+    | Some m ->
+      k mod Tfiris_robust.Budget.wall_check_period = 0
+      && Tfiris_robust.Budget.wall_expired m
+  in
+  (* [k] steps taken, [n] β-configurations met, [saved] the one met
+     when [n] last reached a power of two *)
+  let rec go c k n saved power =
+    match prim_step c with
+    | Error Step.Finished -> Value_in k
+    | Error (Step.Stuck _) -> Stuck_in k
+    | Ok (c', _) -> (
+      if k = fuel then Cut Tfiris_robust.Budget.Steps
+      else if out_of_time k then Cut Tfiris_robust.Budget.Wall_ms
+      else
+        let k = k + 1 in
+        match c'.thread.focus with
+        | App _ ->
+          let n = n + 1 in
+          if same_config c' saved then Cycle_in k
+          else if n = power then go c' k n c' (2 * power)
+          else go c' k n saved power
+        | _ -> go c' k n saved power)
+  in
+  go c 0 0 c 1
+
+(** [steps_to_value ?fuel ?meter c]: the steps [c] takes to reach a
+    value within [fuel] — [None] when {!prerun} ends any other way,
+    which without a [meter] is exactly when a plain fuel-bounded loop
+    answers [None]. *)
+let steps_to_value ?fuel ?meter (c : config) : int option =
+  match prerun ?fuel ?meter c with
+  | Value_in k -> Some k
+  | Stuck_in _ | Cycle_in _ | Cut _ -> None
+
 (** {1 Differential (lockstep) mode}
 
     Run the machine and {!Step.prim_step} side by side on the same

@@ -60,6 +60,36 @@ val to_config : config -> Step.config
 val prim_step : config -> (config * Step.kind, Step.error) result
 (** Drop-in machine replacement for {!Step.prim_step}. *)
 
+(** {1 Pre-runs} *)
+
+type prerun =
+  | Value_in of int  (** reached a value after this many steps *)
+  | Stuck_in of int  (** stuck after this many steps *)
+  | Cycle_in of int
+      (** the configuration after this many steps repeats an earlier
+          one: the run never finishes *)
+  | Cut of Tfiris_robust.Budget.resource
+      (** [Steps]: out of fuel; [Wall_ms]: the meter's deadline passed *)
+
+val prerun :
+  ?fuel:int -> ?meter:Tfiris_robust.Budget.meter -> config -> prerun
+(** Run to a value for at most [fuel] steps (default 10⁷), stopping at
+    the first repeated configuration.  Brent's cycle detection over the
+    configurations about to take a β-step (every cycle has one): a
+    cycle of [λ] β-steps entered after [μ] of them is cut within
+    [2·max(μ, λ) + λ] β-steps instead of at [fuel], unless its frame
+    stack swings by more than 32 frames within one turn.
+    A repeat proves divergence ([prim_step] is a function of the
+    compared configuration).  [meter] is only polled for its wall
+    deadline ({!Tfiris_robust.Budget.wall_expired}), never charged. *)
+
+val steps_to_value :
+  ?fuel:int -> ?meter:Tfiris_robust.Budget.meter -> config -> int option
+(** The steps to a value, if {!prerun} reaches one.  Without a [meter]
+    this always equals the plain fuel-bounded loop's answer — it is
+    just reached early on a cycling run.  The pre-run of the
+    adaptive-credit and refinement oracles. *)
+
 (** {1 Differential (lockstep) mode} *)
 
 type mismatch = {

@@ -42,7 +42,7 @@ let split_strategy ~(boundary : phase_boundary) ~(pot1 : Ord.t) ~(pot2 : Ord.t)
   {
     Wp.name = Printf.sprintf "split(%s,%s)" s1.Wp.name s2.Wp.name;
     spend =
-      (fun ~step_no ~config ~kind ~credit:_ ->
+      (fun ~step_no ~config ~kind ~credit:_ ~meter ->
         if (not !phase2) && boundary config then begin
           phase2 := true;
           Metrics.incr c_phase_switches;
@@ -52,7 +52,7 @@ let split_strategy ~(boundary : phase_boundary) ~(pot1 : Ord.t) ~(pot2 : Ord.t)
         end;
         let a, b = !pots in
         if not !phase2 then
-          match s1.Wp.spend ~step_no ~config ~kind ~credit:a with
+          match s1.Wp.spend ~step_no ~config ~kind ~credit:a ~meter with
           | None -> None
           | Some a' ->
             if Ord.lt a' a then begin
@@ -62,7 +62,7 @@ let split_strategy ~(boundary : phase_boundary) ~(pot1 : Ord.t) ~(pot2 : Ord.t)
             end
             else None
         else
-          match s2.Wp.spend ~step_no ~config ~kind ~credit:b with
+          match s2.Wp.spend ~step_no ~config ~kind ~credit:b ~meter with
           | None -> None
           | Some b' ->
             if Ord.lt b' b then begin

@@ -37,9 +37,12 @@ type strategy = {
     config:Step.config ->
     kind:Step.kind ->
     credit:Ord.t ->
+    meter:Budget.meter ->
     Ord.t option;
       (** the new credit after this step; must be strictly smaller.
-          [None] aborts the proof attempt. *)
+          [None] aborts the proof attempt.  [meter] is the run's budget:
+          a strategy doing work of its own (a pre-run) polls its wall
+          deadline; charging it is {!run}'s job. *)
 }
 
 type stats = {
@@ -161,7 +164,7 @@ let run ?budget ~credits (s : strategy) (cfg : Step.config) : verdict =
   in
   let ring = Forensics.with_ring () in
   let spend ~step_no ~config ~kind ~credit =
-    let res = s.spend ~step_no ~config ~kind ~credit in
+    let res = s.spend ~step_no ~config ~kind ~credit ~meter in
     (match ring with
     | Some rg -> record_spend rg ~step_no ~config ~kind ~credit res
     | None -> ());
@@ -187,7 +190,14 @@ let run ?budget ~credits (s : strategy) (cfg : Step.config) : verdict =
       | Ok (cfg', kind) -> (
         let step_no = stats.steps + 1 in
         match spend ~step_no ~config:(Machine.to_config cfg') ~kind ~credit with
-        | None -> Rejected (Gave_up, { stats with steps = step_no })
+        | None ->
+          (* a strategy stopped by the wall deadline tripped the meter *)
+          let reason =
+            match Budget.exhausted meter with
+            | Some r -> Out_of_budget r
+            | None -> Gave_up
+          in
+          Rejected (reason, { stats with steps = step_no })
         | Some credit' ->
           if Ord.lt credit' credit then begin
             (* A descent that skips past the predecessor means a limit
@@ -254,18 +264,14 @@ let countdown : strategy =
   {
     name = "countdown";
     spend =
-      (fun ~step_no:_ ~config:_ ~kind:_ ~credit -> Ord.pred credit);
+      (fun ~step_no:_ ~config:_ ~kind:_ ~credit ~meter:_ -> Ord.pred credit);
   }
 
-(** Count the steps a configuration needs to terminate, within fuel. *)
-let remaining_steps ?(fuel = 10_000_000) (cfg : Step.config) : int option =
-  let rec go cfg n k =
-    match Machine.prim_step cfg with
-    | Error Step.Finished -> Some k
-    | Error (Step.Stuck _) -> None
-    | Ok (cfg', _) -> if n = 0 then None else go cfg' (n - 1) (k + 1)
-  in
-  go (Machine.of_config cfg) fuel 0
+(** Count the steps a configuration needs to terminate, within fuel —
+    [None] as soon as the run provably cycles
+    ({!Machine.steps_to_value}). *)
+let remaining_steps ?fuel ?meter (cfg : Step.config) : int option =
+  Machine.steps_to_value ?fuel ?meter (Machine.of_config cfg)
 
 (** Transfinite credits with dynamic instantiation: spend successor
     credit by decrementing; when the finite part is exhausted and a
@@ -276,14 +282,15 @@ let adaptive ?fuel () : strategy =
   {
     name = "adaptive";
     spend =
-      (fun ~step_no:_ ~config ~kind:_ ~credit ->
+      (fun ~step_no:_ ~config ~kind:_ ~credit ~meter ->
         match Ord.pred credit with
         | Some c -> Some c
         | None ->
           if Ord.is_zero credit then None
           else
-            (* limit ordinal: learn the remaining bound dynamically *)
-            Option.map Ord.of_int (remaining_steps ?fuel config));
+            (* limit ordinal: learn the remaining bound dynamically; the
+               pre-run stops at the run's wall deadline *)
+            Option.map Ord.of_int (remaining_steps ?fuel ~meter config));
   }
 
 (** A strategy from an explicit ordinal descent (for tests). *)
@@ -292,7 +299,7 @@ let scripted (descents : Ord.t list) : strategy =
   {
     name = "scripted";
     spend =
-      (fun ~step_no ~config:_ ~kind:_ ~credit:_ ->
+      (fun ~step_no ~config:_ ~kind:_ ~credit:_ ~meter:_ ->
         if step_no - 1 < Array.length arr then Some arr.(step_no - 1) else None);
   }
 
@@ -319,7 +326,7 @@ let measured ~(measure : Step.config -> Ord.t option) ~(pad : int) () :
   {
     name = Printf.sprintf "measured(pad=%d)" pad;
     spend =
-      (fun ~step_no:_ ~config ~kind:_ ~credit ->
+      (fun ~step_no:_ ~config ~kind:_ ~credit ~meter:_ ->
         match measure config with
         | None -> None
         | Some mu ->

@@ -21,8 +21,11 @@ type strategy = {
     config:Step.config ->
     kind:Step.kind ->
     credit:Ord.t ->
+    meter:Tfiris_robust.Budget.meter ->
     Ord.t option;
-      (** the new credit; must be strictly smaller.  [None] aborts. *)
+      (** the new credit; must be strictly smaller.  [None] aborts.
+          [meter] is the run's budget, for a strategy's own work (a
+          pre-run) to poll its wall deadline; never charge it. *)
 }
 
 type stats = {
@@ -59,7 +62,9 @@ val run :
   verdict
 (** The descent needs no fuel, but a [budget] still bounds wall clock
     and steps for governance (e.g. against a strategy that pre-runs the
-    program forever). *)
+    program forever).  A strategy that answers [None] after tripping the
+    meter (the {!adaptive} pre-run at the wall deadline) is reported as
+    [Out_of_budget], not [Gave_up]. *)
 
 val terminates :
   ?budget:Tfiris_robust.Budget.t -> credits:Ord.t -> strategy -> Ast.expr -> bool
@@ -68,12 +73,17 @@ val countdown : strategy
 (** Finite time credits: decrement; gives up at limit ordinals (it
     {e is} the bounded-termination baseline). *)
 
-val remaining_steps : ?fuel:int -> Step.config -> int option
+val remaining_steps :
+  ?fuel:int -> ?meter:Tfiris_robust.Budget.meter -> Step.config -> int option
+(** {!Machine.steps_to_value} on a whole configuration: the steps left
+    to a value within [fuel], [None] as soon as the run cycles, and a
+    stop at [meter]'s wall deadline. *)
 
 val adaptive : ?fuel:int -> unit -> strategy
 (** Decrement successor credit; instantiate a limit with the now-known
     bound on the rest of the run ([TSource]'s "decrease ω to k·n_f + 1
-    once k is learned", §5.1). *)
+    once k is learned", §5.1), found by a {!remaining_steps} pre-run
+    that honours the run's wall deadline. *)
 
 val scripted : Ord.t list -> strategy
 

@@ -426,6 +426,104 @@ let shl_fn_chain : Shl.Ast.expr Q.t =
   let* n = int_range 1 4 in
   chain 0 [] n
 
+(* ---------- looping SHL programs (pre-run cycle detection) ---------- *)
+
+(* A pure, terminating lead-in of 0–5 [let]s, so a loop is entered
+   after a random number of steps. *)
+let lead_in : string Q.t =
+  let open Q in
+  let* n = int_bound 5 in
+  let* xs = list_size (return n) (pair (int_bound 9) (int_bound 9)) in
+  return
+    (String.concat ""
+       (List.mapi
+          (fun i (a, b) -> Printf.sprintf "let a%d = %d * %d in " i a b)
+          xs))
+
+let small_value : string Q.t =
+  Q.oneof
+    [
+      Q.return "()";
+      Q.map string_of_int (Q.int_bound 9);
+      Q.oneofl [ "true"; "false" ];
+    ]
+
+(* Programs whose deterministic run revisits a configuration: the
+   paper's [rec f x. f x] and self-application, spin loops on a heap
+   they never change, loops whose heap or argument walks a finite
+   cycle, and [e_loop] (§4.1) with constant guards. *)
+let shl_cycling : Shl.Ast.expr Q.t =
+  let open Q in
+  let sp = Printf.sprintf in
+  let* lead = lead_in in
+  let* v = small_value in
+  let* n = int_bound 9 in
+  let* k = int_range 1 6 in
+  let* body =
+    oneofl
+      [
+        sp "(rec f x. f x) %s" v;
+        "(fun x -> x x) (fun x -> x x)";
+        sp
+          "let r = ref %d in (rec spin u. if !r = %d then spin u else ()) %s"
+          n n v;
+        "let r = ref true in (rec t u. r := not !r; t u) ()";
+        sp "let r = ref 0 in (rec t u. r := (!r + 1) rem %d; t u) ()" k;
+        sp "(rec f x. f ((x + 1) rem %d)) %d" k n;
+        sp "(rec loop f x. if f () then loop f x else ()) (fun u -> true) %s" v;
+        sp
+          "let r = ref %d in (rec loop f x. if f () then loop f x else ()) \
+           (fun u -> !r = %d) %s"
+          n n v;
+      ]
+  in
+  return (Shl.Parser.parse_exn (lead ^ body))
+
+(* Diverging programs that never repeat a configuration: each round
+   allocates (so the allocation counter grows, even when the new cell
+   is garbage at once), or changes a heap cell or argument without
+   bound. *)
+let shl_growing : Shl.Ast.expr Q.t =
+  let open Q in
+  let sp = Printf.sprintf in
+  let* lead = lead_in in
+  let* v = small_value in
+  let* body =
+    oneofl
+      [
+        sp "(rec f x. f (ref x)) %s" v;
+        "(rec f l. f (ref (inr (1, l)))) (ref (inl ()))";
+        sp "(rec f u. let c = ref u in f u) %s" v;
+        "let r = ref 0 in (rec f u. r := !r + 1; f u) ()";
+        "(rec f x. f (x + 1)) 0";
+      ]
+  in
+  return (Shl.Parser.parse_exn (lead ^ body))
+
+(* Bounded loops whose thread program recurs while the heap or an
+   argument counts: a cycle check that looked at the program alone
+   would cut them wrongly. *)
+let shl_counting : Shl.Ast.expr Q.t =
+  let open Q in
+  let sp = Printf.sprintf in
+  let* lead = lead_in in
+  let* n = int_bound 40 in
+  let* body =
+    oneofl
+      [
+        sp
+          "let r = ref 0 in (rec f u. if !r = %d then !r else (r := !r + 1; \
+           f u)) ()"
+          n;
+        sp "(rec f x. if x = 0 then 0 else f (x - 1)) %d" n;
+        sp
+          "let r = ref true in (rec t i. if i = %d then !r else (r := not !r; \
+           t (i + 1))) 0"
+          n;
+      ]
+  in
+  return (Shl.Parser.parse_exn (lead ^ body))
+
 (* ---------- queue operation scripts ---------- *)
 
 let queue_ops : Refinement.Queue_spec.op list Q.t =

@@ -1,7 +1,8 @@
 (* The frame-stack machine (Shl.Machine): differential properties
    against the reference stepper Step.prim_step, goldens for the
    concurrency redexes, the simultaneous substitution used by its
-   named-rec β step, and the heap's O(1) allocation counter. *)
+   named-rec β step, the heap's O(1) allocation counter, and the
+   cycle-checked pre-run against a plain fuel-bounded loop. *)
 
 module Q = QCheck2
 open Tfiris
@@ -245,6 +246,105 @@ let test_heap_counter () =
   Alcotest.(check bool) "and is fresh" true
     (Heap.lookup 11 h4 = Some (Ast.Bool true))
 
+(* ---------- the cycle-checked pre-run ---------- *)
+
+(* The plain fuel-bounded loop [Machine.prerun] replaces: count steps
+   to a value, at most [fuel] of them. *)
+let reference_prerun ~fuel (c : Machine.config) =
+  let rec go c n k =
+    match Machine.prim_step c with
+    | Error Step.Finished -> `Value k
+    | Error (Step.Stuck _) -> `Stuck k
+    | Ok (c', _) -> if n = 0 then `Out_of_fuel else go c' (n - 1) (k + 1)
+  in
+  go c fuel 0
+
+let prerun_fuels = [ 0; 1; 2; 3; 5; 17; 64; 300; 2_000 ]
+
+(* Same answer as the reference at every fuel — a cycle is only ever
+   reported where the reference runs out of fuel — and [steps_to_value]
+   is its projection. *)
+let prerun_matches_reference e =
+  let c = Machine.config e in
+  List.for_all
+    (fun fuel ->
+      let r = reference_prerun ~fuel c in
+      let agree =
+        match (Machine.prerun ~fuel c, r) with
+        | Machine.Value_in k, `Value k' | Machine.Stuck_in k, `Stuck k' ->
+          k = k'
+        | (Machine.Cycle_in _ | Machine.Cut Robust.Budget.Steps), `Out_of_fuel
+          ->
+          true
+        | _ -> false
+      in
+      let projected =
+        Machine.steps_to_value ~fuel c
+        = match r with `Value k -> Some k | `Stuck _ | `Out_of_fuel -> None
+      in
+      agree && projected
+      || Q.Test.fail_reportf "fuel %d: pre-run disagrees with the plain loop"
+           fuel)
+    prerun_fuels
+
+let prerun_differential =
+  prop ~count:600 "pre-run ≡ fuel-bounded loop (random programs)" Gen.shl_expr
+    Gen.print_shl prerun_matches_reference
+
+let prerun_differential_loops =
+  prop ~count:300 "pre-run ≡ fuel-bounded loop (loops)"
+    (Q.Gen.oneof [ Gen.shl_cycling; Gen.shl_growing; Gen.shl_counting ])
+    Gen.print_shl prerun_matches_reference
+
+(* Cycling programs are cut at their first detected repeat, far below
+   the fuel; growing ones never repeat and run out of fuel. *)
+let prerun_cuts_cycles =
+  prop ~count:300 "pre-run cuts cycling programs" Gen.shl_cycling Gen.print_shl
+    (fun e ->
+      match Machine.prerun ~fuel:1_000_000 (Machine.config e) with
+      | Machine.Cycle_in k -> k <= 1_000
+      | _ -> false)
+
+let prerun_runs_growing_out =
+  prop ~count:200 "pre-run never cuts a growing run" Gen.shl_growing
+    Gen.print_shl (fun e ->
+      Machine.prerun ~fuel:5_000 (Machine.config e)
+      = Machine.Cut Robust.Budget.Steps)
+
+let test_prerun_paper_loops () =
+  (* the two divergent examples of §5 and §4.1 *)
+  List.iter
+    (fun (name, e) ->
+      match Machine.prerun (Machine.config e) with
+      | Machine.Cycle_in k ->
+        if k > 64 then Alcotest.failf "%s cut only after %d steps" name k
+      | _ -> Alcotest.failf "%s: no cycle found" name)
+    [ ("rec f x. f x", parse "(rec f x. f x) 0"); ("e_loop", Prog.e_loop) ];
+  Alcotest.(check (option int)) "terminating pre-run counts its steps"
+    (Some 260)
+    (Machine.steps_to_value
+       (Machine.config (parse "(rec f n. if n = 0 then 0 else f (n - 1)) 64")))
+
+let test_prerun_wall_deadline () =
+  (* a meter only bounds the pre-run's wall clock: its steps are never
+     charged, and a past deadline stops it at the next poll *)
+  let m =
+    Robust.Budget.(meter { unlimited with steps = Some 1; wall_ms = Some 0 })
+  in
+  Unix.sleepf 0.002;
+  let growing = Machine.config (parse "(rec f x. f (x + 1)) 0") in
+  (match Machine.prerun ~meter:m growing with
+  | Machine.Cut Robust.Budget.Wall_ms -> ()
+  | _ -> Alcotest.fail "expected the pre-run to stop at the deadline");
+  Alcotest.(check int) "no step charged" 0 (Robust.Budget.steps_used m);
+  Alcotest.(check bool) "meter tripped on the wall" true
+    (Robust.Budget.exhausted m = Some Robust.Budget.Wall_ms);
+  (* no deadline: the meter's step bound does not cut the pre-run *)
+  let m = Robust.Budget.(meter (of_steps 1)) in
+  Alcotest.(check (option int)) "step limit not applied" (Some 260)
+    (Machine.steps_to_value ~meter:m
+       (Machine.config (parse "(rec f n. if n = 0 then 0 else f (n - 1)) 64")))
+
 let suite =
   [
     lockstep_agrees;
@@ -261,4 +361,12 @@ let suite =
     Alcotest.test_case "lockstep outcome goldens" `Quick test_lockstep_outcomes;
     Alcotest.test_case "heap allocation counter is O(1) and monotone" `Quick
       test_heap_counter;
+    prerun_differential;
+    prerun_differential_loops;
+    prerun_cuts_cycles;
+    prerun_runs_growing_out;
+    Alcotest.test_case "pre-run cuts the paper's loops within 64 steps" `Quick
+      test_prerun_paper_loops;
+    Alcotest.test_case "pre-run stops at the wall deadline, charges nothing"
+      `Quick test_prerun_wall_deadline;
   ]

@@ -105,6 +105,32 @@ let test_budget_wall () =
       (st.Shl.Interp.steps <= 2 * Budget.wall_check_period)
   | _ -> Alcotest.fail "ms:0 must stop the diverging loop"
 
+let test_budget_wall_expired_remaining () =
+  (* polling the deadline charges nothing; [remaining] is what a
+     follow-up run may still spend, sharing the deadline *)
+  let m =
+    Budget.meter
+      { Budget.unlimited with Budget.steps = Some 10; wall_ms = Some 60_000 }
+  in
+  Alcotest.(check bool) "live before the deadline" false
+    (Budget.wall_expired m);
+  ignore (Budget.step m : bool);
+  let r = Budget.remaining m in
+  Alcotest.(check (option int)) "steps left" (Some 9) r.Budget.steps;
+  Alcotest.(check (option int)) "states stay unbounded" None r.Budget.states;
+  (match r.Budget.wall_ms with
+  | Some ms when ms > 50_000 && ms <= 60_000 -> ()
+  | _ -> Alcotest.fail "wall remainder out of range");
+  let past = Budget.meter { Budget.unlimited with Budget.wall_ms = Some 0 } in
+  Unix.sleepf 0.002;
+  Alcotest.(check bool) "expired past the deadline" true
+    (Budget.wall_expired past);
+  Alcotest.(check (option resource))
+    "trips Wall_ms" (Some Budget.Wall_ms) (Budget.exhausted past);
+  Alcotest.(check int) "no step charged" 0 (Budget.steps_used past);
+  Alcotest.(check (option int)) "nothing left of the wall" (Some 0)
+    (Budget.remaining past).Budget.wall_ms
+
 let test_budget_states () =
   let r =
     Shl.Conc.explore ~budget:(Budget.of_states 3)
@@ -382,6 +408,71 @@ let test_cli_negative_counts () =
       Alcotest.(check string) (args ^ ": stdout") "" stdout)
     cli_negative_counts
 
+(* The paper's two divergent verdicts, byte for byte: stdout, stderr
+   and exit code are what the 10^7-step pre-runs printed before the
+   cycle check cut them short. *)
+let test_cli_divergent_verdicts () =
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
+  let run args =
+    let out = Filename.temp_file "tfiris_cli" ".out" in
+    let err = Filename.temp_file "tfiris_cli" ".err" in
+    let code =
+      Sys.command
+        (Printf.sprintf "%s %s > %s 2> %s" cli_exe args (Filename.quote out)
+           (Filename.quote err))
+    in
+    let read f =
+      let text = In_channel.with_open_bin f In_channel.input_all in
+      Sys.remove f;
+      text
+    in
+    (code, read out, read err)
+  in
+  let check args (code, out, err) =
+    let code', out', err' = run args in
+    Alcotest.(check int) (args ^ ": exit") code code';
+    Alcotest.(check string) (args ^ ": stdout") out out';
+    Alcotest.(check string) (args ^ ": stderr") err err'
+  in
+  check "check-term -e '(rec f x. f x) 0' --credits w"
+    (1, "strategy gave up at step 1\n", "");
+  check
+    "refine --target='(rec loop f x. if f () then loop f x else ()) (fun u \
+     -> true) ()' --source='()'"
+    ( 1,
+      "(no oracle certificate; lockstep attempt)\nrejected after 1 target \
+       steps: source already finished with ()\n",
+      "" )
+
+(* --budget ms:N bounds the pre-runs too: a diverging program that never
+   repeats a configuration stops at the deadline with a budget verdict
+   (the pre-run used to run its full 10^7 steps and report "gave up"). *)
+let test_cli_prerun_wall_budget () =
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
+  let timed args =
+    let t0 = Unix.gettimeofday () in
+    let code, out = run_cli ~stderr:false args in
+    (code, out, (Unix.gettimeofday () -. t0) *. 1000.)
+  in
+  let code, out, ms =
+    timed "check-term -e '(rec f x. f (x + 1)) 0' --credits w --budget ms:50"
+  in
+  Alcotest.(check int) "check-term exit" 1 code;
+  Alcotest.(check string) "check-term verdict" "ms budget exhausted at step 1\n"
+    out;
+  if ms > 400. then Alcotest.failf "check-term took %.0f ms, deadline 50 ms" ms;
+  (* refine: the oracle's pre-runs stop at the deadline and the lockstep
+     fallback gets what is left of it *)
+  let code, out, ms =
+    timed
+      "refine --target='(rec f x. f (x + 1)) 0' --source='(rec f x. f (x + \
+       1)) 0' --budget ms:50"
+  in
+  Alcotest.(check int) "refine exit" 0 code;
+  if not (contains ~affix:"ms budget spent" out) then
+    Alcotest.failf "refine: no wall-budget verdict in %S" out;
+  if ms > 400. then Alcotest.failf "refine took %.0f ms, deadline 50 ms" ms
+
 let suite =
   [
     Alcotest.test_case "budget parse" `Quick test_budget_parse;
@@ -390,6 +481,8 @@ let suite =
     Alcotest.test_case "budget exact steps" `Quick test_budget_exact_steps;
     Alcotest.test_case "budget heap cells" `Quick test_budget_cells;
     Alcotest.test_case "budget wall clock" `Quick test_budget_wall;
+    Alcotest.test_case "budget wall_expired and remaining" `Quick
+      test_budget_wall_expired_remaining;
     Alcotest.test_case "budget states" `Quick test_budget_states;
     Alcotest.test_case "meter is sticky" `Quick test_budget_meter_sticky;
     Alcotest.test_case "failure classification" `Quick test_failure_classify;
@@ -407,4 +500,8 @@ let suite =
     Alcotest.test_case "chaos restores hooks" `Quick test_chaos_restores_hooks;
     Alcotest.test_case "cli structured errors" `Quick test_cli_structured_errors;
     Alcotest.test_case "cli negative counts" `Quick test_cli_negative_counts;
+    Alcotest.test_case "cli divergent verdicts are byte-stable" `Quick
+      test_cli_divergent_verdicts;
+    Alcotest.test_case "cli --budget ms bounds pre-runs" `Quick
+      test_cli_prerun_wall_budget;
   ]

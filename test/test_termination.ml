@@ -46,12 +46,39 @@ let test_diverging_never_accepted () =
       | Wp.Rejected _ -> ())
     [ Ord.omega; Ord.omega_pow Ord.omega; Ord.of_int 1000 ]
 
+let test_adaptive_wall_deadline () =
+  (* the adaptive pre-run honours the run's wall deadline: a diverging
+     program that never repeats a configuration (so no cycle cuts it)
+     is rejected for the wall budget close to the deadline, not after
+     the 10^7-step pre-run; no step is charged for the pre-run *)
+  let budget = { Robust.Budget.unlimited with wall_ms = Some 50 } in
+  let t0 = Unix.gettimeofday () in
+  let v =
+    Wp.run ~budget ~credits:Ord.omega (Wp.adaptive ())
+      (cfg "(rec f x. f (x + 1)) 0")
+  in
+  let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  (match v with
+  | Wp.Rejected (Wp.Out_of_budget Robust.Budget.Wall_ms, st) ->
+    Alcotest.(check int) "rejected at the consulting step" 1 st.Wp.steps
+  | v -> Alcotest.failf "unexpected: %a" Wp.pp_verdict v);
+  if ms < 50. || ms > 300. then
+    Alcotest.failf "finished after %.0f ms, deadline 50 ms" ms;
+  (* without a wall bound nothing changes: the pre-run gives up *)
+  match
+    Wp.run ~budget:(Robust.Budget.of_steps 100) ~credits:Ord.omega
+      (Wp.adaptive ~fuel:1_000 ()) (cfg "(rec f x. f (x + 1)) 0")
+  with
+  | Wp.Rejected (Wp.Gave_up, st) -> Alcotest.(check int) "gave up" 1 st.Wp.steps
+  | v -> Alcotest.failf "unexpected: %a" Wp.pp_verdict v
+
 let test_descent_validated () =
   (* a cheating strategy that does not decrease is caught *)
   let cheat : Wp.strategy =
     {
       Wp.name = "cheat";
-      spend = (fun ~step_no:_ ~config:_ ~kind:_ ~credit -> Some credit);
+      spend =
+        (fun ~step_no:_ ~config:_ ~kind:_ ~credit ~meter:_ -> Some credit);
     }
   in
   match Wp.run ~credits:Ord.omega cheat (cfg "1 + 2") with
@@ -244,6 +271,8 @@ let suite =
     Alcotest.test_case "$ω adaptive verifies fib" `Quick test_adaptive_omega;
     Alcotest.test_case "diverging programs never accepted" `Quick
       test_diverging_never_accepted;
+    Alcotest.test_case "adaptive pre-run stops at the wall deadline" `Quick
+      test_adaptive_wall_deadline;
     Alcotest.test_case "descent is validated" `Quick test_descent_validated;
     Alcotest.test_case "stuck programs rejected" `Quick test_stuck_rejected;
     Alcotest.test_case "TSplit: e_two (§5.1)" `Quick test_e_two;

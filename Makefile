@@ -75,10 +75,13 @@ analyze-baseline: build
 # sweep over the examples stores one certificate per (program, stage),
 # the warm sweep must replay ≥90% of lookups from disk, and `report
 # --diff` holds the two ledgers to zero verdict flips — cached replay
-# may be faster, never different.  `make corpus` is self-contained
+# may be faster, never different.  Then every verdict command of
+# `make ledger` runs cold, then warm, against one fresh cache: stdout
+# and exit code must be byte-equal.  `make corpus` is self-contained
 # (fresh cache each time); point CACHE at a persistent directory to
 # verify incrementally across source changes.
 CACHE ?= .tfiris-cache
+REPLAY_CACHE = .tfiris-replay-cache
 
 corpus: build
 	rm -rf $(CACHE) CORPUS_cold.jsonl CORPUS_warm.jsonl
@@ -88,6 +91,26 @@ corpus: build
 	  --cache=$(CACHE) --ledger=CORPUS_warm.jsonl --min-hit-rate=90
 	dune exec bin/tfiris_cli.exe -- report --diff CORPUS_cold.jsonl CORPUS_warm.jsonl
 	dune exec bin/tfiris_cli.exe -- cache stats --cache=$(CACHE)
+	rm -rf $(REPLAY_CACHE)
+	@replay() { \
+	  for pass in cold warm; do \
+	    dune exec bin/tfiris_cli.exe -- "$$@" --cache=$(REPLAY_CACHE) \
+	      > .replay.$$pass 2>/dev/null; \
+	    echo "exit $$?" >> .replay.$$pass; \
+	  done; \
+	  cmp .replay.cold .replay.warm || { echo "warm differs from cold: $$*"; exit 1; }; \
+	  echo "replay ok: $$*"; \
+	}; \
+	replay run examples/shl/memo_fib.shl && \
+	replay run -e "1 + 2 * 3" --engine=lockstep && \
+	replay run -e "let r = ref 0 in fork (r := 1); fork (r := !r + 1); !r" --domains=2 && \
+	replay check-term -e "(rec f n. if n = 0 then 0 else f (n - 1)) 64" && \
+	replay refine --target="1 + 2" --source="3 - 0" && \
+	replay check-term -e "(rec f x. f x) 0" && \
+	replay refine --target="(rec loop f x. if f () then loop f x else ()) (fun u -> true) ()" --source="()" && \
+	replay analyze examples/shl/memo_fib.shl && \
+	replay analyze examples/shl/memo_fib.shl --format=json-stable
+	rm -rf $(REPLAY_CACHE) .replay.cold .replay.warm
 
 # The perf and memory gates compare against a baseline usually
 # recorded on a different machine, so both thresholds are deliberately

@@ -968,17 +968,17 @@ let e20 () =
 (* ------------------------------------------------------------------ *)
 
 (* The O(changes) claim, measured: sweep the committed corpus twice
-   through a fresh certificate cache — the cold pass runs the
-   interpreter and the full analyzer and stores every definitive
-   verdict, the warm pass must answer every lookup from the store
-   without touching a driver.  Every warm verdict must be byte-equal
-   to its cold one (a flip is a soundness bug and fails the harness,
-   like E20's signature divergence), and the wall-time ratio is the
-   figure of merit. *)
+   through a fresh certificate cache, with the run and analyze stages
+   of `tfiris verify-corpus` — the same job pipeline and outcome
+   functions.  The cold pass runs the interpreter and the full analyzer
+   and stores every definitive outcome, the warm pass must answer every
+   lookup from the store without touching a driver.  Every warm outcome
+   must equal its cold one (a flip is a soundness bug and fails the
+   harness, like E20's signature divergence), and the wall-time ratio
+   is the figure of merit. *)
 let e21 () =
   section "E21  certificate cache: cold vs warm corpus sweep";
   let module An = Tfiris.Analysis.Analyzer in
-  let module Cc = Obs.Certcache in
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -992,7 +992,6 @@ let e21 () =
     else Sys.remove path
   in
   if Sys.file_exists dir then rm_rf dir;
-  let t = Cc.open_ ~dir in
   let corpus =
     let d = "examples/shl" in
     if Sys.file_exists d && Sys.is_directory d then
@@ -1009,80 +1008,37 @@ let e21 () =
     let t1 = Obs.Trace.now_ns () in
     (x, Int64.to_float (Int64.sub t1 t0) /. 1e6)
   in
-  (* the two verdict-producing stages of `tfiris verify-corpus`,
-     computed the expensive way (interpreter + all analyzer passes) *)
-  let run_verdict e =
-    match Shl.Interp.exec ~fuel:10_000_000 e with
-    | Shl.Interp.Value _, _ -> "value"
-    | Shl.Interp.Stuck _, _ -> "stuck"
-    | Shl.Interp.Out_of_fuel (r, _), _ ->
-      "out_of_fuel:" ^ Tfiris.Robust.Budget.resource_name r
-  in
-  let analyze_verdict label e =
-    let r = An.analyze ~passes:An.pass_names ~label e in
-    match List.length r.An.findings with
-    | 0 -> "clean"
-    | n -> Printf.sprintf "findings:%d" n
-  in
-  let key_of ~engine ~program ~spec =
-    Obs.Ledger.content_key ~program ~spec ~engine ~version:Tfiris.version
-  in
+  let fail_on = Tfiris.Analysis.Finding.Error in
   let stages (label, e) =
     let program = Shl.Pretty.expr_to_string e in
+    let stage ~cmd ~engine ~spec ?adapt compute () =
+      Job.run ~cache:dir ~announce:false ?adapt ~cmd ~engines:[ engine ] ~label
+        ~program ~spec ~replay:true (fun () -> (compute (), ()))
+    in
     [
-      ( key_of ~engine:"shl.machine" ~program ~spec:"",
-        "run",
-        fun () -> run_verdict e );
-      ( key_of ~engine:"analysis" ~program
-          ~spec:(String.concat "," An.pass_names),
-        "analyze",
-        fun () -> analyze_verdict label e );
+      stage ~cmd:"run" ~engine:"shl.machine" ~spec:"" (fun () ->
+          Job.exec_outcome ~engine:"shl.machine"
+            (Shl.Interp.exec ~budget:Job.default_budget e));
+      stage ~cmd:"analyze" ~engine:"analysis"
+        ~spec:(String.concat "," An.pass_names)
+        ~adapt:(Job.under_fail_on ~fail_on) (fun () ->
+          Job.analyze_outcome ~fail_on ~passes:An.pass_names
+            [ An.analyze ~passes:An.pass_names ~label e ]);
     ]
   in
   let work = List.concat_map stages corpus in
-  let cold, t_cold =
-    time (fun () ->
-        List.map
-          (fun (key, cmd, compute) ->
-            let verdict = compute () in
-            ignore
-              (Cc.store t
-                 {
-                   Cc.key;
-                   cmd;
-                   label = "e21";
-                   engine = cmd;
-                   version = Tfiris.version;
-                   verdict;
-                   ok = true;
-                   detail = None;
-                   consumed = [];
-                   replay = None;
-                 }
-                : bool);
-            (key, verdict))
-          work)
-  in
-  let warm, t_warm =
-    time (fun () ->
-        List.map
-          (fun (key, _, _) ->
-            match Cc.find t ~key with
-            | Some c -> (key, c.Cc.verdict)
-            | None -> (key, "<miss>"))
-          work)
-  in
-  let hits =
-    List.length (List.filter (fun (_, v) -> v <> "<miss>") warm)
-  in
+  let sweep () = List.map (fun stage -> stage ()) work in
+  let cold, t_cold = time sweep in
+  let warm, t_warm = time sweep in
+  let hits = List.length (List.filter (fun (_, fresh) -> fresh = None) warm) in
   List.iter2
-    (fun (k1, cold_v) (_, warm_v) ->
-      if warm_v = "<miss>" then
-        failwith (Printf.sprintf "E21: warm sweep missed key %s" k1)
-      else if warm_v <> cold_v then
+    (fun ((c : Job.outcome), _) ((w : Job.outcome), fresh) ->
+      if fresh <> None then
+        failwith (Printf.sprintf "E21: warm sweep missed %s" c.Job.verdict)
+      else if w <> c then
         failwith
-          (Printf.sprintf "E21: cached verdict flipped for %s: %S vs %S" k1
-             cold_v warm_v))
+          (Printf.sprintf "E21: cached outcome flipped: %S vs %S" c.Job.verdict
+             w.Job.verdict))
     cold warm;
   rm_rf dir;
   row "  %-34s %9.3f ms  (%d verdicts computed + stored)\n" "cold sweep"

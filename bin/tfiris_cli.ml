@@ -20,30 +20,22 @@ open Tfiris
 module Shl = Tfiris.Shl
 module Obs = Tfiris.Obs
 
+(* Read and parse one program file; a failure names the file. *)
+let load_program path =
+  match
+    Robust.Failure.guard (fun () ->
+        In_channel.with_open_bin path In_channel.input_all)
+  with
+  | Error f -> Error (path ^ ": " ^ Robust.Failure.to_string f)
+  | Ok src -> Result.map_error (fun m -> path ^ ": " ^ m) (Shl.Parser.parse src)
+
 (* Programs come back with a display label (the file path, or "<expr>"
    for inline text) — the handle run-ledger records carry. *)
-let read_program expr_opt file_opt =
-  match expr_opt, file_opt with
-  | Some src, None -> Ok ("<expr>", src)
-  | None, Some path -> (
-    try
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Ok (path, s)
-    with Sys_error m -> Error m)
+let parse_labeled = function
+  | Some src, None -> Result.map (fun e -> ("<expr>", e)) (Shl.Parser.parse src)
+  | None, Some path -> Result.map (fun e -> (path, e)) (load_program path)
   | Some _, Some _ -> Error "give either -e or a file, not both"
   | None, None -> Error "no program: use -e EXPR or a file argument"
-
-let parse_program src =
-  match Shl.Parser.parse src with
-  | Ok e -> Ok e
-  | Error m -> Error m
-
-let parse_labeled program =
-  Result.bind program (fun (label, src) ->
-      Result.map (fun e -> (label, e)) (parse_program src))
 
 let program_term =
   let expr =
@@ -55,7 +47,7 @@ let program_term =
   let file =
     Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Program file.")
   in
-  Term.(const read_program $ expr $ file)
+  Term.(const (fun e f -> (e, f)) $ expr $ file)
 
 let or_die = function
   | Ok x -> x
@@ -74,12 +66,6 @@ let protect (f : unit -> int) : int =
     Format.eprintf "tfiris: %s@." (Robust.Failure.to_string fl);
     2
 
-let fuel_arg =
-  Arg.(
-    value
-    & opt int 10_000_000
-    & info [ "fuel" ] ~docv:"N" ~doc:"Maximum number of steps.")
-
 let budget_conv =
   Arg.conv ~docv:"SPEC"
     ( (fun s ->
@@ -95,7 +81,8 @@ let budget_arg =
     & info [ "budget" ] ~docv:"SPEC"
         ~doc:
           "Resource budget: comma-separated steps:N, states:N, ms:N, \
-           cells:N (a bare N means steps:N). Overrides $(b,--fuel).")
+           cells:N (a bare N means steps:N). Without it a run may take \
+           10000000 steps.")
 
 (* ---- observability flags (shared by every subcommand) ---- *)
 
@@ -104,17 +91,9 @@ let print_metrics_snapshot () =
   Obs.Metrics.render_text Format.std_formatter (Obs.Metrics.snapshot ());
   Format.pp_print_flush Format.std_formatter ()
 
-(* GC baseline for the whole invocation, taken at module initialisation
-   — the run-level [mem] block is the delta from here to the moment the
-   ledger record (or the --gc report) is assembled. *)
-let gc0 = Obs.Telemetry.sample ()
-
-let run_mem () =
-  Obs.Telemetry.measure ~before:gc0 ~after:(Obs.Telemetry.sample ())
-
 let print_gc_snapshot () =
   Format.printf "@[<v>-- gc --@,@]";
-  Obs.Telemetry.render_text Format.std_formatter (run_mem ());
+  Obs.Telemetry.render_text Format.std_formatter (Job.mem ());
   Format.pp_print_flush Format.std_formatter ()
 
 let parse_trace_spec (spec : string) : (string * string, string) result =
@@ -175,7 +154,7 @@ let setup_obs trace_spec metrics progress_spec gc =
           try
             let oc = open_out file in
             output_string oc
-              (Obs.Json.to_string (Obs.Telemetry.to_json (run_mem ())));
+              (Obs.Json.to_string (Obs.Telemetry.to_json (Job.mem ())));
             output_char oc '\n';
             close_out oc
           with Sys_error m ->
@@ -294,63 +273,16 @@ let domains_arg =
            Where a subcommand leaves $(docv) unset, the \
            $(b,TFIRIS_DOMAINS) environment variable supplies the default.")
 
-let forensics_pointer () =
-  match Obs.Forensics.last () with
-  | None -> None
-  | Some r ->
-    Some
-      (Obs.Json.Obj
-         [
-           ("component", Obs.Json.Str r.Obs.Forensics.r_component);
-           ("rule", Obs.Json.Str r.Obs.Forensics.r_rule);
-           ("step", Obs.Json.Int r.Obs.Forensics.r_step);
-         ])
-
-(** One ledger append per invocation, once the verdict is known.  The
-    caller supplies what only it knows (the canonical program/spec
-    texts, engine id, verdict, consumption); the record's environment
-    half (tool version, wall time, metrics snapshot, forensics pointer)
-    is assembled here. *)
-let ledger_append ledger ~cmd ~label ~engine ~program ~spec ?budget ?seed
-    ?domains ?(consumed = []) ?(cached = false) ~t0 ~verdict ~ok ?detail () =
-  match ledger with
-  | None -> ()
-  | Some path ->
-    Obs.Ledger.append ~path
-      {
-        Obs.Ledger.key =
-          Obs.Ledger.content_key ~program ~spec ~engine ~version:Tfiris.version;
-        cmd;
-        label;
-        engine;
-        version = Tfiris.version;
-        verdict;
-        ok;
-        detail;
-        budget = Option.map Robust.Budget.to_json budget;
-        consumed;
-        cached;
-        mem = Some (run_mem ());
-        wall_ms = (Unix.gettimeofday () -. t0) *. 1000.;
-        seed;
-        domains;
-        metrics =
-          (if Obs.Metrics.on () then
-             Some (Obs.Metrics.to_json (Obs.Metrics.snapshot ()))
-           else None);
-        forensics = (if ok then None else forensics_pointer ());
-      }
-
 (* ---- the certificate cache (--cache, shared by the verdict
    commands) ----
 
-   The cache is keyed by the same content key as the ledger, so a hit
-   is exactly "a previous run of this (program, spec, engine, version)
-   already produced the verdict": the driver is skipped entirely and
-   the replayed verdict goes to the ledger with a key-neutral
-   [cached: true] block.  Only budget-independent verdicts are stored
-   (Certcache.cacheable_verdict); an exhaustion verdict depends on the
-   budget, which the key deliberately excludes. *)
+   Every verdict command runs its job through [Job.run]: the cache is
+   keyed by the same content key as the ledger, so a hit is exactly "a
+   previous run of this (program, spec, engine, version) already
+   produced the outcome", and the command renders a replayed outcome
+   with the same function as a fresh one.  A command replays unless
+   its rendering needs something a certificate cannot hold; each
+   states that in one place, as [replay]. *)
 
 let cache_arg =
   Arg.(
@@ -367,85 +299,16 @@ let cache_arg =
            verdicts are ever cached. Inspect with $(b,tfiris cache \
            stats), evict with $(b,tfiris cache gc).")
 
-let cache_open = Option.map (fun dir -> Obs.Certcache.open_ ~dir)
+(** Print a rendered outcome (stdout text, stderr text, exit code) and
+    return its exit code. *)
+let emit (out, err, code) =
+  print_string out;
+  prerr_string err;
+  code
 
-(** Look up the certificate for this invocation's content key.  The
-    stored command must match (and pass any command-specific
-    [validate]) — the engine id already separates subcommands in the
-    key, so a mismatch means a corrupt entry, which {!Obs.Certcache.find}
-    counts as a corrupt miss, not a hit. *)
-let cache_lookup ?(validate = fun (_ : Obs.Certcache.cert) -> true) cache ~cmd
-    ~engine ~program ~spec =
-  match cache with
-  | None -> None
-  | Some t ->
-    let key =
-      Obs.Ledger.content_key ~program ~spec ~engine ~version:Tfiris.version
-    in
-    Obs.Certcache.find t ~key ~validate:(fun c ->
-        c.Obs.Certcache.cmd = cmd && validate c)
-
-(** Store a fresh verdict after a miss.  Uncacheable (budget-dependent)
-    verdicts are silently skipped; rejections carry the forensics
-    pointer as their replay certificate. *)
-let cache_put cache ~cmd ~label ~engine ~program ~spec ~verdict ~ok ?detail
-    ?(consumed = []) () =
-  match cache with
-  | None -> ()
-  | Some t ->
-    let key =
-      Obs.Ledger.content_key ~program ~spec ~engine ~version:Tfiris.version
-    in
-    ignore
-      (Obs.Certcache.store t
-         {
-           Obs.Certcache.key;
-           cmd;
-           label;
-           engine;
-           version = Tfiris.version;
-           verdict;
-           ok;
-           detail;
-           consumed;
-           replay = (if ok then None else forensics_pointer ());
-         }
-        : bool)
-
-let note_cache_hit (c : Obs.Certcache.cert) =
-  Format.eprintf "tfiris: cache hit (%s, %s)@." c.Obs.Certcache.engine
-    c.Obs.Certcache.verdict
-
-(* Analyze certificates additionally carry per-severity finding counts
-   ("sev.info"/"sev.warning"/"sev.error" in [consumed]): the content
-   key deliberately excludes --fail-on, so the producing run's exit
-   code is not the replaying run's — a replay recomputes it from the
-   counts against THIS invocation's --fail-on.  A cert without the
-   counts cannot be replayed safely and is rejected as corrupt (a
-   re-verification), never replayed with a possibly-flipped verdict. *)
-
-let all_severities = Tfiris.Analysis.Finding.[ Info; Warning; Error ]
-
-let sev_key s = "sev." ^ Tfiris.Analysis.Finding.severity_to_string s
-
-let sev_consumed (findings : Tfiris.Analysis.Finding.t list) =
-  List.map
-    (fun s -> (sev_key s, Tfiris.Analysis.Finding.count_severity findings s))
-    all_severities
-
-let analyze_cert_has_sevs (c : Obs.Certcache.cert) =
-  List.for_all
-    (fun s -> List.mem_assoc (sev_key s) c.Obs.Certcache.consumed)
-    all_severities
-
-(** [ok] of a cached analyze verdict under this invocation's
-    [--fail-on]: no finding at or above it, per the stored counts. *)
-let analyze_cert_ok ~fail_on (c : Obs.Certcache.cert) =
-  List.for_all
-    (fun s ->
-      (not (Tfiris.Analysis.Finding.severity_ge s fail_on))
-      || List.assoc_opt (sev_key s) c.Obs.Certcache.consumed = Some 0)
-    all_severities
+(* run, check-term and refine replay only certificates that carry the
+   detail they print (the value or stuck redex, the verdict line). *)
+let has_detail (o : Job.outcome) = Option.map (fun _ -> o) o.Job.detail
 
 (* ---- failure forensics (--explain) ---- *)
 
@@ -482,11 +345,9 @@ let with_explain explain f =
 (* The same outcome/stats as Interp.exec, but looping over the reference
    stepper's whole-program decompose/fill — kept for comparison against
    the frame-stack machine the library runs on (--engine). *)
-let reference_exec ?fuel ?budget e : Shl.Interp.outcome * Shl.Interp.stats =
+let reference_exec ~budget e : Shl.Interp.outcome * Shl.Interp.stats =
   let module Budget = Robust.Budget in
-  let m =
-    Budget.(meter (resolve ?fuel ?budget ~default_steps:10_000_000 ()))
-  in
+  let m = Budget.meter budget in
   let rec go cfg (pure, heap_s) =
     match Shl.Step.prim_step cfg with
     | Error Shl.Step.Finished -> (
@@ -528,16 +389,39 @@ let engine_arg =
            both side by side and report any observational disagreement \
            (exit 2).")
 
+(** A run outcome (see {!Job.exec_outcome}): the value on stdout, the
+    stuck redex or the spent budget on stderr; [stats] is the fresh
+    run's step split, present under --stats. *)
+let render_run ?stats (o : Job.outcome) =
+  let steps = Option.value ~default:0 (List.assoc_opt "steps" o.Job.consumed) in
+  let detail = Option.value ~default:"" o.Job.detail in
+  match o.Job.verdict with
+  | "value" ->
+    let steps_line (st : Shl.Interp.stats) =
+      Printf.sprintf "steps: %d (pure %d, heap %d)\n" st.Shl.Interp.steps
+        st.Shl.Interp.pure_steps st.Shl.Interp.heap_steps
+    in
+    (detail ^ "\n" ^ Option.fold ~none:"" ~some:steps_line stats, "", 0)
+  | "stuck" ->
+    ("", Printf.sprintf "stuck after %d steps on: %s\n" steps detail, 1)
+  | verdict ->
+    let resource =
+      match String.split_on_char ':' verdict with
+      | [ "out_of_fuel"; r ] -> r
+      | _ -> verdict
+    in
+    ("", Printf.sprintf "out of %s budget (%d steps taken)\n" resource steps, 1)
+
 (* run --domains=N: exhaustive interleaving exploration instead of one
    scheduled execution — every final value, every stuck thread, the
    whole reachable state count, on N work-stealing domains.  Output is
    sorted so it is identical at every domain count (the explorer's
-   reachable set is; only traversal order varies). *)
-let run_explore ~label ~e ~fuel ~budget ~stats ~ledger ~t0 n =
+   reachable set is; only traversal order varies).  Exploration is not
+   cached: its stuck threads and per-domain splits are not in an
+   outcome. *)
+let run_explore ~label ~e ~budget ~stats ~ledger n =
   if n < 1 then or_die (Error "--domains must be >= 1");
-  let budget =
-    match budget with Some b -> b | None -> Robust.Budget.of_steps fuel
-  in
+  let t0 = Unix.gettimeofday () in
   let r = Shl.Conc.explore ~budget ~domains:n (Shl.Conc.init e) in
   let finals =
     List.sort compare
@@ -571,136 +455,87 @@ let run_explore ~label ~e ~fuel ~budget ~stats ~ledger ~t0 n =
     | None ->
       if r.Shl.Conc.stuck = [] then ("explored", true) else ("stuck", false)
   in
-  ledger_append ledger ~cmd:"run" ~label ~engine:"shl.explore"
+  Job.append ?ledger ~cmd:"run" ~label
     ~program:(Shl.Pretty.expr_to_string e)
     ~spec:"" ~budget
     ~domains:
       (n, List.map (fun w -> w.Shl.Conc.w_wall_ms) r.Shl.Conc.workers)
-    ~consumed:[ ("states", r.Shl.Conc.states) ]
-    ~t0 ~verdict ~ok
-    ~detail:(String.concat "," finals)
-    ();
+    ~t0
+    {
+      Job.engine = "shl.explore";
+      verdict;
+      ok;
+      detail = Some (String.concat "," finals);
+      consumed = [ ("states", r.Shl.Conc.states) ];
+    };
   if ok then 0 else 1
 
 let run_cmd =
-  let action program fuel budget stats engine ledger domains cache =
+  let action program budget stats engine ledger domains cache =
     let label, e = or_die (parse_labeled program) in
-    let t0 = Unix.gettimeofday () in
+    let bound = Option.value budget ~default:Job.default_budget in
     match domains with
-    | Some n ->
-      (* exploration is not cached: its verdict comes with per-domain
-         wall splits and a full final-value set the certificate does
-         not carry *)
-      run_explore ~label ~e ~fuel ~budget ~stats ~ledger ~t0 n
-    | None ->
-    let program_text = Shl.Pretty.expr_to_string e in
-    let cache = cache_open cache in
-    (* a certificate cannot reproduce lockstep's agree/disagree line or
-       the --stats step report, so those invocations never replay; a
-       lockstep run stores nothing either (its cert would be dead
-       weight), while a --stats run still stores — its verdict is
-       stats-independent and replayable by plain runs *)
-    let cache = match engine with `Lockstep -> None | _ -> cache in
-    let replayable = not stats in
-    let engine_id =
-      match engine with
-      | `Machine -> "shl.machine"
-      | `Reference -> "shl.reference"
-      | `Lockstep -> "shl.lockstep"
-    in
-    let finish ~engine_id ~verdict ~ok ?detail ?(consumed = []) code =
-      cache_put cache ~cmd:"run" ~label ~engine:engine_id
-        ~program:program_text ~spec:"" ~verdict ~ok ?detail ~consumed ();
-      ledger_append ledger ~cmd:"run" ~label ~engine:engine_id
-        ~program:program_text ~spec:"" ?budget ~consumed ~t0 ~verdict ~ok
-        ?detail ();
-      code
-    in
-    match
-      if not replayable then None
-      else
-        cache_lookup cache ~cmd:"run" ~engine:engine_id ~program:program_text
-          ~spec:""
-    with
-    | Some c ->
-      (* replay: the certificate's detail is the final value (stdout)
-         or the stuck redex (stderr); the driver never runs *)
-      note_cache_hit c;
-      (match (c.Obs.Certcache.verdict, c.Obs.Certcache.detail) with
-      | "value", Some v -> Format.printf "%s@." v
-      | "value", None -> ()
-      | verdict, Some d -> Format.eprintf "%s (cached) on: %s@." verdict d
-      | verdict, None -> Format.eprintf "%s (cached)@." verdict);
-      ledger_append ledger ~cmd:"run" ~label ~engine:engine_id
-        ~program:program_text ~spec:"" ?budget
-        ~consumed:c.Obs.Certcache.consumed ~cached:true ~t0
-        ~verdict:c.Obs.Certcache.verdict ~ok:c.Obs.Certcache.ok
-        ?detail:c.Obs.Certcache.detail ();
-      if c.Obs.Certcache.ok then 0 else 1
+    | Some n -> run_explore ~label ~e ~budget:bound ~stats ~ledger n
     | None -> (
-    match engine with
-    | `Lockstep -> (
-      let o = Shl.Machine.lockstep ~fuel ?budget e in
-      Format.printf "%a@." Shl.Machine.pp_lockstep o;
-      let finish = finish ~engine_id:"shl.lockstep" in
-      match o with
-      | Shl.Machine.Agree_value _ -> finish ~verdict:"value" ~ok:true 0
-      | Shl.Machine.Agree_stuck _ -> finish ~verdict:"stuck" ~ok:false 1
-      | Shl.Machine.Agree_out_of_fuel _ ->
-        finish ~verdict:"out_of_fuel" ~ok:false 1
-      | Shl.Machine.Disagree _ -> finish ~verdict:"disagree" ~ok:false 2)
-    | (`Machine | `Reference) as engine -> (
-      let exec, engine_id =
-        match engine with
-        | `Machine -> ((fun e -> Shl.Interp.exec ~fuel ?budget e), "shl.machine")
-        | `Reference ->
-          ((fun e -> reference_exec ~fuel ?budget e), "shl.reference")
-      in
-      let finish = finish ~engine_id in
-      match exec e with
-      | Shl.Interp.Value (v, _), st ->
-        Format.printf "%s@." (Shl.Pretty.value_to_string v);
-        if stats then
-          Format.printf "steps: %d (pure %d, heap %d)@." st.Shl.Interp.steps
-            st.Shl.Interp.pure_steps st.Shl.Interp.heap_steps;
-        finish ~verdict:"value" ~ok:true
-          ~detail:(Shl.Pretty.value_to_string v)
-          ~consumed:[ ("steps", st.Shl.Interp.steps) ]
-          0
-      | Shl.Interp.Stuck (_, redex), st ->
-        Format.eprintf "stuck after %d steps on: %s@." st.Shl.Interp.steps
-          (Shl.Pretty.expr_to_string redex);
-        finish ~verdict:"stuck" ~ok:false
-          ~detail:(Shl.Pretty.expr_to_string redex)
-          ~consumed:[ ("steps", st.Shl.Interp.steps) ]
-          1
-      | Shl.Interp.Out_of_fuel (r, _), st ->
-        Format.eprintf "out of %s budget (%d steps taken)@."
-          (Robust.Budget.resource_name r)
-          st.Shl.Interp.steps;
-        finish
-          ~verdict:("out_of_fuel:" ^ Robust.Budget.resource_name r)
-          ~ok:false
-          ~consumed:[ ("steps", st.Shl.Interp.steps) ]
-          1))
+      let program = Shl.Pretty.expr_to_string e in
+      match engine with
+      | `Lockstep ->
+        (* lockstep's agree/disagree report is not an outcome a
+           certificate holds: it is never cached *)
+        let t0 = Unix.gettimeofday () in
+        let lo = Shl.Machine.lockstep ~budget:bound e in
+        let verdict, code =
+          match lo with
+          | Shl.Machine.Agree_value _ -> ("value", 0)
+          | Shl.Machine.Agree_stuck _ -> ("stuck", 1)
+          | Shl.Machine.Agree_out_of_fuel _ -> ("out_of_fuel", 1)
+          | Shl.Machine.Disagree _ -> ("disagree", 2)
+        in
+        Job.append ?ledger ~cmd:"run" ~label ~program ~spec:"" ?budget ~t0
+          {
+            Job.engine = "shl.lockstep";
+            verdict;
+            ok = code = 0;
+            detail = None;
+            consumed = [];
+          };
+        emit (Format.asprintf "%a@." Shl.Machine.pp_lockstep lo, "", code)
+      | (`Machine | `Reference) as which ->
+        let engine, exec =
+          match which with
+          | `Machine -> ("shl.machine", fun e -> Shl.Interp.exec ~budget:bound e)
+          | `Reference -> ("shl.reference", reference_exec ~budget:bound)
+        in
+        (* --stats prints the pure/heap step split, which a certificate
+           does not hold *)
+        let o, fresh =
+          Job.run ?cache ?ledger ?budget ~adapt:has_detail ~cmd:"run"
+            ~engines:[ engine ] ~label ~program ~spec:"" ~replay:(not stats)
+            (fun () ->
+              let r = exec e in
+              (Job.exec_outcome ~engine r, snd r))
+        in
+        emit (render_run ?stats:(if stats then fresh else None) o))
   in
   let stats =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print step statistics.")
   in
   Cmd.v (Cmd.info "run" ~doc:"Run an SHL program.")
     Term.(
-      const (fun () p f b s g l d c ->
-          Stdlib.exit (protect (fun () -> action p f b s g l d c)))
-      $ obs_term $ program_term $ fuel_arg $ budget_arg $ stats $ engine_arg
+      const (fun () p b s g l d c ->
+          Stdlib.exit (protect (fun () -> action p b s g l d c)))
+      $ obs_term $ program_term $ budget_arg $ stats $ engine_arg
       $ ledger_arg $ domains_arg $ cache_arg)
 
 (* ---- stats ---- *)
 
 let stats_cmd =
-  let action program fuel =
+  let action program budget =
     Obs.Metrics.set_enabled true;
     let _, e = or_die (parse_labeled program) in
-    let outcome, st = Shl.Interp.exec ~fuel e in
+    let outcome, st =
+      Shl.Interp.exec ~budget:(Option.value budget ~default:Job.default_budget) e
+    in
     (match outcome with
     | Shl.Interp.Value (v, _) ->
       Format.printf "value: %s@." (Shl.Pretty.value_to_string v)
@@ -721,8 +556,8 @@ let stats_cmd =
          "Run an SHL program with metrics enabled and print the full \
           observability snapshot.")
     Term.(
-      const (fun () p f -> Stdlib.exit (protect (fun () -> action p f)))
-      $ obs_term $ program_term $ fuel_arg)
+      const (fun () p b -> Stdlib.exit (protect (fun () -> action p b)))
+      $ obs_term $ program_term $ budget_arg)
 
 (* ---- trace ---- *)
 
@@ -750,16 +585,46 @@ let trace_cmd =
 let analyze_cmd =
   let module An = Tfiris.Analysis.Analyzer in
   let module F = Tfiris.Analysis.Finding in
-  let read_file path =
-    try
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Ok s
-    with Sys_error m -> Error m
-  in
   let module Races = Tfiris.Analysis.Races in
+  (* stdout is the report in the asked format (the stored json-stable
+     one on a replay), stderr the --domains race cross-validation; the
+     exit code is the outcome's [ok] under this --fail-on *)
+  let render ~fmt ~timings ~domains fresh (o : Job.outcome) =
+    let out =
+      match fmt, fresh with
+      | `Json, Some (reports, _) ->
+        Obs.Json.to_string (Obs.Json.List (List.map An.report_to_json reports))
+        ^ "\n"
+      | `Text, Some (reports, _) ->
+        String.concat ""
+          (List.map (Format.asprintf "%a@." (An.render_text ~timings)) reports)
+      | _ -> Option.get o.Job.detail ^ "\n"
+    in
+    let kname = function
+      | Races.D_read -> "read"
+      | Races.D_write -> "write"
+      | Races.D_cas -> "cas"
+    in
+    let err =
+      match domains, fresh with
+      | Some n, Some (_, races) ->
+        String.concat ""
+          (List.concat_map
+             (fun (label, dyn) ->
+               Printf.sprintf
+                 "dynamic race oracle (%d domains) %s: %d racy location%s\n" n
+                 label (List.length dyn)
+                 (if List.length dyn = 1 then "" else "s")
+               :: List.map
+                    (fun d ->
+                      Printf.sprintf "  loc %d: %s/%s\n" d.Races.d_loc
+                        (kname d.Races.k1) (kname d.Races.k2))
+                    dyn)
+             races)
+      | _ -> ""
+    in
+    (out, err, if o.Job.ok then 0 else 1)
+  in
   let action expr files fmt fail_on only skip timings ledger domains cache =
     List.iter
       (fun p ->
@@ -774,132 +639,45 @@ let analyze_cmd =
       |> List.filter (fun p -> not (List.mem p skip))
     in
     if selected = [] then or_die (Error "every pass is disabled");
-    let programs =
-      List.map (fun f -> (f, or_die (read_file f))) files
-      @ match expr with Some s -> [ ("<expr>", s) ] | None -> []
-    in
-    if programs = [] then
-      or_die (Error "no program: use -e EXPR or give files");
-    let t0 = Unix.gettimeofday () in
     let parsed =
-      List.map
-        (fun (label, src) -> (label, or_die (parse_program src)))
-        programs
+      List.map (fun f -> (f, or_die (load_program f))) files
+      @
+      match expr with
+      | Some s -> [ ("<expr>", or_die (Shl.Parser.parse s)) ]
+      | None -> []
     in
-    let cache = cache_open cache in
-    let label_all = String.concat "," (List.map fst programs) in
-    let program_all =
-      String.concat "\x00"
-        (List.map (fun (_, e) -> Shl.Pretty.expr_to_string e) parsed)
+    if parsed = [] then or_die (Error "no program: use -e EXPR or give files");
+    (* a certificate holds the json-stable report and the per-severity
+       counts; other formats, --timings and the --domains race oracle
+       need the fresh reports *)
+    let replay = fmt = `Json_stable && (not timings) && domains = None in
+    let o, fresh =
+      Job.run ?cache ?ledger ~adapt:(Job.under_fail_on ~fail_on)
+        ~record_detail:false ~cmd:"analyze" ~engines:[ "analysis" ]
+        ~label:(String.concat "," (List.map fst parsed))
+        ~program:
+          (String.concat "\x00"
+             (List.map (fun (_, e) -> Shl.Pretty.expr_to_string e) parsed))
+        ~spec:(String.concat "," selected) ~replay
+        (fun () ->
+          let reports =
+            List.map
+              (fun (label, e) -> An.analyze ~passes:selected ~label e)
+              parsed
+          in
+          (* --domains=N: re-derive races dynamically on the parallel
+             explorer; findings and stdout stay byte-identical *)
+          let races =
+            match domains with
+            | None -> []
+            | Some n ->
+              List.map
+                (fun (label, e) -> (label, Races.dynamic_races ~domains:n e))
+                parsed
+          in
+          (Job.analyze_outcome ~fail_on ~passes:selected reports, (reports, races)))
     in
-    let spec_all = String.concat "," selected in
-    match
-      (* a certificate stores only the json-stable report, so only a
-         json-stable invocation can replay it byte-identically; other
-         formats (and --domains, whose dynamic race oracle must run)
-         skip the cache and compute fresh — a format mismatch is never
-         answered with the wrong rendering *)
-      if fmt <> `Json_stable || domains <> None then None
-      else
-        cache_lookup cache ~cmd:"analyze" ~engine:"analysis"
-          ~program:program_all ~spec:spec_all ~validate:analyze_cert_has_sevs
-    with
-    | Some c ->
-      (* replay: stdout is the stored json-stable report; the exit code
-         is recomputed from the per-severity counts against THIS
-         invocation's --fail-on (the producing run's may differ — the
-         content key deliberately excludes it) *)
-      note_cache_hit c;
-      (match c.Obs.Certcache.detail with
-      | Some d -> print_endline d
-      | None -> ());
-      let ok = analyze_cert_ok ~fail_on c in
-      ledger_append ledger ~cmd:"analyze" ~label:label_all ~engine:"analysis"
-        ~program:program_all ~spec:spec_all
-        ~consumed:c.Obs.Certcache.consumed ~cached:true ~t0
-        ~verdict:c.Obs.Certcache.verdict ~ok ();
-      if ok then 0 else 1
-    | None ->
-    let reports =
-      List.map
-        (fun (label, e) -> An.analyze ~passes:selected ~label e)
-        parsed
-    in
-    (match fmt with
-    | `Json ->
-      let j = Obs.Json.List (List.map An.report_to_json reports) in
-      print_endline (Obs.Json.to_string j)
-    | `Json_stable ->
-      (* no volatile fields: the form the corpus baseline is diffed in *)
-      let j = Obs.Json.List (List.map An.report_to_json_stable reports) in
-      print_endline (Obs.Json.to_string j)
-    | `Text ->
-      List.iter
-        (fun r -> Format.printf "%a@." (An.render_text ~timings) r)
-        reports);
-    (* --domains=N: re-derive races dynamically on the parallel explorer
-       and report the cross-validation on stderr.  Findings and stdout
-       stay byte-identical — the corpus baseline diffs them. *)
-    (match domains with
-    | None -> ()
-    | Some n ->
-      let kname = function
-        | Races.D_read -> "read"
-        | Races.D_write -> "write"
-        | Races.D_cas -> "cas"
-      in
-      List.iter
-        (fun (label, e) ->
-          let dyn = Races.dynamic_races ~domains:n e in
-          Format.eprintf "dynamic race oracle (%d domains) %s: %d racy \
-                          location%s@."
-            n label (List.length dyn)
-            (if List.length dyn = 1 then "" else "s");
-          List.iter
-            (fun d ->
-              Format.eprintf "  loc %d: %s/%s@." d.Races.d_loc
-                (kname d.Races.k1) (kname d.Races.k2))
-            dyn)
-        parsed);
-    let code =
-      if List.exists (fun r -> An.fails ~fail_on r) reports then 1 else 0
-    in
-    let total =
-      List.fold_left (fun acc r -> acc + List.length r.An.findings) 0 reports
-    in
-    (* per-pass finding counts, so `tfiris report` can show analysis
-       drift by pass, not just run verdicts *)
-    let per_pass =
-      List.map
-        (fun p ->
-          ( "pass." ^ p,
-            List.fold_left
-              (fun acc r ->
-                List.fold_left
-                  (fun acc t ->
-                    if t.An.t_pass = p then acc + t.An.t_found else acc)
-                  acc r.An.timings)
-              0 reports ))
-        selected
-    in
-    let verdict =
-      if total = 0 then "clean" else Printf.sprintf "findings:%d" total
-    in
-    let consumed =
-      ("findings", total)
-      :: sev_consumed (List.concat_map (fun r -> r.An.findings) reports)
-      @ per_pass
-    in
-    cache_put cache ~cmd:"analyze" ~label:label_all ~engine:"analysis"
-      ~program:program_all ~spec:spec_all ~verdict ~ok:(code = 0)
-      ~detail:
-        (Obs.Json.to_string
-           (Obs.Json.List (List.map An.report_to_json_stable reports)))
-      ~consumed ();
-    ledger_append ledger ~cmd:"analyze" ~label:label_all ~engine:"analysis"
-      ~program:program_all ~spec:spec_all ~consumed ~t0 ~verdict
-      ~ok:(code = 0) ();
-    code
+    emit (render ~fmt ~timings ~domains fresh o)
   in
   let expr =
     Arg.(
@@ -981,48 +759,45 @@ let parse_credit s =
     | _ -> Error (Printf.sprintf "cannot parse credit %S (try: 100, w, w*2, w^2, w^w)" s))
 
 let check_term_cmd =
+  let engine = "termination.wp/adaptive" in
+  let outcome v =
+    let verdict, ok, st =
+      match v with
+      | Termination.Wp.Terminated (_, _, st) -> ("terminated", true, st)
+      | Termination.Wp.Rejected (r, st) ->
+        ("rejected:" ^ Termination.Wp.rule_name r, false, st)
+    in
+    {
+      Job.engine;
+      verdict;
+      ok;
+      detail = Some (Format.asprintf "%a" Termination.Wp.pp_verdict v);
+      consumed =
+        [
+          ("steps", st.Termination.Wp.steps);
+          ("limit_refinements", st.Termination.Wp.limit_refinements);
+        ];
+    }
+  in
+  let render (o : Job.outcome) =
+    (Option.get o.Job.detail ^ "\n", "", if o.Job.ok then 0 else 1)
+  in
   let action program credit budget explain ledger cache =
     let label, e = or_die (parse_labeled program) in
     let credits = or_die (parse_credit credit) in
-    let t0 = Unix.gettimeofday () in
-    let engine = "termination.wp/adaptive" in
-    let program_text = Shl.Pretty.expr_to_string e in
-    let spec = Ord.to_string credits in
-    let cache = cache_open cache in
-    match cache_lookup cache ~cmd:"check-term" ~engine ~program:program_text ~spec with
-    | Some c ->
-      note_cache_hit c;
-      Format.printf "%s (cached)@." c.Obs.Certcache.verdict;
-      ledger_append ledger ~cmd:"check-term" ~label ~engine
-        ~program:program_text ~spec ?budget
-        ~consumed:c.Obs.Certcache.consumed ~cached:true ~t0
-        ~verdict:c.Obs.Certcache.verdict ~ok:c.Obs.Certcache.ok
-        ?detail:c.Obs.Certcache.detail ();
-      if c.Obs.Certcache.ok then 0 else 1
-    | None ->
     with_explain explain (fun () ->
-        let v =
-          Termination.Wp.run ?budget ~credits (Termination.Wp.adaptive ())
-            (Shl.Step.config e)
+        (* --explain prints the post-mortem of a run that happens now *)
+        let o, _ =
+          Job.run ?cache ?ledger ?budget ~adapt:has_detail ~cmd:"check-term"
+            ~engines:[ engine ] ~label ~program:(Shl.Pretty.expr_to_string e)
+            ~spec:(Ord.to_string credits) ~replay:(explain = None)
+            (fun () ->
+              ( outcome
+                  (Termination.Wp.run ?budget ~credits
+                     (Termination.Wp.adaptive ()) (Shl.Step.config e)),
+                () ))
         in
-        Format.printf "%a@." Termination.Wp.pp_verdict v;
-        let verdict, ok, st =
-          match v with
-          | Termination.Wp.Terminated (_, _, st) -> ("terminated", true, st)
-          | Termination.Wp.Rejected (r, st) ->
-            ("rejected:" ^ Termination.Wp.rule_name r, false, st)
-        in
-        let consumed =
-          [
-            ("steps", st.Termination.Wp.steps);
-            ("limit_refinements", st.Termination.Wp.limit_refinements);
-          ]
-        in
-        cache_put cache ~cmd:"check-term" ~label ~engine
-          ~program:program_text ~spec ~verdict ~ok ~consumed ();
-        ledger_append ledger ~cmd:"check-term" ~label ~engine
-          ~program:program_text ~spec ?budget ~consumed ~t0 ~verdict ~ok ();
-        if ok then 0 else 1)
+        emit (render o))
   in
   let credit =
     Arg.(
@@ -1042,107 +817,86 @@ let check_term_cmd =
 (* ---- refine ---- *)
 
 let refine_cmd =
-  let action target source fuel budget explain ledger cache =
+  let module Driver = Refinement.Driver in
+  let engine strategy = "refinement.driver/" ^ strategy in
+  let outcome ~budget ~target ~source =
+    (* the oracle's pre-runs stop at the budget's wall deadline (its
+       step and cell limits count driver steps only), and the driver
+       then gets what is left of the budget; without an oracle
+       certificate, lockstep handles the diverging/diverging case *)
+    let pre = Robust.Budget.meter budget in
+    let strategy, strat =
+      match Refinement.Strategy.oracle ~meter:pre ~target ~source () with
+      | Some strat -> ("oracle", strat)
+      | None -> ("lockstep", Refinement.Strategy.lockstep)
+    in
+    let v =
+      Driver.run ~budget:(Robust.Budget.remaining pre) ~target ~source strat
+    in
+    let verdict, ok, st =
+      match v with
+      | Driver.Accepted (Driver.Terminated _, st) -> ("accepted", true, st)
+      | Driver.Accepted (Driver.Fuel_exhausted r, st) ->
+        ("fuel_exhausted:" ^ Robust.Budget.resource_name r, true, st)
+      | Driver.Rejected (r, st) -> ("rejected:" ^ Driver.rule_name r, false, st)
+    in
+    {
+      Job.engine = engine strategy;
+      verdict;
+      ok;
+      detail = Some (Format.asprintf "%a" Driver.pp_verdict v);
+      consumed =
+        [
+          ("steps", st.Driver.target_steps);
+          ("source_steps", st.Driver.source_steps);
+          ("stutters", st.Driver.stutters);
+        ];
+    }
+  in
+  let render (o : Job.outcome) =
+    ( (if o.Job.engine = engine "lockstep" then
+         "(no oracle certificate; lockstep attempt)\n"
+       else "")
+      ^ Option.get o.Job.detail ^ "\n",
+      "",
+      if o.Job.ok then 0 else 1 )
+  in
+  let action target source budget explain ledger cache =
     let parse_arg what = function
-      | Some s -> parse_program s
+      | Some s -> Shl.Parser.parse s
       | None -> Error ("missing --" ^ what)
     in
     let t = or_die (parse_arg "target" target) in
     let s = or_die (parse_arg "source" source) in
-    let tc = Shl.Step.config t and sc = Shl.Step.config s in
-    let t0 = Unix.gettimeofday () in
-    let cache = cache_open cache in
     (* the refinement judgement has two texts: the target is the
        "program", the source is its specification *)
-    let program_text = Shl.Pretty.expr_to_string t in
-    let spec_text = Shl.Pretty.expr_to_string s in
+    let program = Shl.Pretty.expr_to_string t in
+    let spec = Shl.Pretty.expr_to_string s in
     let label =
-      Obs.Forensics.trunc ~limit:40 program_text
+      Obs.Forensics.trunc ~limit:40 program
       ^ " =< "
-      ^ Obs.Forensics.trunc ~limit:40 spec_text
+      ^ Obs.Forensics.trunc ~limit:40 spec
     in
-    (* which strategy certifies the pair (oracle vs lockstep fallback)
-       is itself an outcome of the run, and the engine id — hence the
-       content key — records it; a lookup therefore probes both
-       possible keys *)
-    let cached_cert =
-      List.find_map
-        (fun strategy ->
-          cache_lookup cache ~cmd:"refine"
-            ~engine:("refinement.driver/" ^ strategy)
-            ~program:program_text ~spec:spec_text)
-        [ "oracle"; "lockstep" ]
-    in
-    match cached_cert with
-    | Some c ->
-      note_cache_hit c;
-      Format.printf "%s (cached)@." c.Obs.Certcache.verdict;
-      ledger_append ledger ~cmd:"refine" ~label ~engine:c.Obs.Certcache.engine
-        ~program:program_text ~spec:spec_text ?budget
-        ~consumed:c.Obs.Certcache.consumed ~cached:true ~t0
-        ~verdict:c.Obs.Certcache.verdict ~ok:c.Obs.Certcache.ok
-        ?detail:c.Obs.Certcache.detail ();
-      if c.Obs.Certcache.ok then 0 else 1
-    | None ->
-    let finish ?(store = true) ~strategy v =
-      let verdict, ok, st =
-        match v with
-        | Refinement.Driver.Accepted (Refinement.Driver.Terminated _, st) ->
-          ("accepted", true, st)
-        | Refinement.Driver.Accepted (Refinement.Driver.Fuel_exhausted r, st)
-          ->
-          ("fuel_exhausted:" ^ Robust.Budget.resource_name r, true, st)
-        | Refinement.Driver.Rejected (r, st) ->
-          ("rejected:" ^ Refinement.Driver.rule_name r, false, st)
-      in
-      let consumed =
-        [
-          ("steps", st.Refinement.Driver.target_steps);
-          ("source_steps", st.Refinement.Driver.source_steps);
-          ("stutters", st.Refinement.Driver.stutters);
-        ]
-      in
-      if store then
-        cache_put cache ~cmd:"refine" ~label
-          ~engine:("refinement.driver/" ^ strategy)
-          ~program:program_text ~spec:spec_text ~verdict ~ok ~consumed ();
-      ledger_append ledger ~cmd:"refine" ~label
-        ~engine:("refinement.driver/" ^ strategy)
-        ~program:program_text ~spec:spec_text ?budget ~consumed ~t0 ~verdict
-        ~ok ();
-      match v with
-      | Refinement.Driver.Accepted _ -> 0
-      | Refinement.Driver.Rejected _ -> 1
+    (* a wall-clock budget can cut the oracle's pre-runs at the
+       deadline, and then which strategy ran, hence the verdict,
+       depends on the budget: such runs pass no cache *)
+    let cache =
+      match budget with
+      | Some { Robust.Budget.wall_ms = Some _; _ } -> None
+      | _ -> cache
     in
     with_explain explain (fun () ->
-        (* the oracle's pre-runs stop at the budget's wall deadline (its
-           step and cell limits count driver steps only), and the
-           driver then gets what is left of the budget *)
-        let pre = Option.map Robust.Budget.meter budget in
-        let rest () = Option.map Robust.Budget.remaining pre in
-        match
-          Refinement.Strategy.oracle ~fuel ?meter:pre ~target:tc ~source:sc ()
-        with
-        | Some strat ->
-          let v =
-            Refinement.Driver.run ~fuel ?budget:(rest ()) ~target:tc ~source:sc
-              strat
-          in
-          Format.printf "%a@." Refinement.Driver.pp_verdict v;
-          finish ~strategy:"oracle" v
-        | None ->
-          (* no oracle certificate: fall back to lockstep (handles the
-             diverging/diverging case) *)
-          let v =
-            Refinement.Driver.run ~fuel ?budget:(rest ()) ~target:tc
-              ~source:sc Refinement.Strategy.lockstep
-          in
-          Format.printf "(no oracle certificate; lockstep attempt)@.%a@."
-            Refinement.Driver.pp_verdict v;
-          (* after a pre-run cut at the deadline, which strategy ran —
-             hence the verdict — depends on the budget: never cached *)
-          let cut = Option.bind pre Robust.Budget.exhausted <> None in
-          finish ~store:(not cut) ~strategy:"lockstep" v)
+        let o, _ =
+          Job.run ?cache ?ledger ?budget ~adapt:has_detail ~cmd:"refine"
+            ~engines:[ engine "oracle"; engine "lockstep" ]
+            ~label ~program ~spec ~replay:(explain = None)
+            (fun () ->
+              ( outcome
+                  ~budget:(Option.value budget ~default:Job.default_budget)
+                  ~target:(Shl.Step.config t) ~source:(Shl.Step.config s),
+                () ))
+        in
+        emit (render o))
   in
   let target =
     Arg.(
@@ -1160,9 +914,9 @@ let refine_cmd =
     (Cmd.info "refine"
        ~doc:"Check a termination-preserving refinement between two SHL programs.")
     Term.(
-      const (fun () t s f b x l c ->
-          Stdlib.exit (protect (fun () -> action t s f b x l c)))
-      $ obs_term $ target $ source $ fuel_arg $ budget_arg $ explain_term
+      const (fun () t s b x l c ->
+          Stdlib.exit (protect (fun () -> action t s b x l c)))
+      $ obs_term $ target $ source $ budget_arg $ explain_term
       $ ledger_arg $ cache_arg)
 
 (* ---- prove ---- *)
@@ -1392,21 +1146,25 @@ let chaos_cmd =
     let failures = List.length r.Robust.Chaos.failures in
     (* one record for the whole battery; the seed count is the spec
        (more seeds = a different, stronger check) *)
-    ledger_append ledger ~cmd:"chaos" ~label:"chaos-battery"
-      ~engine:"robust.chaos" ~program:"chaos-battery"
+    Job.append ?ledger ~cmd:"chaos" ~label:"chaos-battery"
+      ~program:"chaos-battery"
       ~spec:(Printf.sprintf "seeds:%d" seeds)
-      ~consumed:
-        [
-          ("seeds", seeds);
-          ("checks", r.Robust.Chaos.checks_run);
-          ("failures", failures);
-        ]
-      ~t0
       ?domains:(Option.map (fun n -> (n, [])) domains)
-      ~verdict:
-        (if Robust.Chaos.passed r then "passed"
-         else Printf.sprintf "failed:%d" failures)
-      ~ok:(Robust.Chaos.passed r) ();
+      ~t0
+      {
+        Job.engine = "robust.chaos";
+        verdict =
+          (if Robust.Chaos.passed r then "passed"
+           else Printf.sprintf "failed:%d" failures);
+        ok = Robust.Chaos.passed r;
+        detail = None;
+        consumed =
+          [
+            ("seeds", seeds);
+            ("checks", r.Robust.Chaos.checks_run);
+            ("failures", failures);
+          ];
+      };
     if Robust.Chaos.passed r then 0 else 1
   in
   let seeds =
@@ -1614,9 +1372,8 @@ let cache_cmd =
    asserts with --min-hit-rate and a cold-vs-warm ledger diff. *)
 let verify_corpus_cmd =
   let module An = Tfiris.Analysis.Analyzer in
-  let action dir cache_dir ledger min_hit_rate =
+  let action dir cache ledger min_hit_rate =
     let t_start = Unix.gettimeofday () in
-    let cache = cache_open (Some cache_dir) in
     let files =
       match Sys.readdir dir with
       | exception Sys_error m -> or_die (Error m)
@@ -1628,109 +1385,48 @@ let verify_corpus_cmd =
     in
     if files = [] then
       or_die (Error (Printf.sprintf "no .shl programs under %s" dir));
-    let lookups = ref 0 and hits = ref 0 in
-    (* one cache round per (file, stage): replay on hit, compute and
-       store on miss; either way the ledger gets a record whose verdict
-       is stage-deterministic, so a cold/warm `report --diff` is
-       flip-free by construction unless the cache lied *)
-    let stage ~cmd ~engine ~label ~program ~spec
-        ?(validate = fun (_ : Obs.Certcache.cert) -> true)
-        ?(ok_of_cert = fun (c : Obs.Certcache.cert) -> c.Obs.Certcache.ok)
-        compute =
-      let t0 = Unix.gettimeofday () in
-      incr lookups;
-      match cache_lookup cache ~cmd ~engine ~program ~spec ~validate with
-      | Some c ->
-        incr hits;
-        ledger_append ledger ~cmd ~label ~engine ~program ~spec
-          ~consumed:c.Obs.Certcache.consumed ~cached:true ~t0
-          ~verdict:c.Obs.Certcache.verdict ~ok:(ok_of_cert c)
-          ?detail:c.Obs.Certcache.detail ();
-        (true, c.Obs.Certcache.verdict)
-      | None ->
-        let verdict, ok, detail, consumed = compute () in
-        cache_put cache ~cmd ~label ~engine ~program ~spec ~verdict ~ok
-          ?detail ~consumed ();
-        ledger_append ledger ~cmd ~label ~engine ~program ~spec ~consumed ~t0
-          ~verdict ~ok ?detail ();
-        (false, verdict)
-    in
-    let row hit stage_name file verdict =
-      Format.printf "%-4s %-8s %-32s %s@."
-        (if hit then "HIT" else "MISS")
-        stage_name file verdict
-    in
+    (* the corpus gate is --fail-on=error *)
+    let fail_on = Tfiris.Analysis.Finding.Error in
     List.iter
       (fun file ->
-        let src =
-          let ic = open_in file in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        let e = or_die (parse_program src) in
+        let e = or_die (load_program file) in
         let program = Shl.Pretty.expr_to_string e in
-        let hit, verdict =
-          stage ~cmd:"run" ~engine:"shl.machine" ~label:file ~program ~spec:""
-            (fun () ->
-              match Shl.Interp.exec ~fuel:10_000_000 e with
-              | Shl.Interp.Value (v, _), st ->
-                ( "value",
-                  true,
-                  Some (Shl.Pretty.value_to_string v),
-                  [ ("steps", st.Shl.Interp.steps) ] )
-              | Shl.Interp.Stuck (_, redex), st ->
-                ( "stuck",
-                  false,
-                  Some (Shl.Pretty.expr_to_string redex),
-                  [ ("steps", st.Shl.Interp.steps) ] )
-              | Shl.Interp.Out_of_fuel (r, _), st ->
-                ( "out_of_fuel:" ^ Robust.Budget.resource_name r,
-                  false,
-                  None,
-                  [ ("steps", st.Shl.Interp.steps) ] ))
+        (* one cache round per (file, stage), through the same outcome
+           functions as `run` and `analyze`; the row shows whether it
+           replayed *)
+        let job =
+          Job.run ~cache ?ledger ~announce:false ~label:file ~program
+            ~replay:true
         in
-        row hit "run" file verdict;
-        let hit, verdict =
-          (* analyze certs replay only via their per-severity counts,
-             recomputed here against the corpus gate (--fail-on error) *)
-          stage ~cmd:"analyze" ~engine:"analysis" ~label:file ~program
-            ~spec:(String.concat "," An.pass_names)
-            ~validate:analyze_cert_has_sevs
-            ~ok_of_cert:(analyze_cert_ok ~fail_on:Tfiris.Analysis.Finding.Error)
-            (fun () ->
-              let r = An.analyze ~passes:An.pass_names ~label:file e in
-              let total = List.length r.An.findings in
-              let per_pass =
-                List.map
-                  (fun p ->
-                    ( "pass." ^ p,
-                      List.fold_left
-                        (fun acc t ->
-                          if t.An.t_pass = p then acc + t.An.t_found else acc)
-                        0 r.An.timings ))
-                  An.pass_names
-              in
-              ( (if total = 0 then "clean"
-                 else Printf.sprintf "findings:%d" total),
-                not (An.fails ~fail_on:Tfiris.Analysis.Finding.Error r),
-                Some
-                  (Obs.Json.to_string
-                     (Obs.Json.List [ An.report_to_json_stable r ])),
-                ("findings", total) :: sev_consumed r.An.findings @ per_pass ))
+        let row cmd ((o : Job.outcome), fresh) =
+          Format.printf "%-4s %-8s %-32s %s@."
+            (if fresh = None then "HIT" else "MISS")
+            cmd file o.Job.verdict
         in
-        row hit "analyze" file verdict)
+        row "run"
+          (job ~cmd:"run" ~engines:[ "shl.machine" ] ~spec:"" (fun () ->
+               ( Job.exec_outcome ~engine:"shl.machine"
+                   (Shl.Interp.exec ~budget:Job.default_budget e),
+                 () )));
+        row "analyze"
+          (job ~cmd:"analyze" ~engines:[ "analysis" ]
+             ~spec:(String.concat "," An.pass_names)
+             ~adapt:(Job.under_fail_on ~fail_on) (fun () ->
+               ( Job.analyze_outcome ~fail_on ~passes:An.pass_names
+                   [ An.analyze ~passes:An.pass_names ~label:file e ],
+                 () ))))
       files;
     let wall_ms = (Unix.gettimeofday () -. t_start) *. 1000. in
+    let hits, misses, corrupt, stores = Job.session () in
+    let lookups = hits + misses in
     let rate =
-      if !lookups = 0 then 0.
-      else 100. *. float_of_int !hits /. float_of_int !lookups
+      if lookups = 0 then 0.
+      else 100. *. float_of_int hits /. float_of_int lookups
     in
-    let _, _, corrupt, stores = Obs.Certcache.session () in
     Format.printf
       "corpus: %d programs, %d lookups, %d hits (%.1f%%), %d stored, %d \
        corrupt, %.1f ms@."
-      (List.length files) !lookups !hits rate stores corrupt wall_ms;
+      (List.length files) lookups hits rate stores corrupt wall_ms;
     if rate < min_hit_rate then begin
       Format.eprintf "tfiris: cache hit rate %.1f%% is below --min-hit-rate=%g@."
         rate min_hit_rate;

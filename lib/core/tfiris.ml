@@ -157,4 +157,9 @@ module Promises = struct
   module Combinators = Tfiris_promises.Combinators
 end
 
-let version = "1.0.0"
+(** The verdict pipeline (see DESIGN.md, "Certcache"): cache lookup,
+    computation, cache store and ledger record for one verdict, shared
+    by the CLI, [verify-corpus] and the bench. *)
+module Job = Job
+
+let version = Job.version

@@ -511,6 +511,109 @@ let test_cli_run_stats_no_replay () =
       Alcotest.(check bool) "plain run replays the stats-run cert" true
         (contains (read_file err3) "cache hit"))
 
+(* Warm equals cold: each row runs cold, then warm against the same
+   fresh cache.  Stdout and the exit code must be byte-equal, and so
+   must stderr once the warm run's one "tfiris: cache hit" line is
+   dropped; [replays] says whether the warm run must hit at all
+   (--explain never replays, and prints its post-mortem both times). *)
+let run_cli dir args =
+  let out = Filename.concat dir "out" and err = Filename.concat dir "err" in
+  let code =
+    sh "%s %s > %s 2> %s" exe args (Filename.quote out) (Filename.quote err)
+  in
+  (code, read_file out, read_file err)
+
+let hit_line = "tfiris: cache hit"
+
+let warm_cold_rows =
+  [
+    ("run -e '1 + 2'", true);
+    ("run -e '1 2'", true);
+    ("check-term -e '(rec f n. if n = 0 then 0 else f (n - 1)) 5'", true);
+    ("check-term -e '(rec f x. f x) 0'", true);
+    ("refine --target='1 + 2' --source='3 - 0'", true);
+    ( "refine --target='(rec loop f x. if f () then loop f x else ()) (fun \
+       u -> true) ()' --source='()'",
+      true );
+    ("analyze -e 'let x = 1 in 2' --format=json-stable --fail-on=error", true);
+    ("analyze -e 'let x = 1 in 2' --format=json-stable --fail-on=warning", true);
+    ("check-term -e '(rec f x. f x) 0' --explain", false);
+    ( "refine --target='(rec loop f x. if f () then loop f x else ()) (fun \
+       u -> true) ()' --source='()' --explain=json",
+      false );
+  ]
+
+let test_cli_warm_equals_cold () =
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  List.iter
+    (fun (args, replays) ->
+      with_tmpdir (fun dir ->
+          let args =
+            Printf.sprintf "%s --cache=%s" args
+              (Filename.quote (Filename.concat dir "cache"))
+          in
+          let code, out, err = run_cli dir args in
+          let code', out', err' = run_cli dir args in
+          let lines s = String.split_on_char '\n' s in
+          let hits, rest =
+            List.partition (String.starts_with ~prefix:hit_line) (lines err')
+          in
+          Alcotest.(check int) (args ^ ": cache hit lines")
+            (if replays then 1 else 0)
+            (List.length hits);
+          Alcotest.(check int) (args ^ ": exit") code code';
+          Alcotest.(check string) (args ^ ": stdout") out out';
+          Alcotest.(check string) (args ^ ": stderr") err
+            (String.concat "\n" rest)))
+    warm_cold_rows
+
+(* --explain never replays, but the verdict it computed is stored: a
+   later plain run replays it. *)
+let test_cli_explain_stores () =
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  with_tmpdir (fun dir ->
+      let cache = Filename.quote (Filename.concat dir "cache") in
+      let code, out, _ =
+        run_cli dir
+          (Printf.sprintf "check-term -e '(rec f x. f x) 0' --explain --cache=%s"
+             cache)
+      in
+      Alcotest.(check int) "explain exit" 1 code;
+      Alcotest.(check bool) "post-mortem printed" true
+        (contains out "== forensics: termination.wp");
+      let code, out, err =
+        run_cli dir
+          (Printf.sprintf "check-term -e '(rec f x. f x) 0' --cache=%s" cache)
+      in
+      Alcotest.(check int) "plain exit" 1 code;
+      Alcotest.(check bool) "plain run replays" true (contains err hit_line);
+      Alcotest.(check string) "plain stdout" "strategy gave up at step 1\n" out)
+
+(* A check-term certificate without its verdict line (as an older
+   binary wrote them) cannot be rendered: it is a corrupt miss and the
+   run recomputes. *)
+let test_cli_cert_without_detail_recomputes () =
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  with_tmpdir (fun dir ->
+      let cache = Filename.concat dir "cache" in
+      let args =
+        Printf.sprintf "check-term -e '(rec f x. f x) 0' --cache=%s"
+          (Filename.quote cache)
+      in
+      let _, cold, _ = run_cli dir args in
+      let t = Cc.open_ ~dir:cache in
+      (match Cc.entries t with
+      | [ (path, _, _) ], _ -> (
+        match Result.bind (Obs.Json.of_string (read_file path)) Cc.of_json with
+        | Ok c ->
+          write_file path
+            (Obs.Json.to_string (Cc.to_json { c with Cc.detail = None }))
+        | Error e -> Alcotest.failf "stored cert unreadable: %s" e)
+      | _ -> Alcotest.fail "expected one stored certificate");
+      let _, warm, err = run_cli dir args in
+      Alcotest.(check bool) "no replay" false (contains err hit_line);
+      Alcotest.(check string) "recomputed stdout" cold warm)
+
 let suite =
   [
     Alcotest.test_case "certificate JSON golden" `Quick test_cert_golden;
@@ -544,4 +647,10 @@ let suite =
       test_cli_analyze_format_mismatch_runs_fresh;
     Alcotest.test_case "cli: run --stats never replays" `Quick
       test_cli_run_stats_no_replay;
+    Alcotest.test_case "cli: warm equals cold, command by command" `Quick
+      test_cli_warm_equals_cold;
+    Alcotest.test_case "cli: --explain computes, and stores" `Quick
+      test_cli_explain_stores;
+    Alcotest.test_case "cli: cert without its verdict line recomputes" `Quick
+      test_cli_cert_without_detail_recomputes;
   ]

@@ -383,21 +383,66 @@ let run_cli ~stderr args =
   Sys.remove out;
   (code, text)
 
+(* 125 is cmdliner's "uncaught exception" exit; a backtrace on stderr
+   means an exception escaped the structured path *)
+let check_structured args (code, text) =
+  if code = 125 then
+    Alcotest.failf "%S: uncaught exception (exit 125):\n%s" args text;
+  List.iter
+    (fun marker ->
+      if contains ~affix:marker text then
+        Alcotest.failf "%S: unstructured failure leaked:\n%s" args text)
+    [ "Fatal error"; "Raised at"; "Raised by" ]
+
 let test_cli_structured_errors () =
   if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   List.iter
-    (fun args ->
-      let code, text = run_cli ~stderr:true args in
-      (* 125 is cmdliner's "uncaught exception" exit; a backtrace on
-         stderr means an exception escaped the structured path *)
-      if code = 125 then
-        Alcotest.failf "%S: uncaught exception (exit 125):\n%s" args text;
-      List.iter
-        (fun marker ->
-          if contains ~affix:marker text then
-            Alcotest.failf "%S: unstructured failure leaked:\n%s" args text)
-        [ "Fatal error"; "Raised at"; "Raised by" ])
+    (fun args -> check_structured args (run_cli ~stderr:true args))
     (cli_garbage_inputs @ cli_negative_counts)
+
+(* A program file that cannot be read or parsed is named in the error
+   (exit 2, structured): a corpus sweep or a multi-file analyze says
+   which of its files failed. *)
+let test_cli_file_errors_name_the_file () =
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
+  let dir = Filename.temp_file "tfiris_files" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let path name = Filename.concat dir name in
+  let write name text =
+    Out_channel.with_open_bin (path name) (fun oc -> output_string oc text)
+  in
+  write "a.shl" "1 + 2";
+  write "b.shl" "let x = ";
+  Unix.mkdir (path "c") 0o755;
+  Unix.mkdir (path "c/x.shl") 0o755;
+  let q name = Filename.quote (path name) in
+  let rec rm_rf p =
+    if Sys.is_directory p then begin
+      Array.iter (fun n -> rm_rf (Filename.concat p n)) (Sys.readdir p);
+      Unix.rmdir p
+    end
+    else Sys.remove p
+  in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      List.iter
+        (fun (args, culprit) ->
+          let code, text = run_cli ~stderr:true args in
+          check_structured args (code, text);
+          Alcotest.(check int) (args ^ ": exit") 2 code;
+          if not (contains ~affix:("tfiris: " ^ path culprit ^ ": ") text) then
+            Alcotest.failf "%S: error does not name %s:\n%s" args culprit text)
+        [
+          (Printf.sprintf "verify-corpus %s --cache=%s" (Filename.quote dir)
+             (q "cache"), "b.shl");
+          (Printf.sprintf "analyze %s %s" (q "a.shl") (q "b.shl"), "b.shl");
+          (Printf.sprintf "analyze %s" (q "c/x.shl"), "c/x.shl");
+          (Printf.sprintf "verify-corpus %s --cache=%s" (q "c") (q "cache"),
+           "c/x.shl");
+          (Printf.sprintf "run %s" (q "b.shl"), "b.shl");
+        ])
 
 let test_cli_negative_counts () =
   if not (Sys.file_exists cli_exe) then Alcotest.skip ();
@@ -500,6 +545,8 @@ let suite =
     Alcotest.test_case "chaos restores hooks" `Quick test_chaos_restores_hooks;
     Alcotest.test_case "cli structured errors" `Quick test_cli_structured_errors;
     Alcotest.test_case "cli negative counts" `Quick test_cli_negative_counts;
+    Alcotest.test_case "cli file errors name the file" `Quick
+      test_cli_file_errors_name_the_file;
     Alcotest.test_case "cli divergent verdicts are byte-stable" `Quick
       test_cli_divergent_verdicts;
     Alcotest.test_case "cli --budget ms bounds pre-runs" `Quick

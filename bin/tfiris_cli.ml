@@ -445,9 +445,10 @@ let run_explore ~label ~e ~budget ~stats ~ledger n =
   if stats then
     List.iter
       (fun w ->
-        Format.printf "  domain %d: dequeued %d, stolen %d, %.1f ms@."
+        Format.printf
+          "  domain %d: dequeued %d, stolen %d, %.1f ms, %d words allocated@."
           w.Shl.Conc.w_domain w.Shl.Conc.w_dequeued w.Shl.Conc.w_stolen
-          w.Shl.Conc.w_wall_ms)
+          w.Shl.Conc.w_wall_ms w.Shl.Conc.w_mem.Obs.Telemetry.allocated_words)
       r.Shl.Conc.workers;
   let verdict, ok =
     match r.Shl.Conc.exhausted with

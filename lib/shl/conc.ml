@@ -75,11 +75,14 @@ let step_thread (c : cfg) (i : int) : thread_step =
 
 (** Threads that can currently take a step. *)
 let runnable (c : cfg) : int list =
-  List.mapi (fun i th -> (i, th)) c.threads
-  |> List.filter_map (fun (i, th) ->
-         match Machine.view th with
-         | Machine.V_value _ -> None
-         | Machine.V_redex _ -> Some i)
+  let rec from i = function
+    | [] -> []
+    | th :: rest -> (
+      match Machine.view th with
+      | Machine.V_value _ -> from (i + 1) rest
+      | Machine.V_redex _ -> i :: from (i + 1) rest)
+  in
+  from 0 c.threads
 
 type outcome =
   | All_done of value * Heap.t  (** main thread's value; all threads finished *)
@@ -161,36 +164,147 @@ type exploration = {
       (** per-domain split; [[]] for the sequential engine *)
 }
 
-(** Canonical visited-set key.  Keying the table on raw [cfg] values is
-    wrong: [Heap.t] is an AVL map (plus an allocation counter), so
-    semantically equal heaps built in different insertion orders have
-    different tree shapes and hash/compare unequal — the exhaustive
-    oracle then re-explores states it has already seen.
-    [Heap.bindings] is sorted and [Machine.plug] rebuilds the program
-    text, so equal states collide exactly. *)
-let canon_key (c : cfg) : (expr list * (loc * value) list) =
-  (thread_exprs c, Heap.bindings c.heap)
+(* Visited-set keys.  A configuration is keyed by its interned thread
+   programs plus its sorted heap bindings.  Each distinct plugged thread
+   program gets a small int from a table keyed by structural equality
+   that lives for one exploration, so two id lists are equal exactly
+   when the plugged programs are: key equality is still the canonical
+   relation (plugged threads + [Heap.bindings]).  Raw configurations
+   would be wrong keys — [Heap.t] is an AVL map, so equal heaps built in
+   different insertion orders hash and compare unequal, and the oracle
+   would re-explore states it has already seen.
 
-(* The key's structural hash is computed once per configuration, at
-   enqueue time, and carried next to the key: membership tests (and,
-   in the parallel engine, shard selection) never re-hash the plugged
-   programs + sorted bindings spine again.  [Hashtbl.hash] reads only
-   10 meaningful words — little more than the thread programs' outer
-   constructors — so on a three-thread CAS counter 46 367 states shared
-   7 387 hash values and every probe of a long bucket was a deep
-   structural compare; reading up to 100 words separates them. *)
-type hkey = int * (expr list * (loc * value) list)
+   A successor re-plugs and interns only the thread that stepped (plus a
+   forked one), and reuses its parent's binding list and its hash when
+   the step left the heap physically unchanged.  So a repeat visit costs
+   a compare of a few ints and, at worst, one binding list, instead of a
+   deep compare of every thread's program. *)
 
-let hashed_key (c : cfg) : hkey =
-  let k = canon_key c in
-  (Hashtbl.hash_param 100 1000 k, k)
+(* [Hashtbl.hash] reads only 10 meaningful words — little more than a
+   program's outer constructors; reading up to 100 separates the states
+   of the programs here. *)
+let deep_hash x = Hashtbl.hash_param 100 1000 x
+
+type key = {
+  hash : int;  (** of [ids] and [bhash]; well mixed in all 30 bits *)
+  ids : int list;  (** interned thread programs, thread 0 first *)
+  binds : (loc * value) list;  (** [Heap.bindings] *)
+  bhash : int;  (** [deep_hash binds], reused while the heap is unchanged *)
+}
+
+let make_key ids binds bhash =
+  let h = List.fold_left (fun h id -> (h * 65599) + id) bhash ids in
+  { hash = Hashtbl.hash h; ids; binds; bhash }
 
 module Ktbl = Hashtbl.Make (struct
-  type t = hkey
+  type t = key
 
-  let equal ((h1, k1) : t) ((h2, k2) : t) = h1 = h2 && k1 = k2
+  let equal a b =
+    a.hash = b.hash
+    && List.equal Int.equal a.ids b.ids
+    && (a.binds == b.binds || a.binds = b.binds)
+
+  let hash k = k.hash
+end)
+
+(* Programs are interned under their deep hash, computed once. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int * expr
+
+  let equal ((h1, e1) : t) ((h2, e2) : t) = h1 = h2 && e1 = e2
   let hash ((h, _) : t) = h
 end)
+
+(* Both tables are split into 64 mutex-guarded shards, so domains
+   rarely wait on each other.  A shard is picked from the hash's high
+   bits: [Hashtbl] picks a bucket from the low bits of the same hash,
+   and with the shard taken from those too every key of a shard would
+   land in the 1/64 of its buckets that share the shard's low 6 bits. *)
+let nshards = 64
+
+let shard_index h = (h lsr 16) land (nshards - 1)
+
+type ishard = { imu : Mutex.t; itbl : int Itbl.t }
+
+(** The intern table of one exploration: it maps plugged thread programs
+    to ids, equal exactly when the programs are structurally equal, and
+    is safe to use from every worker domain. *)
+type interner = { ishards : ishard array; next_id : int Atomic.t }
+
+let interner ~shards =
+  {
+    ishards =
+      Array.init shards (fun _ ->
+          { imu = Mutex.create (); itbl = Itbl.create 64 });
+    next_id = Atomic.make 0;
+  }
+
+let intern (t : interner) (e : expr) : int =
+  let ((h, _) as k) = (deep_hash e, e) in
+  let s = t.ishards.(shard_index h mod Array.length t.ishards) in
+  Mutex.lock s.imu;
+  let id =
+    match Itbl.find_opt s.itbl k with
+    | Some id -> id
+    | None ->
+      let id = Atomic.fetch_and_add t.next_id 1 in
+      Itbl.add s.itbl k id;
+      id
+  in
+  Mutex.unlock s.imu;
+  id
+
+(** A frontier entry: the configuration and its visited-set key. *)
+type node = { cfg : cfg; key : key }
+
+let intern_thread it th = intern it (Machine.plug th)
+
+let root_node it (c : cfg) : node =
+  let binds = Heap.bindings c.heap in
+  {
+    cfg = c;
+    key =
+      make_key (List.map (intern_thread it) c.threads) binds (deep_hash binds);
+  }
+
+(* The node for [c'], reached from [n] by a step of thread [i]; threads
+   past the parent's are the forked ones. *)
+let successor it (n : node) (i : int) (c' : cfg) : node =
+  let rec ids j old threads =
+    match (old, threads) with
+    | id :: old, th :: threads ->
+      (if j = i then intern_thread it th else id) :: ids (j + 1) old threads
+    | [], forked -> List.map (intern_thread it) forked
+    | _ :: _, [] -> invalid_arg "Conc.successor: a thread vanished"
+  in
+  let binds, bhash =
+    if c'.heap == n.cfg.heap then (n.key.binds, n.key.bhash)
+    else
+      let b = Heap.bindings c'.heap in
+      (b, deep_hash b)
+  in
+  { cfg = c'; key = make_key (ids 0 n.key.ids c'.threads) binds bhash }
+
+let add_final acc (v, h) =
+  if List.exists (fun (v', h') -> v = v' && Heap.equal h h') acc then acc
+  else (v, h) :: acc
+
+let add_stuck acc s = if List.mem s acc then acc else s :: acc
+
+(* One expansion, shared by both engines: a finished configuration
+   reports the main thread's value; each runnable thread either yields a
+   successor for [visit] or is stuck. *)
+let expand it ~final ~stuck ~visit (n : node) =
+  match runnable n.cfg with
+  | [] -> Option.iter (fun v -> final (v, n.cfg.heap)) (main_value n.cfg)
+  | rs ->
+    List.iter
+      (fun i ->
+        match step_thread n.cfg i with
+        | T_progress c' -> visit (successor it n i c')
+        | T_value -> ()
+        | T_stuck redex -> stuck (i, redex))
+      rs
 
 let explore_seq ?max_states ?budget ?on_state (c : cfg) : exploration =
   let b =
@@ -199,6 +313,7 @@ let explore_seq ?max_states ?budget ?on_state (c : cfg) : exploration =
     | None -> Budget.of_states (Option.value max_states ~default:200_000)
   in
   let m = Budget.meter b in
+  let it = interner ~shards:1 in
   let visited : unit Ktbl.t = Ktbl.create 1024 in
   let finals = ref [] in
   let stucks = ref [] in
@@ -207,10 +322,6 @@ let explore_seq ?max_states ?budget ?on_state (c : cfg) : exploration =
      step/wall exhaustion aborts the sweep outright. *)
   let out_of_states = ref false in
   let aborted = ref false in
-  let add_final (v, h) =
-    if not (List.exists (fun (v', h') -> v = v' && Heap.equal h h') !finals)
-    then finals := (v, h) :: !finals
-  in
   let queue = Queue.create () in
   (* Heartbeats count dequeued states; the gauges read the live visited
      table and frontier, so a stalled sweep is visible as a flat-lining
@@ -223,40 +334,30 @@ let explore_seq ?max_states ?budget ?on_state (c : cfg) : exploration =
       Progress.budget_left = Budget.remaining_frac m;
     }
   in
-  Queue.add c queue;
-  Ktbl.replace visited (hashed_key c) ();
+  let visit n =
+    if not (Ktbl.mem visited n.key) then
+      if not (Budget.state m) then out_of_states := true
+      else begin
+        Ktbl.replace visited n.key ();
+        Queue.add n queue
+      end
+  in
+  let final f = finals := add_final !finals f in
+  let stuck s = stucks := add_stuck !stucks s in
+  let n0 = root_node it c in
+  Queue.add n0 queue;
+  Ktbl.replace visited n0.key ();
   let _ = Budget.state m in
   while not (Queue.is_empty queue || !aborted) do
-    let c = Queue.pop queue in
+    let n = Queue.pop queue in
     (match heartbeat with
     | Some hb -> Progress.tick hb heartbeat_info
     | None -> ());
     if not (Budget.step m) && Budget.exhausted m <> Some Budget.States then
       aborted := true
     else begin
-      (match on_state with Some f -> f c | None -> ());
-      match runnable c with
-      | [] -> (
-        match main_value c with
-        | Some v -> add_final (v, c.heap)
-        | None -> ())
-      | rs ->
-        List.iter
-          (fun i ->
-            match step_thread c i with
-            | T_progress c' ->
-              let k = hashed_key c' in
-              if not (Ktbl.mem visited k) then
-                if not (Budget.state m) then out_of_states := true
-                else begin
-                  Ktbl.replace visited k ();
-                  Queue.add c' queue
-                end
-            | T_value -> ()
-            | T_stuck redex ->
-              if not (List.mem (i, redex) !stucks) then
-                stucks := (i, redex) :: !stucks)
-          rs
+      (match on_state with Some f -> f n.cfg | None -> ());
+      expand it ~final ~stuck ~visit n
     end
   done;
   {
@@ -271,10 +372,10 @@ let explore_seq ?max_states ?budget ?on_state (c : cfg) : exploration =
   }
 
 (** Work-stealing parallel BFS over [Domain.t] workers.  The visited
-    set is sharded by the cached canonical-key hash (one small mutex
-    per shard, so membership is owner-independent: whichever worker
-    reaches a state first claims it for the whole fleet); each worker
-    owns a deque of frontier configurations and raids a random victim
+    set and the intern table are sharded by high hash bits (one small
+    mutex per shard, so membership is owner-independent: whichever
+    worker reaches a state first claims it for the whole fleet); each
+    worker owns a deque of frontier nodes and raids a random victim
     when its own drains; the budget meter is the shared atomic one, so
     steps/states/ms/cells exhaust globally with the verdict still
     resource-named.  The sequential engine above stays the reference —
@@ -291,13 +392,13 @@ module Par_explore = struct
 
   let set_steal_fault f = Atomic.set steal_fault f
 
-  type deque = { mu : Mutex.t; q : cfg Queue.t }
+  type deque = { mu : Mutex.t; q : node Queue.t }
 
   type shard = { smu : Mutex.t; tbl : unit Ktbl.t }
 
-  let nshards = 64 (* power of two: shard index is [hash land mask] *)
-
-  let explore ?max_states ?budget ?on_state ~domains (c0 : cfg) : exploration =
+  (* The exploration, plus the visited and intern shards' bucket
+     statistics. *)
+  let run ?max_states ?budget ?on_state ~domains (c0 : cfg) =
     let n = max 1 domains in
     let b =
       match budget with
@@ -305,11 +406,11 @@ module Par_explore = struct
       | None -> Budget.of_states (Option.value max_states ~default:200_000)
     in
     let m = Budget.Shared.create b in
+    let it = interner ~shards:nshards in
     let shards =
       Array.init nshards (fun _ ->
           { smu = Mutex.create (); tbl = Ktbl.create 64 })
     in
-    let shard_of h = shards.(h land (nshards - 1)) in
     let visited_count = Atomic.make 0 in
     (* enqueued-but-not-fully-expanded configurations: when this hits 0
        no further work can ever appear, which is the termination signal
@@ -337,12 +438,12 @@ module Par_explore = struct
     in
     (* The initial configuration mirrors the sequential engine: marked
        unconditionally, charged once with the result ignored. *)
-    let hk0 = hashed_key c0 in
-    Ktbl.replace (shard_of (fst hk0)).tbl hk0 ();
+    let n0 = root_node it c0 in
+    Ktbl.replace shards.(shard_index n0.key.hash).tbl n0.key ();
     Atomic.incr visited_count;
     let (_ : bool) = Budget.Shared.state m in
     Atomic.incr pending;
-    Queue.add c0 deques.(0).q;
+    Queue.add n0 deques.(0).q;
     let push wid c =
       Atomic.incr pending;
       let d = deques.(wid) in
@@ -377,60 +478,46 @@ module Par_explore = struct
         Mutex.unlock d.mu;
         List.length items
     in
-    let process wid c =
-      (match heartbeat with
-      | Some hb ->
-        Mutex.lock hb_mu;
-        Progress.tick hb heartbeat_info;
-        Mutex.unlock hb_mu
-      | None -> ());
-      (if
-         (not (Budget.Shared.step m))
-         && Budget.Shared.exhausted m <> Some Budget.States
-       then Atomic.set abort true
-       else begin
-         (match on_state with Some f -> f c | None -> ());
-         match runnable c with
-         | [] -> (
-           match main_value c with
-           | Some v ->
-             if
-               not
-                 (List.exists
-                    (fun (v', h') -> v = v' && Heap.equal h' c.heap)
-                    finals.(wid))
-             then finals.(wid) <- (v, c.heap) :: finals.(wid)
-           | None -> ())
-         | rs ->
-           List.iter
-             (fun i ->
-               match step_thread c i with
-               | T_progress c' ->
-                 let ((h, _) as hk) = hashed_key c' in
-                 let s = shard_of h in
-                 (* membership + state charge + insert under the shard
-                    lock: a successful charge corresponds to exactly one
-                    distinct inserted state, so [states:]-capped counts
-                    stay deterministic at every domain count *)
-                 Mutex.lock s.smu;
-                 if Ktbl.mem s.tbl hk then Mutex.unlock s.smu
-                 else if Budget.Shared.state m then begin
-                   Ktbl.replace s.tbl hk ();
-                   Mutex.unlock s.smu;
-                   Atomic.incr visited_count;
-                   push wid c'
-                 end
-                 else begin
-                   Mutex.unlock s.smu;
-                   Atomic.set out_of_states true
-                 end
-               | T_value -> ()
-               | T_stuck redex ->
-                 if not (List.mem (i, redex) stucks.(wid)) then
-                   stucks.(wid) <- (i, redex) :: stucks.(wid))
-             rs
-       end);
-      Atomic.decr pending
+    (* membership + state charge + insert under the shard lock: a
+       successful charge corresponds to exactly one distinct inserted
+       state, so [states:]-capped counts stay deterministic at every
+       domain count *)
+    let visit wid (nd : node) =
+      let s = shards.(shard_index nd.key.hash) in
+      Mutex.lock s.smu;
+      if Ktbl.mem s.tbl nd.key then Mutex.unlock s.smu
+      else if Budget.Shared.state m then begin
+        Ktbl.replace s.tbl nd.key ();
+        Mutex.unlock s.smu;
+        Atomic.incr visited_count;
+        push wid nd
+      end
+      else begin
+        Mutex.unlock s.smu;
+        Atomic.set out_of_states true
+      end
+    in
+    (* a worker's callbacks are built once, not once per state *)
+    let process wid =
+      let final f = finals.(wid) <- add_final finals.(wid) f in
+      let stuck s = stucks.(wid) <- add_stuck stucks.(wid) s in
+      let visit = visit wid in
+      fun nd ->
+        (match heartbeat with
+        | Some hb ->
+          Mutex.lock hb_mu;
+          Progress.tick hb heartbeat_info;
+          Mutex.unlock hb_mu
+        | None -> ());
+        (if
+           (not (Budget.Shared.step m))
+           && Budget.Shared.exhausted m <> Some Budget.States
+         then Atomic.set abort true
+         else begin
+           (match on_state with Some f -> f nd.cfg | None -> ());
+           expand it ~final ~stuck ~visit nd
+         end);
+        Atomic.decr pending
     in
     let worker wid () =
       let t0 = Unix.gettimeofday () in
@@ -442,13 +529,14 @@ module Par_explore = struct
         rng := ((!rng * 1103515245) + 12345) land 0x3FFFFFFF;
         !rng lsr 16 mod n
       in
+      let process = process wid in
       let rec loop idle =
         if Atomic.get abort then ()
         else
           match pop_own wid with
-          | Some c ->
+          | Some nd ->
             incr dequeued;
-            process wid c;
+            process nd;
             loop 0
           | None ->
             if Atomic.get pending = 0 then ()
@@ -505,38 +593,30 @@ module Par_explore = struct
     (match Atomic.get exn_slot with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ());
-    let merged_finals =
-      Array.fold_left
-        (fun acc l ->
-          List.fold_left
-            (fun acc (v, h) ->
-              if List.exists (fun (v', h') -> v = v' && Heap.equal h h') acc
-              then acc
-              else (v, h) :: acc)
-            acc l)
-        [] finals
-    in
-    let merged_stucks =
-      Array.fold_left
-        (fun acc l ->
-          List.fold_left
-            (fun acc s -> if List.mem s acc then acc else s :: acc)
-            acc l)
-        [] stucks
-    in
-    {
-      final_values = merged_finals;
-      stuck = merged_stucks;
-      exhausted =
-        (if Atomic.get abort || Atomic.get out_of_states then
-           Some
-             (match Budget.Shared.exhausted m with
-             | Some r -> r
-             | None -> Budget.States)
-         else None);
-      states = Atomic.get visited_count;
-      workers = Array.to_list stats |> List.filter_map Fun.id;
-    }
+    let merge add = Array.fold_left (List.fold_left add) [] in
+    ( {
+        final_values = merge add_final finals;
+        stuck = merge add_stuck stucks;
+        exhausted =
+          (if Atomic.get abort || Atomic.get out_of_states then
+             Some
+               (match Budget.Shared.exhausted m with
+               | Some r -> r
+               | None -> Budget.States)
+           else None);
+        states = Atomic.get visited_count;
+        workers = Array.to_list stats |> List.filter_map Fun.id;
+      },
+      Array.to_list (Array.map (fun s -> Ktbl.stats s.tbl) shards),
+      Array.to_list (Array.map (fun s -> Itbl.stats s.itbl) it.ishards) )
+
+  let explore ?max_states ?budget ?on_state ~domains c =
+    let r, _, _ = run ?max_states ?budget ?on_state ~domains c in
+    r
+
+  let shard_stats ~domains c =
+    let _, visited, interned = run ~domains c in
+    (visited, interned)
 end
 
 (** [TFIRIS_DOMAINS] sets the default worker count for every [explore]

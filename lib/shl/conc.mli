@@ -94,11 +94,16 @@ val explore :
   cfg ->
   exploration
 (** All interleavings, by memoized reachability over configurations
-    (finite for the spin-loop programs here).  The visited set is keyed
-    on a canonical form — plugged thread programs plus sorted heap
-    bindings — so states whose heaps were built in different insertion
-    orders are recognised as equal; the key's structural hash is cached
-    per configuration at enqueue.
+    (finite for the spin-loop programs here).  A visited state is keyed
+    by its interned thread ids plus its sorted heap bindings: each
+    distinct plugged thread program gets a small int for the length of
+    one exploration, and two ids are equal exactly when the programs
+    are structurally equal.  So states whose heaps were built in
+    different insertion orders are recognised as equal, and key
+    equality is the canonical relation (plugged threads plus
+    [Heap.bindings]).  A successor re-plugs and interns only the thread
+    that stepped (and a forked one), and reuses its parent's bindings
+    when the heap is physically unchanged.
 
     [~domains:n] with [n >= 2] switches to the work-stealing parallel
     engine ({!Par_explore}); omitted, the [TFIRIS_DOMAINS] environment
@@ -112,12 +117,14 @@ val explore :
     count is exactly [min (cap, |reachable|)] — deterministic even in
     parallel; [steps:]/[ms:] exhaustion aborts the sweep. *)
 
-(** The work-stealing parallel engine itself: a visited set sharded by
-    the cached canonical-key hash (owner-independent membership), one
-    frontier deque per domain with randomized stealing, and a shared
-    atomic budget meter so the fleet exhausts globally.  The
-    sequential engine is the reference: a QCheck differential property
-    holds both to identical reachable sets at 1/2/4 domains. *)
+(** The work-stealing parallel engine itself: a visited set and an
+    intern table each split into 64 mutex-guarded shards chosen by the
+    key hash's high bits (owner-independent membership; the low bits
+    stay free for the shards' own buckets), one frontier deque per
+    domain with randomized stealing, and a shared atomic budget meter
+    so the fleet exhausts globally.  The sequential engine is the
+    reference: a QCheck differential property holds both to identical
+    reachable sets at 1/2/4 domains. *)
 module Par_explore : sig
   val explore :
     ?max_states:int ->
@@ -129,6 +136,12 @@ module Par_explore : sig
   (** Run on [domains] workers (the calling domain plus [domains - 1]
       spawned ones); [domains = 1] exercises the parallel machinery
       without spawning. *)
+
+  val shard_stats :
+    domains:int -> cfg -> Hashtbl.statistics list * Hashtbl.statistics list
+  (** Explore under the default budget and return the bucket statistics
+      of every visited-set shard and every intern-table shard — how the
+      tests check that keys spread over a shard's buckets. *)
 
   val set_steal_fault : (worker:int -> victim:int -> bool) option -> unit
   (** Chaos hook: veto individual steal attempts (an unfair/starving

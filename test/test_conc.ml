@@ -357,6 +357,166 @@ let test_par_races_oracle_agrees () =
         true (par = seq))
     [ 2; 4 ]
 
+(* ---------- interned keys against the reference key ---------- *)
+
+(* A plain BFS keyed on the canonical form itself — plugged thread
+   programs plus sorted heap bindings — under the same states-cap rule
+   as the explorer (the root is admitted unconditionally, a capped run
+   drains what it enqueued).  The interned-id keys must induce exactly
+   this equivalence on configurations. *)
+module Canon = Hashtbl.Make (struct
+  type t = Shl.Ast.expr list * (Shl.Ast.loc * Shl.Ast.value) list
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 100 1000
+end)
+
+let reference_explore ~cap (c0 : Conc.cfg) : Conc.exploration =
+  let key c = (Conc.thread_exprs c, Tfiris_shl.Heap.bindings c.Conc.heap) in
+  let seen = Canon.create 1024 in
+  let queue = Queue.create () in
+  let finals = ref [] and stucks = ref [] and capped = ref false in
+  Canon.replace seen (key c0) ();
+  Queue.add c0 queue;
+  while not (Queue.is_empty queue) do
+    let c = Queue.pop queue in
+    match Conc.runnable c with
+    | [] -> (
+      match Conc.main_value c with
+      | Some v ->
+        if
+          not
+            (List.exists
+               (fun (v', h') -> v = v' && Tfiris_shl.Heap.equal c.Conc.heap h')
+               !finals)
+        then finals := (v, c.Conc.heap) :: !finals
+      | None -> ())
+    | rs ->
+      List.iter
+        (fun i ->
+          match Conc.step_thread c i with
+          | Conc.T_progress c' ->
+            let k = key c' in
+            if not (Canon.mem seen k) then
+              if Canon.length seen >= cap then capped := true
+              else begin
+                Canon.replace seen k ();
+                Queue.add c' queue
+              end
+          | Conc.T_value -> ()
+          | Conc.T_stuck redex ->
+            if not (List.mem (i, redex) !stucks) then
+              stucks := (i, redex) :: !stucks)
+        rs
+  done;
+  {
+    Conc.final_values = !finals;
+    stuck = !stucks;
+    exhausted = (if !capped then Some Budget.States else None);
+    states = Canon.length seen;
+    workers = [];
+  }
+
+(* Sequential and parallel (1/2/4 domains) interned-key exploration
+   against the reference: the full signature when the reference ran to
+   completion, count and verdict when the cap tripped. *)
+let agrees_with_reference ~cap e =
+  let reference = reference_explore ~cap (Conc.init e) in
+  let budget = Budget.of_states cap in
+  let agree (r : Conc.exploration) =
+    match reference.Conc.exhausted with
+    | None -> signature r = signature reference
+    | Some _ ->
+      r.Conc.states = reference.Conc.states
+      && r.Conc.exhausted = reference.Conc.exhausted
+  in
+  agree (Conc.explore ~budget ~domains:1 (Conc.init e))
+  && List.for_all
+       (fun d ->
+         agree (Conc.Par_explore.explore ~budget ~domains:d (Conc.init e)))
+       [ 1; 2; 4 ]
+
+let interned_key_prop =
+  QCheck_alcotest.to_alcotest
+    (Q.Test.make ~count:200
+       ~name:"interned-key explore ≡ canonical-key BFS (seq, 1/2/4 domains)"
+       ~print:Gen.print_shl Gen.conc_expr
+       (agrees_with_reference ~cap:4_000))
+
+let test_interned_keys_fork_heavy () =
+  (* forked threads fork again, so successors append threads at several
+     pool positions, from threads other than main *)
+  let e =
+    parse
+      "let r = ref 0 in fork (fork (r := !r + 1); r := !r + 2); fork (fork \
+       (r := 4); r := !r + 8); !r"
+  in
+  let r = Conc.explore ~domains:1 (Conc.init e) in
+  Alcotest.(check int) "states" 15_453 r.Conc.states;
+  Alcotest.(check bool) "more than one outcome" true
+    (List.length (final_ints r) > 1);
+  Alcotest.(check bool) "matches the canonical-key BFS" true
+    (agrees_with_reference ~cap:200_000 e)
+
+(* ---------- the drivers workload's counters ---------- *)
+
+(* [k] forked threads bump a counter — through a CAS retry loop, or by
+   an unlocked read-then-write — and count themselves done with a CAS;
+   main waits for all [k] and reads the counter.  The same programs as
+   the time-to-verdict benchmark's [run --domains=2] jobs. *)
+let counter_program ~cas k =
+  let bump =
+    if cas then "inc (); finish ()"
+    else "let v = !c in c := v + 1; finish ()"
+  in
+  parse
+    (Printf.sprintf
+       "let c = ref 0 in let d = ref 0 in let inc = rec retry u. let v = !c \
+        in if cas c v (v + 1) then () else retry u in let finish = rec retry \
+        u. let w = !d in if cas d w (w + 1) then () else retry u in %s (rec \
+        wait u. if !d = %d then !c else wait u) ()"
+       (String.concat " " (List.init k (fun _ -> "fork (" ^ bump ^ ");")))
+       k)
+
+let test_counter_pinned ~cas k ~states ~finals () =
+  let e = counter_program ~cas k in
+  List.iter
+    (fun d ->
+      let r = Conc.explore ~domains:d (Conc.init e) in
+      let what =
+        Printf.sprintf "%d-thread %s, %d domains" k
+          (if cas then "CAS" else "racy")
+          d
+      in
+      Alcotest.(check int) (what ^ ": states") states r.Conc.states;
+      Alcotest.(check (list int)) (what ^ ": finals") finals (final_ints r);
+      Alcotest.(check bool) (what ^ ": complete") true
+        (r.Conc.exhausted = None && r.Conc.stuck = []))
+    [ 1; 2; 4 ]
+
+let test_shard_buckets_spread () =
+  (* The shard index and the bucket index must come from different bits
+     of the key hash.  Taken from the same low bits, every key of a shard
+     falls into one bucket of its 64 (about 29 keys per shard here);
+     spread, no chain should pass 8. *)
+  let visited, interned =
+    Conc.Par_explore.shard_stats ~domains:1
+      (Conc.init (counter_program ~cas:true 2))
+  in
+  let longest =
+    List.fold_left (fun acc s -> max acc s.Hashtbl.max_bucket_length) 0
+  in
+  Alcotest.(check int) "every visited state in some shard" 1841
+    (List.fold_left (fun acc s -> acc + s.Hashtbl.num_bindings) 0 visited);
+  Alcotest.(check bool)
+    (Printf.sprintf "visited chains short (longest %d)" (longest visited))
+    true
+    (longest visited <= 8);
+  Alcotest.(check bool)
+    (Printf.sprintf "intern chains short (longest %d)" (longest interned))
+    true
+    (longest interned <= 8)
+
 let suite =
   [
     Alcotest.test_case "racy counter loses updates" `Quick test_racy_counter;
@@ -395,4 +555,17 @@ let suite =
       test_par_worker_stats;
     Alcotest.test_case "race oracle is domain-count independent" `Quick
       test_par_races_oracle_agrees;
+    interned_key_prop;
+    Alcotest.test_case "interned keys: fork-heavy program" `Quick
+      test_interned_keys_fork_heavy;
+    Alcotest.test_case "drivers counter: 2-thread CAS" `Quick
+      (test_counter_pinned ~cas:true 2 ~states:1841 ~finals:[ 2 ]);
+    Alcotest.test_case "drivers counter: 2-thread racy" `Quick
+      (test_counter_pinned ~cas:false 2 ~states:1909 ~finals:[ 1; 2 ]);
+    Alcotest.test_case "drivers counter: 3-thread CAS" `Slow
+      (test_counter_pinned ~cas:true 3 ~states:46_367 ~finals:[ 3 ]);
+    Alcotest.test_case "drivers counter: 3-thread racy" `Slow
+      (test_counter_pinned ~cas:false 3 ~states:55_791 ~finals:[ 1; 2; 3 ]);
+    Alcotest.test_case "parallel explore: shard and bucket bits differ" `Quick
+      test_shard_buckets_spread;
   ]

@@ -25,9 +25,6 @@
 
 let schema = "tfiris-run/2"
 
-(* /1 records (no [mem] block) still load; the reader accepts both. *)
-let schema_v1 = "tfiris-run/1"
-
 type record = {
   key : string;  (** content address, see {!content_key} *)
   cmd : string;  (** CLI subcommand: run, check-term, refine, … *)
@@ -46,8 +43,7 @@ type record = {
           version ⇒ same verdict), so [report --diff] never sees a
           flip from cache replay — only wall time changes *)
   mem : Telemetry.mem option;
-      (** GC/allocation delta over the run ({!Telemetry.measure});
-          absent in [tfiris-run/1] records *)
+      (** GC/allocation delta over the run ({!Telemetry.measure}) *)
   detail : string option;  (** free-form, e.g. the final value *)
   budget : Json.t option;  (** the budget the run was given *)
   seed : int option;
@@ -119,7 +115,7 @@ let of_json (j : Json.t) : (record, string) result =
   in
   let opt name conv = Option.bind (Json.member name j) conv in
   let* s = req "schema" Json.to_str in
-  if s <> schema && s <> schema_v1 then
+  if s <> schema then
     Error (Printf.sprintf "unknown ledger schema %S" s)
   else
     let* key = req "key" Json.to_str in

@@ -1,7 +1,7 @@
 (** See budget.mli.  The meter keeps "remaining" counters (with
     [max_int] for unbounded resources) so the per-charge cost is a
     decrement and a comparison — cheap enough for the interpreter's
-    per-step hot path (bench E17 holds this under 5%). *)
+    per-step hot path. *)
 
 module Metrics = Tfiris_obs.Metrics
 module Json = Tfiris_obs.Json

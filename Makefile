@@ -1,5 +1,5 @@
 # Convenience wrappers around dune; `make verify` is the one-shot
-# pre-push check (build + tests + CLI smoke + quick bench + its gates).
+# pre-push check (build + tests + CLI smoke + bench + its gates).
 
 .PHONY: all build test test-domains bench baseline chaos ledger \
   ledger-baseline analyze-baseline corpus verify clean
@@ -22,10 +22,10 @@ test-domains:
 bench:
 	dune exec bench/main.exe
 
-# Refresh the committed quick-mode baseline (run on an idle machine).
+# Refresh the committed bench baseline (run on an idle machine).
 baseline:
-	dune exec bench/main.exe -- --quick --out=BENCH_obs.json \
-	  --save-baseline=BENCH_history/baseline-quick.json
+	dune exec bench/main.exe -- --out=BENCH_obs.json \
+	  --save-baseline=BENCH_history/baseline-bench.json
 
 # Seeded fault-injection sweep; deterministic, so any failure is
 # reproducible from the seed printed in the report.
@@ -112,11 +112,10 @@ corpus: build
 	replay analyze examples/shl/memo_fib.shl --format=json-stable
 	rm -rf $(REPLAY_CACHE) .replay.cold .replay.warm
 
-# The quick bench gates work counters exactly (they are deterministic).
+# The bench gates work counters exactly (they are deterministic).
 # The perf and memory gates compare against a baseline usually
-# recorded on a different machine, so both thresholds are deliberately
-# loose (4x); use `bench --compare` against a locally saved baseline
-# (thresholds 1.3x / 1.5x) for same-machine comparisons.  `dune
+# recorded on a different machine, so both thresholds are fixed and
+# deliberately loose (4x).  `dune
 # runtest` (via `test`) includes the 4-domain metrics stress tests and
 # the concurrent-ledger-append test, so a green verify also certifies
 # the domain-safe telemetry core.
@@ -132,9 +131,8 @@ verify: build test
 	  run examples/shl/memo_fib.shl
 	dune exec bin/tfiris_cli.exe -- chaos --seeds=10 --out=CHAOS_report.json
 	$(MAKE) corpus
-	dune exec bench/main.exe -- --quick --out=BENCH_obs.json \
-	  --compare=BENCH_history/baseline-quick.json --threshold=4 \
-	  --mem-threshold=4
+	dune exec bench/main.exe -- --out=BENCH_obs.json \
+	  --compare=BENCH_history/baseline-bench.json
 	@echo "verify: OK"
 
 clean:

@@ -21,10 +21,6 @@ let section title =
 
 let row fmt = Printf.printf fmt
 
-(* --quick trims the heavy experiment instances, for use as a CI smoke
-   test (see `make verify`). *)
-let quick = ref false
-
 (* ------------------------------------------------------------------ *)
 (* E1 — §2.7: the existential dilemma formula in both models           *)
 (* ------------------------------------------------------------------ *)
@@ -171,7 +167,7 @@ let e4 () =
   section "E4  §4.3: memo_rec Fib — termination-preserving refinement";
   List.iter
     (fun n -> show_certificate (Ref.Memo_spec.fib_instance n))
-    (if !quick then [ 5; 10 ] else [ 5; 10; 15 ]);
+    [ 5; 10; 15 ];
   row "  step counts (plain vs memoized fib):\n";
   List.iter
     (fun n ->
@@ -183,7 +179,7 @@ let e4 () =
       row "    n = %2d: rec %8d steps | memo %6d steps\n" n
         (steps (Shl.Prog.rec_of Shl.Prog.fib_template))
         (steps (Shl.Prog.memo_of Shl.Prog.fib_template)))
-    (if !quick then [ 5; 10 ] else [ 5; 10; 15; 20 ]);
+    [ 5; 10; 15; 20 ];
   row "  unbounded stuttering (lookup cost after filling the table):\n";
   List.iter
     (fun n ->
@@ -192,14 +188,12 @@ let e4 () =
         row "    table to fib %2d: lookup of '1' takes %4d target-only steps\n"
           n c
       | None -> row "    table to fib %2d: (fuel)\n" n)
-    (if !quick then [ 4; 8 ] else [ 4; 8; 12; 16; 20 ]);
-  (* the §1 mutation; the full fuel bound makes the divergence verdict
-     sharp, --quick settles for less *)
+    [ 4; 8; 12; 16; 20 ];
+  (* the §1 mutation; the pre-run stops at the first repeated
+     configuration, so the large fuel bound costs nothing *)
   row "  broken template (t g x ↦ g x): %s\n"
     (match
-       Ref.Memo_spec.certify
-         ~fuel:(if !quick then 5_000 else 200_000)
-         (Ref.Memo_spec.broken_instance 3)
+       Ref.Memo_spec.certify ~fuel:200_000 (Ref.Memo_spec.broken_instance 3)
      with
     | None -> "no certificate exists (memoized version diverges)"
     | Some v -> Format.asprintf "%a" Ref.Driver.pp_verdict v)
@@ -207,14 +201,11 @@ let e4 () =
 let e5 () =
   section "E5  §4.3: nested memoized Levenshtein";
   List.iter show_certificate
-    (if !quick then
-       [ Ref.Memo_spec.slen_instance "hello"; Ref.Memo_spec.lev_instance "cat" "hat" ]
-     else
-       [
-         Ref.Memo_spec.slen_instance "hello";
-         Ref.Memo_spec.lev_instance "cat" "hat";
-         Ref.Memo_spec.lev_instance "kitten" "sitting";
-       ])
+    [
+      Ref.Memo_spec.slen_instance "hello";
+      Ref.Memo_spec.lev_instance "cat" "hat";
+      Ref.Memo_spec.lev_instance "kitten" "sitting";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E6 — §5.1: time credits                                              *)
@@ -496,16 +487,16 @@ let read_file path =
   close_in ic;
   s
 
-(* The shipped example corpus as (file, source) pairs sorted by file
-   name; empty when the harness runs outside the repository root. *)
+(* The shipped example corpus, relative to the repository root; the
+   entry point refuses to run without it. *)
+let examples_dir = "examples/shl"
+
+(* The corpus as (file, source) pairs sorted by file name. *)
 let examples () =
-  let dir = "examples/shl" in
-  if Sys.file_exists dir && Sys.is_directory dir then
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".shl")
-    |> List.sort compare
-    |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
-  else []
+  Sys.readdir examples_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".shl")
+  |> List.sort compare
+  |> List.map (fun f -> (f, read_file (Filename.concat examples_dir f)))
 
 (* [f ()] and its wall time in ms *)
 let time f =
@@ -518,15 +509,12 @@ let e15 () =
   section "E15  static analysis: all passes over the examples";
   let module An = Tfiris.Analysis in
   let corpus =
-    match examples () with
-    | [] -> [ ("mlev (fallback)", Shl.Prog.mlev) ]
-    | files ->
-      (* largest example last, so its per-pass split prints at the
-         bottom of the section *)
-      List.stable_sort
-        (fun (_, a) (_, b) -> compare (String.length a) (String.length b))
-        files
-      |> List.map (fun (f, src) -> (f, Shl.Parser.parse_exn src))
+    (* largest example last, so its per-pass split prints at the bottom
+       of the section *)
+    List.stable_sort
+      (fun (_, a) (_, b) -> compare (String.length a) (String.length b))
+      (examples ())
+    |> List.map (fun (f, src) -> (f, Shl.Parser.parse_exn src))
   in
   List.iter
     (fun (name, e) ->
@@ -566,9 +554,7 @@ let e18 () =
   section "E18  symbolic heaps: concrete checker and bi-abduced summaries";
   let module An = Tfiris.Analysis in
   let corpus =
-    match examples () with
-    | [] -> [ ("slen (fallback)", Shl.Prog.rec_of Shl.Prog.slen_template) ]
-    | files -> List.map (fun (f, src) -> (f, Shl.Parser.parse_exn src)) files
+    List.map (fun (f, src) -> (f, Shl.Parser.parse_exn src)) (examples ())
   in
   let counter snap name =
     Option.value ~default:0 (Obs.Metrics.counter_value snap name)
@@ -605,8 +591,8 @@ let e18 () =
    the classic concurrent programs and the dynamic race oracle, at
    1/2/4 domains.  What is measured and what is enforced:
 
-   - wall time per domain count (the scaling curve, written as a JSON
-     table to E20_scaling.json next to BENCH_obs.json for CI upload);
+   - wall time per domain count, best of 3 replays (the scaling curve,
+     printed as the experiment's table);
    - the reachable-set signature (state count, sorted finals, race
      set) at every domain count, which MUST equal the sequential one —
      a mismatch is a soundness bug and fails the harness, not a slow
@@ -622,11 +608,10 @@ let e20 () =
   let module Conc = Shl.Conc in
   let module An = Tfiris.Analysis in
   let domain_counts = [ 1; 2; 4 ] in
-  let reps = if !quick then 1 else 3 in
   let best f =
     let x, t0 = time f in
     let b = ref t0 in
-    for _ = 2 to reps do
+    for _ = 2 to 3 do
       let _, t = time f in
       if t < !b then b := t
     done;
@@ -671,7 +656,6 @@ let e20 () =
         None );
     ]
   in
-  let table = ref [] in
   let speedups_at_4 = ref [] in
   List.iter
     (fun (name, run, states) ->
@@ -698,36 +682,11 @@ let e20 () =
                  name d sg !seq_sig);
           let speedup = if t > 0. then !seq_t /. t else 1. in
           if d = 4 then speedups_at_4 := speedup :: !speedups_at_4;
-          table :=
-            Obs.Json.Obj
-              [
-                ("workload", Obs.Json.Str name);
-                ("domains", Obs.Json.Int d);
-                ("wall_ms", Obs.Json.Float t);
-                ("size", Obs.Json.Int size);
-                ("speedup", Obs.Json.Float speedup);
-              ]
-            :: !table;
           row "  %-28s %d domains %9.3f ms  %5.2fx  (%s)\n" name d t speedup
             sg)
         domain_counts)
     workloads;
   let recommended = Domain.recommended_domain_count () in
-  let doc =
-    Obs.Json.Obj
-      [
-        ("schema", Obs.Json.Str "tfiris-e20/1");
-        ("recommended_domains", Obs.Json.Int recommended);
-        ("quick", Obs.Json.Bool !quick);
-        ("rows", Obs.Json.List (List.rev !table));
-      ]
-  in
-  let oc = open_out "E20_scaling.json" in
-  output_string oc (Obs.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  row "  wrote E20_scaling.json (%d rows, %d recommended domains)\n"
-    (List.length !table) recommended;
   if recommended >= 4 then begin
     let good = List.length (List.filter (fun s -> s >= 1.7) !speedups_at_4) in
     if good < 2 then
@@ -743,14 +702,17 @@ let e20 () =
       (if recommended = 1 then "" else "s")
 
 (* ------------------------------------------------------------------ *)
-(* Driver v2: run every experiment under the metrics registry for      *)
-(* several trials, capture per-experiment counter deltas and robust    *)
-(* wall-time statistics (min/median/p95 with outlier rejection) and a  *)
-(* GC/allocation delta, drop the record as BENCH_obs.json (schema      *)
-(* tfiris-bench-obs/4, see EXPERIMENTS.md), and optionally gate        *)
-(* against a saved baseline — exactly on work counters, on median      *)
-(* time and, with --mem-threshold, on allocated words.                 *)
+(* The driver: run every experiment under the metrics registry for     *)
+(* three trials, capture per-experiment counter deltas, the median     *)
+(* wall time and a GC/allocation delta, drop the record as             *)
+(* BENCH_obs.json (schema tfiris-bench-obs/5, see EXPERIMENTS.md), and *)
+(* optionally gate against a saved baseline — exactly on work          *)
+(* counters, loosely on median time and on allocated words.            *)
 (* ------------------------------------------------------------------ *)
+
+(* Every experiment runs this many times; one slow trial (a GC pause, a
+   preempted run) does not move the median of three. *)
+let trials = 3
 
 type obs_record = {
   rec_name : string;
@@ -764,45 +726,8 @@ type obs_record = {
           accounting and counters describe the same run *)
 }
 
-(* ---------- robust trial statistics ---------- *)
-
-type trial_stats = {
-  ts_min : float;
-  ts_median : float;
-  ts_p95 : float;
-  ts_dropped : int;  (** trials rejected as outliers *)
-}
-
-let median_of_sorted = function
-  | [] -> nan
-  | l ->
-    let n = List.length l in
-    if n mod 2 = 1 then List.nth l (n / 2)
-    else (List.nth l ((n / 2) - 1) +. List.nth l (n / 2)) /. 2.
-
-let percentile_of_sorted p = function
-  | [] -> nan
-  | l ->
-    let n = List.length l in
-    let idx = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
-    List.nth l (Stdlib.max 0 (Stdlib.min (n - 1) idx))
-
-(* Outlier rejection: a trial further than 2.5x the raw median is a
-   machine hiccup (GC pause, scheduler preemption), not the workload;
-   the reported statistics come from the surviving trials. *)
-let stats_of_trials (ns : float list) : trial_stats =
-  let sorted = List.sort Float.compare ns in
-  let m = median_of_sorted sorted in
-  let kept = List.filter (fun v -> v <= 2.5 *. m) sorted in
-  {
-    ts_min = (match kept with [] -> nan | x :: _ -> x);
-    ts_median = median_of_sorted kept;
-    ts_p95 = percentile_of_sorted 95. kept;
-    ts_dropped = List.length sorted - List.length kept;
-  }
-
-let record_stats r =
-  stats_of_trials (List.map Int64.to_float r.rec_trials_ns)
+let median_ns r =
+  Int64.to_float (List.nth (List.sort compare r.rec_trials_ns) (trials / 2))
 
 (* ---------- running the experiments ---------- *)
 
@@ -842,7 +767,7 @@ let alloc_words (words : int) =
    deltas come from the first trial (the registry is reset before each
    run, so they are per-run, not accumulated); the later trials measure
    wall time only, with stdout silenced. *)
-let observe ~trials name (f : unit -> unit) : obs_record =
+let observe name (f : unit -> unit) : obs_record =
   let run_once () =
     Obs.Metrics.reset ();
     Obs.Metrics.set_enabled true;
@@ -876,9 +801,7 @@ let observe ~trials name (f : unit -> unit) : obs_record =
         | _ -> None)
       snap
   in
-  let rest =
-    List.init (Stdlib.max 0 (trials - 1)) (fun _ -> with_quiet run_once)
-  in
+  let rest = List.init (trials - 1) (fun _ -> with_quiet run_once) in
   {
     rec_name = name;
     rec_trials_ns = w1 :: rest;
@@ -887,21 +810,17 @@ let observe ~trials name (f : unit -> unit) : obs_record =
     rec_mem = mem;
   }
 
-(* ---------- the JSON record (schema tfiris-bench-obs/4) ---------- *)
+(* ---------- the JSON record (schema tfiris-bench-obs/5) ---------- *)
 
-let schema = "tfiris-bench-obs/4"
+let schema = "tfiris-bench-obs/5"
 
 let json_of_record r =
-  let s = record_stats r in
   Obs.Json.(
     Obj
       ([
          ("name", Str r.rec_name);
          ("trials_ns", List (List.map (fun w -> Int (Int64.to_int w)) r.rec_trials_ns));
-         ("min_ns", Float s.ts_min);
-         ("median_ns", Float s.ts_median);
-         ("p95_ns", Float s.ts_p95);
-         ("outliers_dropped", Int s.ts_dropped);
+         ("median_ns", Float (median_ns r));
          ("counters", Obj (List.map (fun (n, c) -> (n, Int c)) r.rec_counters));
          ("mem", Obs.Telemetry.to_json r.rec_mem);
        ]
@@ -913,25 +832,36 @@ let json_of_record r =
             Obj (List.map (fun (n, s) -> (n, Float s)) r.rec_hist_sums) );
         ]))
 
-let obs_doc ~trials records =
+let obs_doc records =
   Obs.Json.(
     Obj
       [
         ("schema", Str schema);
         ("engine", Str "shl.machine");
         ("version", Str Tfiris.version);
-        ("quick", Bool !quick);
         ("trials", Int trials);
         ("experiments", List (List.map json_of_record records));
       ])
 
-let write_json path doc =
-  let dir = Filename.dirname path in
-  if dir <> "." && not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let oc = open_out path in
+(* [oc] comes from [open_output], which does not truncate *)
+let write_json oc doc =
+  Unix.ftruncate (Unix.descr_of_out_channel oc) 0;
   output_string oc (Obs.Json.to_string doc);
   output_char oc '\n';
   close_out oc
+
+(* ---------- bad input: refused before any experiment runs ---------- *)
+
+let refuse path reason =
+  Printf.eprintf "bench: %s: %s\n" path reason;
+  exit 2
+
+(* [Sys_error] messages repeat the path; keep only the reason *)
+let sys_reason path m =
+  let prefix = path ^ ": " in
+  if String.starts_with ~prefix m then
+    String.sub m (String.length prefix) (String.length m - String.length prefix)
+  else m
 
 (* ---------- the baseline ---------- *)
 
@@ -949,7 +879,7 @@ let load_baseline path : (baseline list, string) result =
   let ( let* ) = Result.bind in
   let* src =
     if not (Sys.file_exists path) then Error "no such file"
-    else try Ok (read_file path) with Sys_error m -> Error m
+    else try Ok (read_file path) with Sys_error m -> Error (sys_reason path m)
   in
   let* doc =
     Result.map_error (fun m -> "not JSON: " ^ m) (Obs.Json.of_string src)
@@ -963,16 +893,6 @@ let load_baseline path : (baseline list, string) result =
   let* exps =
     Option.to_result ~none:"no experiments list"
       (Option.bind (Obs.Json.member "experiments" doc) Obs.Json.to_list)
-  in
-  (* quick and full runs measure different instances, so their
-     counters never match *)
-  let mode q = if q then "quick" else "full" in
-  let* () =
-    match Option.bind (Obs.Json.member "quick" doc) Obs.Json.to_bool with
-    | Some q when q = !quick -> Ok ()
-    | Some q ->
-      Error (Printf.sprintf "%s baseline, %s run" (mode q) (mode !quick))
-    | None -> Error "no quick flag"
   in
   let entry i e =
     let field name conv =
@@ -1049,28 +969,30 @@ let compare_counters baseline records : string list =
         diffs)
     records
 
-(* Noise policy: a slowdown is a regression only when it is both
-   relative (median > threshold x baseline median) and absolute
+(* The time gate.  The committed baseline is usually recorded on a
+   different machine, so a slowdown is a regression only when it is both
+   relative (median > [time_threshold] x baseline median) and absolute
    (at least [min_delta_ms] slower) — sub-20ms experiments jitter by
    factors on a loaded machine without meaning anything. *)
+let time_threshold = 4.
 let min_delta_ms = 20.
 
 (* Compare current records against a baseline; returns the regressed
    experiment names. *)
-let compare_against ~threshold baseline records : string list =
+let compare_against baseline records : string list =
   section
-    (Printf.sprintf "Regression gate (median > %.2fx baseline and +%.0fms)"
-       threshold min_delta_ms);
+    (Printf.sprintf "Regression gate (median > %.0fx baseline and +%.0fms)"
+       time_threshold min_delta_ms);
   let regressions = ref [] in
   List.iter
     (fun r ->
-      let cur = (record_stats r).ts_median in
+      let cur = median_ns r in
       match find_baseline baseline r.rec_name with
       | None -> row "  %-6s %10.1fms  (no baseline entry; skipped)\n" r.rec_name (cur /. 1e6)
       | Some { b_median_ns = base; _ } ->
         let ratio = if base > 0. then cur /. base else infinity in
         let slow =
-          cur > threshold *. base && cur -. base > min_delta_ms *. 1e6
+          cur > time_threshold *. base && cur -. base > min_delta_ms *. 1e6
         in
         if slow then regressions := r.rec_name :: !regressions;
         row "  %-6s %10.1fms vs %10.1fms  (%5.2fx)  %s\n" r.rec_name
@@ -1085,17 +1007,17 @@ let compare_against ~threshold baseline records : string list =
   List.rev !regressions
 
 (* The memory gate: allocated words vs the baseline, through the shared
-   {!Obs.Telemetry.regressions} comparator.  Advisory without
-   [--mem-threshold]; failing with it.  100k words (~0.8 MB) is the
-   absolute noise floor — allocation is deterministic, but the metrics
-   registry itself allocates a little. *)
+   {!Obs.Telemetry.regressions} comparator, with the same loose ratio as
+   the time gate.  100k words (~0.8 MB) is the absolute noise floor —
+   allocation is deterministic, but the metrics registry itself
+   allocates a little. *)
+let mem_threshold = 4.
 let mem_min_delta_w = 100_000
 
-let compare_mem ~threshold ~gated baseline records : string list =
+let compare_mem baseline records : string list =
   section
-    (Printf.sprintf "Memory gate (allocated > %.2fx baseline and +%dk words)%s"
-       threshold (mem_min_delta_w / 1000)
-       (if gated then "" else " [advisory]"));
+    (Printf.sprintf "Memory gate (allocated > %.0fx baseline and +%dk words)"
+       mem_threshold (mem_min_delta_w / 1000));
   let baseline_mem = List.map (fun b -> (b.b_name, b.b_words)) baseline in
   let current =
     List.map
@@ -1103,8 +1025,8 @@ let compare_mem ~threshold ~gated baseline records : string list =
       records
   in
   let regs =
-    Obs.Telemetry.regressions ~threshold ~min_delta_w:mem_min_delta_w
-      ~baseline:baseline_mem current
+    Obs.Telemetry.regressions ~threshold:mem_threshold
+      ~min_delta_w:mem_min_delta_w ~baseline:baseline_mem current
   in
   List.iter
     (fun (name, cur) ->
@@ -1124,15 +1046,11 @@ let compare_mem ~threshold ~gated baseline records : string list =
 
 let () =
   let out = ref "BENCH_obs.json" in
-  let trials_opt = ref None in
   let compare_path = ref None in
   let save_baseline = ref None in
-  let threshold = ref 1.3 in
-  let mem_threshold = ref None in
   let usage () =
     Printf.eprintf
-      "usage: %s [--quick] [--out=FILE] [--trials=N] [--compare=BASE.json] \
-       [--save-baseline=FILE] [--threshold=X] [--mem-threshold=X] \
+      "usage: %s [--out=FILE] [--compare=BASE.json] [--save-baseline=FILE] \
        [--mem-handicap=EXP:WORDS]\n"
       Sys.argv.(0);
     exit 2
@@ -1146,23 +1064,8 @@ let () =
   let handlers =
     [
       ("--out=", fun v -> out := v);
-      ( "--trials=",
-        fun v ->
-          match int_of_string_opt v with
-          | Some n when n >= 1 -> trials_opt := Some n
-          | _ -> usage () );
       ("--compare=", fun v -> compare_path := Some v);
       ("--save-baseline=", fun v -> save_baseline := Some v);
-      ( "--threshold=",
-        fun v ->
-          match float_of_string_opt v with
-          | Some x when x > 0. -> threshold := x
-          | _ -> usage () );
-      ( "--mem-threshold=",
-        fun v ->
-          match float_of_string_opt v with
-          | Some x when x > 0. -> mem_threshold := Some x
-          | _ -> usage () );
       ( "--mem-handicap=",
         fun v ->
           match String.index_opt v ':' with
@@ -1178,33 +1081,36 @@ let () =
   Array.iteri
     (fun i arg ->
       if i > 0 then
-        if arg = "--quick" then quick := true
-        else
-          match
-            List.find_map
-              (fun (prefix, handle) ->
-                Option.map handle (opt_val arg prefix))
-              handlers
-          with
-          | Some () -> ()
-          | None -> usage ())
+        match
+          List.find_map
+            (fun (prefix, handle) -> Option.map handle (opt_val arg prefix))
+            handlers
+        with
+        | Some () -> ()
+        | None -> usage ())
     Sys.argv;
+  (* every input is checked before the first experiment: E15 and E18
+     read the example corpus, and a run that cannot be compared or
+     written is not worth running *)
+  if not (Sys.file_exists examples_dir && Sys.is_directory examples_dir) then
+    refuse examples_dir "not found (run from the repository root)";
   let baseline =
     Option.map
       (fun path ->
         match load_baseline path with
         | Ok b -> b
-        | Error reason ->
-          Printf.eprintf "bench: %s: %s\n" path reason;
-          exit 2)
+        | Error reason -> refuse path reason)
       !compare_path
   in
-  (* One full trial costs about as much as three quick ones (~0.4 s vs
-     ~0.1 s), so multi-trial statistics default on only for --quick;
-     --trials=N overrides either way. *)
-  let trials =
-    match !trials_opt with Some n -> n | None -> if !quick then 3 else 1
+  (* opened after the baseline is read, so a run may overwrite the
+     baseline it compares against, and without truncating, so a refused
+     run leaves an existing file as it was *)
+  let open_output path =
+    try open_out_gen [ Open_wronly; Open_creat ] 0o644 path
+    with Sys_error m -> refuse path (sys_reason path m)
   in
+  let out_oc = open_output !out in
+  let save_oc = Option.map (fun p -> (p, open_output p)) !save_baseline in
   row "Transfinite Iris, executable — experiment harness (see EXPERIMENTS.md)\n";
   let experiments =
     [
@@ -1214,40 +1120,30 @@ let () =
       ("e15", e15); ("e18", e18); ("e20", e20);
     ]
   in
-  let records = List.map (fun (name, f) -> observe ~trials name f) experiments in
-  let doc = obs_doc ~trials records in
-  write_json !out doc;
+  let records = List.map (fun (name, f) -> observe name f) experiments in
+  let doc = obs_doc records in
+  write_json out_oc doc;
   row "\nWrote %s (%d experiments x %d trials).\n" !out (List.length records)
     trials;
-  (match !save_baseline with
-  | None -> ()
-  | Some path ->
-    write_json path doc;
-    row "Saved baseline %s.\n" path);
+  Option.iter
+    (fun (path, oc) ->
+      write_json oc doc;
+      row "Saved baseline %s.\n" path)
+    save_oc;
   let failures =
     match baseline with
     | None -> []
     | Some baseline ->
       let counter_diffs = compare_counters baseline records in
-      let time_regs =
-        compare_against ~threshold:!threshold baseline records
-      in
-      (* the mem comparison always prints; it only *fails* when
-         --mem-threshold armed the gate *)
-      let gated = Option.is_some !mem_threshold in
-      let mem_regs =
-        compare_mem
-          ~threshold:(Option.value ~default:1.5 !mem_threshold)
-          ~gated baseline records
-      in
+      let time_regs = compare_against baseline records in
+      let mem_regs = compare_mem baseline records in
       List.map (fun d -> "work counter changed: " ^ d) counter_diffs
       @ (if time_regs = [] then []
          else
            [ "performance regression in: " ^ String.concat ", " time_regs ])
       @
-      if gated && mem_regs <> [] then
-        [ "allocation regression in: " ^ String.concat ", " mem_regs ]
-      else []
+      if mem_regs = [] then []
+      else [ "allocation regression in: " ^ String.concat ", " mem_regs ]
   in
   row "\nAll experiments executed.\n";
   if failures <> [] then begin

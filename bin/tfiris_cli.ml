@@ -342,52 +342,15 @@ let with_explain explain f =
 
 (* ---- run ---- *)
 
-(* The same outcome/stats as Interp.exec, but looping over the reference
-   stepper's whole-program decompose/fill — kept for comparison against
-   the frame-stack machine the library runs on (--engine). *)
-let reference_exec ~budget e : Shl.Interp.outcome * Shl.Interp.stats =
-  let module Budget = Robust.Budget in
-  let m = Budget.meter budget in
-  let rec go cfg (pure, heap_s) =
-    match Shl.Step.prim_step cfg with
-    | Error Shl.Step.Finished -> (
-      match cfg.Shl.Step.expr with
-      | Shl.Ast.Val v -> (Shl.Interp.Value (v, cfg.Shl.Step.heap), (pure, heap_s))
-      | _ -> assert false)
-    | Error (Shl.Step.Stuck redex) ->
-      (Shl.Interp.Stuck (cfg, redex), (pure, heap_s))
-    | Ok (cfg', kind) ->
-      if not (Budget.step m) then
-        (Shl.Interp.Out_of_fuel (Budget.tripped m, cfg), (pure, heap_s))
-      else
-        go cfg'
-          (if Shl.Step.kind_is_pure kind then (pure + 1, heap_s)
-           else (pure, heap_s + 1))
-  in
-  let outcome, (pure, heap_s) = go (Shl.Step.config e) (0, 0) in
-  ( outcome,
-    {
-      Shl.Interp.steps = pure + heap_s;
-      pure_steps = pure;
-      heap_steps = heap_s;
-    } )
-
 let engine_arg =
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("machine", `Machine); ("reference", `Reference);
-             ("lockstep", `Lockstep);
-           ])
-        `Machine
+    & opt (enum [ ("machine", `Machine); ("lockstep", `Lockstep) ]) `Machine
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Execution engine: the frame-stack $(b,machine) (default), the \
-           $(b,reference) decompose/fill stepper, or $(b,lockstep) — run \
-           both side by side and report any observational disagreement \
-           (exit 2).")
+          "Execution engine: the frame-stack $(b,machine) (default), or \
+           $(b,lockstep) — run it beside the reference decompose/fill \
+           stepper and report any observational disagreement (exit 2).")
 
 (** A run outcome (see {!Job.exec_outcome}): the value on stdout, the
     stuck redex or the spent budget on stderr; [stats] is the fresh
@@ -501,19 +464,15 @@ let run_cmd =
             consumed = [];
           };
         emit (Format.asprintf "%a@." Shl.Machine.pp_lockstep lo, "", code)
-      | (`Machine | `Reference) as which ->
-        let engine, exec =
-          match which with
-          | `Machine -> ("shl.machine", fun e -> Shl.Interp.exec ~budget:bound e)
-          | `Reference -> ("shl.reference", reference_exec ~budget:bound)
-        in
+      | `Machine ->
+        let engine = "shl.machine" in
         (* --stats prints the pure/heap step split, which a certificate
            does not hold *)
         let o, fresh =
           Job.run ?cache ?ledger ?budget ~adapt:has_detail ~cmd:"run"
             ~engines:[ engine ] ~label ~program ~spec:"" ~replay:(not stats)
             (fun () ->
-              let r = exec e in
+              let r = Shl.Interp.exec ~budget:bound e in
               (Job.exec_outcome ~engine r, snd r))
         in
         emit (render_run ?stats:(if stats then fresh else None) o))

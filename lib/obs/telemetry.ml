@@ -13,10 +13,10 @@
       allocated (minor + major − promoted, the standard convention),
       collection counts, compactions, and the top-heap high-water mark;
     - {!to_json}/{!of_json} fix the wire form of the [mem] block used
-      by [tfiris-run/2] ledger records and [tfiris-bench-obs/4] bench
+      by [tfiris-run/2] ledger records and [tfiris-bench-obs/5] bench
       rows (field order is part of the golden-tested byte format);
     - {!regressions} is the shared memory-gate comparator behind
-      [bench --compare --mem-threshold] and [tfiris report --diff].
+      [bench --compare] and [tfiris report --diff].
 
     Span-level sampling (GC attrs on every [Trace.with_span] close) is
     gated by {!set_spans} because even a cheap sample per span is not

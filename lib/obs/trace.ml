@@ -71,9 +71,9 @@ let enabled = Atomic.make false
 
 let on () = Atomic.get enabled
 
-(* The clock is pluggable so a harness with a real monotonic clock
-   (e.g. Bechamel's) can substitute it — and so the golden tests can
-   pin timestamps; the default is gettimeofday scaled to ns, which is
+(* The clock is pluggable so a harness with a real monotonic clock can
+   substitute it — and so the golden tests can pin timestamps; the
+   default is gettimeofday scaled to ns, which is
    monotonic enough for tracing purposes and avoids a C-stub
    dependency. *)
 let default_clock () = Int64.of_float (Unix.gettimeofday () *. 1e9)

@@ -449,10 +449,9 @@ let test_metrics () =
 (* ---------- end to end through the binary ---------- *)
 
 let test_cli_analyze () =
-  let exe = "../bin/tfiris_cli.exe" in
-  if not (Sys.file_exists exe) then Alcotest.skip ();
+  if not (Sys.file_exists Support.cli_exe) then Alcotest.skip ();
   let run args =
-    Sys.command (Printf.sprintf "%s analyze %s > /dev/null" exe args)
+    Sys.command (Printf.sprintf "%s analyze %s > /dev/null" Support.cli_exe args)
   in
   Alcotest.(check int) "clean expression exits 0" 0
     (run "-e 'let x = 1 in x + 1'");

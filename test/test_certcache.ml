@@ -4,15 +4,10 @@
    never a crash), gc/stats, and the CLI replay path end to end. *)
 
 open Tfiris
+open Support
 module Json = Obs.Json
 module Ledger = Obs.Ledger
 module Cc = Obs.Certcache
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let write_file path s =
   let oc = open_out_bin path in
@@ -306,8 +301,6 @@ let test_gc () =
 
 (* ---------- end to end through the binary ---------- *)
 
-let exe = "../bin/tfiris_cli.exe"
-let sh fmt = Printf.ksprintf (fun cmd -> Sys.command cmd) fmt
 
 let with_tmpdir f =
   let dir = Filename.temp_file "tfiris_cc_e2e" "" in
@@ -326,17 +319,17 @@ let with_tmpdir f =
    stdout, a [cached] ledger marker, and the same content key (the
    marker is key-neutral). *)
 let test_cli_run_cache_replay () =
-  if not (Sys.file_exists exe) then Alcotest.skip ();
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   with_tmpdir (fun dir ->
       let cache = Filename.concat dir "cache" in
       let led = Filename.concat dir "LEDGER.jsonl" in
       let out1 = Filename.concat dir "out1" in
       let out2 = Filename.concat dir "out2" in
       Alcotest.(check int) "cold run" 0
-        (sh "%s run -e '1 + 2' --cache=%s --ledger=%s > %s" exe
+        (sh "%s run -e '1 + 2' --cache=%s --ledger=%s > %s" cli_exe
            (Filename.quote cache) (Filename.quote led) (Filename.quote out1));
       Alcotest.(check int) "warm run" 0
-        (sh "%s run -e '1 + 2' --cache=%s --ledger=%s > %s 2>/dev/null" exe
+        (sh "%s run -e '1 + 2' --cache=%s --ledger=%s > %s 2>/dev/null" cli_exe
            (Filename.quote cache) (Filename.quote led) (Filename.quote out2));
       Alcotest.(check string) "stdout byte-identical" (read_file out1)
         (read_file out2);
@@ -354,15 +347,15 @@ let test_cli_run_cache_replay () =
       | Ok rs -> Alcotest.failf "expected 2 records, got %d" (List.length rs))
 
 let test_cli_cache_stats_and_gc () =
-  if not (Sys.file_exists exe) then Alcotest.skip ();
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   with_tmpdir (fun dir ->
       let cache = Filename.concat dir "cache" in
       Alcotest.(check int) "seed the cache" 0
-        (sh "%s run -e '1 + 2' --cache=%s > /dev/null" exe
+        (sh "%s run -e '1 + 2' --cache=%s > /dev/null" cli_exe
            (Filename.quote cache));
       let stats_out = Filename.concat dir "stats" in
       Alcotest.(check int) "cache stats" 0
-        (sh "%s cache stats --cache=%s > %s" exe (Filename.quote cache)
+        (sh "%s cache stats --cache=%s > %s" cli_exe (Filename.quote cache)
            (Filename.quote stats_out));
       let rendered = read_file stats_out in
       Alcotest.(check bool) "stats mention one entry" true
@@ -375,7 +368,7 @@ let test_cli_cache_stats_and_gc () =
          has 0);
       (* gc with a zero cap empties the store *)
       Alcotest.(check int) "cache gc" 0
-        (sh "%s cache gc --max-entries=0 --cache=%s > /dev/null" exe
+        (sh "%s cache gc --max-entries=0 --cache=%s > /dev/null" cli_exe
            (Filename.quote cache));
       let t = Cc.open_ ~dir:cache in
       Alcotest.(check int) "gc emptied the cache" 0 (Cc.stats t).Cc.st_entries)
@@ -384,26 +377,26 @@ let test_cli_cache_stats_and_gc () =
    the store and reproduces every cold record's outcome; a corrupted
    entry re-verifies (miss), never lies. *)
 let test_cli_verify_corpus () =
-  if not (Sys.file_exists exe) then Alcotest.skip ();
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   with_tmpdir (fun dir ->
       let cache = Filename.concat dir "cache" in
       let cold = Filename.concat dir "cold.jsonl" in
       let warm = Filename.concat dir "warm.jsonl" in
       Alcotest.(check int) "cold corpus run" 0
         (sh "%s verify-corpus ../examples/shl --cache=%s --ledger=%s > /dev/null"
-           exe (Filename.quote cache) (Filename.quote cold));
+           cli_exe (Filename.quote cache) (Filename.quote cold));
       Alcotest.(check int) "warm corpus run gated at 100%% hits" 0
         (sh
            "%s verify-corpus ../examples/shl --cache=%s --ledger=%s \
             --min-hit-rate=100 > /dev/null"
-           exe (Filename.quote cache) (Filename.quote warm));
+           cli_exe (Filename.quote cache) (Filename.quote warm));
       (* an impossible gate on a cold cache must fail *)
       let empty = Filename.concat dir "empty-cache" in
       Alcotest.(check int) "cold cache cannot meet the gate" 1
         (sh
            "%s verify-corpus ../examples/shl --cache=%s --min-hit-rate=90 \
             > /dev/null 2>&1"
-           exe (Filename.quote empty));
+           cli_exe (Filename.quote empty));
       (* everything a record says about the outcome; only wall time,
          mem and the cached flag may differ between passes *)
       let outcomes path =
@@ -432,7 +425,7 @@ let test_cli_verify_corpus () =
       let third = Filename.concat dir "third.jsonl" in
       Alcotest.(check int) "corrupted entry re-verifies" 0
         (sh "%s verify-corpus ../examples/shl --cache=%s --ledger=%s > /dev/null"
-           exe (Filename.quote cache) (Filename.quote third));
+           cli_exe (Filename.quote cache) (Filename.quote third));
       Alcotest.(check bool) "re-verification flips nothing" true
         (outcomes cold = outcomes third))
 
@@ -442,7 +435,7 @@ let test_cli_verify_corpus () =
    still gate a warm --fail-on=warning run (exit 1) on a program whose
    only finding is a warning. *)
 let test_cli_analyze_fail_on_replay () =
-  if not (Sys.file_exists exe) then Alcotest.skip ();
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   with_tmpdir (fun dir ->
       let cache = Filename.concat dir "cache" in
       let out1 = Filename.concat dir "out1" in
@@ -453,12 +446,12 @@ let test_cli_analyze_fail_on_replay () =
         (sh
            "%s analyze -e 'let x = 1 in 2' --format=json-stable --cache=%s \
             > %s 2>/dev/null"
-           exe (Filename.quote cache) (Filename.quote out1));
+           cli_exe (Filename.quote cache) (Filename.quote out1));
       Alcotest.(check int) "warm run still fails under --fail-on=warning" 1
         (sh
            "%s analyze -e 'let x = 1 in 2' --format=json-stable --cache=%s \
             --fail-on=warning > %s 2> %s"
-           exe (Filename.quote cache) (Filename.quote out2)
+           cli_exe (Filename.quote cache) (Filename.quote out2)
            (Filename.quote err2));
       Alcotest.(check bool) "the strict run replayed from the cache" true
         (contains (read_file err2) "cache hit");
@@ -469,22 +462,22 @@ let test_cli_analyze_fail_on_replay () =
    for another format must compute fresh (byte-identical to an uncached
    run), never dump the stored json-stable form instead. *)
 let test_cli_analyze_format_mismatch_runs_fresh () =
-  if not (Sys.file_exists exe) then Alcotest.skip ();
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   with_tmpdir (fun dir ->
       let cache = Filename.concat dir "cache" in
       let fresh = Filename.concat dir "fresh" in
       let warm = Filename.concat dir "warm" in
       let warm_err = Filename.concat dir "warm_err" in
       Alcotest.(check int) "uncached text run" 0
-        (sh "%s analyze -e 'let x = 1 in 2' > %s 2>/dev/null" exe
+        (sh "%s analyze -e 'let x = 1 in 2' > %s 2>/dev/null" cli_exe
            (Filename.quote fresh));
       Alcotest.(check int) "seed the cache (json-stable)" 0
         (sh
            "%s analyze -e 'let x = 1 in 2' --format=json-stable --cache=%s \
             > /dev/null 2>&1"
-           exe (Filename.quote cache));
+           cli_exe (Filename.quote cache));
       Alcotest.(check int) "warm text run" 0
-        (sh "%s analyze -e 'let x = 1 in 2' --cache=%s > %s 2> %s" exe
+        (sh "%s analyze -e 'let x = 1 in 2' --cache=%s > %s 2> %s" cli_exe
            (Filename.quote cache) (Filename.quote warm)
            (Filename.quote warm_err));
       Alcotest.(check bool) "format mismatch does not replay" false
@@ -496,22 +489,22 @@ let test_cli_analyze_format_mismatch_runs_fresh () =
    warm --stats run computes fresh (identical stdout), while its stored
    cert still serves plain runs. *)
 let test_cli_run_stats_no_replay () =
-  if not (Sys.file_exists exe) then Alcotest.skip ();
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   with_tmpdir (fun dir ->
       let cache = Filename.concat dir "cache" in
       let out1 = Filename.concat dir "out1" in
       let out2 = Filename.concat dir "out2" in
       let err3 = Filename.concat dir "err3" in
       Alcotest.(check int) "cold --stats run" 0
-        (sh "%s run -e '1 + 2' --stats --cache=%s > %s 2>/dev/null" exe
+        (sh "%s run -e '1 + 2' --stats --cache=%s > %s 2>/dev/null" cli_exe
            (Filename.quote cache) (Filename.quote out1));
       Alcotest.(check int) "warm --stats run" 0
-        (sh "%s run -e '1 + 2' --stats --cache=%s > %s 2>/dev/null" exe
+        (sh "%s run -e '1 + 2' --stats --cache=%s > %s 2>/dev/null" cli_exe
            (Filename.quote cache) (Filename.quote out2));
       Alcotest.(check string) "--stats stdout byte-identical" (read_file out1)
         (read_file out2);
       Alcotest.(check int) "plain warm run" 0
-        (sh "%s run -e '1 + 2' --cache=%s > /dev/null 2> %s" exe
+        (sh "%s run -e '1 + 2' --cache=%s > /dev/null 2> %s" cli_exe
            (Filename.quote cache) (Filename.quote err3));
       Alcotest.(check bool) "plain run replays the stats-run cert" true
         (contains (read_file err3) "cache hit"))
@@ -524,7 +517,7 @@ let test_cli_run_stats_no_replay () =
 let run_cli dir args =
   let out = Filename.concat dir "out" and err = Filename.concat dir "err" in
   let code =
-    sh "%s %s > %s 2> %s" exe args (Filename.quote out) (Filename.quote err)
+    sh "%s %s > %s 2> %s" cli_exe args (Filename.quote out) (Filename.quote err)
   in
   (code, read_file out, read_file err)
 
@@ -549,7 +542,7 @@ let warm_cold_rows =
   ]
 
 let test_cli_warm_equals_cold () =
-  if not (Sys.file_exists exe) then Alcotest.skip ();
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   List.iter
     (fun (args, replays) ->
       with_tmpdir (fun dir ->
@@ -575,7 +568,7 @@ let test_cli_warm_equals_cold () =
 (* --explain never replays, but the verdict it computed is stored: a
    later plain run replays it. *)
 let test_cli_explain_stores () =
-  if not (Sys.file_exists exe) then Alcotest.skip ();
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   with_tmpdir (fun dir ->
       let cache = Filename.quote (Filename.concat dir "cache") in
       let code, out, _ =
@@ -598,7 +591,7 @@ let test_cli_explain_stores () =
    binary wrote them) cannot be rendered: it is a corrupt miss and the
    run recomputes. *)
 let test_cli_cert_without_detail_recomputes () =
-  if not (Sys.file_exists exe) then Alcotest.skip ();
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   with_tmpdir (fun dir ->
       let cache = Filename.concat dir "cache" in
       let args =

@@ -3,6 +3,7 @@
    JSON form naming exactly WHICH step a known-bad derivation dies at. *)
 
 open Tfiris
+open Support
 module F = Obs.Forensics
 module Json = Obs.Json
 module Shl = Tfiris.Shl
@@ -198,13 +199,12 @@ let test_disabled_publishes_nothing () =
 (* `tfiris check-term --explain=json` prints the machine-readable
    post-mortem after the verdict line. *)
 let test_cli_explain () =
-  let exe = "../bin/tfiris_cli.exe" in
-  if not (Sys.file_exists exe) then Alcotest.skip ();
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   let out = Filename.temp_file "tfiris_explain" ".out" in
   let cmd =
     Printf.sprintf
       "%s check-term --credits=3 --explain=json -e '1 + 2 + 3 + 4 + 5' > %s"
-      exe (Filename.quote out)
+      cli_exe (Filename.quote out)
   in
   let code = Sys.command cmd in
   Alcotest.(check int) "rejected run exits 1" 1 code;

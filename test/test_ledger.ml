@@ -9,6 +9,7 @@
    through the built binary, like the --trace tests in test_obs.ml. *)
 
 open Tfiris
+open Support
 module Json = Obs.Json
 module Ledger = Obs.Ledger
 module Report = Obs.Report
@@ -16,20 +17,6 @@ module Progress = Obs.Progress
 module Trace = Obs.Trace
 module Budget = Robust.Budget
 module Shl = Tfiris.Shl
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
-let with_pinned_clock ?(start = 0) ?(step = 1000) f =
-  let t = ref (Int64.of_int (start - step)) in
-  Trace.set_clock (fun () ->
-      t := Int64.add !t (Int64.of_int step);
-      !t);
-  Fun.protect f ~finally:Trace.reset_clock
 
 (* A record with every field pinned, for the byte-level goldens. *)
 let sample_record =
@@ -896,20 +883,18 @@ let test_refine_heartbeats () =
 
 (* ---------- end to end through the binary ---------- *)
 
-let exe = "../bin/tfiris_cli.exe"
 
-let sh fmt = Printf.ksprintf (fun cmd -> Sys.command cmd) fmt
 
 let test_cli_ledger_keys_stable () =
-  if not (Sys.file_exists exe) then Alcotest.skip ();
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   let led = Filename.temp_file "tfiris_led" ".jsonl" in
   Sys.remove led;
   Alcotest.(check int) "first run" 0
-    (sh "%s run -e '1 + 2' --ledger=%s > /dev/null" exe (Filename.quote led));
+    (sh "%s run -e '1 + 2' --ledger=%s > /dev/null" cli_exe (Filename.quote led));
   Alcotest.(check int) "second run" 0
-    (sh "%s run -e '1 + 2' --ledger=%s > /dev/null" exe (Filename.quote led));
+    (sh "%s run -e '1 + 2' --ledger=%s > /dev/null" cli_exe (Filename.quote led));
   Alcotest.(check int) "different engine" 0
-    (sh "%s run -e '1 + 2' --engine=lockstep --ledger=%s > /dev/null" exe
+    (sh "%s run -e '1 + 2' --engine=lockstep --ledger=%s > /dev/null" cli_exe
        (Filename.quote led));
   (match Ledger.load ~path:led with
   | Error e -> Alcotest.failf "ledger unreadable: %s" e
@@ -927,22 +912,22 @@ let test_cli_ledger_keys_stable () =
   Sys.remove led
 
 let test_cli_ledger_all_commands () =
-  if not (Sys.file_exists exe) then Alcotest.skip ();
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   let led = Filename.temp_file "tfiris_led" ".jsonl" in
   Sys.remove led;
   Alcotest.(check int) "check-term" 0
     (sh
        "%s check-term -e '(rec f n. if n = 0 then 0 else f (n - 1)) 10' \
         --ledger=%s > /dev/null"
-       exe (Filename.quote led));
+       cli_exe (Filename.quote led));
   Alcotest.(check int) "refine" 0
     (sh "%s refine --target='1 + 2' --source='3 - 0' --ledger=%s > /dev/null"
-       exe (Filename.quote led));
+       cli_exe (Filename.quote led));
   Alcotest.(check int) "analyze" 0
-    (sh "%s analyze -e '1 + 2' --ledger=%s > /dev/null" exe
+    (sh "%s analyze -e '1 + 2' --ledger=%s > /dev/null" cli_exe
        (Filename.quote led));
   Alcotest.(check int) "chaos" 0
-    (sh "%s chaos --seeds=2 --ledger=%s > /dev/null" exe (Filename.quote led));
+    (sh "%s chaos --seeds=2 --ledger=%s > /dev/null" cli_exe (Filename.quote led));
   (match Ledger.load ~path:led with
   | Error e -> Alcotest.failf "ledger unreadable: %s" e
   | Ok rs ->
@@ -955,7 +940,7 @@ let test_cli_ledger_all_commands () =
   Sys.remove led
 
 let test_cli_report_diff_detects_flip () =
-  if not (Sys.file_exists exe) then Alcotest.skip ();
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   let before = Filename.temp_file "tfiris_led_a" ".jsonl" in
   let after = Filename.temp_file "tfiris_led_b" ".jsonl" in
   Sys.remove before;
@@ -965,26 +950,26 @@ let test_cli_report_diff_detects_flip () =
     { sample_record with Ledger.verdict = "stuck"; ok = false };
   (* same ledger on both sides: clean, exit 0 *)
   Alcotest.(check int) "no changes -> exit 0" 0
-    (sh "%s report --diff %s %s > /dev/null" exe (Filename.quote before)
+    (sh "%s report --diff %s %s > /dev/null" cli_exe (Filename.quote before)
        (Filename.quote before));
   (* injected verdict flip: exit 1 *)
   Alcotest.(check int) "verdict flip -> exit 1" 1
-    (sh "%s report --diff %s %s > /dev/null" exe (Filename.quote before)
+    (sh "%s report --diff %s %s > /dev/null" cli_exe (Filename.quote before)
        (Filename.quote after));
   (* summary mode exits 0 and renders *)
   Alcotest.(check int) "summary exits 0" 0
-    (sh "%s report %s > /dev/null" exe (Filename.quote before));
+    (sh "%s report %s > /dev/null" cli_exe (Filename.quote before));
   Sys.remove before;
   Sys.remove after
 
 let test_cli_progress_jsonl () =
-  if not (Sys.file_exists exe) then Alcotest.skip ();
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   let out = Filename.temp_file "tfiris_prog" ".jsonl" in
   Alcotest.(check int) "run with progress" 0
     (sh
        "%s check-term -e '(rec f n. if n = 0 then 0 else f (n - 1)) 100' \
         --progress=every:50,%s > /dev/null 2>&1"
-       exe (Filename.quote out));
+       cli_exe (Filename.quote out));
   let lines =
     String.split_on_char '\n' (read_file out)
     |> List.filter (fun l -> String.trim l <> "")

@@ -3,18 +3,11 @@
    interpreter's metrics to its classic stats and trace. *)
 
 open Tfiris
+open Support
 module Trace = Obs.Trace
 module Metrics = Obs.Metrics
 module Json = Obs.Json
 module Q = QCheck2
-
-(* Run [f] with tracing routed into a fresh memory sink, restoring the
-   previous sink/enabled state afterwards; returns (result, events). *)
-let with_memory_trace ?capacity f =
-  let sink, contents = Trace.memory_sink ?capacity () in
-  let prev = Trace.install sink in
-  let r = Fun.protect ~finally:(fun () -> Trace.restore prev) f in
-  (r, contents ())
 
 let test_span_nesting () =
   let (), evs =
@@ -146,22 +139,6 @@ let test_jsonl_sink_file () =
    control characters, non-ASCII passthrough), nested and zero-duration
    spans.  Timestamps are pinned via the pluggable clock. *)
 
-(* A deterministic clock: first reading is [start], then +[step] per
-   reading; restored afterwards. *)
-let with_pinned_clock ?(start = 0) ?(step = 1000) f =
-  let t = ref (Int64.of_int (start - step)) in
-  Trace.set_clock (fun () ->
-      t := Int64.add !t (Int64.of_int step);
-      !t);
-  Fun.protect f ~finally:Trace.reset_clock
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
 let test_json_escaping_golden () =
   let ev =
     Trace.
@@ -291,11 +268,10 @@ let test_chrome_sink () =
 
 (* End to end through the binary: `tfiris run --trace=FILE:chrome`. *)
 let test_cli_chrome_trace () =
-  let exe = "../bin/tfiris_cli.exe" in
-  if not (Sys.file_exists exe) then Alcotest.skip ();
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   let path = Filename.temp_file "tfiris_cli_trace" ".json" in
   let cmd =
-    Printf.sprintf "%s run --trace=%s:chrome -e '1 + 2 * 3' > /dev/null" exe
+    Printf.sprintf "%s run --trace=%s:chrome -e '1 + 2 * 3' > /dev/null" cli_exe
       (Filename.quote path)
   in
   Alcotest.(check int) "cli exit code" 0 (Sys.command cmd);

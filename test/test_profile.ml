@@ -4,6 +4,7 @@
    a real driver run. *)
 
 open Tfiris
+open Support
 module Trace = Obs.Trace
 module Profile = Obs.Profile
 module Json = Obs.Json
@@ -162,12 +163,11 @@ let test_profile_driver_run () =
    collapsed profile containing the interpreter span and forwards the
    child's exit code. *)
 let test_cli_profile () =
-  let exe = "../bin/tfiris_cli.exe" in
-  if not (Sys.file_exists exe) then Alcotest.skip ();
+  if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   let collapsed = Filename.temp_file "tfiris_profile" ".collapsed" in
   let cmd =
     Printf.sprintf "%s profile --collapsed=%s -- run -e '1 + 2 * 3' > /dev/null"
-      exe (Filename.quote collapsed)
+      cli_exe (Filename.quote collapsed)
   in
   Alcotest.(check int) "cli exit code" 0 (Sys.command cmd);
   let ic = open_in collapsed in
@@ -184,7 +184,7 @@ let test_cli_profile () =
     (has_sub "shl.exec");
   (* the child's failure propagates *)
   let bad =
-    Printf.sprintf "%s profile -- run -e '1 +' > /dev/null 2>&1" exe
+    Printf.sprintf "%s profile -- run -e '1 +' > /dev/null 2>&1" cli_exe
   in
   Alcotest.(check bool) "child failure propagates" true (Sys.command bad <> 0)
 

@@ -5,6 +5,7 @@
    public parsing entry points and the CLI. *)
 
 open Tfiris
+open Support
 module Q = QCheck2
 module Budget = Robust.Budget
 module Failure = Robust.Failure
@@ -370,8 +371,6 @@ let cli_negative_counts =
     "goodstein --max-len=-1";
     "goodstein -- -3";
   ]
-
-let cli_exe = "../bin/tfiris_cli.exe"
 
 (* Run the CLI; the exit code and what it printed, with stderr either
    merged into the text or dropped. *)

@@ -18,14 +18,7 @@ module Json = Tfiris.Obs.Json
 
 let parse = Shl.Parser.parse_exn
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
-let parse_example name = parse (read_file ("../examples/shl/" ^ name))
+let parse_example name = parse (Support.read_file ("../examples/shl/" ^ name))
 
 let prop ?(count = 200) name gen print fn =
   QCheck_alcotest.to_alcotest (Q.Test.make ~count ~name ~print gen fn)

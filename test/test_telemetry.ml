@@ -3,6 +3,7 @@
    and the bench gates end to end through the built harness. *)
 
 open Tfiris
+open Support
 module Trace = Obs.Trace
 module Telemetry = Obs.Telemetry
 module Json = Obs.Json
@@ -132,12 +133,6 @@ let test_regressions_comparator () =
 
 (* ---------- span-level GC attributes ---------- *)
 
-let with_memory_trace ?capacity f =
-  let sink, contents = Trace.memory_sink ?capacity () in
-  let prev = Trace.install sink in
-  let r = Fun.protect ~finally:(fun () -> Trace.restore prev) f in
-  (r, contents ())
-
 let attr name (ev : Trace.event) = List.assoc_opt name ev.Trace.attrs
 
 let test_span_gc_attrs () =
@@ -184,14 +179,18 @@ let test_span_gc_attrs_off_by_default () =
 (* ---------- the bench gates, end to end ---------- *)
 
 (* A deterministic "leaky build" (--mem-handicap) must fail `bench
-   --compare` when --mem-threshold arms the memory gate, and stay
-   advisory (exit 0) when it does not; one changed work counter must
-   fail the counter gate; and a baseline that cannot be read or checked,
-   or was recorded in the other mode, must be refused (exit 2) before
-   any experiment runs. *)
-let bench_exe = "../bench/main.exe"
+   --compare` on the memory gate; one changed work counter must fail the
+   counter gate; and bad input — a baseline that cannot be read or
+   checked, a run outside the repository root, an unwritable output, an
+   unknown option — must be refused (exit 2) before any experiment
+   runs. *)
+let bench_exe = Filename.concat (Sys.getcwd ()) "../bench/main.exe"
 
-let sh fmt = Printf.ksprintf (fun cmd -> Sys.command cmd) fmt
+(* The bench reads examples/shl relative to its working directory; by
+   default run it from the build root, where the test's deps place the
+   examples. *)
+let bench ?(cwd = "..") args =
+  Printf.sprintf "cd %s && %s %s" (Filename.quote cwd) bench_exe args
 
 let test_bench_mem_gate () =
   if not (Sys.file_exists bench_exe) then Alcotest.skip ();
@@ -206,32 +205,36 @@ let test_bench_mem_gate () =
   let write path contents =
     Out_channel.with_open_bin path (fun oc -> output_string oc contents)
   in
-  let read path = In_channel.with_open_bin path In_channel.input_all in
+  (* the constant time gate may trip too (the leak also costs wall
+     time), and other experiments may warn on stderr (E20 on a host with
+     4+ cores), so only the lines of the gate under test are compared *)
+  let stderr_lines ~prefix =
+    String.split_on_char '\n' (read_file stderr_f)
+    |> List.filter (String.starts_with ~prefix)
+  in
   Fun.protect
     ~finally:(fun () ->
-      List.iter
-        (fun f -> if Sys.file_exists f then Sys.remove f)
-        [ base; out; bad; stdout_f; stderr_f ];
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
       Sys.rmdir dir)
     (fun () ->
       Alcotest.(check int) "baseline run" 0
-        (sh "%s --quick --trials=1 --out=%s --save-baseline=%s > /dev/null"
-           bench_exe (Filename.quote out) (Filename.quote base));
-      (* a 50M-word leak in e1, gate armed at 2x: exit 3.  The time
-         gate is parked at 1000x so only the memory gate is under
-         test (the leak also costs wall time). *)
-      Alcotest.(check int) "armed gate fails the leaky build" 3
-        (sh
-           "%s --quick --trials=1 --out=%s --compare=%s --threshold=1000 \
-            --mem-threshold=2 --mem-handicap=e1:50000000 > /dev/null \
-            2> /dev/null"
-           bench_exe (Filename.quote out) (Filename.quote base));
-      (* same leak, gate not armed: advisory, exit 0 *)
-      Alcotest.(check int) "unarmed gate stays advisory" 0
-        (sh
-           "%s --quick --trials=1 --out=%s --compare=%s --threshold=1000 \
-            --mem-handicap=e1:50000000 > /dev/null 2> /dev/null"
-           bench_exe (Filename.quote out) (Filename.quote base));
+        (sh "%s > /dev/null"
+           (bench
+              (Printf.sprintf "--out=%s --save-baseline=%s"
+                 (Filename.quote out) (Filename.quote base))));
+      (* a 50M-word leak in e1 against the always-armed 4x gate: exit 3 *)
+      Alcotest.(check int) "the leaky build fails" 3
+        (sh "%s > /dev/null 2> %s"
+           (bench
+              (Printf.sprintf "--out=%s --compare=%s --mem-handicap=e1:50000000"
+                 (Filename.quote out) (Filename.quote base)))
+           (Filename.quote stderr_f));
+      Alcotest.(check (list string))
+        "the memory gate names e1"
+        [ "bench: allocation regression in: e1" ]
+        (stderr_lines ~prefix:"bench: allocation regression in: ");
       (* the first work counter of e1 off by one in the baseline: the
          counter gate fails and names the experiment, the counter and
          both values *)
@@ -248,7 +251,7 @@ let test_bench_mem_gate () =
                fields)
         | e -> e
       in
-      (match Json.of_string (read base) with
+      (match Json.of_string (read_file base) with
       | Ok (Json.Obj fields) ->
         write bad
           (Json.to_string
@@ -264,57 +267,65 @@ let test_bench_mem_gate () =
       | None -> Alcotest.fail "e1 recorded no counter to edit"
       | Some (c, n) ->
         Alcotest.(check int) "changed counter fails the gate" 3
-          (sh
-             "%s --quick --trials=1 --out=%s --compare=%s --threshold=1000 \
-              > /dev/null 2> %s"
-             bench_exe (Filename.quote out) (Filename.quote bad)
+          (sh "%s > /dev/null 2> %s"
+             (bench
+                (Printf.sprintf "--out=%s --compare=%s" (Filename.quote out)
+                   (Filename.quote bad)))
              (Filename.quote stderr_f));
-        (* other experiments may warn on stderr too (E20 on a host
-           with 4+ cores), so only the counter-gate lines are compared *)
         let prefix = "bench: work counter changed: " in
-        let gate_lines =
-          String.split_on_char '\n' (read stderr_f)
-          |> List.filter (String.starts_with ~prefix)
-        in
         Alcotest.(check (list string))
           "the error names e1, the counter and both values"
           [ Printf.sprintf "%se1 %s: %d vs baseline %d" prefix c n (n + 1) ]
-          gate_lines);
-      (* baselines that cannot be read or checked: refused up front *)
+          (stderr_lines ~prefix));
+      (* bad input: refused up front, naming what is wrong *)
+      let refused ?cwd what args ~prefix =
+        Alcotest.(check int) (what ^ ": exit 2") 2
+          (sh "%s > %s 2> %s" (bench ?cwd args) (Filename.quote stdout_f)
+             (Filename.quote stderr_f));
+        Alcotest.(check string) (what ^ ": no experiment ran") ""
+          (read_file stdout_f);
+        let err = read_file stderr_f in
+        Alcotest.(check string) (what ^ ": error names the input") prefix
+          (String.sub err 0 (min (String.length prefix) (String.length err)))
+      in
       List.iter
         (fun (what, contents) ->
           (match contents with
           | Some c -> write bad c
           | None -> if Sys.file_exists bad then Sys.remove bad);
-          Alcotest.(check int) (what ^ ": exit 2") 2
-            (sh "%s --quick --trials=1 --out=%s --compare=%s > %s 2> %s"
-               bench_exe (Filename.quote out) (Filename.quote bad)
-               (Filename.quote stdout_f) (Filename.quote stderr_f));
-          Alcotest.(check string) (what ^ ": no experiment ran") ""
-            (read stdout_f);
-          let prefix = Printf.sprintf "bench: %s: " bad in
-          let err = read stderr_f in
-          Alcotest.(check string) (what ^ ": error names the file") prefix
-            (String.sub err 0 (min (String.length prefix) (String.length err))))
+          refused what
+            (Printf.sprintf "--out=%s --compare=%s" (Filename.quote out)
+               (Filename.quote bad))
+            ~prefix:(Printf.sprintf "bench: %s: " bad))
         [
           ("missing file", None);
           ("not JSON", Some "{\"schema\":");
           ( "wrong schema",
-            Some {|{"schema":"tfiris-bench-obs/3","experiments":[]}|} );
-          ("no experiments list", Some {|{"schema":"tfiris-bench-obs/4"}|});
-          ( "full baseline, quick run",
-            Some {|{"schema":"tfiris-bench-obs/4","quick":false,"experiments":[]}|}
-          );
+            Some {|{"schema":"tfiris-bench-obs/4","experiments":[]}|} );
+          ("no experiments list", Some {|{"schema":"tfiris-bench-obs/5"}|});
         ];
-      (* the written document carries the /4 schema with per-experiment
-         mem blocks *)
-      let ic = open_in_bin out in
-      let src = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string src with
+      refused "outside the repository root" ~cwd:dir
+        (Printf.sprintf "--out=%s" (Filename.quote out))
+        ~prefix:
+          "bench: examples/shl: not found (run from the repository root)\n";
+      (* a regular file as the parent directory: unwritable even as root *)
+      let unwritable = Filename.concat base "out.json" in
+      refused "unwritable --out"
+        (Printf.sprintf "--out=%s" (Filename.quote unwritable))
+        ~prefix:(Printf.sprintf "bench: %s: " unwritable);
+      refused "unwritable --save-baseline"
+        (Printf.sprintf "--out=%s --save-baseline=%s" (Filename.quote out)
+           (Filename.quote unwritable))
+        ~prefix:(Printf.sprintf "bench: %s: " unwritable);
+      refused "unknown option --quick"
+        (Printf.sprintf "--quick --out=%s" (Filename.quote out))
+        ~prefix:"usage: ";
+      (* the written document carries the /5 schema with per-experiment
+         trial times and mem blocks *)
+      match Json.of_string (read_file out) with
       | Error e -> Alcotest.failf "bench output unparseable: %s" e
       | Ok doc ->
-        Alcotest.(check (option string)) "schema" (Some "tfiris-bench-obs/4")
+        Alcotest.(check (option string)) "schema" (Some "tfiris-bench-obs/5")
           (Option.bind (Json.member "schema" doc) Json.to_str);
         let exps =
           Option.bind (Json.member "experiments" doc) Json.to_list
@@ -323,9 +334,12 @@ let test_bench_mem_gate () =
         Alcotest.(check bool) "experiments present" true (exps <> []);
         List.iter
           (fun e ->
-            match Option.bind (Json.member "mem" e) Telemetry.of_json with
+            (match Option.bind (Json.member "mem" e) Telemetry.of_json with
             | Some _ -> ()
-            | None -> Alcotest.fail "experiment without a mem block")
+            | None -> Alcotest.fail "experiment without a mem block");
+            Alcotest.(check (option int)) "three trials" (Some 3)
+              (Option.map List.length
+                 (Option.bind (Json.member "trials_ns" e) Json.to_list)))
           exps)
 
 let suite =

@@ -120,7 +120,7 @@ corpus: build
 # the concurrent-ledger-append test, so a green verify also certifies
 # the domain-safe telemetry core.
 verify: build test
-	dune exec bin/tfiris_cli.exe -- stats --gc -e "let r = ref 0 in r := 41; !r + 1"
+	dune exec bin/tfiris_cli.exe -- run --stats --metrics --gc -e "let r = ref 0 in r := 41; !r + 1"
 	dune exec bin/tfiris_cli.exe -- run examples/shl/memo_fib.shl \
 	  --gc=TELEMETRY.json
 	dune exec bin/tfiris_cli.exe -- analyze --fail-on=error examples/shl/*.shl

@@ -15,6 +15,7 @@ module Ref = Tfiris.Refinement
 module Term = Tfiris.Termination
 module Prom = Tfiris.Promises
 module Obs = Tfiris.Obs
+module Budget = Tfiris.Robust.Budget
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -173,7 +174,7 @@ let e4 () =
     (fun n ->
       let steps f =
         Option.get
-          (Shl.Interp.steps_to_value ~fuel:100_000_000
+          (Shl.Interp.steps_to_value ~budget:(Budget.of_steps 100_000_000)
              (Shl.Ast.App (f, Shl.Ast.int_ n)))
       in
       row "    n = %2d: rec %8d steps | memo %6d steps\n" n

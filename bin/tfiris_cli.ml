@@ -1,19 +1,6 @@
-(* tfiris: the command-line front end.
-
-   Subcommands:
-     run          run an SHL program
-     stats        run an SHL program and print the full metrics snapshot
-     trace        print the small-step trace of an SHL program
-     analyze      run the static analyzer over one or more SHL programs
-     check-term   verify termination with transfinite time credits
-     refine       check a termination-preserving refinement
-     dilemma      run the §2.7/Theorem 7.1 demonstration
-
-   Programs are given either inline (-e) or as a file path.
-
-   Every subcommand accepts the global observability flags:
-     --trace=FILE[:FMT]   write a structured trace (FMT: jsonl | chrome | pretty)
-     --metrics            collect metrics; print the snapshot on exit *)
+(* tfiris: the command-line front end.  [tfiris --help] lists the
+   subcommands and [tfiris CMD --help] their flags.  Programs are given
+   either inline (-e) or as a file path. *)
 
 open Cmdliner
 open Tfiris
@@ -54,6 +41,13 @@ let or_die = function
   | Error m ->
     Format.eprintf "tfiris: %s@." m;
     exit 2
+
+(** A usage error (exit 2, nothing printed on stdout) unless every named
+    count is non-negative. *)
+let require_non_negative counts =
+  List.iter
+    (fun (name, v) -> if v < 0 then or_die (Error (name ^ " must be non-negative")))
+    counts
 
 (** Every subcommand action runs inside this: an exception that escapes
     is classified by the structured-failure taxonomy and reported as a
@@ -487,42 +481,11 @@ let run_cmd =
       $ obs_term $ program_term $ budget_arg $ stats $ engine_arg
       $ ledger_arg $ domains_arg $ cache_arg)
 
-(* ---- stats ---- *)
-
-let stats_cmd =
-  let action program budget =
-    Obs.Metrics.set_enabled true;
-    let _, e = or_die (parse_labeled program) in
-    let outcome, st =
-      Shl.Interp.exec ~budget:(Option.value budget ~default:Job.default_budget) e
-    in
-    (match outcome with
-    | Shl.Interp.Value (v, _) ->
-      Format.printf "value: %s@." (Shl.Pretty.value_to_string v)
-    | Shl.Interp.Stuck (_, redex) ->
-      Format.printf "stuck on: %s@." (Shl.Pretty.expr_to_string redex)
-    | Shl.Interp.Out_of_fuel (r, _) ->
-      Format.printf "out of %s budget (%d steps)@."
-        (Robust.Budget.resource_name r)
-        st.Shl.Interp.steps);
-    Format.printf "steps: %d (pure %d, heap %d)@." st.Shl.Interp.steps
-      st.Shl.Interp.pure_steps st.Shl.Interp.heap_steps;
-    print_metrics_snapshot ();
-    match outcome with Shl.Interp.Value _ -> 0 | _ -> 1
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Run an SHL program with metrics enabled and print the full \
-          observability snapshot.")
-    Term.(
-      const (fun () p b -> Stdlib.exit (protect (fun () -> action p b)))
-      $ obs_term $ program_term $ budget_arg)
-
 (* ---- trace ---- *)
 
 let trace_cmd =
   let action program n =
+    require_non_negative [ ("--steps", n) ];
     let _, e = or_die (parse_labeled program) in
     let tr = Shl.Interp.trace ~fuel:n e in
     List.iteri
@@ -922,13 +885,6 @@ let prove_cmd =
 
 (* ---- goodstein ---- *)
 
-(** A usage error (exit 2, nothing printed on stdout) unless every named
-    count is non-negative. *)
-let require_non_negative counts =
-  List.iter
-    (fun (name, v) -> if v < 0 then or_die (Error (name ^ " must be non-negative")))
-    counts
-
 let goodstein_cmd =
   let action n max_len =
     require_non_negative [ ("seed", n); ("--max-len", max_len) ];
@@ -1280,6 +1236,11 @@ let cache_cmd =
   in
   let gc_sub =
     let action () dir max_entries max_age =
+      require_non_negative
+        [ ("--max-entries", Option.value max_entries ~default:0) ];
+      (match max_age with
+      | Some a when a < 0. -> or_die (Error "--max-age must be non-negative")
+      | _ -> ());
       let t = Obs.Certcache.open_ ~dir in
       let r =
         Obs.Certcache.gc ?max_entries ?max_age_s:max_age
@@ -1407,7 +1368,7 @@ let verify_corpus_cmd =
       & info [ "min-hit-rate" ] ~docv:"PCT"
           ~doc:
             "Exit 1 when fewer than $(docv) percent of lookups hit the \
-             cache — the warm-sweep gate CI runs with $(docv)=90.")
+             cache — the warm-sweep gate CI runs with $(docv)=100.")
   in
   Cmd.v
     (Cmd.info "verify-corpus"
@@ -1442,7 +1403,6 @@ let () =
        (Cmd.group info
           [
             run_cmd;
-            stats_cmd;
             trace_cmd;
             analyze_cmd;
             check_term_cmd;

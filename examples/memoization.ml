@@ -5,6 +5,7 @@
 
 module Shl = Tfiris.Shl
 module Ref = Tfiris.Refinement
+module Budget = Tfiris.Robust.Budget
 
 let certify inst =
   match Ref.Memo_spec.certify inst with
@@ -30,7 +31,7 @@ let () =
     (fun n ->
       let steps f =
         Option.get
-          (Shl.Interp.steps_to_value ~fuel:200_000_000
+          (Shl.Interp.steps_to_value ~budget:(Budget.of_steps 200_000_000)
              (Shl.Ast.App (f, Shl.Ast.int_ n)))
       in
       Format.printf "    fib %2d: plain %9d steps, memoized %6d steps@." n

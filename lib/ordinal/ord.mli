@@ -139,7 +139,8 @@ val descend : t -> t
 val descent_depth : ?fuel:int -> t -> int
 (** Length of the descending chain [a > descend a > ⋯ > 0], capped at
     [fuel] (default [10_000]).  Every descending chain is finite
-    (well-foundedness); this is the executable face of that fact. *)
+    (well-foundedness); this is the executable face of that fact.
+    [fuel] bounds the chain's length, not a program run. *)
 
 (** {1 Printing} *)
 

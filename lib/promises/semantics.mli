@@ -44,4 +44,8 @@ type result =
   | Out_of_fuel
 
 val exec : ?fuel:int -> Syntax.term -> result
+(** Run under the round-robin scheduler for at most [fuel] scheduler
+    steps.  The promises calculus has no heap cells or budget meter, so
+    its bound stays a plain int. *)
+
 val eval : ?fuel:int -> Syntax.term -> Syntax.term option

@@ -8,8 +8,8 @@
       actually executing the source to the very value [v] the target
       produced — {!replay_result} re-runs the source independently and
       confirms;
-    + {b divergence}: for a target that runs forever, accepted runs at
-      increasing fuel must drive the source through an unboundedly
+    + {b divergence}: for a target that runs forever, accepted runs
+      under increasing budgets must drive the source through an unboundedly
       growing number of steps ({!divergence_transfer}) — the coherent
       infinite source execution whose existence is exactly what the
       existential property provides in the paper's proof (§2.5).
@@ -19,34 +19,27 @@
 
 open Tfiris_shl
 
-(** Independent re-execution of the source, confirming the terminated
-    verdict. *)
-let replay_result ~(source : Step.config) (v : Ast.value) ~fuel =
-  let rec go (cfg : Machine.config) n =
-    match Machine.view cfg.Machine.thread with
-    | Machine.V_value v' -> Ast.value_eq v v' = Some true
-    | Machine.V_redex _ -> (
-      if n = 0 then false
-      else
-        match Machine.prim_step cfg with
-        | Ok (cfg', _) -> go cfg' (n - 1)
-        | Error (Step.Finished | Step.Stuck _) -> false)
-  in
-  go (Machine.of_config source) fuel
+(** Independent re-execution of one side of a terminated verdict: [c]
+    runs to a value equal to [v] within [budget]. *)
+let replay_result ~budget (c : Step.config) (v : Ast.value) =
+  match Interp.exec ~budget ~heap:c.Step.heap c.Step.expr with
+  | Interp.Value (v', _), _ -> Ast.value_eq v v' = Some true
+  | (Interp.Stuck _ | Interp.Out_of_fuel _), _ -> false
 
-(** [divergence_transfer ~fuels ~target ~source strategy]: run the game
-    at each fuel; all runs must be accepted ([Fuel_exhausted]) and the
-    source step counts must be strictly increasing — the bounded
-    observation of "target diverges ⟹ source diverges". *)
-let divergence_transfer ~(fuels : int list) ~target ~source
-    (strategy : Driver.strategy) : bool =
+(** [divergence_transfer ~budgets ~target ~source strategy]: run the
+    game under each budget; all runs must be accepted
+    ([Fuel_exhausted]) and the source step counts must be strictly
+    increasing — the bounded observation of "target diverges ⟹ source
+    diverges". *)
+let divergence_transfer ~(budgets : Tfiris_robust.Budget.t list) ~target
+    ~source (strategy : Driver.strategy) : bool =
   let counts =
     List.map
-      (fun fuel ->
-        match Driver.run ~fuel ~target ~source strategy with
+      (fun budget ->
+        match Driver.run ~budget ~target ~source strategy with
         | Driver.Accepted (Driver.Fuel_exhausted _, st) -> Some st.source_steps
         | Driver.Accepted (Driver.Terminated _, _) | Driver.Rejected _ -> None)
-      fuels
+      budgets
   in
   let rec strictly_increasing = function
     | Some a :: (Some b :: _ as rest) -> a < b && strictly_increasing rest
@@ -57,14 +50,9 @@ let divergence_transfer ~(fuels : int list) ~target ~source
 
 (** Full adequacy check of a driver verdict against independent
     executions of both sides. *)
-let verdict_adequate ~target ~source ~fuel (v : Driver.verdict) : bool =
+let verdict_adequate ~target ~source ~budget (v : Driver.verdict) : bool =
   match v with
   | Driver.Accepted (Driver.Terminated value, _) ->
     (* target really evaluates to [value] and so does the source *)
-    let tgt_ok =
-      match Interp.exec ~fuel ~heap:target.Step.heap target.Step.expr with
-      | Interp.Value (v', _), _ -> Ast.value_eq value v' = Some true
-      | (Interp.Stuck _ | Interp.Out_of_fuel _), _ -> false
-    in
-    tgt_ok && replay_result ~source value ~fuel
+    replay_result ~budget target value && replay_result ~budget source value
   | Driver.Accepted (Driver.Fuel_exhausted _, _) | Driver.Rejected _ -> true

@@ -117,14 +117,13 @@ let publish (v : verdict) : verdict =
     the source strictly spends the budget; a source step resets it.
     The built-in strategy is oracle pacing, mirroring
     {!Strategy.oracle}. *)
-let certify ?fuel ?budget ~(tgt_sched : Conc.scheduler)
-    ~(target : Ast.expr) ~(source : Ast.expr) () : verdict =
-  let b = Budget.resolve ?fuel ?budget ~default_steps:1_000_000 () in
+let certify ?(budget = Budget.of_steps 1_000_000)
+    ~(tgt_sched : Conc.scheduler) ~(target : Ast.expr) ~(source : Ast.expr)
+    () : verdict =
   (* one meter per phase: the pre-runs, the target's game steps, and
-     the source (advances + drain) each get the full allowance, like
-     the separate [fuel] applications they replace *)
-  let tm = Budget.meter b in
-  let sm = Budget.meter b in
+     the source (advances + drain) each get the full allowance *)
+  let tm = Budget.meter budget in
+  let sm = Budget.meter budget in
   let ring = Forensics.with_ring () in
   let reject rule msg st =
     forensic ring ~rule ~stats:st msg;
@@ -132,7 +131,7 @@ let certify ?fuel ?budget ~(tgt_sched : Conc.scheduler)
   in
   (* pre-run both sides to pace the schedule *)
   let count_target () =
-    let m = Budget.meter b in
+    let m = Budget.meter budget in
     let rec go sc k =
       if not (Budget.step m) then None
       else
@@ -144,7 +143,7 @@ let certify ?fuel ?budget ~(tgt_sched : Conc.scheduler)
     go { cfg = Conc.init target; step_no = 0 } 0
   in
   let count_source () =
-    let m = Budget.meter b in
+    let m = Budget.meter budget in
     let rec go cfg k =
       match Machine.prim_step cfg with
       | Error Step.Finished -> Some k
@@ -285,7 +284,7 @@ let certify ?fuel ?budget ~(tgt_sched : Conc.scheduler)
     the seed replays over that many OCaml domains; every [certify] is
     deterministic per seed, so the merged verdict vector matches the
     sequential replay exactly. *)
-let certify_all_seeds ?fuel ?budget ?(seeds = 16) ?domains
+let certify_all_seeds ?budget ?(seeds = 16) ?domains
     ~(target : Ast.expr) ~(source : Ast.expr) () : (int list * int list) =
   let n =
     let d =
@@ -295,7 +294,7 @@ let certify_all_seeds ?fuel ?budget ?(seeds = 16) ?domains
   in
   let run s =
     match
-      certify ?fuel ?budget ~tgt_sched:(Conc.seeded (s * 37)) ~target ~source
+      certify ?budget ~tgt_sched:(Conc.seeded (s * 37)) ~target ~source
         ()
     with
     | Accepted _ -> true

@@ -270,13 +270,14 @@ let publish (s : strategy) (v : verdict) : verdict =
       ~attrs:[ ("strategy", Trace.S s.name); ("verdict", Trace.S (verdict_name v)) ];
   v
 
-(** [run ~fuel ~target ~source strategy]: execute the refinement game.
+(** [run ~budget ~target ~source strategy]: execute the refinement game.
 
-    [fuel] bounds the number of target steps; the source gets a meter
-    of its own from the same budget, covering advances {e and} the
-    final drain (so a strategy claiming an absurd advance runs out of
-    gas instead of hanging the driver).  An explicit [?budget] replaces
-    [fuel] and may additionally bound wall-clock time.  The initial
+    [budget] bounds the target's run; the source gets a meter of its
+    own from the same budget, covering advances {e and} the final drain
+    (so a strategy claiming an absurd advance runs out of gas instead
+    of hanging the driver).  [?fuel] is a steps-only budget kept only
+    for the benchmark's replay ([bench/verdicts/layers.ml]); [budget]
+    overrides it.  The initial
     stutter budget is taken from the strategy's first decision by
     starting from a maximal sentinel.
 
@@ -417,6 +418,6 @@ let run ?fuel ?budget ?(init_budget = Ord.omega_pow Ord.omega) ~target
   publish s verdict
 
 (** Convenience wrapper on closed expressions with empty heaps. *)
-let refine ?fuel ?budget ?init_budget ~target ~source strategy =
-  run ?fuel ?budget ?init_budget ~target:(Step.config target)
+let refine ?budget ?init_budget ~target ~source strategy =
+  run ?budget ?init_budget ~target:(Step.config target)
     ~source:(Step.config source) strategy

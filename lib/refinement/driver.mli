@@ -87,12 +87,14 @@ val run :
   source:Step.config ->
   strategy ->
   verdict
-(** Execute the refinement game; [fuel] bounds target steps, and the
-    source (advances plus the final drain) gets a meter of its own from
-    the same budget.  An explicit [budget] wins over [fuel]. *)
+(** Execute the refinement game; [budget] (default 10⁶ steps) bounds
+    the target, and the source (advances plus the final drain) gets a
+    meter of its own from the same budget.  [fuel] is a steps-only
+    budget that [budget] overrides; it exists only for the benchmark's
+    replay ([bench/verdicts/layers.ml]) and goes when the benchmark is
+    ported to [budget]. *)
 
 val refine :
-  ?fuel:int ->
   ?budget:Tfiris_robust.Budget.t ->
   ?init_budget:Ord.t ->
   target:Ast.expr ->

@@ -18,6 +18,7 @@
       transfinite budgets can (§8). *)
 
 module Ord = Tfiris_ordinal.Ord
+module Budget = Tfiris_robust.Budget
 open Tfiris_shl
 
 type instance = {
@@ -75,12 +76,15 @@ let broken_instance n =
 
 (** [certify ?fuel inst]: produce and check an oracle certificate.
     Returns the driver verdict ([None] if no certificate exists, e.g.
-    a diverging side). *)
+    a diverging side).  [fuel] is the oracle's pre-run depth, and the
+    game gets a steps budget of the same size. *)
 let certify ?(fuel = 10_000_000) (inst : instance) : Driver.verdict option =
   match Strategy.oracle ~fuel ~target:inst.target ~source:inst.source () with
   | None -> None
   | Some strat ->
-    Some (Driver.run ~fuel ~target:inst.target ~source:inst.source strat)
+    Some
+      (Driver.run ~budget:(Budget.of_steps fuel) ~target:inst.target
+         ~source:inst.source strat)
 
 (** {1 The unbounded-stutter measurement (§8, vs Tassarotti et al.)}
 
@@ -107,8 +111,8 @@ let lookup_cost (n : int) : int option =
     Let ("mf", Prog.memo_of Prog.fib_template, App (Var "mf", int_ n))
   in
   match
-    ( Interp.steps_to_value ~fuel:50_000_000 prog,
-      Interp.steps_to_value ~fuel:50_000_000 first )
+    ( Interp.steps_to_value ~budget:(Budget.of_steps 50_000_000) prog,
+      Interp.steps_to_value ~budget:(Budget.of_steps 50_000_000) first )
   with
   | Some both, Some once -> Some (both - once)
   | None, _ | _, None -> None

@@ -10,6 +10,7 @@
     refinement is certified by the budgeted driver. *)
 
 module Ord = Tfiris_ordinal.Ord
+module Budget = Tfiris_robust.Budget
 open Tfiris_shl
 
 type op =
@@ -90,11 +91,13 @@ let run_impl ~(batched : bool) (ops : op list) : int option list option =
     if batched then Prog.batched_queue_ctx (client ops)
     else Prog.naive_queue_ctx (client ops)
   in
-  match Interp.eval ~fuel:50_000_000 prog with
+  match Interp.eval ~budget:(Budget.of_steps 50_000_000) prog with
   | Some v -> decode v
   | None -> None
 
-(** Certify the refinement of a script with the oracle strategy. *)
+(** Certify the refinement of a script with the oracle strategy; [fuel]
+    is the oracle's pre-run depth and the size of the game's steps
+    budget. *)
 let certify ?(fuel = 50_000_000) (ops : op list) : Driver.verdict option =
   let inst = instance ops in
   match
@@ -104,5 +107,5 @@ let certify ?(fuel = 50_000_000) (ops : op list) : Driver.verdict option =
   | None -> None
   | Some strat ->
     Some
-      (Driver.run ~fuel ~target:inst.Memo_spec.target
-         ~source:inst.Memo_spec.source strat)
+      (Driver.run ~budget:(Budget.of_steps fuel)
+         ~target:inst.Memo_spec.target ~source:inst.Memo_spec.source strat)

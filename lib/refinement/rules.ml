@@ -288,7 +288,8 @@ let proved system g script =
     [Value] when both sides reach a value, or by Löb around the cycle
     when the joint configuration recurs (the proof shape of Lemma 4.2).
     This is a miniature cyclic-proof search, the analogue of the
-    one-shot Iris Proof Mode tactic for such goals. *)
+    one-shot Iris Proof Mode tactic for such goals.  [fuel] bounds the
+    search's rounds, not a metered run. *)
 let lockstep_script ?(fuel = 10_000) (g : goal) : script option =
   let rule_of cfg ~src =
     match Step.prim_step cfg with

@@ -32,7 +32,7 @@ val oracle :
     either side fails to terminate within [fuel] (default 10⁷ steps),
     provably cycles, or reaches [meter]'s wall deadline — the pre-runs
     are {!Machine.steps_to_value}, polling [meter] but never charging
-    it. *)
+    it.  [fuel] is that pre-run depth, not a run budget. *)
 
 val scripted : Driver.decision list -> Driver.strategy
 (** An explicit move list (tests); falls back to canonical-descent

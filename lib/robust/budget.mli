@@ -1,12 +1,10 @@
 (** Composable execution budgets with deterministic accounting.
 
-    Every bounded engine in the tree — the interpreter, the concurrent
+    Every bounded run in the tree — the interpreter, the concurrent
     scheduler and explorer, the refinement drivers, the credit checker —
-    used to carry its own ad-hoc [?fuel] / [?max_states] integer.  A
-    {!t} replaces them with one record bounding up to four resources at
-    once, and a {!meter} does the accounting, so every driver can report
-    {e which} resource ran out ({!resource}) instead of a bare
-    "out of fuel".
+    takes a {!t}: one record bounding up to four resources at once.  A
+    {!meter} does the accounting, so every driver can report {e which}
+    resource ran out ({!resource}) instead of a bare "out of fuel".
 
     Accounting for steps, states and heap cells is exactly
     deterministic: the same program under the same budget trips at the
@@ -38,10 +36,10 @@ type t = {
 val unlimited : t
 
 val of_steps : int -> t
-(** A steps-only budget — the exact semantics of the old [?fuel]. *)
+(** A steps-only budget: at most [n] primitive steps. *)
 
 val of_states : int -> t
-(** A states-only budget — the old [?max_states]. *)
+(** A states-only budget: at most [n] explored configurations. *)
 
 val limit : t -> resource -> int option
 
@@ -54,8 +52,11 @@ val pp : Format.formatter -> t -> unit
 val to_json : t -> Tfiris_obs.Json.t
 
 val resolve : ?fuel:int -> ?budget:t -> default_steps:int -> unit -> t
-(** The migration shim every driver uses: an explicit [budget] wins;
-    otherwise [fuel] (or [default_steps]) becomes a steps-only budget. *)
+(** An explicit [budget] wins; otherwise [fuel] (or [default_steps])
+    becomes a steps-only budget.  Only [Interp.exec] and
+    [Driver.run] still take [?fuel], for the benchmark's replay
+    ([bench/verdicts/layers.ml]); this goes with them when the
+    benchmark is ported to [budget]. *)
 
 (** {1 Metering} *)
 

@@ -42,15 +42,13 @@ type violation = {
   name : string;
 }
 
-(** [monitor ~fuel ~pool cfg]: run the configuration, checking every
+(** [monitor ~budget ~pool cfg]: run the configuration, checking every
     pool invariant after every step.  Returns the final outcome or the
     first violation. *)
-let monitor ?fuel ?budget ~(pool : pool) (cfg : Step.config) :
-    (Interp.outcome, violation) result =
+let monitor ?(budget = Tfiris_robust.Budget.of_steps 1_000_000)
+    ~(pool : pool) (cfg : Step.config) : (Interp.outcome, violation) result =
   let module Budget = Tfiris_robust.Budget in
-  let meter =
-    Budget.(meter (resolve ?fuel ?budget ~default_steps:1_000_000 ()))
-  in
+  let meter = Budget.meter budget in
   let check_all step h =
     List.find_opt (fun (name, _) -> not (holds pool name h)) pool
     |> Option.map (fun (name, _) -> { step; name })
@@ -75,9 +73,9 @@ let monitor ?fuel ?budget ~(pool : pool) (cfg : Step.config) :
   in
   go (Machine.of_config cfg) 0
 
-(** [preserved ~fuel ~pool cfg]: the run completes to a value with every
-    invariant holding throughout. *)
-let preserved ?fuel ?budget ~pool cfg =
-  match monitor ?fuel ?budget ~pool cfg with
+(** [preserved ~budget ~pool cfg]: the run completes to a value with
+    every invariant holding throughout. *)
+let preserved ?budget ~pool cfg =
+  match monitor ?budget ~pool cfg with
   | Ok (Interp.Value _) -> true
   | Ok (Interp.Stuck _ | Interp.Out_of_fuel _) | Error _ -> false

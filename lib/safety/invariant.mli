@@ -25,16 +25,14 @@ type violation = {
 }
 
 val monitor :
-  ?fuel:int ->
   ?budget:Tfiris_robust.Budget.t ->
   pool:pool ->
   Step.config ->
   (Interp.outcome, violation) result
 (** Run, checking every pool invariant after every step; returns the
-    first violation if any.  An explicit [budget] wins over [fuel]
-    (default 10⁶ steps). *)
+    first violation if any.  The [budget] defaults to 10⁶ steps. *)
 
 val preserved :
-  ?fuel:int -> ?budget:Tfiris_robust.Budget.t -> pool:pool -> Step.config -> bool
+  ?budget:Tfiris_robust.Budget.t -> pool:pool -> Step.config -> bool
 (** The run completes to a value with every invariant holding
     throughout. *)

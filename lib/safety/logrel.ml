@@ -94,7 +94,9 @@ let rec member (fuel : int) (t : ty) (v : Ast.value) (h : Heap.t) : bool =
     getting stuck refutes, running out of fuel is "safe so far", and a
     value must be in the value relation (in the {e final} heap). *)
 and expr_member (fuel : int) (t : ty) (e : Ast.expr) (h : Heap.t) : bool =
-  match Interp.exec ~fuel:(max fuel 1) ~heap:h e with
+  match
+    Interp.exec ~budget:(Tfiris_robust.Budget.of_steps (max fuel 1)) ~heap:h e
+  with
   | Interp.Value (v, h'), _ -> member fuel t v h'
   | Interp.Out_of_fuel _, _ -> true
   | Interp.Stuck _, _ -> false

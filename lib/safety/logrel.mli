@@ -29,6 +29,8 @@ val member : int -> ty -> Ast.value -> Heap.t -> bool
 
 val expr_member : int -> ty -> Ast.expr -> Heap.t -> bool
 val expr_ok : ?fuel:int -> ty -> Ast.expr -> bool
+(** Semantic typing from the empty heap at step index [fuel] (default
+    10⁵) — the relation's index, not a run budget, so it stays an int. *)
 
 val landins_knot : Ast.expr
 (** Recursion through the store: typed at [unit], never stuck,
@@ -43,4 +45,4 @@ val of_shl_ty : Types.ty -> ty option
 val fundamental : ?fuel:int -> Ast.expr -> bool
 (** The fundamental theorem, executably: if {!Types.infer} succeeds the
     program is semantically safe at its type (vacuously true
-    otherwise). *)
+    otherwise).  [fuel] is {!expr_ok}'s step index. *)

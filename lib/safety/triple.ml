@@ -2,8 +2,8 @@
 
     [{P} e {v. Q v}] is checked by running [e] from {e every} model of
     [P], extended with {e every} test frame: the run must not get stuck
-    (safety), must terminate within the fuel (this is the safety logic:
-    non-termination within fuel is reported separately, not accepted),
+    (safety), must terminate within the budget (this is the safety logic:
+    non-termination within it is reported separately, not accepted),
     and must end in a value [v] and final heap decomposing as
     [model-of-(Q v)] ⊎ frame — so the {b frame rule is validated by
     execution}, not assumed: SHL's step relation is local, and the
@@ -54,8 +54,8 @@ let default_frames =
     Heap.store 1000 (Ast.Bool true) (Heap.store 1001 Ast.Unit Heap.empty);
   ]
 
-let check ?(fuel = 1_000_000) ?(frames = default_frames) ?(vacuous_ok = false)
-    (t : t) : verdict =
+let check ?(budget = Tfiris_robust.Budget.of_steps 1_000_000)
+    ?(frames = default_frames) ?(vacuous_ok = false) (t : t) : verdict =
   let ms = Assertion.models t.pre in
   if ms = [] && not vacuous_ok then Invalid No_models
   else
@@ -67,7 +67,7 @@ let check ?(fuel = 1_000_000) ?(frames = default_frames) ?(vacuous_ok = false)
         | None -> run_all rest (* incompatible combination: skip *)
         | Some h -> (
           incr runs;
-          match Interp.exec ~fuel ~heap:h t.expr with
+          match Interp.exec ~budget ~heap:h t.expr with
           | Interp.Stuck (_, redex), _ -> Invalid (Stuck_run (h0, redex))
           | Interp.Out_of_fuel _, _ -> Invalid (Fuel_exhausted h0)
           | Interp.Value (v, h_final), _ ->
@@ -81,8 +81,8 @@ let check ?(fuel = 1_000_000) ?(frames = default_frames) ?(vacuous_ok = false)
     in
     run_all (List.concat_map (fun m -> List.map (fun f -> (m, f)) frames) ms)
 
-let valid ?fuel ?frames t =
-  match check ?fuel ?frames t with Valid _ -> true | Invalid _ -> false
+let valid ?budget ?frames t =
+  match check ?budget ?frames t with Valid _ -> true | Invalid _ -> false
 
 (** {1 Rule-shaped facts}
 

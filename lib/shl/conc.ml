@@ -110,10 +110,9 @@ let seeded (seed : int) : scheduler =
     Steps charge the budget meter per scheduling decision; heap cells
     are charged from the O(1) allocation counter, so the accounting is
     deterministic. *)
-let run_stats ?fuel ?budget ~(sched : scheduler) (c : cfg) : outcome * int =
-  let m =
-    Budget.meter (Budget.resolve ?fuel ?budget ~default_steps:1_000_000 ())
-  in
+let run_stats ?(budget = Budget.of_steps 1_000_000) ~(sched : scheduler)
+    (c : cfg) : outcome * int =
+  let m = Budget.meter budget in
   let rec go c step_no =
     match runnable c with
     | [] -> (
@@ -135,7 +134,7 @@ let run_stats ?fuel ?budget ~(sched : scheduler) (c : cfg) : outcome * int =
   in
   go c 0
 
-let run ?fuel ?budget ~sched c = fst (run_stats ?fuel ?budget ~sched c)
+let run ?budget ~sched c = fst (run_stats ?budget ~sched c)
 
 (* Exhaustive exploration: enumerate all interleavings by memoized
    reachability over configurations (spin loops revisit states, so the

@@ -47,17 +47,14 @@ val round_robin : scheduler
 val seeded : int -> scheduler
 (** Deterministic pseudo-random scheduler: reproducible per seed. *)
 
-val run :
-  ?fuel:int -> ?budget:Tfiris_robust.Budget.t -> sched:scheduler -> cfg ->
-  outcome
+val run : ?budget:Tfiris_robust.Budget.t -> sched:scheduler -> cfg -> outcome
 
 val run_stats :
-  ?fuel:int -> ?budget:Tfiris_robust.Budget.t -> sched:scheduler -> cfg ->
-  outcome * int
+  ?budget:Tfiris_robust.Budget.t -> sched:scheduler -> cfg -> outcome * int
 (** Like {!run}, also returning the number of scheduling decisions
     taken; with a deterministic scheduler both components are
-    reproducible (tested).  An explicit [budget] wins over [fuel]
-    (default 10⁶ scheduling decisions); heap-cell charges use the O(1)
+    reproducible (tested).  The [budget] defaults to 10⁶ scheduling
+    decisions; heap-cell charges use the O(1)
     allocation counter, so they are deterministic too. *)
 
 (** Per-worker accounting from a parallel exploration. *)

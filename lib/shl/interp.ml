@@ -1,4 +1,4 @@
-(** Executing SHL programs: a fueled driver over the frame-stack
+(** Executing SHL programs: a budgeted driver over the frame-stack
     {!Machine} with step accounting and optional tracing.  This is the
     "run the target" half of every experiment harness.  The machine is
     observationally identical to {!Step.prim_step} (differentially
@@ -84,13 +84,14 @@ let publish (c : counts) (outcome : outcome) : stats =
   end;
   st
 
-(** [exec ?fuel ?budget ?heap e]: run [e] to completion (or until the
-    budget runs out), returning the outcome and step statistics.  An
-    explicit [budget] wins over [fuel]; plain [fuel] is the steps-only
-    budget it always was.
+(** [exec ?budget ?heap e]: run [e] to completion (or until the
+    budget runs out), returning the outcome and step statistics.
+    [?fuel] is a steps-only budget kept only for the benchmark's replay
+    ([bench/verdicts/layers.ml]); [budget] overrides it.
 
     Budget accounting is exact: a configuration that {e finishes} (or
-    gets stuck) after exactly [fuel] steps is reported as such —
+    gets stuck) after exactly [n] steps of an [n]-step budget is
+    reported as such —
     [Out_of_fuel] means the program would genuinely have taken a
     further step (or allocated a further cell, or run past the wall
     deadline). *)
@@ -125,22 +126,23 @@ let exec ?fuel ?budget ?(heap = Heap.empty) (e : expr) : outcome * stats =
   (outcome, publish counts outcome)
 
 (** [eval e]: the result value, or [None] on stuck/diverging (within
-    fuel) executions. *)
-let eval ?fuel ?budget ?heap e =
-  match exec ?fuel ?budget ?heap e with
+    budget) executions. *)
+let eval ?budget ?heap e =
+  match exec ?budget ?heap e with
   | Value (v, _), _ -> Some v
   | (Stuck _ | Out_of_fuel _), _ -> None
 
 (** [steps_to_value e]: number of steps to reach a value, if reached. *)
-let steps_to_value ?fuel ?heap e =
-  match exec ?fuel ?heap e with
+let steps_to_value ?budget ?heap e =
+  match exec ?budget ?heap e with
   | Value _, stats -> Some stats.steps
   | (Stuck _ | Out_of_fuel _), _ -> None
 
 (** The finite prefix of the execution trace of [e]: the successive
-    configurations, including the initial one.  Like {!exec}, the fuel
-    bound is exact: a program that terminates in exactly [fuel] steps
-    yields its complete trace. *)
+    configurations, including the initial one.  [fuel] bounds the
+    trace's length, not a metered run.  Like {!exec}, the bound is
+    exact: a program that terminates in exactly [fuel] steps yields its
+    complete trace. *)
 let trace ?(fuel = 1000) ?(heap = Heap.empty) (e : expr) : Step.config list =
   (* Tracing materialises a whole configuration per step by design —
      the trace *is* the list of plugged configurations. *)
@@ -159,6 +161,6 @@ let trace ?(fuel = 1000) ?(heap = Heap.empty) (e : expr) : Step.config list =
     this for a caller-chosen [n], and says so.)  A program terminating
     in exactly [n] steps does {e not} count as diverging. *)
 let diverges_beyond n e =
-  match exec ~fuel:n e with
+  match exec ~budget:(Budget.of_steps n) e with
   | Out_of_fuel _, _ -> true
   | (Value _ | Stuck _), _ -> false

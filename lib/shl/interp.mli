@@ -1,4 +1,4 @@
-(** Executing SHL programs: a fueled driver over the frame-stack
+(** Executing SHL programs: a budgeted driver over the frame-stack
     {!Machine} (observationally identical to {!Step.prim_step}) with
     step accounting and tracing — the "run the target" half of every
     experiment harness. *)
@@ -23,23 +23,25 @@ val exec :
   ?heap:Heap.t ->
   Ast.expr ->
   outcome * stats
-(** Run to completion or until the budget runs out.  An explicit
-    [budget] wins over [fuel]; plain [fuel] (default 10⁶) is a
-    steps-only budget, exactly the old behaviour. *)
+(** Run to completion or until the [budget] (default 10⁶ steps) runs
+    out.  [fuel] is a steps-only budget that [budget] overrides; it
+    exists only for the benchmark's replay ([bench/verdicts/layers.ml])
+    and goes when the benchmark is ported to [budget]. *)
 
 val eval :
-  ?fuel:int ->
   ?budget:Tfiris_robust.Budget.t ->
   ?heap:Heap.t ->
   Ast.expr ->
   Ast.value option
 (** The result value; [None] on stuck or budget-exhausted runs. *)
 
-val steps_to_value : ?fuel:int -> ?heap:Heap.t -> Ast.expr -> int option
+val steps_to_value :
+  ?budget:Tfiris_robust.Budget.t -> ?heap:Heap.t -> Ast.expr -> int option
 
 val trace : ?fuel:int -> ?heap:Heap.t -> Ast.expr -> Step.config list
 (** The finite prefix of the execution trace, initial configuration
-    included. *)
+    included.  [fuel] (default 1000) bounds the trace's length, not a
+    metered run. *)
 
 val diverges_beyond : int -> Ast.expr -> bool
 (** [diverges_beyond n e]: [e] runs for at least [n] steps without

@@ -289,12 +289,9 @@ let kind_eq (a : Step.kind) (b : Step.kind) =
     l = l'
   | (Step.Pure | Step.Alloc _ | Step.Load_of _ | Step.Store_to _), _ -> false
 
-let lockstep ?fuel ?budget ?(heap = Heap.empty) (e : expr) :
-    lockstep_outcome =
-  let meter =
-    Tfiris_robust.Budget.(
-      meter (resolve ?fuel ?budget ~default_steps:10_000 ()))
-  in
+let lockstep ?(budget = Tfiris_robust.Budget.of_steps 10_000)
+    ?(heap = Heap.empty) (e : expr) : lockstep_outcome =
+  let meter = Tfiris_robust.Budget.meter budget in
   (* Structural identity of the two runs' heaps — deliberately not
      {!Heap.equal}, whose [value_eq] treats closures as incomparable:
      here both heaps come from the same execution, so stored closures

@@ -81,14 +81,15 @@ val prerun :
     stack swings by more than 32 frames within one turn.
     A repeat proves divergence ([prim_step] is a function of the
     compared configuration).  [meter] is only polled for its wall
-    deadline ({!Tfiris_robust.Budget.wall_expired}), never charged. *)
+    deadline ({!Tfiris_robust.Budget.wall_expired}), never charged.
+    [fuel] is a pre-run depth, not a run budget, so it stays an int. *)
 
 val steps_to_value :
   ?fuel:int -> ?meter:Tfiris_robust.Budget.meter -> config -> int option
 (** The steps to a value, if {!prerun} reaches one.  Without a [meter]
     this always equals the plain fuel-bounded loop's answer — it is
     just reached early on a cycling run.  The pre-run of the
-    adaptive-credit and refinement oracles. *)
+    adaptive-credit and refinement oracles; [fuel] is {!prerun}'s depth. *)
 
 (** {1 Differential (lockstep) mode} *)
 
@@ -107,14 +108,12 @@ type lockstep_outcome =
 val kind_eq : Step.kind -> Step.kind -> bool
 
 val lockstep :
-  ?fuel:int ->
   ?budget:Tfiris_robust.Budget.t ->
   ?heap:Heap.t ->
   Ast.expr ->
   lockstep_outcome
 (** Run machine and reference stepper side by side, comparing plugged
     expression, heap, and step kind after every step, and the outcome at
-    the end.  An explicit [budget] wins over [fuel] (default 10⁴
-    steps). *)
+    the end.  The [budget] defaults to 10⁴ steps. *)
 
 val pp_lockstep : Format.formatter -> lockstep_outcome -> unit

@@ -41,6 +41,7 @@ val pure_step : Ast.expr -> Ast.expr option
 
 val pure_steps : ?fuel:int -> Ast.expr -> Ast.expr -> bool
 (** [pure_steps e e']: [e {* e'] using only pure steps, within fuel —
-    the executable side condition of the PureT/PureS rule checkers. *)
+    the executable side condition of the PureT/PureS rule checkers.
+    [fuel] bounds a proof search over pure steps, not a metered run. *)
 
 val is_reducible_in : Heap.t -> Ast.expr -> bool

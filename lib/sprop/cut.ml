@@ -51,6 +51,8 @@ module type S = sig
   val agree_below : index -> t -> t -> bool
   val contractive_at : index -> (t -> t) -> t -> t -> bool
   val fixpoint : ?fuel:int -> (t -> t) -> t option
+  (** [fuel] bounds the iterations, not a program run. *)
+
   val iterates : (t -> t) -> int -> t list
 end
 

@@ -89,7 +89,8 @@ module Make (R : Resource.S) = struct
 
   (** Pointwise Banach fixed point over a finite resource carrier: the
       executable face of the recursive-domain-equation construction of
-      §6.2, restricted to contractive operators on predicates. *)
+      §6.2, restricted to contractive operators on predicates.  [fuel]
+      bounds the iterations, not a program run. *)
   let fixpoint_on ?(fuel = 1024) rs (f : t -> t) : t option =
     let table = Hashtbl.create 16 in
     let solve r =

@@ -77,13 +77,15 @@ val remaining_steps :
   ?fuel:int -> ?meter:Tfiris_robust.Budget.meter -> Step.config -> int option
 (** {!Machine.steps_to_value} on a whole configuration: the steps left
     to a value within [fuel], [None] as soon as the run cycles, and a
-    stop at [meter]'s wall deadline. *)
+    stop at [meter]'s wall deadline.  [fuel] is a pre-run depth, not a
+    run budget: the [meter] is polled, never charged. *)
 
 val adaptive : ?fuel:int -> unit -> strategy
 (** Decrement successor credit; instantiate a limit with the now-known
     bound on the rest of the run ([TSource]'s "decrease ω to k·n_f + 1
     once k is learned", §5.1), found by a {!remaining_steps} pre-run
-    that honours the run's wall deadline. *)
+    that honours the run's wall deadline.  [fuel] is that pre-run's
+    depth, not a run budget. *)
 
 val scripted : Ord.t list -> strategy
 

@@ -23,20 +23,7 @@ let contains haystack needle =
   has 0
 
 (* A fresh empty cache directory per test. *)
-let with_cache f =
-  let dir = Filename.temp_file "tfiris_cc" "" in
-  Sys.remove dir;
-  let t = Cc.open_ ~dir in
-  let rec rm_rf p =
-    if Sys.is_directory p then begin
-      Array.iter (fun n -> rm_rf (Filename.concat p n)) (Sys.readdir p);
-      Unix.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
-    (fun () -> f t)
+let with_cache f = with_tmp_dir "tfiris_cc" (fun dir -> f (Cc.open_ ~dir))
 
 let sample_key = "15669f5e73b4bc124153de3076768bbe"
 
@@ -301,26 +288,12 @@ let test_gc () =
 
 (* ---------- end to end through the binary ---------- *)
 
-
-let with_tmpdir f =
-  let dir = Filename.temp_file "tfiris_cc_e2e" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let rec rm_rf p =
-    if Sys.is_directory p then begin
-      Array.iter (fun n -> rm_rf (Filename.concat p n)) (Sys.readdir p);
-      Unix.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
 (* Second identical run must replay from the cache: byte-identical
    stdout, a [cached] ledger marker, and the same content key (the
    marker is key-neutral). *)
 let test_cli_run_cache_replay () =
   if not (Sys.file_exists cli_exe) then Alcotest.skip ();
-  with_tmpdir (fun dir ->
+  with_tmp_dir "tfiris_cc_e2e" (fun dir ->
       let cache = Filename.concat dir "cache" in
       let led = Filename.concat dir "LEDGER.jsonl" in
       let out1 = Filename.concat dir "out1" in
@@ -348,7 +321,7 @@ let test_cli_run_cache_replay () =
 
 let test_cli_cache_stats_and_gc () =
   if not (Sys.file_exists cli_exe) then Alcotest.skip ();
-  with_tmpdir (fun dir ->
+  with_tmp_dir "tfiris_cc_e2e" (fun dir ->
       let cache = Filename.concat dir "cache" in
       Alcotest.(check int) "seed the cache" 0
         (sh "%s run -e '1 + 2' --cache=%s > /dev/null" cli_exe
@@ -378,7 +351,7 @@ let test_cli_cache_stats_and_gc () =
    entry re-verifies (miss), never lies. *)
 let test_cli_verify_corpus () =
   if not (Sys.file_exists cli_exe) then Alcotest.skip ();
-  with_tmpdir (fun dir ->
+  with_tmp_dir "tfiris_cc_e2e" (fun dir ->
       let cache = Filename.concat dir "cache" in
       let cold = Filename.concat dir "cold.jsonl" in
       let warm = Filename.concat dir "warm.jsonl" in
@@ -436,7 +409,7 @@ let test_cli_verify_corpus () =
    only finding is a warning. *)
 let test_cli_analyze_fail_on_replay () =
   if not (Sys.file_exists cli_exe) then Alcotest.skip ();
-  with_tmpdir (fun dir ->
+  with_tmp_dir "tfiris_cc_e2e" (fun dir ->
       let cache = Filename.concat dir "cache" in
       let out1 = Filename.concat dir "out1" in
       let out2 = Filename.concat dir "out2" in
@@ -463,7 +436,7 @@ let test_cli_analyze_fail_on_replay () =
    run), never dump the stored json-stable form instead. *)
 let test_cli_analyze_format_mismatch_runs_fresh () =
   if not (Sys.file_exists cli_exe) then Alcotest.skip ();
-  with_tmpdir (fun dir ->
+  with_tmp_dir "tfiris_cc_e2e" (fun dir ->
       let cache = Filename.concat dir "cache" in
       let fresh = Filename.concat dir "fresh" in
       let warm = Filename.concat dir "warm" in
@@ -490,7 +463,7 @@ let test_cli_analyze_format_mismatch_runs_fresh () =
    cert still serves plain runs. *)
 let test_cli_run_stats_no_replay () =
   if not (Sys.file_exists cli_exe) then Alcotest.skip ();
-  with_tmpdir (fun dir ->
+  with_tmp_dir "tfiris_cc_e2e" (fun dir ->
       let cache = Filename.concat dir "cache" in
       let out1 = Filename.concat dir "out1" in
       let out2 = Filename.concat dir "out2" in
@@ -514,13 +487,6 @@ let test_cli_run_stats_no_replay () =
    must stderr once the warm run's one "tfiris: cache hit" line is
    dropped; [replays] says whether the warm run must hit at all
    (--explain never replays, and prints its post-mortem both times). *)
-let run_cli dir args =
-  let out = Filename.concat dir "out" and err = Filename.concat dir "err" in
-  let code =
-    sh "%s %s > %s 2> %s" cli_exe args (Filename.quote out) (Filename.quote err)
-  in
-  (code, read_file out, read_file err)
-
 let hit_line = "tfiris: cache hit"
 
 let warm_cold_rows =
@@ -545,13 +511,13 @@ let test_cli_warm_equals_cold () =
   if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   List.iter
     (fun (args, replays) ->
-      with_tmpdir (fun dir ->
+      with_tmp_dir "tfiris_cc_e2e" (fun dir ->
           let args =
             Printf.sprintf "%s --cache=%s" args
               (Filename.quote (Filename.concat dir "cache"))
           in
-          let code, out, err = run_cli dir args in
-          let code', out', err' = run_cli dir args in
+          let code, out, err = run_cli args in
+          let code', out', err' = run_cli args in
           let lines s = String.split_on_char '\n' s in
           let hits, rest =
             List.partition (String.starts_with ~prefix:hit_line) (lines err')
@@ -569,10 +535,10 @@ let test_cli_warm_equals_cold () =
    later plain run replays it. *)
 let test_cli_explain_stores () =
   if not (Sys.file_exists cli_exe) then Alcotest.skip ();
-  with_tmpdir (fun dir ->
+  with_tmp_dir "tfiris_cc_e2e" (fun dir ->
       let cache = Filename.quote (Filename.concat dir "cache") in
       let code, out, _ =
-        run_cli dir
+        run_cli
           (Printf.sprintf "check-term -e '(rec f x. f x) 0' --explain --cache=%s"
              cache)
       in
@@ -580,7 +546,7 @@ let test_cli_explain_stores () =
       Alcotest.(check bool) "post-mortem printed" true
         (contains out "== forensics: termination.wp");
       let code, out, err =
-        run_cli dir
+        run_cli
           (Printf.sprintf "check-term -e '(rec f x. f x) 0' --cache=%s" cache)
       in
       Alcotest.(check int) "plain exit" 1 code;
@@ -592,13 +558,13 @@ let test_cli_explain_stores () =
    run recomputes. *)
 let test_cli_cert_without_detail_recomputes () =
   if not (Sys.file_exists cli_exe) then Alcotest.skip ();
-  with_tmpdir (fun dir ->
+  with_tmp_dir "tfiris_cc_e2e" (fun dir ->
       let cache = Filename.concat dir "cache" in
       let args =
         Printf.sprintf "check-term -e '(rec f x. f x) 0' --cache=%s"
           (Filename.quote cache)
       in
-      let _, cold, _ = run_cli dir args in
+      let _, cold, _ = run_cli args in
       let t = Cc.open_ ~dir:cache in
       (match Cc.entries t with
       | [ (path, _, _) ], _ -> (
@@ -608,7 +574,7 @@ let test_cli_cert_without_detail_recomputes () =
             (Obs.Json.to_string (Cc.to_json { c with Cc.detail = None }))
         | Error e -> Alcotest.failf "stored cert unreadable: %s" e)
       | _ -> Alcotest.fail "expected one stored certificate");
-      let _, warm, err = run_cli dir args in
+      let _, warm, err = run_cli args in
       Alcotest.(check bool) "no replay" false (contains err hit_line);
       Alcotest.(check string) "recomputed stdout" cold warm)
 

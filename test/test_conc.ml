@@ -5,6 +5,7 @@
 module Q = QCheck2
 module Shl = Tfiris.Shl
 module Conc = Tfiris_shl.Conc
+module Budget = Tfiris_robust.Budget
 
 let parse = Shl.Parser.parse_exn
 
@@ -43,7 +44,10 @@ let test_schedulers_agree_with_exploration () =
   let observed = final_ints r in
   List.iter
     (fun sched ->
-      match Conc.run ~fuel:100_000 ~sched (Conc.init Conc.racy_incr) with
+      match
+        Conc.run ~budget:(Budget.of_steps 100_000) ~sched
+          (Conc.init Conc.racy_incr)
+      with
       | Conc.All_done (Shl.Ast.Int n, _) ->
         Alcotest.(check bool) "scheduled outcome was explored" true
           (List.mem n observed)
@@ -66,7 +70,7 @@ let test_seeded_determinism () =
       (fun seed ->
         let run () =
           let o, steps =
-            Conc.run_stats ~fuel:100_000 ~sched:(Conc.seeded seed)
+            Conc.run_stats ~budget:(Budget.of_steps 100_000) ~sched:(Conc.seeded seed)
               (Conc.init Conc.racy_incr)
           in
           (describe o, steps)
@@ -134,7 +138,7 @@ let locked_always_two_prop =
        ~print:string_of_int (Q.Gen.int_bound 10_000)
        (fun seed ->
          match
-           Conc.run ~fuel:200_000 ~sched:(Conc.seeded seed)
+           Conc.run ~budget:(Budget.of_steps 200_000) ~sched:(Conc.seeded seed)
              (Conc.init Conc.locked_incr)
          with
          | Conc.All_done (Shl.Ast.Int 2, _) -> true
@@ -180,7 +184,7 @@ let test_conc_refinement_divergence_rejected () =
      terminating source *)
   let spin = parse "let r = ref 0 in fork (r := 1); (rec w u. w u) ()" in
   match
-    CR.certify ~fuel:50_000 ~tgt_sched:Conc.round_robin ~target:spin
+    CR.certify ~budget:(Budget.of_steps 50_000) ~tgt_sched:Conc.round_robin ~target:spin
       ~source:(parse "1 + 1") ()
   with
   | CR.Accepted _ -> Alcotest.fail "diverging target certified!"
@@ -242,8 +246,6 @@ let test_interleaving_diamond_dedup () =
   Alcotest.(check int) "diamond, not a schedule tree" 7 r.Conc.states
 
 (* ---------- the parallel explorer (PR 9) ---------- *)
-
-module Budget = Tfiris_robust.Budget
 
 (* The full observable signature of an exploration, as a comparable
    value: state count, sorted final (value, heap) pairs, sorted stuck

@@ -5,6 +5,7 @@
    cycle-checked pre-run against a plain fuel-bounded loop. *)
 
 module Q = QCheck2
+module Budget = Tfiris.Robust.Budget
 open Tfiris
 open Shl
 
@@ -23,7 +24,7 @@ let prop ?(count = 200) name gen print fn =
 let lockstep_agrees =
   prop ~count:1200 "machine ≡ reference stepper (lockstep)" Gen.shl_expr
     Gen.print_shl (fun e ->
-      match Machine.lockstep ~fuel:300 e with
+      match Machine.lockstep ~budget:(Budget.of_steps 300) e with
       | Machine.Agree_value _ | Machine.Agree_stuck _
       | Machine.Agree_out_of_fuel _ ->
         true
@@ -223,7 +224,7 @@ let test_lockstep_outcomes () =
   (match Machine.lockstep (parse "1 + true") with
   | Machine.Agree_stuck (Ast.Bin_op (Ast.Add, _, _), 0) -> ()
   | o -> Alcotest.failf "expected stuck at step 0, got %a" Machine.pp_lockstep o);
-  match Machine.lockstep ~fuel:50 (parse "(rec f x. f x) 0") with
+  match Machine.lockstep ~budget:(Budget.of_steps 50) (parse "(rec f x. f x) 0") with
   | Machine.Agree_out_of_fuel 50 -> ()
   | o ->
     Alcotest.failf "expected out of fuel at 50, got %a" Machine.pp_lockstep o

@@ -7,6 +7,7 @@ open Support
 module Trace = Obs.Trace
 module Metrics = Obs.Metrics
 module Json = Obs.Json
+module Budget = Robust.Budget
 module Q = QCheck2
 
 let test_span_nesting () =
@@ -108,7 +109,9 @@ let test_jsonl_sink_file () =
   let path = Filename.temp_file "tfiris_trace" ".jsonl" in
   let oc = open_out path in
   let prev = Trace.install (Trace.jsonl_sink oc) in
-  ignore (Shl.Interp.exec ~fuel:1_000 (Shl.Parser.parse_exn "1 + 2 * 3"));
+  ignore
+    (Shl.Interp.exec ~budget:(Budget.of_steps 1_000)
+       (Shl.Parser.parse_exn "1 + 2 * 3"));
   Trace.restore prev;
   close_out oc;
   let ic = open_in path in
@@ -678,7 +681,7 @@ let interp_counters_agree =
          let fuel = 500 in
          Metrics.reset ();
          Metrics.set_enabled true;
-         let _, stats = Shl.Interp.exec ~fuel e in
+         let _, stats = Shl.Interp.exec ~budget:(Budget.of_steps fuel) e in
          Metrics.set_enabled false;
          let snap = Metrics.snapshot () in
          Metrics.reset ();
@@ -693,13 +696,13 @@ let interp_counters_agree =
 let test_fuel_exact () =
   let e = Shl.Parser.parse_exn "1 + 2 + 3" in
   let n = Option.get (Shl.Interp.steps_to_value e) in
-  (match Shl.Interp.exec ~fuel:n e with
+  (match Shl.Interp.exec ~budget:(Budget.of_steps n) e with
   | Shl.Interp.Value (Shl.Ast.Int 6, _), stats ->
     Alcotest.(check int) "all steps counted" n stats.Shl.Interp.steps
   | Shl.Interp.Value _, _ -> Alcotest.fail "wrong value"
   | (Shl.Interp.Stuck _ | Shl.Interp.Out_of_fuel _), _ ->
     Alcotest.fail "exact fuel must suffice");
-  (match Shl.Interp.exec ~fuel:(n - 1) e with
+  (match Shl.Interp.exec ~budget:(Budget.of_steps (n - 1)) e with
   | Shl.Interp.Out_of_fuel _, _ -> ()
   | _ -> Alcotest.fail "fuel - 1 must be Out_of_fuel");
   Alcotest.(check int)

@@ -5,6 +5,7 @@ open Tfiris
 open Refinement
 module Q = QCheck2
 module Shl = Tfiris.Shl
+module Budget = Tfiris.Robust.Budget
 
 let parse = Shl.Parser.parse_exn
 
@@ -224,8 +225,9 @@ let test_divergence_transfer () =
   let t = Shl.Step.config Shl.Prog.e_loop in
   let s = Shl.Step.config (loop_with "fun u -> true") in
   Alcotest.(check bool) "source driven unboundedly" true
-    (Adequacy.divergence_transfer ~fuels:[ 100; 1000; 5000 ] ~target:t
-       ~source:s Strategy.lockstep)
+    (Adequacy.divergence_transfer
+       ~budgets:(List.map Budget.of_steps [ 100; 1000; 5000 ])
+       ~target:t ~source:s Strategy.lockstep)
 
 (* ---------- memoization case studies (E4/E5) ---------- *)
 
@@ -235,7 +237,7 @@ let certify_ok name inst =
       | Some (Driver.Accepted (Driver.Terminated _, _) as v) ->
         Alcotest.(check bool) "adequate" true
           (Adequacy.verdict_adequate ~target:inst.Memo_spec.target
-             ~source:inst.Memo_spec.source ~fuel:50_000_000 v)
+             ~source:inst.Memo_spec.source ~budget:(Budget.of_steps 50_000_000) v)
       | Some v -> Alcotest.failf "not accepted: %a" Driver.pp_verdict v
       | None -> Alcotest.fail "no certificate")
 
@@ -247,7 +249,7 @@ let test_broken_template () =
   Alcotest.(check bool) "no oracle certificate" true
     (Memo_spec.certify ~fuel:100_000 inst = None);
   match
-    Driver.run ~fuel:100_000 ~target:inst.Memo_spec.target
+    Driver.run ~budget:(Budget.of_steps 100_000) ~target:inst.Memo_spec.target
       ~source:inst.Memo_spec.source Strategy.lockstep
   with
   | Driver.Accepted (Driver.Terminated _, _) ->
@@ -352,9 +354,13 @@ let adequacy_prop =
             as Terminated, independent replay agrees *)
          let t = Shl.Step.config e in
          let s = Shl.Step.config e in
-         match Driver.run ~fuel:2000 ~target:t ~source:s Strategy.lockstep with
+         match
+           Driver.run ~budget:(Budget.of_steps 2000) ~target:t ~source:s
+             Strategy.lockstep
+         with
          | Driver.Accepted (Driver.Terminated _, _) as v ->
-           Adequacy.verdict_adequate ~target:t ~source:s ~fuel:5000 v
+           Adequacy.verdict_adequate ~target:t ~source:s
+             ~budget:(Budget.of_steps 5000) v
          | Driver.Accepted (Driver.Fuel_exhausted _, _) | Driver.Rejected _ ->
            true))
 

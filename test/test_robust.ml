@@ -362,25 +362,29 @@ let cli_garbage_inputs =
   ]
 
 (* Negative counts are usage errors, reported before anything is
-   printed (a negative depth used to overflow the stack). *)
-let cli_negative_counts =
+   printed (a negative depth used to overflow the stack, a negative
+   trace length never ended on a diverging program, and a negative gc
+   bound emptied the cache).  The gc inputs work on [cache], a path the
+   caller owns. *)
+let cli_negative_counts ~cache =
+  let gc flag =
+    Printf.sprintf "cache gc %s --cache=%s" flag (Filename.quote cache)
+  in
   [
     "hydra --width=-1";
     "hydra --depth=-2";
     "hydra --regrow=-1";
     "goodstein --max-len=-1";
     "goodstein -- -3";
+    "trace --steps=-1 -e '1 + 2'";
+    gc "--max-entries=-1";
+    gc "--max-age=-5";
   ]
 
-(* Run the CLI; the exit code and what it printed, with stderr either
-   merged into the text or dropped. *)
-let run_cli ~stderr args =
-  let out = Filename.temp_file "tfiris_chaos_cli" ".out" in
-  let redirect = if stderr then "2>&1" else "2>/dev/null" in
-  let code = Sys.command (Printf.sprintf "%s %s > %s %s" cli_exe args out redirect) in
-  let text = In_channel.with_open_bin out In_channel.input_all in
-  Sys.remove out;
-  (code, text)
+(* [f] on the negative-count inputs, their cache in a fresh directory *)
+let with_negative_counts f =
+  with_tmp_dir "tfiris_negative" (fun dir ->
+      f (cli_negative_counts ~cache:(Filename.concat dir "cache")))
 
 (* 125 is cmdliner's "uncaught exception" exit; a backtrace on stderr
    means an exception escaped the structured path *)
@@ -395,40 +399,32 @@ let check_structured args (code, text) =
 
 let test_cli_structured_errors () =
   if not (Sys.file_exists cli_exe) then Alcotest.skip ();
-  List.iter
-    (fun args -> check_structured args (run_cli ~stderr:true args))
-    (cli_garbage_inputs @ cli_negative_counts)
+  with_negative_counts (fun negative_counts ->
+      List.iter
+        (fun args ->
+          let code, out, err = run_cli args in
+          check_structured args (code, out ^ err))
+        (cli_garbage_inputs @ negative_counts))
 
 (* A program file that cannot be read or parsed is named in the error
    (exit 2, structured): a corpus sweep or a multi-file analyze says
    which of its files failed. *)
 let test_cli_file_errors_name_the_file () =
   if not (Sys.file_exists cli_exe) then Alcotest.skip ();
-  let dir = Filename.temp_file "tfiris_files" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let path name = Filename.concat dir name in
-  let write name text =
-    Out_channel.with_open_bin (path name) (fun oc -> output_string oc text)
-  in
-  write "a.shl" "1 + 2";
-  write "b.shl" "let x = ";
-  Unix.mkdir (path "c") 0o755;
-  Unix.mkdir (path "c/x.shl") 0o755;
-  let q name = Filename.quote (path name) in
-  let rec rm_rf p =
-    if Sys.is_directory p then begin
-      Array.iter (fun n -> rm_rf (Filename.concat p n)) (Sys.readdir p);
-      Unix.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
+  with_tmp_dir "tfiris_files" (fun dir ->
+      let path name = Filename.concat dir name in
+      let write name text =
+        Out_channel.with_open_bin (path name) (fun oc -> output_string oc text)
+      in
+      write "a.shl" "1 + 2";
+      write "b.shl" "let x = ";
+      Unix.mkdir (path "c") 0o755;
+      Unix.mkdir (path "c/x.shl") 0o755;
+      let q name = Filename.quote (path name) in
       List.iter
         (fun (args, culprit) ->
-          let code, text = run_cli ~stderr:true args in
+          let code, out, err = run_cli args in
+          let text = out ^ err in
           check_structured args (code, text);
           Alcotest.(check int) (args ^ ": exit") 2 code;
           if not (contains ~affix:("tfiris: " ^ path culprit ^ ": ") text) then
@@ -445,35 +441,19 @@ let test_cli_file_errors_name_the_file () =
 
 let test_cli_negative_counts () =
   if not (Sys.file_exists cli_exe) then Alcotest.skip ();
-  List.iter
-    (fun args ->
-      let code, stdout = run_cli ~stderr:false args in
-      Alcotest.(check int) (args ^ ": exit") 2 code;
-      Alcotest.(check string) (args ^ ": stdout") "" stdout)
-    cli_negative_counts
+  with_negative_counts
+    (List.iter (fun args ->
+         let code, stdout, _ = run_cli args in
+         Alcotest.(check int) (args ^ ": exit") 2 code;
+         Alcotest.(check string) (args ^ ": stdout") "" stdout))
 
 (* The paper's two divergent verdicts, byte for byte: stdout, stderr
    and exit code are what the 10^7-step pre-runs printed before the
    cycle check cut them short. *)
 let test_cli_divergent_verdicts () =
   if not (Sys.file_exists cli_exe) then Alcotest.skip ();
-  let run args =
-    let out = Filename.temp_file "tfiris_cli" ".out" in
-    let err = Filename.temp_file "tfiris_cli" ".err" in
-    let code =
-      Sys.command
-        (Printf.sprintf "%s %s > %s 2> %s" cli_exe args (Filename.quote out)
-           (Filename.quote err))
-    in
-    let read f =
-      let text = In_channel.with_open_bin f In_channel.input_all in
-      Sys.remove f;
-      text
-    in
-    (code, read out, read err)
-  in
   let check args (code, out, err) =
-    let code', out', err' = run args in
+    let code', out', err' = run_cli args in
     Alcotest.(check int) (args ^ ": exit") code code';
     Alcotest.(check string) (args ^ ": stdout") out out';
     Alcotest.(check string) (args ^ ": stderr") err err'
@@ -495,7 +475,7 @@ let test_cli_prerun_wall_budget () =
   if not (Sys.file_exists cli_exe) then Alcotest.skip ();
   let timed args =
     let t0 = Unix.gettimeofday () in
-    let code, out = run_cli ~stderr:false args in
+    let code, out, _ = run_cli args in
     (code, out, (Unix.gettimeofday () -. t0) *. 1000.)
   in
   let code, out, ms =

@@ -5,6 +5,7 @@
 open Tfiris.Safety
 module Q = QCheck2
 module Shl = Tfiris.Shl
+module Budget = Tfiris.Robust.Budget
 
 let parse = Shl.Parser.parse_exn
 
@@ -135,7 +136,7 @@ let frame_locality_prop =
        ~print:Gen.print_shl Gen.shl_expr
        (fun e ->
          let frame = Shl.Heap.store 1000 (Shl.Ast.Int 123) Shl.Heap.empty in
-         match Shl.Interp.exec ~fuel:2000 ~heap:frame e with
+         match Shl.Interp.exec ~budget:(Budget.of_steps 2000) ~heap:frame e with
          | Shl.Interp.Value (_, h'), _ ->
            Shl.Heap.lookup 1000 h' = Some (Shl.Ast.Int 123)
          | (Shl.Interp.Stuck _ | Shl.Interp.Out_of_fuel _), _ -> true))
@@ -244,7 +245,7 @@ let logrel_generated_prop =
     (Q.Test.make ~count:200 ~name:"evaluation to int implies ⟦int⟧ membership"
        ~print:Gen.print_shl Gen.shl_expr
        (fun e ->
-         match Shl.Interp.exec ~fuel:2000 e with
+         match Shl.Interp.exec ~budget:(Budget.of_steps 2000) e with
          | Shl.Interp.Value (Shl.Ast.Int _, _), _ ->
            Logrel.expr_ok ~fuel:2000 Logrel.T_int e
          | _ -> true))

@@ -4,11 +4,12 @@
 open Tfiris
 open Shl
 module Types = Tfiris.Shl.Types
+module Budget = Tfiris.Robust.Budget
 module Q = QCheck2
 
-let run_src ?(fuel = 2_000_000) src =
+let run_src src =
   let e = Parser.parse_exn src in
-  Interp.eval ~fuel e
+  Interp.eval ~budget:(Budget.of_steps 2_000_000) e
 
 let check_int name src expected =
   match run_src src with
@@ -119,7 +120,8 @@ let test_fib_oracle () =
     (fun n ->
       let r = Interp.eval (Ast.App (Prog.rec_of Prog.fib_template, Ast.int_ n)) in
       let m =
-        Interp.eval ~fuel:5_000_000 (Ast.App (Prog.memo_of Prog.fib_template, Ast.int_ n))
+        Interp.eval ~budget:(Budget.of_steps 5_000_000)
+          (Ast.App (Prog.memo_of Prog.fib_template, Ast.int_ n))
       in
       let expected = Some (Ast.Int (Prog.fib_spec n)) in
       Alcotest.(check bool) (Printf.sprintf "rec fib %d" n) true (r = expected);
@@ -128,7 +130,11 @@ let test_fib_oracle () =
 
 let test_memo_speedup () =
   (* memoized fib is asymptotically faster: steps grow linearly *)
-  let steps f n = Option.get (Interp.steps_to_value ~fuel:50_000_000 (Ast.App (f, Ast.int_ n))) in
+  let steps f n =
+    Option.get
+      (Interp.steps_to_value ~budget:(Budget.of_steps 50_000_000)
+         (Ast.App (f, Ast.int_ n)))
+  in
   let m14 = steps (Prog.memo_of Prog.fib_template) 14 in
   let m15 = steps (Prog.memo_of Prog.fib_template) 15 in
   let r14 = steps (Prog.rec_of Prog.fib_template) 14 in
@@ -157,8 +163,9 @@ let test_lev_oracle () =
       let l1, heap = Prog.alloc_string a heap in
       let l2, heap = Prog.alloc_string b heap in
       let arg = Ast.Val (Ast.Pair (Ast.Loc l1, Ast.Loc l2)) in
-      let m = Interp.eval ~fuel:100_000_000 ~heap (Ast.App (Prog.mlev, arg)) in
-      let r = Interp.eval ~fuel:100_000_000 ~heap (Ast.App (Prog.rlev, arg)) in
+      let budget = Budget.of_steps 100_000_000 in
+      let m = Interp.eval ~budget ~heap (Ast.App (Prog.mlev, arg)) in
+      let r = Interp.eval ~budget ~heap (Ast.App (Prog.rlev, arg)) in
       let expected = Some (Ast.Int (Prog.lev_spec a b)) in
       Alcotest.(check bool) (Printf.sprintf "mlev %S %S" a b) true (m = expected);
       Alcotest.(check bool) (Printf.sprintf "rlev %S %S" a b) true (r = expected))
@@ -191,7 +198,7 @@ let test_divergence () =
 let test_sort_basic () =
   let run ns =
     match
-      Interp.eval ~fuel:5_000_000
+      Interp.eval ~budget:(Budget.of_steps 5_000_000)
         (Ast.App (Prog.insertion_sort, Prog.list_of_ints ns))
     with
     | Some v -> Prog.decode_int_list v
@@ -216,7 +223,7 @@ let sort_oracle_prop =
        Q.Gen.(list_size (int_bound 12) (int_range (-20) 20))
        (fun ns ->
          match
-           Interp.eval ~fuel:5_000_000
+           Interp.eval ~budget:(Budget.of_steps 5_000_000)
              (Ast.App (Prog.insertion_sort, Prog.list_of_ints ns))
          with
          | Some v ->
@@ -304,8 +311,8 @@ let determinism_prop =
   QCheck_alcotest.to_alcotest
     (Q.Test.make ~count:300 ~name:"interpreter is deterministic"
        ~print:Gen.print_shl Gen.shl_expr (fun e ->
-         let r1 = Interp.exec ~fuel:2000 e in
-         let r2 = Interp.exec ~fuel:2000 e in
+         let r1 = Interp.exec ~budget:(Budget.of_steps 2000) e in
+         let r2 = Interp.exec ~budget:(Budget.of_steps 2000) e in
          match fst r1, fst r2 with
          | Interp.Value (v1, _), Interp.Value (v2, _) -> v1 = v2
          | Interp.Stuck _, Interp.Stuck _ -> true

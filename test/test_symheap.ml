@@ -10,6 +10,7 @@
 
 module Q = QCheck2
 module Shl = Tfiris.Shl
+module Budget = Tfiris.Robust.Budget
 module An = Tfiris.Analysis
 module Sh = An.Symheap
 module B = An.Biabd
@@ -286,7 +287,7 @@ let differential e =
   match r.B.r_verdict with
   | B.Unknown -> true
   | B.Safe -> (
-    match Shl.Interp.exec ~fuel:1_000_000 e with
+    match Shl.Interp.exec ~budget:(Budget.of_steps 1_000_000) e with
     | Shl.Interp.Value (v, heap), _ ->
       let predicted = List.sort compare (List.map fst r.B.r_leaked) in
       let actual = List.sort compare (Shl.Heap.unreachable_from [ v ] heap) in
@@ -299,7 +300,7 @@ let differential e =
     | Shl.Interp.Out_of_fuel _, _ ->
       Q.Test.fail_report "safe program ran out of machine fuel")
   | B.Unsafe -> (
-    match Shl.Interp.exec ~fuel:1_000_000 e with
+    match Shl.Interp.exec ~budget:(Budget.of_steps 1_000_000) e with
     | Shl.Interp.Stuck _, _ -> true
     | Shl.Interp.Value _, _ ->
       Q.Test.fail_report "unsafe program reached a value"

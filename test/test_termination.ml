@@ -6,6 +6,7 @@ open Tfiris
 open Termination
 module Q = QCheck2
 module Shl = Tfiris.Shl
+module Budget = Tfiris.Robust.Budget
 
 let parse = Shl.Parser.parse_exn
 let cfg src = Shl.Step.config (parse src)
@@ -191,7 +192,7 @@ let test_ackermann () =
       Alcotest.(check bool)
         (Printf.sprintf "ack %d %d" m n)
         true
-        (Shl.Interp.eval ~fuel:50_000_000 (e m n)
+        (Shl.Interp.eval ~budget:(Budget.of_steps 50_000_000) (e m n)
         = Some (Shl.Ast.Int (Shl.Prog.ack_spec m n))))
     [ (0, 0); (1, 3); (2, 3); (3, 3) ];
   (* $ω^ω suffices (the classical bound) *)
@@ -240,7 +241,7 @@ let theorem_5_1_prop =
          with
          | Wp.Terminated (v, _, _) -> (
            (* independent replay reaches the same value *)
-           match Shl.Interp.eval ~fuel:5000 e with
+           match Shl.Interp.eval ~budget:(Budget.of_steps 5000) e with
            | Some v' -> v = v'
            | None -> false)
          | Wp.Rejected _ -> true))
@@ -251,7 +252,7 @@ let countdown_tight_prop =
        ~name:"finite credits: n steps need exactly n credits"
        ~print:Gen.print_shl Gen.shl_expr
        (fun e ->
-         match Shl.Interp.steps_to_value ~fuel:2000 e with
+         match Shl.Interp.steps_to_value ~budget:(Budget.of_steps 2000) e with
          | None -> true
          | Some n ->
            let run k =

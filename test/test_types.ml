@@ -4,6 +4,7 @@
 
 module Q = QCheck2
 module Shl = Tfiris.Shl
+module Budget = Tfiris.Robust.Budget
 module Types = Tfiris.Shl.Types
 module Logrel = Tfiris.Safety.Logrel
 
@@ -120,7 +121,7 @@ let progress_prop =
        ~name:"type soundness: well-typed programs never get stuck"
        ~print:Gen.print_shl Gen.typed_shl_int
        (fun e ->
-         match Shl.Interp.exec ~fuel:3000 e with
+         match Shl.Interp.exec ~budget:(Budget.of_steps 3000) e with
          | Shl.Interp.Stuck _, _ -> false
          | (Shl.Interp.Value _ | Shl.Interp.Out_of_fuel _), _ -> true))
 

@@ -385,11 +385,8 @@ let mk_dyn ctx d =
   Sh.S_fun k
 
 let mk_lam ctx env f x body =
-  let cenv =
-    List.filter
-      (fun (n, _) -> Ast.Sset.mem n (Ast.free_vars (Ast.Rec (f, x, body))))
-      env
-  in
+  let fv = Ast.free_vars (Ast.Rec (f, x, body)) in
+  let cenv = List.filter (fun (n, _) -> Ast.Sset.mem n fv) env in
   mk_dyn ctx (D_lam (f, x, body, cenv))
 
 let rec sval_of_value ctx env (v : Ast.value) : Sh.sval =

@@ -31,6 +31,7 @@
 open Tfiris_shl
 open Ast
 module F = Finding
+module Metrics = Tfiris_obs.Metrics
 
 (* ------------------------------------------------------------------ *)
 (* Join-semilattices and fixpoints                                     *)
@@ -175,6 +176,7 @@ module Engine (D : VALUE_DOMAIN) = struct
     self : string option;
     param : string;
     body : Ast.expr;
+    fv : Ast.Sset.t;  (** free variables of [body], the ones captured *)
     body_step : Path.step;  (** [Rec_body] or [Val_body] *)
     mutable cap_env : aval Smap.t;  (** captured environment, joined *)
     mutable param_in : aval;
@@ -196,7 +198,22 @@ module Engine (D : VALUE_DOMAIN) = struct
     mutable report : F.t list option;
         (** [Some acc] during the reporting pass *)
     reported : (string * Path.t, unit) Hashtbl.t;
+    in_progress : (Path.t, unit) Hashtbl.t;
+        (** functions whose body is being analyzed: the recursion guard *)
   }
+
+  let create widen_after =
+    {
+      summaries = [];
+      heap = Hashtbl.create 32;
+      dirty = true;
+      round = 0;
+      havoc = false;
+      widen_after;
+      report = None;
+      reported = Hashtbl.create 32;
+      in_progress = Hashtbl.create 16;
+    }
 
   let find_summary st p = List.assoc_opt p st.summaries
 
@@ -212,10 +229,13 @@ module Engine (D : VALUE_DOMAIN) = struct
     if st.havoc then top_v
     else Option.value ~default:bot (Hashtbl.find_opt st.heap site)
 
+  (* After a havoc [heap_get] never reads the table again, so a store
+     can change nothing observable: it neither writes nor dirties the
+     round (a closure stored against [top_v] would otherwise move the
+     joined [fns] every round and hold the loop to [max_rounds]). *)
   let heap_join st site v =
-    let old = heap_get st site in
-    let j = bump st old v in
-    Hashtbl.replace st.heap site j
+    if not st.havoc then
+      Hashtbl.replace st.heap site (bump st (heap_get st site) v)
 
   let report st ~id ~severity ~path msg =
     match st.report with
@@ -242,6 +262,7 @@ module Engine (D : VALUE_DOMAIN) = struct
             self = f;
             param = x;
             body;
+            fv = Ast.free_vars body;
             body_step;
             cap_env = Smap.empty;
             param_in = bot;
@@ -254,10 +275,9 @@ module Engine (D : VALUE_DOMAIN) = struct
         s
     in
     (* capture the free variables of the body from the defining env *)
-    let fv = Ast.free_vars body in
     Smap.iter
       (fun v a ->
-        if Ast.Sset.mem v fv then
+        if Ast.Sset.mem v s.fv then
           s.cap_env <-
             Smap.update v
               (function
@@ -268,9 +288,6 @@ module Engine (D : VALUE_DOMAIN) = struct
               s.cap_env)
       env;
     s
-
-  (* In-progress call stack, for the recursion guard. *)
-  let in_progress : (Path.t, unit) Hashtbl.t = Hashtbl.create 16
 
   let rec eval (st : state) (env : aval Smap.t) (rev_p : Path.step list)
       (e : Ast.expr) : aval =
@@ -448,15 +465,15 @@ module Engine (D : VALUE_DOMAIN) = struct
      return the joined result. *)
   and apply st (s : summary) (arg : aval) : aval =
     s.param_in <- bump st s.param_in arg;
-    if Hashtbl.mem in_progress s.fn_path then s.result
+    if Hashtbl.mem st.in_progress s.fn_path then s.result
     else begin
-      Hashtbl.replace in_progress s.fn_path ();
+      Hashtbl.replace st.in_progress s.fn_path ();
       let env = body_env st s in
       (* reversed path of the body: fn_path @ [body_step] *)
       let rev_body = s.body_step :: List.rev s.fn_path in
       let r =
         Fun.protect
-          ~finally:(fun () -> Hashtbl.remove in_progress s.fn_path)
+          ~finally:(fun () -> Hashtbl.remove st.in_progress s.fn_path)
           (fun () -> eval st env rev_body s.body)
       in
       s.result <- bump st s.result r;
@@ -493,30 +510,28 @@ module Engine (D : VALUE_DOMAIN) = struct
         sweep (List.map fst pending @ visited)
       end
     in
-    sweep []
+    sweep [];
+    st.round <- st.round + 1
 
-  let analyze ?(widen_after = 4) ?(max_rounds = 24) (e : Ast.expr) :
-      F.t list =
-    let st =
-      {
-        summaries = [];
-        heap = Hashtbl.create 32;
-        dirty = true;
-        round = 0;
-        havoc = false;
-        widen_after;
-        report = None;
-        reported = Hashtbl.create 32;
-      }
-    in
-    Hashtbl.reset in_progress;
-    while st.dirty && st.round < max_rounds do
-      round st e;
-      st.round <- st.round + 1
-    done;
-    (* reporting pass over the stabilized tables *)
+  (* The reporting pass: one more round over the stabilized tables,
+     collecting findings. *)
+  let findings st e =
     st.report <- Some [];
     round st e;
-    let findings = Option.value ~default:[] st.report in
-    List.sort F.compare findings
+    List.sort F.compare (Option.value ~default:[] st.report)
+
+  let m_rounds = Metrics.counter ("analysis." ^ D.name ^ ".rounds")
+
+  (* A round that moves no table hands the next round the same inputs,
+     and both domains' widenings, like join, return [old] when [next] is
+     already below it.  So stopping at the first clean round gives the
+     tables that running on to [max_rounds] would. *)
+  let analyze ?(widen_after = 4) ?(max_rounds = 24) (e : Ast.expr) :
+      F.t list =
+    let st = create widen_after in
+    while st.dirty && st.round < max_rounds do
+      round st e
+    done;
+    Metrics.add m_rounds st.round;
+    findings st e
 end

@@ -73,7 +73,9 @@ module Imap = Map.Make (Int)
 type t = {
   eqs : sval Imap.t;  (** svar → value; acyclic, chased by {!norm} *)
   beqs : addr Imap.t;  (** base → address; acyclic, chased likewise *)
-  neqs : (sval * sval) list;  (** asserted disequalities *)
+  neqs : (sval * sval) list;
+      (** asserted disequalities, each side normalized and the two
+          sides different (see {!unify}) *)
   spatial : atom list;
   nvar : int;  (** next fresh svar *)
   nbase : int;  (** next fresh base *)
@@ -102,14 +104,24 @@ let rec norm_addr (t : t) (a : addr) : addr =
   | None -> a
   | Some b -> norm_addr t { b with off = b.off + a.off }
 
+(* A value with nothing bound under it comes back physically unchanged,
+   so normalizing an already normal term allocates nothing. *)
 let rec norm (t : t) (v : sval) : sval =
   match v with
   | S_var i -> (
     match Imap.find_opt i t.eqs with None -> v | Some w -> norm t w)
-  | S_loc a -> S_loc (norm_addr t a)
-  | S_pair (a, b) -> S_pair (norm t a, norm t b)
-  | S_inj_l a -> S_inj_l (norm t a)
-  | S_inj_r a -> S_inj_r (norm t a)
+  | S_loc a ->
+    let a' = norm_addr t a in
+    if a' == a then v else S_loc a'
+  | S_pair (a, b) ->
+    let a' = norm t a and b' = norm t b in
+    if a' == a && b' == b then v else S_pair (a', b')
+  | S_inj_l a ->
+    let a' = norm t a in
+    if a' == a then v else S_inj_l a'
+  | S_inj_r a ->
+    let a' = norm t a in
+    if a' == a then v else S_inj_r a'
   | S_unit | S_bool _ | S_int _ | S_fun _ -> v
 
 let norm_atom (t : t) = function
@@ -132,16 +144,15 @@ let rec occurs (i : int) (v : sval) =
 (** [Some true]/[Some false] when the normalized value is definitely
     non-zero/zero; the non-zero witness is either a literal non-zero
     integer or an asserted disequality against [0] (the shape a failed
-    null test leaves behind).  [None] when unknown. *)
+    null test leaves behind).  [None] when unknown.  The stored
+    disequalities are already normal. *)
 let nonzero_int (t : t) (v : sval) =
   match norm t v with
   | S_int n -> Some (n <> 0)
   | v' ->
     if
       List.exists
-        (fun (a, b) ->
-          (norm t a = v' && norm t b = S_int 0)
-          || (norm t b = v' && norm t a = S_int 0))
+        (fun (a, b) -> (a = v' && b = S_int 0) || (b = v' && a = S_int 0))
         t.neqs
     then Some true
     else None
@@ -164,11 +175,9 @@ let rec apart (a : sval) (b : sval) =
     (* different ground constructors *)
     true
 
-(* The pure part is unsatisfiable when a disequality collapsed, or two
-   points-to atoms share a start address (x ↦ _ * x ↦ _ is false). *)
-let sat (t : t) : bool =
-  (not (List.exists (fun (a, b) -> definitely_eq t a b) t.neqs))
-  &&
+(* No two points-to atoms share a start address (x ↦ _ * x ↦ _ is
+   false). *)
+let pts_disjoint (t : t) : bool =
   let starts =
     List.filter_map
       (function
@@ -183,10 +192,52 @@ let sat (t : t) : bool =
   in
   no_dup sorted
 
+(** The full check, from scratch: the state is unsatisfiable when a
+    disequality collapsed or two points-to atoms share a start address.
+    {!unify} checks only what its binding can change; this is its
+    reference. *)
+let sat (t : t) : bool =
+  (not (List.exists (fun (a, b) -> definitely_eq t a b) t.neqs))
+  && pts_disjoint t
+
+let rec mentions_base (b : int) (v : sval) =
+  match v with
+  | S_loc a -> a.base = b
+  | S_pair (x, y) -> mentions_base b x || mentions_base b y
+  | S_inj_l x | S_inj_r x -> mentions_base b x
+  | S_var _ | S_unit | S_bool _ | S_int _ | S_fun _ -> false
+
+exception Collapsed
+
+(* [t] has one binding more than the state its disequalities were
+   normal in; [touched] recognizes the terms that binding rewrites.
+   Every other disequality is still normal and uncollapsed, so only the
+   touched ones are renormalized and re-checked, and the list after the
+   last of them is shared.  Raises [Collapsed] when one collapses. *)
+let rec renorm_neqs t touched = function
+  | [] -> []
+  | ((a, b) as d) :: rest as l ->
+    let rest' = renorm_neqs t touched rest in
+    if touched a || touched b then
+      let a = norm t a and b = norm t b in
+      if a = b then raise Collapsed else (a, b) :: rest'
+    else if rest' == rest then l
+    else d :: rest'
+
+let bind (t : t) touched : t option =
+  match renorm_neqs t touched t.neqs with
+  | neqs ->
+    if not (pts_disjoint t) then None
+    else if neqs == t.neqs then Some t
+    else Some { t with neqs }
+  | exception Collapsed -> None
+
 (* ---------- unification ---------- *)
 
 (** [unify t a b]: assume [a = b]; [None] when that is inconsistent
-    with the current pure and spatial parts. *)
+    with the current pure and spatial parts.  Each binding keeps the
+    stored disequalities normal, so [unify t a b] is [Some] exactly when
+    {!sat} accepts the state with the binding added. *)
 let rec unify (t : t) (a : sval) (b : sval) : t option =
   let a = norm t a and b = norm t b in
   if a = b then Some t
@@ -194,9 +245,7 @@ let rec unify (t : t) (a : sval) (b : sval) : t option =
     match (a, b) with
     | S_var i, v | v, S_var i ->
       if occurs i v then None
-      else
-        let t = { t with eqs = Imap.add i v t.eqs } in
-        if sat t then Some t else None
+      else bind { t with eqs = Imap.add i v t.eqs } (occurs i)
     | S_loc x, S_loc y -> unify_addr t x y
     | S_pair (a1, a2), S_pair (b1, b2) ->
       Option.bind (unify t a1 b1) (fun t -> unify t a2 b2)
@@ -216,8 +265,7 @@ and unify_addr (t : t) (x : addr) (y : addr) : t option =
         (x.base, { base = y.base; off = y.off - x.off })
       else (y.base, { base = x.base; off = x.off - y.off })
     in
-    let t = { t with beqs = Imap.add b target t.beqs } in
-    if sat t then Some t else None
+    bind { t with beqs = Imap.add b target t.beqs } (mentions_base b)
 
 (** Assume [a ≠ b]; [None] when they are already definitely equal. *)
 let add_neq (t : t) (a : sval) (b : sval) : t option =

@@ -401,6 +401,108 @@ let test_golden_json () =
   in
   Alcotest.(check string) "fork_store golden report" expect got
 
+(* ---------- analyzer golden over generated let-chains ---------- *)
+
+(* Let-chains in the shape of the time-to-verdict corpus, written out
+   here: each defines its functions with [let] and adds up their
+   results.  [memo_loop] is the pinned dataflow case: a store through an
+   offset pointer (unknown sites, so the heap is havocked) followed by
+   the event loop storing closures into its queue. *)
+let memo_defs =
+  "let map = fun u -> ref (inl ()) in let get = fun tbl k -> (rec go l. \
+   match l with | inl u -> inl () | inr c -> if fst (fst c) = k then inr \
+   (snd (fst c)) else go (snd c) end) !tbl in let set = fun tbl k v -> tbl \
+   := inr ((k, v), !tbl) in let memo = fun t -> let tbl = map () in rec g y. \
+   match get tbl y with | inl u -> let r = t g y in set tbl y r; r | inr r \
+   -> r end in let mfib = memo (fun g n -> if n < 2 then n else g (n - 1) + \
+   g (n - 2)) in "
+
+let loop_defs =
+  "let mk = fun u -> ref (inl ()) in let add = fun q f -> q := inr (f, !q) \
+   in let pop = fun q -> match !q with | inl u -> inl () | inr c -> q := snd \
+   c; inr (fst c) end in let run = rec run q. match pop q with | inl u -> () \
+   | inr f -> f (); run q end in let q = mk () in let n = ref 0 in "
+
+let loop_tasks =
+  "add q (fun u -> n := !n + 3); add q (fun u -> add q (fun v -> n := !n + \
+   4)); run q; "
+
+let slen_defs =
+  "let s0 = ref 104 in let s1 = ref 105 in let s2 = ref 33 in let z = ref 0 \
+   in let slen = rec slen p. if !p = 0 then 0 else slen (p +l 1) + 1 in "
+
+let sort_defs =
+  "let ins = rec ins v. fun l -> match l with | inl u -> inr (v, inl ()) | \
+   inr c -> if v <= fst c then inr (v, l) else inr (fst c, ins v (snd c)) \
+   end in let srt = rec srt l. match l with | inl u -> inl () | inr c -> ins \
+   (fst c) (srt (snd c)) end in let enc = rec enc l. match l with | inl u -> \
+   0 | inr c -> fst c + 10 * enc (snd c) end in "
+
+let ack_defs =
+  "let ack = rec ack m. fun n -> if m = 0 then n + 1 else if n = 0 then ack \
+   (m - 1) 1 else ack (m - 1) (ack m (n - 1)) in "
+
+let memo_loop =
+  parse
+    ("let h = ref 1 in let h1 = ref 0 in (h +l 1) := 0; " ^ memo_defs
+   ^ loop_defs ^ loop_tasks ^ "mfib 10 + !n")
+
+let chain_programs =
+  [
+    ("memo", parse (memo_defs ^ "mfib 12 + mfib 7"));
+    ("event_loop", parse (loop_defs ^ loop_tasks ^ "!n"));
+    ("slen", parse (slen_defs ^ "slen s0"));
+    ( "sort",
+      parse (sort_defs ^ "enc (srt (inr (3, inr (1, inr (2, inl ())))))") );
+    ("ackermann", parse (ack_defs ^ "ack 2 3"));
+    ("memo_loop", memo_loop);
+    ( "mixed",
+      parse
+        (slen_defs ^ memo_defs ^ sort_defs ^ ack_defs ^ loop_defs ^ loop_tasks
+       ^ "slen s0 + mfib 9 + enc (srt (inr (2, inr (1, inl ())))) + ack 1 2 + \
+          !n") );
+  ]
+
+(* Forty fixed-seed [Gen.shl_fn_chain] programs, then the chains above. *)
+let golden_programs () =
+  let rand = Random.State.make [| 20 |] in
+  List.mapi
+    (fun i e -> (Printf.sprintf "fn_chain_%02d" i, e))
+    (QCheck2.Gen.generate ~n:40 ~rand Gen.shl_fn_chain)
+  @ chain_programs
+
+(* Two lines per program: the stable analyzer report and the
+   bi-abduced summaries (tfiris-symheap/1). *)
+let render_golden programs =
+  let line j = Tfiris.Obs.Json.to_string j ^ "\n" in
+  String.concat ""
+    (List.map
+       (fun (label, e) ->
+         line (An.Analyzer.report_to_json_stable (An.Analyzer.analyze ~label e))
+         ^ line (An.Biabd.to_json ~label (An.Biabd.check e)))
+       programs)
+
+(* On a mismatch the current output is written to a temporary file, so
+   an intentional analyzer change can be reviewed with diff and copied
+   over test/analyze_chains.golden. *)
+let test_chains_golden () =
+  let expected = Support.read_file "analyze_chains.golden" in
+  let got = render_golden (golden_programs ()) in
+  if got <> expected then begin
+    let out = Filename.temp_file "analyze_chains" ".golden" in
+    let oc = open_out_bin out in
+    output_string oc got;
+    close_out oc;
+    let lines s = String.split_on_char '\n' s in
+    let rec first_diff i = function
+      | a :: r1, b :: r2 -> if a = b then first_diff (i + 1) (r1, r2) else i
+      | _ -> i
+    in
+    Alcotest.failf "analyzer output differs from the golden at line %d; \
+                    current output written to %s"
+      (first_diff 1 (lines expected, lines got)) out
+  end
+
 let test_examples_analyze_clean () =
   (* every shipped example analyzes without errors *)
   let dir = "../examples/shl" in
@@ -421,6 +523,81 @@ let test_examples_analyze_clean () =
       Alcotest.(check int) (f ^ ": no errors") 0
         (F.count_severity r.An.Analyzer.findings F.Error))
     files
+
+(* ---------- the dataflow engine vs its plain round loop ---------- *)
+
+module type ENGINE = sig
+  type state
+
+  val create : int -> state
+  val round : state -> Shl.Ast.expr -> unit
+  val findings : state -> Shl.Ast.expr -> F.t list
+end
+
+(* The oracle for [analyze]: all 24 rounds run whether or not the last
+   one moved a table, then the reporting pass. *)
+let plain_loop (module E : ENGINE) e =
+  let st = E.create 4 in
+  for _ = 1 to 24 do
+    E.round st e
+  done;
+  E.findings st e
+
+let engines =
+  [
+    ( "constprop",
+      An.Domains.constprop,
+      (module An.Domains.Const_engine : ENGINE) );
+    ( "interval",
+      An.Domains.interval,
+      (module An.Domains.Interval_engine : ENGINE) );
+  ]
+
+let same_as_plain_loop e =
+  List.for_all
+    (fun (name, analyze, engine) ->
+      let got = analyze e and expected = plain_loop engine e in
+      got = expected
+      || QCheck2.Test.fail_reportf "%s: plain loop [%s], analyze [%s]" name
+           (String.concat "; " (ids expected))
+           (String.concat "; " (ids got)))
+    engines
+
+(* Rounds [analyze] ran on [e], per domain. *)
+let rounds e =
+  let module Metrics = Tfiris.Obs.Metrics in
+  Metrics.reset ();
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+  @@ fun () ->
+  List.map
+    (fun (name, analyze, _) ->
+      ignore (analyze e);
+      let s = Metrics.snapshot () in
+      Option.value ~default:0
+        (Metrics.counter_value s ("analysis." ^ name ^ ".rounds")))
+    engines
+
+(* A store after the havoc cannot be observed, so the closures the event
+   loop stores do not dirty a round: both domains stop well before the
+   cap of 24. *)
+let test_plain_loop_pinned () =
+  Alcotest.(check bool) "memo_loop: same findings as the plain loop" true
+    (same_as_plain_loop memo_loop);
+  Alcotest.(check (list int)) "memo_loop: rounds (constprop, interval)"
+    [ 3; 6 ] (rounds memo_loop);
+  List.iter
+    (fun (label, e) ->
+      Alcotest.(check bool) (label ^ ": same findings as the plain loop") true
+        (same_as_plain_loop e))
+    chain_programs
+
+let plain_loop_prop name gen =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name ~print:Gen.print_shl gen
+       same_as_plain_loop)
 
 (* ---------- metrics integration ---------- *)
 
@@ -485,6 +662,13 @@ let suite =
     Alcotest.test_case "paper case studies analyze clean" `Quick
       test_case_studies_clean;
     Alcotest.test_case "golden JSON reports" `Quick test_golden_json;
+    Alcotest.test_case "golden over generated let-chains" `Quick
+      test_chains_golden;
+    Alcotest.test_case "dataflow vs plain round loop (pinned)" `Quick
+      test_plain_loop_pinned;
+    plain_loop_prop "dataflow vs plain round loop (let-chains of functions)"
+      Gen.shl_fn_chain;
+    plain_loop_prop "dataflow vs plain round loop (wild programs)" Gen.shl_expr;
     Alcotest.test_case "shipped examples analyze clean" `Quick
       test_examples_analyze_clean;
     Alcotest.test_case "metrics integration" `Quick test_metrics;

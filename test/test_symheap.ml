@@ -78,6 +78,219 @@ let test_neq () =
     Alcotest.(check bool) "literal disequality refused" true
       (Sh.add_neq t (Sh.S_int 1) (Sh.S_int 1) = None)
 
+(* ---------- the incremental check vs the full one ---------- *)
+
+(* From-scratch normalization: no sharing, no stored invariant. *)
+let rec naive_norm_addr (t : Sh.t) (a : Sh.addr) =
+  match Sh.Imap.find_opt a.Sh.base t.Sh.beqs with
+  | None -> a
+  | Some b -> naive_norm_addr t { b with Sh.off = b.Sh.off + a.Sh.off }
+
+let rec naive_norm (t : Sh.t) (v : Sh.sval) =
+  match v with
+  | Sh.S_var i -> (
+    match Sh.Imap.find_opt i t.Sh.eqs with
+    | None -> v
+    | Some w -> naive_norm t w)
+  | Sh.S_loc a -> Sh.S_loc (naive_norm_addr t a)
+  | Sh.S_pair (a, b) -> Sh.S_pair (naive_norm t a, naive_norm t b)
+  | Sh.S_inj_l a -> Sh.S_inj_l (naive_norm t a)
+  | Sh.S_inj_r a -> Sh.S_inj_r (naive_norm t a)
+  | Sh.S_unit | Sh.S_bool _ | Sh.S_int _ | Sh.S_fun _ -> v
+
+(* [Sh.unify] with the naive binding: add it, then run the full
+   [Sh.sat] over every disequality. *)
+let rec naive_unify (t : Sh.t) a b =
+  let a = naive_norm t a and b = naive_norm t b in
+  if a = b then Some t
+  else
+    let checked t = if Sh.sat t then Some t else None in
+    match (a, b) with
+    | Sh.S_var i, v | v, Sh.S_var i ->
+      if Sh.occurs i v then None
+      else checked { t with Sh.eqs = Sh.Imap.add i v t.Sh.eqs }
+    | Sh.S_loc x, Sh.S_loc y ->
+      if x.Sh.base = y.Sh.base then if x.Sh.off = y.Sh.off then Some t else None
+      else
+        let b, target =
+          if
+            y.Sh.base = Sh.conc_base
+            || (x.Sh.base <> Sh.conc_base && x.Sh.base > y.Sh.base)
+          then (x.Sh.base, { y with Sh.off = y.Sh.off - x.Sh.off })
+          else (y.Sh.base, { x with Sh.off = x.Sh.off - y.Sh.off })
+        in
+        checked { t with Sh.beqs = Sh.Imap.add b target t.Sh.beqs }
+    | Sh.S_pair (a1, a2), Sh.S_pair (b1, b2) ->
+      Option.bind (naive_unify t a1 b1) (fun t -> naive_unify t a2 b2)
+    | Sh.S_inj_l x, Sh.S_inj_l y | Sh.S_inj_r x, Sh.S_inj_r y ->
+      naive_unify t x y
+    | _ -> None
+
+let naive_nonzero t v =
+  match naive_norm t v with
+  | Sh.S_int n -> Some (n <> 0)
+  | v' ->
+    let zero x = naive_norm t x = Sh.S_int 0 in
+    if
+      List.exists
+        (fun (a, b) ->
+          (naive_norm t a = v' && zero b) || (naive_norm t b = v' && zero a))
+        t.Sh.neqs
+    then Some true
+    else None
+
+(* Values over the state's variables and bases, by index (taken modulo
+   how many exist when the operation runs). *)
+type recipe =
+  | R_var of int
+  | R_int of int
+  | R_loc of int * int  (** base index (or concrete), offset *)
+  | R_pair of recipe * recipe
+  | R_inl of recipe
+  | R_inr of recipe
+
+type op =
+  | Fresh_var
+  | Fresh_base
+  | Neq of recipe * recipe
+  | Pts of recipe * recipe  (** a points-to atom at a location recipe *)
+  | Unify of recipe * recipe
+
+let rec resolve (t : Sh.t) = function
+  | R_var k -> if t.Sh.nvar = 0 then Sh.S_int 0 else Sh.S_var (k mod t.Sh.nvar)
+  | R_int n -> Sh.S_int n
+  | R_loc (k, off) ->
+    let base =
+      if t.Sh.nbase = 0 || k = 0 then Sh.conc_base else k mod t.Sh.nbase
+    in
+    Sh.S_loc { Sh.base; off }
+  | R_pair (a, b) -> Sh.S_pair (resolve t a, resolve t b)
+  | R_inl a -> Sh.S_inj_l (resolve t a)
+  | R_inr a -> Sh.S_inj_r (resolve t a)
+
+let rec recipe_to_string = function
+  | R_var k -> Printf.sprintf "v%d" k
+  | R_int n -> string_of_int n
+  | R_loc (k, off) -> Printf.sprintf "b%d+%d" k off
+  | R_pair (a, b) ->
+    Printf.sprintf "(%s, %s)" (recipe_to_string a) (recipe_to_string b)
+  | R_inl a -> "inl " ^ recipe_to_string a
+  | R_inr a -> "inr " ^ recipe_to_string a
+
+let op_to_string op =
+  let two a sep b = recipe_to_string a ^ sep ^ recipe_to_string b in
+  match op with
+  | Fresh_var -> "fresh_var"
+  | Fresh_base -> "fresh_base"
+  | Neq (a, b) -> two a " != " b
+  | Pts (a, v) -> two a " |-> " v
+  | Unify (a, b) -> two a " = " b
+
+let recipe : recipe Q.Gen.t =
+  let open Q.Gen in
+  sized_size (int_bound 3)
+  @@ fix (fun self n ->
+         let leaf =
+           frequency
+             [
+               (4, map (fun k -> R_var k) (int_bound 9));
+               (2, map (fun n -> R_int n) (int_bound 2));
+               (2, map2 (fun k o -> R_loc (k, o)) (int_bound 5) (int_bound 2));
+             ]
+         in
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (3, leaf);
+               ( 1,
+                 map2 (fun a b -> R_pair (a, b)) (self (n / 2)) (self (n / 2))
+               );
+               (1, map (fun a -> R_inl a) (self (n - 1)));
+               (1, map (fun a -> R_inr a) (self (n - 1)));
+             ])
+
+let ops : op list Q.Gen.t =
+  let open Q.Gen in
+  list_size (int_range 1 40)
+    (frequency
+       [
+         (3, return Fresh_var);
+         (2, return Fresh_base);
+         (3, map2 (fun a b -> Neq (a, b)) recipe recipe);
+         (1, map2 (fun k v -> Pts (R_loc (k, 0), v)) (int_bound 5) recipe);
+         (6, map2 (fun a b -> Unify (a, b)) recipe recipe);
+       ])
+
+(* Run [ops] through the API.  At every unification the incremental
+   [Sh.unify] must succeed exactly when the naive binding passes the
+   full [Sh.sat], with the same bindings; after every step each stored
+   disequality is its own normal form with two different sides, and
+   [norm], [nonzero_int] and [definitely_eq] agree with normalizing
+   from scratch. *)
+let incremental_sat ops =
+  let check_state (t : Sh.t) =
+    let probes =
+      List.init t.Sh.nvar (fun i -> Sh.S_var i)
+      @ List.init t.Sh.nbase (fun b -> Sh.S_loc (Sh.addr_of_base b))
+      @ [ Sh.S_int 0; Sh.S_int 1 ]
+    in
+    List.iter
+      (fun (a, b) ->
+        if naive_norm t a <> a || naive_norm t b <> b || a = b then
+          Q.Test.fail_reportf "stored disequality %s != %s is not normal"
+            (Sh.string_of_sval a) (Sh.string_of_sval b))
+      t.Sh.neqs;
+    List.iter
+      (fun v ->
+        if Sh.norm t v <> naive_norm t v then
+          Q.Test.fail_reportf "norm %s differs" (Sh.string_of_sval v);
+        if Sh.nonzero_int t v <> naive_nonzero t v then
+          Q.Test.fail_reportf "nonzero_int %s differs" (Sh.string_of_sval v);
+        List.iter
+          (fun w ->
+            if Sh.definitely_eq t v w <> (naive_norm t v = naive_norm t w) then
+              Q.Test.fail_reportf "definitely_eq %s %s differs"
+                (Sh.string_of_sval v) (Sh.string_of_sval w))
+          probes)
+      probes
+  in
+  let step (t : Sh.t) op =
+    let t =
+      match op with
+      | Fresh_var -> fst (Sh.fresh_var t)
+      | Fresh_base -> fst (Sh.fresh_base t)
+      | Neq (a, b) ->
+        Option.value ~default:t (Sh.add_neq t (resolve t a) (resolve t b))
+      | Pts (a, v) -> (
+        match resolve t a with
+        | Sh.S_loc x -> Sh.add_atom t (Sh.Pts (x, resolve t v))
+        | _ -> t)
+      | Unify (a, b) -> (
+        let a = resolve t a and b = resolve t b in
+        match (Sh.unify t a b, naive_unify t a b) with
+        | None, None -> t
+        | Some t', Some n ->
+          if
+            not
+              (Sh.Imap.equal ( = ) t'.Sh.eqs n.Sh.eqs
+              && Sh.Imap.equal ( = ) t'.Sh.beqs n.Sh.beqs)
+          then Q.Test.fail_report "unify and the naive binding bind differently"
+          else t'
+        | Some _, None -> Q.Test.fail_report "unify accepts what sat refuses"
+        | None, Some _ -> Q.Test.fail_report "unify refuses what sat accepts")
+    in
+    check_state t;
+    t
+  in
+  ignore (List.fold_left step Sh.empty ops);
+  true
+
+let incremental_sat_prop =
+  prop ~count:500 "unify's incremental check vs full sat" ops
+    (fun l -> String.concat "; " (List.map op_to_string l))
+    incremental_sat
+
 (* ---------- subtraction: frames, anti-frames, junk ---------- *)
 
 let test_subtract () =
@@ -415,6 +628,7 @@ let suite =
   [
     Alcotest.test_case "unification" `Quick test_unify;
     Alcotest.test_case "disequalities" `Quick test_neq;
+    incremental_sat_prop;
     Alcotest.test_case "subtraction: frame and anti-frame" `Quick
       test_subtract;
     Alcotest.test_case "chain entails segment" `Quick test_entails_lseg;

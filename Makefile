@@ -119,8 +119,16 @@ corpus: build
 # runtest` (via `test`) includes the 4-domain metrics stress tests and
 # the concurrent-ledger-append test, so a green verify also certifies
 # the domain-safe telemetry core.
+# The 3-thread CAS counter of the time-to-verdict benchmark's `drivers`
+# jobs: `verify` explores it at 1 and 2 domains and holds the two
+# stdouts (sorted finals, reduced state count) byte-equal.
+CAS3 = let c = ref 0 in let d = ref 0 in let inc = rec retry u. let v = !c in if cas c v (v + 1) then () else retry u in let finish = rec retry u. let w = !d in if cas d w (w + 1) then () else retry u in fork (inc (); finish ()); fork (inc (); finish ()); fork (inc (); finish ()); (rec wait u. if !d = 3 then !c else wait u) ()
+
 verify: build test
 	dune exec bin/tfiris_cli.exe -- run --stats --metrics --gc -e "let r = ref 0 in r := 41; !r + 1"
+	dune exec bin/tfiris_cli.exe -- run --domains=1 -e "$(CAS3)" > EXPLORE_1dom.txt
+	dune exec bin/tfiris_cli.exe -- run --domains=2 -e "$(CAS3)" > EXPLORE_2dom.txt
+	cmp EXPLORE_1dom.txt EXPLORE_2dom.txt
 	dune exec bin/tfiris_cli.exe -- run examples/shl/memo_fib.shl \
 	  --gc=TELEMETRY.json
 	dune exec bin/tfiris_cli.exe -- analyze --fail-on=error examples/shl/*.shl

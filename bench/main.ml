@@ -598,8 +598,9 @@ let e18 () =
      set) at every domain count, which MUST equal the sequential one —
      a mismatch is a soundness bug and fails the harness, not a slow
      run; so does an exploration whose state count leaves its pinned
-     value (140 for locked_incr, 310 for spinlock_pair), since the
-     count is a deterministic work counter;
+     value (140 for locked_incr, 310 for spinlock_pair on the full
+     graph, 88 for spinlock_pair on the reduced one), since the count
+     is a deterministic work counter;
    - the >=1.7x-at-4-domains expectation is only meaningful on hardware
      with 4 real cores, so the shortfall warning is gated on
      [Domain.recommended_domain_count] — single-core CI runs the whole
@@ -620,8 +621,8 @@ let e20 () =
   in
   (* one signature type for both workload kinds: a stable string the
      parallel run must reproduce byte-for-byte, plus a size to print *)
-  let explore_sig e d =
-    let r = Conc.explore ~domains:d (Conc.init e) in
+  let explore_sig explore e d =
+    let r : Conc.exploration = explore ~domains:d (Conc.init e) in
     let finals =
       List.sort compare
         (List.map (fun (v, _) -> Shl.Pretty.value_to_string v)
@@ -647,11 +648,19 @@ let e20 () =
       List.length races )
   in
   (* name, run, and the exact state count where the run is an
-     exploration: a changed count is a changed key relation *)
+     exploration: a changed count is a changed key relation (or, on the
+     reduced graph, a changed chain rule).  Scaling is measured on the
+     full graph; the reduced row shows what collapsing pure chains
+     leaves to parallelize. *)
+  let full ~domains c = Conc.explore_all ~domains c in
+  let reduced ~domains c = Conc.explore ~domains c in
   let workloads =
     [
-      ("explore locked_incr", explore_sig Conc.locked_incr, Some 140);
-      ("explore spinlock_pair", explore_sig Conc.spinlock_pair, Some 310);
+      ("explore locked_incr", explore_sig full Conc.locked_incr, Some 140);
+      ("explore spinlock_pair", explore_sig full Conc.spinlock_pair, Some 310);
+      ( "reduced spinlock_pair",
+        explore_sig reduced Conc.spinlock_pair,
+        Some 88 );
       ( "race oracle spinlock_racy",
         oracle_sig Conc.spinlock_pair_racy_read,
         None );

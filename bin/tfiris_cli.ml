@@ -370,10 +370,13 @@ let render_run ?stats (o : Job.outcome) =
     ("", Printf.sprintf "out of %s budget (%d steps taken)\n" resource steps, 1)
 
 (* run --domains=N: exhaustive interleaving exploration instead of one
-   scheduled execution — every final value, every stuck thread, the
-   whole reachable state count, on N work-stealing domains.  Output is
-   sorted so it is identical at every domain count (the explorer's
-   reachable set is; only traversal order varies).  Exploration is not
+   scheduled execution — every final value and every stuck thread, on N
+   work-stealing domains.  It explores the reduced graph
+   ([Conc.explore]: pure-step chains collapsed), so [states:] counts the
+   reduced graph's states and [steps:] also counts chained pure steps;
+   the finals and stuck threads are those of every interleaving.
+   Output is sorted so it is identical at every domain count (the
+   reduced graph is; only traversal order varies).  Exploration is not
    cached: its stuck threads and per-domain splits are not in an
    outcome. *)
 let run_explore ~label ~e ~budget ~stats ~ledger n =

@@ -27,7 +27,7 @@
     over-approximates reachability and branch feasibility.
 
     {!dynamic_races} is the validation oracle: a breadth-first
-    enumeration of every interleaving (as in {!Tfiris_shl.Conc.explore})
+    enumeration of every interleaving (as in {!Tfiris_shl.Conc.explore_all})
     that reports the conflicting next-redex pairs it actually observes.
     The test suite checks that every dynamically observed race is
     statically reported. *)
@@ -336,9 +336,12 @@ let redex_access (th : Machine.t) : (Ast.loc * dyn_kind) option =
     next-redexes: same location, distinct threads, at least one plain
     write.  Returns deduplicated (location, kind, kind) triples.
 
-    The enumeration rides {!Conc.explore}'s frontier callback instead
-    of a private BFS, so the oracle and the exhaustive checker can
-    never diverge on reachability again; [?domains] runs it on the
+    The enumeration rides {!Conc.explore_all}'s frontier callback
+    instead of a private BFS, so the oracle and the exhaustive checker
+    can never diverge on reachability again.  It needs the full
+    interleaving graph: {!Conc.explore}'s reduction keeps the terminal
+    outcomes, not every reachable state, and a co-enabled pair is a
+    property of one state.  [?domains] runs it on the
     work-stealing parallel engine (the accumulator is mutex-guarded —
     the callback fires on worker domains). *)
 let dynamic_races ?(max_states = 20_000) ?domains (e : expr) : dyn_race list =
@@ -366,7 +369,7 @@ let dynamic_races ?(max_states = 20_000) ?domains (e : expr) : dyn_race list =
     pairs accs
   in
   let (_ : Conc.exploration) =
-    Conc.explore ?domains
+    Conc.explore_all ?domains
       ~budget:(Tfiris_robust.Budget.of_states max_states)
       ~on_state:scan (Conc.init e)
   in

@@ -13,10 +13,12 @@
 
     - {!run}: execute under a specific scheduler (round-robin or a
       seeded pseudo-random one);
-    - {!explore}: enumerate {b all} interleavings up to a step bound —
-      small-scope model checking, used to show e.g. that an unlocked
-      parallel counter loses updates on {e some} schedule while the
-      CAS-locked version is correct on {e all} of them. *)
+    - {!explore_all}: enumerate {b all} interleavings up to a step
+      bound — small-scope model checking, used to show e.g. that an
+      unlocked parallel counter loses updates on {e some} schedule
+      while the CAS-locked version is correct on {e all} of them;
+    - {!explore}: the same terminal outcomes over the reduced graph,
+      where a thread's run of pure steps is one edge. *)
 
 open Ast
 module Budget = Tfiris_robust.Budget
@@ -290,13 +292,85 @@ let add_final acc (v, h) =
 
 let add_stuck acc s = if List.mem s acc then acc else s :: acc
 
+(* Persistent-set reduction on pure steps (Godefroid, LNCS 1032).  A
+   pure head step reads and writes neither the heap nor the pool, and
+   no other thread's step can enable, disable or change it, so running
+   that one thread is a persistent set of the state.  [pure_step] is the
+   thread's next step when it is pure: heap redexes and [fork] are ruled
+   out by their shape before anything is stepped. *)
+let pure_step heap (th : Machine.t) : Machine.t option =
+  match th.Machine.focus with
+  | Ref _ | Load _ | Store _ | Cas _ | Fork _ -> None
+  | _ -> (
+    match Machine.step heap th with
+    | Machine.Stepped (th', _, Step.Pure) -> Some th'
+    | Machine.Stepped _ | Machine.Final _ | Machine.Stuck_redex _ -> None)
+
+(* The longest pure chain taken as one edge.  A chain that reaches it
+   without ending is cut there and its last state is expanded in full,
+   so every [chain_limit] chained steps intern new states again and
+   [states:] bounds the run: a thread that diverges on its own without
+   repeating a state, or one whose loop the cycle check misses (frame
+   stacks that swing more than 32 frames within one loop turn), then
+   neither hangs the explorer nor hides the other threads.  A constant
+   that reads only the state, so reduced counts stay the same at every
+   domain count. *)
+let chain_limit = 1_000
+
+(* What {!pure_chain} asks of [expand]. *)
+type chain =
+  | Full  (** expand the state in full *)
+  | Chain of int * Machine.t  (** the chain's end, the one successor *)
+  | Cut of int * Machine.t  (** the chain at [chain_limit], expanded in full *)
+
+(* The lowest-index thread with a pure next step, run alone to the end
+   of its pure chain.  [Full] asks for the full expansion: no thread has
+   a pure step, the chain repeats a thread state (the cycle proviso), or
+   [charge] refused a step.
+
+   A chain leaves the heap alone, so a repeated thread state is a local
+   loop that would never end.  Repeats are found as in
+   {!Machine.prerun}: Brent's cycle detection over the configurations
+   about to take a β-step.  The proviso reads only the state, never the
+   visited set, so the reduced graph is the same at every domain count.
+   Each chained step charges [charge] (the run's step meter).  Chain
+   states are never interned or stored; a cut state is keyed but not
+   visited. *)
+let pure_chain ~charge (c : cfg) : chain =
+  (* [th] was reached by the [k]-th pure step; [saved] is the
+     β-configuration saved when the count [n] of them last reached a
+     power of two *)
+  let rec go i th k n saved power =
+    if not (charge ()) then Full
+    else
+      let beta = match th.Machine.focus with App _ -> true | _ -> false in
+      let n = if beta then n + 1 else n in
+      if beta && Machine.same_thread th saved then Full
+      else
+        let saved, power =
+          if beta && n = power then (th, 2 * power) else (saved, power)
+        in
+        match pure_step c.heap th with
+        | None -> Chain (i, th)
+        | Some _ when k >= chain_limit -> Cut (i, th)
+        | Some th' -> go i th' (k + 1) n saved power
+  in
+  let rec first i = function
+    | [] -> Full
+    | th :: rest -> (
+      match pure_step c.heap th with
+      | None -> first (i + 1) rest
+      | Some th1 -> go i th1 1 0 th 1)
+  in
+  first 0 c.threads
+
 (* One expansion, shared by both engines: a finished configuration
-   reports the main thread's value; each runnable thread either yields a
+   reports the main thread's value.  With [~reduce:(Some charge)] a
+   pure chain's end is the state's only successor; otherwise, and at a
+   cut chain's last state, each runnable thread either yields a
    successor for [visit] or is stuck. *)
-let expand it ~final ~stuck ~visit (n : node) =
-  match runnable n.cfg with
-  | [] -> Option.iter (fun v -> final (v, n.cfg.heap)) (main_value n.cfg)
-  | rs ->
+let expand it ~reduce ~final ~stuck ~visit (n : node) =
+  let expand_full (n : node) rs =
     List.iter
       (fun i ->
         match step_thread n.cfg i with
@@ -304,8 +378,26 @@ let expand it ~final ~stuck ~visit (n : node) =
         | T_value -> ()
         | T_stuck redex -> stuck (i, redex))
       rs
+  in
+  match runnable n.cfg with
+  | [] -> Option.iter (fun v -> final (v, n.cfg.heap)) (main_value n.cfg)
+  | rs -> (
+    let chain =
+      match reduce with
+      | Some charge -> pure_chain ~charge n.cfg
+      | None -> Full
+    in
+    let chained i th =
+      successor it n i { n.cfg with threads = set_thread n.cfg i th }
+    in
+    match chain with
+    | Chain (i, th) -> visit (chained i th)
+    | Cut (i, th) ->
+      let n' = chained i th in
+      expand_full n' (runnable n'.cfg)
+    | Full -> expand_full n rs)
 
-let explore_seq ?max_states ?budget ?on_state (c : cfg) : exploration =
+let explore_seq ~reduce ?max_states ?budget ?on_state (c : cfg) : exploration =
   let b =
     match budget with
     | Some b -> b
@@ -343,6 +435,7 @@ let explore_seq ?max_states ?budget ?on_state (c : cfg) : exploration =
   in
   let final f = finals := add_final !finals f in
   let stuck s = stucks := add_stuck !stucks s in
+  let reduce = if reduce then Some (fun () -> Budget.step m) else None in
   let n0 = root_node it c in
   Queue.add n0 queue;
   Ktbl.replace visited n0.key ();
@@ -356,7 +449,7 @@ let explore_seq ?max_states ?budget ?on_state (c : cfg) : exploration =
       aborted := true
     else begin
       (match on_state with Some f -> f n.cfg | None -> ());
-      expand it ~final ~stuck ~visit n
+      expand it ~reduce ~final ~stuck ~visit n
     end
   done;
   {
@@ -397,7 +490,7 @@ module Par_explore = struct
 
   (* The exploration, plus the visited and intern shards' bucket
      statistics. *)
-  let run ?max_states ?budget ?on_state ~domains (c0 : cfg) =
+  let run ~reduce ?max_states ?budget ?on_state ~domains (c0 : cfg) =
     let n = max 1 domains in
     let b =
       match budget with
@@ -405,6 +498,9 @@ module Par_explore = struct
       | None -> Budget.of_states (Option.value max_states ~default:200_000)
     in
     let m = Budget.Shared.create b in
+    let reduce =
+      if reduce then Some (fun () -> Budget.Shared.step m) else None
+    in
     let it = interner ~shards:nshards in
     let shards =
       Array.init nshards (fun _ ->
@@ -514,7 +610,7 @@ module Par_explore = struct
          then Atomic.set abort true
          else begin
            (match on_state with Some f -> f nd.cfg | None -> ());
-           expand it ~final ~stuck ~visit nd
+           expand it ~reduce ~final ~stuck ~visit nd
          end);
         Atomic.decr pending
     in
@@ -609,12 +705,16 @@ module Par_explore = struct
       Array.to_list (Array.map (fun s -> Ktbl.stats s.tbl) shards),
       Array.to_list (Array.map (fun s -> Itbl.stats s.itbl) it.ishards) )
 
-  let explore ?max_states ?budget ?on_state ~domains c =
-    let r, _, _ = run ?max_states ?budget ?on_state ~domains c in
+  let explore ?max_states ?budget ~domains c =
+    let r, _, _ = run ~reduce:true ?max_states ?budget ~domains c in
+    r
+
+  let explore_all ?max_states ?budget ?on_state ~domains c =
+    let r, _, _ = run ~reduce:false ?max_states ?budget ?on_state ~domains c in
     r
 
   let shard_stats ~domains c =
-    let _, visited, interned = run ~domains c in
+    let _, visited, interned = run ~reduce:false ~domains c in
     (visited, interned)
 end
 
@@ -629,12 +729,23 @@ let default_domains () =
     | _ -> 1)
   | None -> 1
 
-let explore ?max_states ?budget ?domains ?on_state (c : cfg) : exploration =
+let engine ~reduce ?max_states ?budget ?domains ?on_state (c : cfg) =
   let n =
     match domains with Some d -> max 1 d | None -> default_domains ()
   in
-  if n <= 1 then explore_seq ?max_states ?budget ?on_state c
-  else Par_explore.explore ?max_states ?budget ?on_state ~domains:n c
+  if n <= 1 then explore_seq ~reduce ?max_states ?budget ?on_state c
+  else
+    let r, _, _ =
+      Par_explore.run ~reduce ?max_states ?budget ?on_state ~domains:n c
+    in
+    r
+
+let explore ?max_states ?budget ?domains (c : cfg) : exploration =
+  engine ~reduce:true ?max_states ?budget ?domains c
+
+let explore_all ?max_states ?budget ?domains ?on_state (c : cfg) :
+    exploration =
+  engine ~reduce:false ?max_states ?budget ?domains ?on_state c
 
 (** {1 Classic concurrent programs} *)
 

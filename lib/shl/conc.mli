@@ -3,9 +3,10 @@
 
     A configuration is a pool of threads sharing one heap; a scheduler
     picks which thread performs the next primitive step.  [fork e]
-    spawns a thread, [cas] is atomic.  {!explore} enumerates all
-    interleavings by memoized reachability; {!run} executes one
-    scheduler. *)
+    spawns a thread, [cas] is atomic.  {!explore_all} enumerates all
+    interleavings by memoized reachability; {!explore} does so over the
+    graph with pure-step chains collapsed, which has the same terminal
+    outcomes; {!run} executes one scheduler. *)
 
 open Ast
 
@@ -87,17 +88,31 @@ val explore :
   ?max_states:int ->
   ?budget:Tfiris_robust.Budget.t ->
   ?domains:int ->
-  ?on_state:(cfg -> unit) ->
   cfg ->
   exploration
-(** All interleavings, by memoized reachability over configurations
-    (finite for the spin-loop programs here).  A visited state is keyed
-    by its interned thread ids plus its sorted heap bindings: each
-    distinct plugged thread program gets a small int for the length of
-    one exploration, and two ids are equal exactly when the programs
-    are structurally equal.  So states whose heaps were built in
-    different insertion orders are recognised as equal, and key
-    equality is the canonical relation (plugged threads plus
+(** Every terminal outcome, by memoized reachability over the {e
+    reduced} interleaving graph (finite for the spin-loop programs
+    here).  At a state where some thread's next step is a pure head
+    step ({!Step.Pure}; [fork] does not count), the lowest-index such
+    thread runs alone to the end of its pure chain, and that end is the
+    state's only successor; the states inside the chain are never
+    stored.  A pure step touches neither the heap nor the pool, so it
+    commutes with every other thread's step: the chain is a persistent
+    set (Godefroid), and the final values and stuck threads are those
+    of {!explore_all}.  If the chain repeats a thread state (a local
+    loop, found by Brent's cycle detection), or no thread has a pure
+    step, every thread is expanded as in {!explore_all}.  A chain that
+    reaches 1000 steps without ending is cut there, and the state it
+    reached is expanded in full.  The proviso and the cut read only the
+    state, so the reduced graph and its [states] count are the same at
+    every domain count.
+
+    A visited state is keyed by its interned thread ids plus its sorted
+    heap bindings: each distinct plugged thread program gets a small int
+    for the length of one exploration, and two ids are equal exactly
+    when the programs are structurally equal.  So states whose heaps
+    were built in different insertion orders are recognised as equal,
+    and key equality is the canonical relation (plugged threads plus
     [Heap.bindings]).  A successor re-plugs and interns only the thread
     that stepped (and a forked one), and reuses its parent's bindings
     when the heap is physically unchanged.
@@ -105,14 +120,32 @@ val explore :
     [~domains:n] with [n >= 2] switches to the work-stealing parallel
     engine ({!Par_explore}); omitted, the [TFIRIS_DOMAINS] environment
     variable supplies the default (else 1, the sequential reference
-    engine).  [~on_state] is invoked once per expanded configuration —
-    the frontier callback the dynamic race oracle rides on; with
-    [domains >= 2] it runs on worker domains and must be thread-safe.
+    engine).
 
     Exhaustion semantics at any domain count: a [states:] cap stops the
     frontier from growing but drains what was enqueued, so the visited
     count is exactly [min (cap, |reachable|)] — deterministic even in
-    parallel; [steps:]/[ms:] exhaustion aborts the sweep. *)
+    parallel; [steps:]/[ms:] exhaustion aborts the sweep.  [steps:]
+    counts one step per expanded state plus one per chained pure step.
+    A thread that diverges on its own without repeating a state is cut
+    every 1000 chained steps, and each cut adds new states, so it
+    exhausts [steps:] or [states:], whichever comes first. *)
+
+val explore_all :
+  ?max_states:int ->
+  ?budget:Tfiris_robust.Budget.t ->
+  ?domains:int ->
+  ?on_state:(cfg -> unit) ->
+  cfg ->
+  exploration
+(** The full interleaving graph: every runnable thread is expanded at
+    every state — the reference {!explore} is differentially tested
+    against, and the graph a client needs when it must see every pair
+    of co-enabled steps.  [~on_state] is invoked once per expanded
+    configuration — the frontier callback the dynamic race oracle rides
+    on; with [domains >= 2] it runs on worker domains and must be
+    thread-safe.  Keys, engines and budget semantics as for {!explore}
+    ([steps:] counts one step per expanded state). *)
 
 (** The work-stealing parallel engine itself: a visited set and an
     intern table each split into 64 mutex-guarded shards chosen by the
@@ -126,17 +159,25 @@ module Par_explore : sig
   val explore :
     ?max_states:int ->
     ?budget:Tfiris_robust.Budget.t ->
+    domains:int ->
+    cfg ->
+    exploration
+  (** {!Conc.explore}'s reduced graph on [domains] workers (the calling
+      domain plus [domains - 1] spawned ones); [domains = 1] exercises
+      the parallel machinery without spawning. *)
+
+  val explore_all :
+    ?max_states:int ->
+    ?budget:Tfiris_robust.Budget.t ->
     ?on_state:(cfg -> unit) ->
     domains:int ->
     cfg ->
     exploration
-  (** Run on [domains] workers (the calling domain plus [domains - 1]
-      spawned ones); [domains = 1] exercises the parallel machinery
-      without spawning. *)
+  (** {!Conc.explore_all}'s full graph on [domains] workers. *)
 
   val shard_stats :
     domains:int -> cfg -> Hashtbl.statistics list * Hashtbl.statistics list
-  (** Explore under the default budget and return the bucket statistics
+  (** Explore the full graph under the default budget and return the bucket statistics
       of every visited-set shard and every intern-table shard — how the
       tests check that keys spread over a shard's buckets. *)
 

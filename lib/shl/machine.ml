@@ -181,6 +181,12 @@ let same_frames (a : Ctx.t) (b : Ctx.t) =
   in
   meet a b cycle_window && above a b
 
+(** The same thread of one run: equal focused redexes and frame stacks
+    ({!same_frames}, so a false negative is possible, never a false
+    positive). *)
+let same_thread (a : t) (b : t) =
+  compare a.focus b.focus = 0 && same_frames a.ctx b.ctx
+
 (* The same machine state: [fresh] first — O(1), and it rules out every
    pair separated by an allocation — then the focused redex, the frame
    stacks and the heap bindings.  [compare] rather than [=]: it skips
@@ -190,8 +196,7 @@ let same_frames (a : Ctx.t) (b : Ctx.t) =
    incomparable. *)
 let same_config (a : config) (b : config) =
   Heap.fresh a.heap = Heap.fresh b.heap
-  && compare a.thread.focus b.thread.focus = 0
-  && same_frames a.thread.ctx b.thread.ctx
+  && same_thread a.thread b.thread
   && compare a.heap b.heap = 0
 
 (** How a pre-run ended. *)

@@ -45,6 +45,14 @@ val step_fork : t -> (Ast.expr * t) option
     thread with the hole filled by [()].  Consumed only by the
     {!Conc} scheduler — [fork] is not a sequential head step. *)
 
+val same_thread : t -> t -> bool
+(** Two states of one thread's run are the same machine state: equal
+    focus and equal frame stacks.  The stacks are compared only down to
+    a physically shared tail met within 32 frames, so a false negative
+    is possible (a stack that swings deeper within one loop turn) and a
+    false positive is not.  Cycle detection on single-thread runs: the
+    pre-runs below and {!Conc}'s pure chains. *)
+
 (** {1 Whole-configuration driving} *)
 
 type config = {

@@ -110,9 +110,9 @@ let rec infer_expr st (env : (string * ty) list) (e : Ast.expr) : ty =
     | None -> raise (Type_error ("unbound variable " ^ x)))
   | Ast.Rec (f, x, body) ->
     let a = fresh st and b = fresh st in
-    let env' = (x, a) :: env in
-    let env' = match f with None -> env' | Some f -> (f, T_fun (a, b)) :: env' in
-    let tb = infer_expr st env' body in
+    (* [x] shadows [f] in [rec f x. body], as in [Step]'s substitution *)
+    let env' = match f with None -> env | Some f -> (f, T_fun (a, b)) :: env in
+    let tb = infer_expr st ((x, a) :: env') body in
     unify st b tb;
     T_fun (a, b)
   | Ast.App (e1, e2) ->

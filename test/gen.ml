@@ -673,3 +673,68 @@ let conc_expr : Shl.Ast.expr Q.t =
        (fun acc i -> Let (rname (nrefs - 1 - i), Ref (int_ 0), acc))
        body
        (List.init nrefs Fun.id))
+
+(* Concurrent programs with loops, for the reduced explorer's
+   differential property: 1–2 shared cells, 1–2 forked threads plus the
+   main thread, each a sequence of 1–2 fragments.  Fragments are
+   shared-cell stores and CAS, pure local loops (counting down to an
+   exit, or cycling forever), CAS and load spin-waits, stuck pure
+   redexes, and now and then a closed {!shl_expr} (whose location
+   literals may alias the shared cells or name unallocated ones).  The
+   loops that never exit cycle through finitely many states, so the
+   full graph stays finite. *)
+let conc_loop_expr : Shl.Ast.expr Q.t =
+  let open Q in
+  let sp = Printf.sprintf in
+  let* nrefs = int_range 1 2 in
+  let cell = map (sp "r%d") (int_bound (nrefs - 1)) in
+  let fragment =
+    frequency
+      [
+        ( 3,
+          let* r = cell in
+          let* n = int_bound 2 in
+          return (sp "%s := %d" r n) );
+        ( 2,
+          let* r = cell in
+          let* a = int_bound 2 in
+          let* b = int_bound 2 in
+          return (sp "cas %s %d %d" r a b) );
+        ( 2,
+          let* n = int_bound 6 in
+          return (sp "(rec f x. if x = 0 then () else f (x - 1)) %d" n) );
+        ( 1,
+          let* k = int_range 1 3 in
+          return (sp "(rec f x. f ((x + 1) rem %d)) 0" k) );
+        (1, return "(rec f x. f x) ()");
+        ( 2,
+          let* r = cell in
+          let* a = int_bound 2 in
+          let* b = int_bound 2 in
+          return (sp "(rec w u. if cas %s %d %d then () else w u) ()" r a b) );
+        ( 2,
+          let* r = cell in
+          let* a = int_bound 2 in
+          return (sp "(rec w u. if !%s = %d then () else w u) ()" r a) );
+        (2, oneofl [ "1 + true"; "() ()"; "fst 1"; "if 3 then () else ()" ]);
+        (1, map (fun e -> "(" ^ print_shl e ^ ")") shl_expr);
+      ]
+  in
+  let thread =
+    let* n = int_range 1 2 in
+    let* fs = list_repeat n fragment in
+    return (String.concat "; " fs)
+  in
+  let* nforks = int_range 1 2 in
+  let* forks = list_repeat nforks thread in
+  let* main = thread in
+  let* observe = cell in
+  let lets =
+    String.concat "" (List.init nrefs (fun i -> sp "let r%d = ref 0 in " i))
+  in
+  let body =
+    String.concat ""
+      (List.map (fun t -> sp "fork (%s); " t) forks)
+    ^ sp "(%s); !%s" main observe
+  in
+  return (Shl.Parser.parse_exn (lets ^ body))

@@ -348,6 +348,23 @@ let test_race_precision () =
   Alcotest.(check int) "sequential program: no races" 0
     (List.length (static_races (parse "let r = ref 0 in r := 1; !r")))
 
+(* In [rec z z. body] the parameter shadows the function name, as in
+   [Step]: the dataflow passes bind the parameter over the function, and
+   the race pass's flow-insensitive points-to sets give [z] both, which
+   only over-approximates. *)
+let test_rec_binder_order () =
+  let fs =
+    An.Domains.constprop (parse "(rec f f. if f = 2 then 1 else 0) 2")
+  in
+  Alcotest.(check int) "constprop: the parameter is the constant 2" 1
+    (count_id "constprop/unreachable-branch" fs);
+  Alcotest.(check bool) "constprop: no stuck comparison" false
+    (has_id "constprop/stuck-op" fs);
+  let e = parse "let c = ref 0 in fork ((rec z z. z := 1) c); c := 2; !c" in
+  Alcotest.(check bool) "races: the dynamic race is real" true
+    (dynamic_races e <> []);
+  Alcotest.(check bool) "races: statically covered" true (static_races e <> [])
+
 (* ---------- the driver: reports, JSON, and the examples ---------- *)
 
 let test_analyzer_driver () =
@@ -673,4 +690,6 @@ let suite =
       test_examples_analyze_clean;
     Alcotest.test_case "metrics integration" `Quick test_metrics;
     Alcotest.test_case "cli analyze" `Quick test_cli_analyze;
+    Alcotest.test_case "rec z z: the parameter shadows the name" `Quick
+      test_rec_binder_order;
   ]

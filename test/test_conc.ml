@@ -235,7 +235,7 @@ let test_interleaving_diamond_dedup () =
   let h0 = Heap.store 1 (Ast.Int 0) (Heap.store 0 (Ast.Int 0) Heap.empty) in
   let store l n = Ast.Store (Ast.Val (Ast.Loc l), Ast.Val (Ast.Int n)) in
   let prog = Ast.Seq (Ast.Fork (store 0 1), store 1 2) in
-  let r = Conc.explore (Conc.init ~heap:h0 prog) in
+  let r = Conc.explore_all (Conc.init ~heap:h0 prog) in
   Alcotest.(check int) "one deduplicated final" 1
     (List.length r.Conc.final_values);
   (match r.Conc.final_values with
@@ -419,9 +419,10 @@ let reference_explore ~cap (c0 : Conc.cfg) : Conc.exploration =
     workers = [];
   }
 
-(* Sequential and parallel (1/2/4 domains) interned-key exploration
-   against the reference: the full signature when the reference ran to
-   completion, count and verdict when the cap tripped. *)
+(* Sequential and parallel (1/2/4 domains) interned-key exploration of
+   the full graph against the reference: the full signature when the
+   reference ran to completion, count and verdict when the cap
+   tripped. *)
 let agrees_with_reference ~cap e =
   let reference = reference_explore ~cap (Conc.init e) in
   let budget = Budget.of_states cap in
@@ -432,10 +433,10 @@ let agrees_with_reference ~cap e =
       r.Conc.states = reference.Conc.states
       && r.Conc.exhausted = reference.Conc.exhausted
   in
-  agree (Conc.explore ~budget ~domains:1 (Conc.init e))
+  agree (Conc.explore_all ~budget ~domains:1 (Conc.init e))
   && List.for_all
        (fun d ->
-         agree (Conc.Par_explore.explore ~budget ~domains:d (Conc.init e)))
+         agree (Conc.Par_explore.explore_all ~budget ~domains:d (Conc.init e)))
        [ 1; 2; 4 ]
 
 let interned_key_prop =
@@ -453,8 +454,10 @@ let test_interned_keys_fork_heavy () =
       "let r = ref 0 in fork (fork (r := !r + 1); r := !r + 2); fork (fork \
        (r := 4); r := !r + 8); !r"
   in
-  let r = Conc.explore ~domains:1 (Conc.init e) in
+  let r = Conc.explore_all ~domains:1 (Conc.init e) in
   Alcotest.(check int) "states" 15_453 r.Conc.states;
+  let reduced = Conc.explore ~domains:1 (Conc.init e) in
+  Alcotest.(check int) "reduced states" 6015 reduced.Conc.states;
   Alcotest.(check bool) "more than one outcome" true
     (List.length (final_ints r) > 1);
   Alcotest.(check bool) "matches the canonical-key BFS" true
@@ -480,20 +483,135 @@ let counter_program ~cas k =
        (String.concat " " (List.init k (fun _ -> "fork (" ^ bump ^ ");")))
        k)
 
-let test_counter_pinned ~cas k ~states ~finals () =
+(* The full graph's count, and the reduced graph's, pinned at every
+   domain count; both graphs must reach exactly [finals]. *)
+let test_counter_pinned ~cas k ~full ~reduced ~finals () =
   let e = counter_program ~cas k in
   List.iter
     (fun d ->
-      let r = Conc.explore ~domains:d (Conc.init e) in
-      let what =
-        Printf.sprintf "%d-thread %s, %d domains" k
-          (if cas then "CAS" else "racy")
-          d
-      in
-      Alcotest.(check int) (what ^ ": states") states r.Conc.states;
-      Alcotest.(check (list int)) (what ^ ": finals") finals (final_ints r);
-      Alcotest.(check bool) (what ^ ": complete") true
-        (r.Conc.exhausted = None && r.Conc.stuck = []))
+      List.iter
+        (fun (graph, explore, states) ->
+          let r : Conc.exploration = explore ~domains:d (Conc.init e) in
+          let what =
+            Printf.sprintf "%d-thread %s, %s graph, %d domains" k
+              (if cas then "CAS" else "racy")
+              graph d
+          in
+          Alcotest.(check int) (what ^ ": states") states r.Conc.states;
+          Alcotest.(check (list int)) (what ^ ": finals") finals (final_ints r);
+          Alcotest.(check bool) (what ^ ": complete") true
+            (r.Conc.exhausted = None && r.Conc.stuck = []))
+        [
+          ("full", (fun ~domains c -> Conc.explore_all ~domains c), full);
+          ("reduced", (fun ~domains c -> Conc.explore ~domains c), reduced);
+        ])
+    [ 1; 2; 4 ]
+
+(* ---------- the reduced graph against the full one ---------- *)
+
+(* What both graphs must agree on: the sorted final (value, heap) pairs
+   and the sorted stuck threads. *)
+let outcomes (r : Conc.exploration) =
+  let _, finals, stuck, _ = signature r in
+  (finals, stuck)
+
+(* On a program the full graph explores to the end, the reduced graph
+   must end too, with the same outcomes at 1/2/4 domains and one state
+   count at all three. *)
+let reduced_agrees_with_full ?(cap = 4_000) e =
+  let budget = Budget.of_states cap in
+  let full = Conc.explore_all ~budget ~domains:1 (Conc.init e) in
+  let reduced =
+    List.map
+      (fun d -> Conc.explore ~budget ~domains:d (Conc.init e))
+      [ 1; 2; 4 ]
+  in
+  let states = (List.hd reduced).Conc.states in
+  List.for_all (fun (r : Conc.exploration) -> r.Conc.states = states) reduced
+  && (full.Conc.exhausted <> None
+     || List.for_all
+          (fun (r : Conc.exploration) ->
+            r.Conc.exhausted = None && outcomes r = outcomes full)
+          reduced)
+
+(* Straight-line programs, and programs whose threads loop, spin-wait
+   and get stuck. *)
+let reduced_differential_prop =
+  QCheck_alcotest.to_alcotest
+    (Q.Test.make ~count:800
+       ~name:"reduced explore ≡ explore_all on finals and stuck (1/2/4 domains)"
+       ~print:Gen.print_shl
+       (Q.Gen.oneof [ Gen.conc_expr; Gen.conc_loop_expr ])
+       (fun e -> reduced_agrees_with_full e))
+
+(* A pure local loop whose stack swings 36 frames deep at every β-step
+   but the loop's own call, and the three lead-in applications put that
+   call at β-counts 3 mod 7, never a power of two mod 7: the chain's
+   cycle check never saves a shallow configuration, so it misses the
+   repeat and only the chain-length limit ends the chain. *)
+let deep_local_loop =
+  let nest =
+    String.concat "" (List.init 35 (fun _ -> "1 + ("))
+    ^ "(rec g n. if n = 0 then 0 else g (n - 1)) 5"
+    ^ String.make 35 ')'
+  in
+  parse
+    (Printf.sprintf
+       "fork ((fun a -> (fun b -> (fun c -> (rec f x. let d = %s in f 0) 0) \
+        0) 0) 0); 1 + true"
+       nest)
+
+(* Programs with loops: spin-waits, CAS retries, a thread whose pure
+   loop never ends next to a stuck one. *)
+let looping_programs =
+  [
+    ("2-thread CAS counter", counter_program ~cas:true 2);
+    ("2-thread racy counter", counter_program ~cas:false 2);
+    ("3-thread CAS counter", counter_program ~cas:true 3);
+    ("3-thread racy counter", counter_program ~cas:false 3);
+    ("racy_incr", Conc.racy_incr);
+    ("locked_incr", Conc.locked_incr);
+    ("spinlock_pair", Conc.spinlock_pair);
+    ("spinlock_pair_racy_read", Conc.spinlock_pair_racy_read);
+    ( "local loop next to a stuck thread",
+      parse "fork ((rec f x. f x) 0); 1 + true" );
+    ("local loop 36 frames deep next to a stuck thread", deep_local_loop);
+  ]
+
+let test_reduced_agrees_on_loops () =
+  List.iter
+    (fun (name, e) ->
+      Alcotest.(check bool) name true (reduced_agrees_with_full ~cap:200_000 e))
+    looping_programs
+
+let test_reduced_divergent_chain_budget () =
+  (* the child counts up forever without repeating a state: the chain's
+     steps exhaust [steps:], and under [states:] alone the chain-length
+     limit interns new states, so neither budget hangs; the stuck main
+     thread is still found *)
+  let e = parse "fork ((rec f x. f (x + 1)) 0); 1 + true" in
+  let _, stuck =
+    outcomes
+      (Conc.explore_all ~budget:(Budget.of_states 1000) ~domains:1
+         (Conc.init e))
+  in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun (what, budget, resource) ->
+          let r = Conc.explore ~budget ~domains:d (Conc.init e) in
+          let what = Printf.sprintf "%s at %d domains" what d in
+          Alcotest.(check bool)
+            (what ^ ": resource named")
+            true
+            (r.Conc.exhausted = Some resource);
+          if resource = Budget.States then
+            Alcotest.(check bool) (what ^ ": stuck main thread") true
+              (snd (outcomes r) = stuck))
+        [
+          ("steps:1000", Budget.of_steps 1000, Budget.Steps);
+          ("states:1000", Budget.of_states 1000, Budget.States);
+        ])
     [ 1; 2; 4 ]
 
 let test_shard_buckets_spread () =
@@ -561,13 +679,21 @@ let suite =
     Alcotest.test_case "interned keys: fork-heavy program" `Quick
       test_interned_keys_fork_heavy;
     Alcotest.test_case "drivers counter: 2-thread CAS" `Quick
-      (test_counter_pinned ~cas:true 2 ~states:1841 ~finals:[ 2 ]);
+      (test_counter_pinned ~cas:true 2 ~full:1841 ~reduced:146 ~finals:[ 2 ]);
     Alcotest.test_case "drivers counter: 2-thread racy" `Quick
-      (test_counter_pinned ~cas:false 2 ~states:1909 ~finals:[ 1; 2 ]);
+      (test_counter_pinned ~cas:false 2 ~full:1909 ~reduced:178
+         ~finals:[ 1; 2 ]);
     Alcotest.test_case "drivers counter: 3-thread CAS" `Slow
-      (test_counter_pinned ~cas:true 3 ~states:46_367 ~finals:[ 3 ]);
+      (test_counter_pinned ~cas:true 3 ~full:46_367 ~reduced:1311
+         ~finals:[ 3 ]);
     Alcotest.test_case "drivers counter: 3-thread racy" `Slow
-      (test_counter_pinned ~cas:false 3 ~states:55_791 ~finals:[ 1; 2; 3 ]);
+      (test_counter_pinned ~cas:false 3 ~full:55_791 ~reduced:2068
+         ~finals:[ 1; 2; 3 ]);
+    reduced_differential_prop;
+    Alcotest.test_case "reduced explore ≡ explore_all on looping programs"
+      `Slow test_reduced_agrees_on_loops;
+    Alcotest.test_case "reduced explore: a divergent chain exhausts steps"
+      `Quick test_reduced_divergent_chain_budget;
     Alcotest.test_case "parallel explore: shard and bucket bits differ" `Quick
       test_shard_buckets_spread;
   ]

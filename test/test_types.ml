@@ -115,6 +115,23 @@ let fundamental_random_prop =
        ~print:Gen.print_shl Gen.shl_expr
        (fun e -> Logrel.fundamental ~fuel:1500 e))
 
+(* In [rec f x. body] the parameter shadows the function name, as in
+   [Step]'s substitution: [rec z z. z ()] applies its argument, so it is
+   typed only if the argument is a function, and applied to [()] it is
+   stuck on [() ()].  The random fundamental-theorem property found it
+   under QCHECK_SEED=972311861, shrunk to [rec z z. z ()]. *)
+let test_binder_order () =
+  rejected "(rec z z. z ()) ()";
+  check_ty "(rec f f. f + 1) 2" "int";
+  (match Shl.Interp.eval (parse "(rec f f. f + 1) 2") with
+  | Some (Shl.Ast.Int 3) -> ()
+  | _ -> Alcotest.fail "(rec f f. f + 1) 2 should step to 3");
+  (match Shl.Interp.exec (parse "(rec z z. z ()) ()") with
+  | Shl.Interp.Stuck _, _ -> ()
+  | _ -> Alcotest.fail "(rec z z. z ()) () should be stuck");
+  Alcotest.(check bool) "fundamental thm on rec z z. z ()" true
+    (Logrel.fundamental ~fuel:1500 (parse "rec z z. z ()"))
+
 let progress_prop =
   QCheck_alcotest.to_alcotest
     (Q.Test.make ~count:250
@@ -139,4 +156,6 @@ let suite =
     fundamental_generated_prop;
     fundamental_random_prop;
     progress_prop;
+    Alcotest.test_case "rec f x: x shadows f (QCHECK_SEED=972311861)" `Quick
+      test_binder_order;
   ]

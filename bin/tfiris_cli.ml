@@ -893,9 +893,10 @@ let goodstein_cmd =
     require_non_negative [ ("seed", n); ("--max-len", max_len) ];
     List.iter
       (fun (base, v) ->
-        Format.printf "base %3d: value %-12d ordinal %a@." base v Ord.pp
+        Format.printf "base %3d: value %-12d ordinal %a@\n" base v Ord.pp
           (Goodstein.ordinal_of ~base v))
       (Goodstein.sequence ~max_len n);
+    Format.print_flush ();
     0
   in
   let seed =

@@ -45,67 +45,37 @@ let rec pp ppf (Node ts) =
     - a leaf child of the root disappears;
     - a leaf at depth ≥ 2: its parent loses the leaf, and the
       grandparent gains [n] extra copies of the (post-chop) parent. *)
-let chops ~regrow (Node roots) : tree list =
-  (* chop inside a grandchild context: returns possible replacements of
-     a node together with the list of sibling copies to regrow *)
+let chops ~regrow t : tree list =
+  (* The chops at or below a node, each as the node it leaves and the
+     copies its parent regrows: first its leaf children, in order (the
+     copies are of what is left of it), then the chops inside its other
+     children (whose copies regrow here). *)
   let rec chop_in (Node ts) : (tree * tree list) list =
-    (* either chop a leaf child of this node (regrow copies of the
-       post-chop node at our parent)... *)
+    let children = List.mapi (fun i c -> (i, c)) ts in
     let here =
       List.concat_map
-        (fun (i, child) ->
-          match child with
-          | Node [] ->
-            let remaining = List.filteri (fun j _ -> j <> i) ts in
-            let after = Node remaining in
+        (function
+          | i, Node [] ->
+            let after = Node (List.filteri (fun j _ -> j <> i) ts) in
             [ (after, List.init regrow (fun _ -> after)) ]
-          | Node _ -> [])
-        (List.mapi (fun i c -> (i, c)) ts)
+          | _, Node _ -> [])
+        children
     in
-    (* ...or recurse into a non-leaf child; the copies regrow HERE *)
     let deeper =
       List.concat_map
-        (fun (i, child) ->
-          match child with
-          | Node [] -> []
-          | Node _ ->
+        (function
+          | _, Node [] -> []
+          | i, child ->
             List.map
               (fun (child', copies) ->
-                let ts' =
-                  List.mapi (fun j c -> if j = i then child' else c) ts
-                in
-                (Node (ts' @ copies), []))
+                (Node (List.mapi (fun j c -> if j = i then child' else c) ts @ copies), []))
               (chop_in child))
-        (List.mapi (fun i c -> (i, c)) ts)
+        children
     in
     here @ deeper
   in
-  (* At the root: chopping a root-level leaf just removes it, no
-     regrowth (the standard rule). *)
-  let root_level =
-    List.concat_map
-      (fun (i, child) ->
-        match child with
-        | Node [] -> [ Node (List.filteri (fun j _ -> j <> i) roots) ]
-        | Node _ -> [])
-      (List.mapi (fun i c -> (i, c)) roots)
-  in
-  let deeper =
-    List.concat_map
-      (fun (i, child) ->
-        match child with
-        | Node [] -> []
-        | Node _ ->
-          List.map
-            (fun (child', copies) ->
-              let roots' =
-                List.mapi (fun j c -> if j = i then child' else c) roots
-              in
-              Node (roots' @ copies))
-            (chop_in child))
-      (List.mapi (fun i c -> (i, c)) roots)
-  in
-  root_level @ deeper
+  (* root-level heads regrow nothing: the root has no parent *)
+  List.map fst (chop_in t)
 
 (** The game as a measured transition system. *)
 let system ~regrow : tree Measure.t =
@@ -144,72 +114,97 @@ let pick strategy succs =
            if n' > n then (s', n') else (best, n))
          (s, size s) rest)
 
-type site = { path : int list; size : int }
+(* The game as [play] runs it, on annotated trees: every node caches its
+   children, its [size], its measure [mu] with the term [pow = ω^mu] it
+   adds to its parent's, and [best], the largest size of a node in its
+   subtree (itself included) with a head child, 0 if there is none.  A
+   chop walks to the chosen head, rebuilds the path from the root to
+   it, and recomputes the caches on that path only. *)
+type node = { kids : node list; size : int; mu : Ord.t; pow : Ord.t; best : int }
 
-(** The chop sites in [chops]' order: at each node its leaf children
-    first, then the sites inside its other children.  Chopping a head of
-    the maimed node [p] leaves [size t - 1 + regrow * (size p - 1)]
-    nodes ([p] loses the head, the grandparent gains [regrow] copies of
-    what is left of [p]); a head at the root leaves [size t - 1]. *)
-let sites ~regrow t : site Seq.t =
-  let total = size t in
-  let rec under rpath (Node ts as p) =
-    let after =
-      if rpath = [] then total - 1 else total - 1 + (regrow * (size p - 1))
-    in
-    let children = Seq.zip (Seq.ints 0) (List.to_seq ts) in
-    let here =
-      Seq.filter_map
-        (function
-          | i, Node [] -> Some { path = List.rev (i :: rpath); size = after }
-          | _, Node _ -> None)
-        children
-    in
-    let deeper =
-      Seq.concat_map
-        (function _, Node [] -> Seq.empty | i, c -> under (i :: rpath) c)
-        children
-    in
-    Seq.append here deeper
+(* The caches of a node with children [kids], from theirs: [mu] is
+   [measure]'s fold, over the cached terms. *)
+let mk kids =
+  let rec go size mu head best = function
+    | [] -> { kids; size; mu; pow = Ord.omega_pow mu; best = (if head then size else best) }
+    | k :: ks ->
+      go (size + k.size) (Ord.hsum mu k.pow) (head || k.kids = []) (max best k.best) ks
   in
-  under [] t
+  go 1 Ord.zero false 0 kids
 
-(** The hydra left by chopping the head at [path], built the way
-    [chops] builds it. *)
-let chop_at ~regrow (Node roots) path =
-  let without i ts = List.filteri (fun j _ -> j <> i) ts in
-  let replace i c' ts = List.mapi (fun j c -> if j = i then c' else c) ts in
-  (* the children of a node once the head at [path] below it is chopped *)
-  let rec go ts = function
-    | [] -> invalid_arg "Hydra.chop_at: empty path"
-    | [ i ] -> without i ts
-    | [ j; i ] ->
-      let (Node p) = List.nth ts j in
-      let after = Node (without i p) in
-      replace j after ts @ List.init regrow (fun _ -> after)
-    | j :: path ->
-      let (Node c) = List.nth ts j in
-      replace j (Node (go c path)) ts
+let rec annotate (Node ts) = mk (List.map annotate ts)
+let rec plain n = Node (List.map plain n.kids)
+
+let rec index p i = function
+  | [] -> None
+  | k :: ks -> if p k then Some i else index p (i + 1) ks
+
+(* Where the chosen head is, seen from node [n]: [`Here i] is the head
+   child [i], [`Into j] the head inside child [j]. *)
+let first n =
+  match index (fun k -> k.kids = []) 0 n.kids with
+  | Some i -> `Here i
+  | None -> `Into 0
+
+(* The first head of the first node of size [b] with a head, in [chops]'
+   order: a node's head children come before the heads inside its
+   other children, so a node with a head is the first of its subtree. *)
+let fattest b n =
+  if n.size = b then first n
+  else `Into (Option.get (index (fun k -> k.best = b) 0 n.kids))
+
+(* A head at maimed node [p] leaves [size - 1 + regrow * (size p - 1)]
+   nodes, [size - 1] at the root: with [regrow > 0] the fattest chop is
+   at the largest non-root node with a head, and the first chop in
+   order when there is none or [regrow = 0]. *)
+let target ~regrow strategy root =
+  match strategy with
+  | First -> first
+  | Fattest ->
+    let b = List.fold_left (fun b k -> max b k.best) 0 root.kids in
+    if regrow = 0 || b = 0 then first else fattest b
+
+(* The hydra left by one chop, rebuilt the way [chops] builds it; [None]
+   once it is dead. *)
+let chop ~regrow strategy root =
+  let at = target ~regrow strategy root in
+  (* [n] after the chop below it, and the copies its parent regrows *)
+  let rec go n =
+    match at n with
+    | `Here i ->
+      let n' = mk (List.filteri (fun j _ -> j <> i) n.kids) in
+      (n', List.init regrow (fun _ -> n'))
+    | `Into j ->
+      let rec splice j = function
+        | [] -> invalid_arg "Hydra.chop"
+        | k :: ks when j = 0 ->
+          let k', copies = go k in
+          k' :: (ks @ copies)
+        | k :: ks -> k :: splice (j - 1) ks
+      in
+      (mk (splice j n.kids), [])
   in
-  Node (go roots path)
+  if root.kids = [] then None else Some (fst (go root))
 
-let successor ~regrow strategy t =
-  let chosen =
-    match strategy with
-    | First -> Option.map fst (Seq.uncons (sites ~regrow t))
-    | Fattest ->
-      Seq.fold_left
-        (fun best s ->
-          match best with Some b when b.size >= s.size -> best | _ -> Some s)
-        None (sites ~regrow t)
+(** Play to the death; the result is the number of chops.  The descent
+    of the cached measure is re-checked at every chop. *)
+let play ?(regrow = 2) ~choose h =
+  let rec go n k =
+    match chop ~regrow choose n with
+    | None -> Ok k
+    | Some n' when Ord.lt n'.mu n.mu -> go n' (k + 1)
+    | Some n' ->
+      Error
+        {
+          Measure.from_state = plain n;
+          to_state = plain n';
+          from_measure = n.mu;
+          to_measure = n'.mu;
+        }
   in
-  Option.map (fun s -> chop_at ~regrow t s.path) chosen
+  go (annotate h) 0
 
-(** Play to the death; the result is the number of chops.  Only the
-    chosen successor is built at each step, and {!Measure.descend}
-    re-checks the descent of its measure. *)
-let play ?(regrow = 2) ~choose (h : tree) : (int, tree Measure.violation) result
-    =
-  match Measure.descend ~measure ~next:(successor ~regrow choose) h with
-  | Ok states -> Ok (List.length states - 1)
-  | Error v -> Error v
+let trajectory ~regrow ~choose h =
+  Seq.unfold
+    (Option.map (fun n -> ((plain n, n.mu), chop ~regrow choose n)))
+    (Some (annotate h))

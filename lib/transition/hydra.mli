@@ -4,7 +4,15 @@
     [μ(node ts) = ⊕ ω^(μ t)], so the hydra dies under every strategy of
     Hercules and every regrowth factor — Lemma 2.3 in its most vivid
     form.  Careful with deep hydras: [line 3] has measure [ω^ω^ω] and a
-    correspondingly astronomical (but finite!) game length. *)
+    correspondingly astronomical (but finite!) game length.
+
+    Two implementations play the game.  The list-level one ({!chops},
+    {!pick}, {!system}, {!measure}) builds and measures whole trees; it
+    is the reference, run by [Measure.run].  {!play} runs on trees whose
+    nodes cache their size and measure, so a chop rebuilds and
+    re-measures only the path from the root to the chopped head;
+    {!trajectory} exposes its states for comparison with the
+    reference. *)
 
 module Ord = Tfiris_ordinal.Ord
 
@@ -43,27 +51,21 @@ val pick : strategy -> tree list -> tree
     {!chops}' results, each candidate sized once.  Raises
     [Invalid_argument] on [[]]. *)
 
-type site = { path : int list; size : int }
-(** A chop site: the child indices from the root down to a head, and the
-    size of the hydra the chop leaves. *)
-
-val sites : regrow:int -> tree -> site Seq.t
-(** The chop sites, in {!chops}' order, none of them built.  A site's
-    size comes from the size [n] of the maimed node: [size t - 1 +
-    regrow * (n - 1)], or [size t - 1] for a head at the root. *)
-
-val chop_at : regrow:int -> tree -> int list -> tree
-(** The hydra left by chopping the head at a path from {!sites}:
-    [List.map (chop_at ~regrow t) paths = chops ~regrow t]. *)
-
-val successor : regrow:int -> strategy -> tree -> tree option
-(** [pick strategy (chops ~regrow t)] with only the picked successor
-    built; [None] once the hydra is dead. *)
-
 val play :
   ?regrow:int ->
   choose:strategy ->
   tree ->
   (int, tree Measure.violation) result
-(** Play to the death, re-validating the descent of {!measure} at every
-    chop; [Ok n] is the number of chops. *)
+(** Play to the death on annotated trees, re-validating the descent of
+    the measure at every chop; [Ok n] is the number of chops.  Each node
+    caches its size, its measure and the largest size of a node with a
+    head below it, so a chop walks to the head the strategy picks in
+    {!chops}' order, rebuilds only the path from the root to it, and
+    re-measures only that path.  [play ~regrow ~choose] visits the
+    states of [Measure.run (system ~regrow) ~choose:(pick choose)]; a
+    violation carries both of its states as plain trees. *)
+
+val trajectory : regrow:int -> choose:strategy -> tree -> (tree * Ord.t) Seq.t
+(** The states {!play} visits, each with the measure it cached, from the
+    start to the dead hydra, built on demand.  The descent between them
+    is not checked. *)

@@ -62,21 +62,22 @@ let validate ?(bound = 10_000) (sys : 'a t) (start : 'a) :
 
 (** Follow [next] until it returns [None], re-validating the strict
     descent of [measure] at every step; the descent makes fuel
-    unnecessary.  Returns the visited states (including the terminal
+    unnecessary.  Each state is measured once, its measure carried into
+    the next step.  Returns the visited states (including the terminal
     one) or the violation that stopped the run. *)
 let descend ~(measure : 'a -> Ord.t) ~(next : 'a -> 'a option) (start : 'a) :
     ('a list, 'a violation) result =
-  let rec go s acc =
+  let rec go s m acc =
     match next s with
     | None -> Ok (List.rev (s :: acc))
     | Some s' ->
-      let m = measure s and m' = measure s' in
-      if Ord.lt m' m then go s' (s :: acc)
+      let m' = measure s' in
+      if Ord.lt m' m then go s' m' (s :: acc)
       else
         Error
           { from_state = s; to_state = s'; from_measure = m; to_measure = m' }
   in
-  go start []
+  go start (measure start) []
 
 (** Run to termination under a successor-choice function. *)
 let run (sys : 'a t) ~(choose : 'a list -> 'a) (start : 'a) :

@@ -29,8 +29,8 @@ val validate :
 val descend :
   measure:('a -> Ord.t) -> next:('a -> 'a option) -> 'a -> ('a list, 'a violation) result
 (** Follow [next] until it returns [None], re-validating the strict
-    descent of [measure] at every step.  Returns the visited states or
-    the violation that stopped the run. *)
+    descent of [measure] at every step; each state is measured once.
+    Returns the visited states or the violation that stopped the run. *)
 
 val run : 'a t -> choose:('a list -> 'a) -> 'a -> ('a list, 'a violation) result
 (** {!descend} along [choose]'s pick among the system's successors: a

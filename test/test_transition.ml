@@ -149,8 +149,9 @@ let test_hydra_dies () =
       | Error _ -> Alcotest.failf "%s: measure violation" name)
     (("line 1, regrow 5", Hydra.line 1, 5, Hydra.choose_fattest, 7) :: bushes)
 
-(* The ordinal work of E11's heaviest game is pinned: the descent check
-   measures both ends of every chop, whatever builds the successor. *)
+(* The ordinal work of E11's heaviest game is pinned: each chop
+   re-measures the rebuilt path only, and compares the cached measures
+   of its two ends once. *)
 let test_hydra_ordinal_counts () =
   let module Metrics = Obs.Metrics in
   Metrics.reset ();
@@ -163,9 +164,9 @@ let test_hydra_ordinal_counts () =
     (Hydra.play ~regrow:4 ~choose:Hydra.choose_fattest (Hydra.bush ~width:3 ~depth:2)
       : (int, Hydra.tree Measure.violation) result);
   let s = Metrics.snapshot () in
-  Alcotest.(check (option int)) "ordinal.hsum" (Some 183096)
+  Alcotest.(check (option int)) "ordinal.hsum" (Some 87921)
     (Metrics.counter_value s "ordinal.hsum");
-  Alcotest.(check (option int)) "ordinal.compare" (Some 198664)
+  Alcotest.(check (option int)) "ordinal.compare" (Some 99432)
     (Metrics.counter_value s "ordinal.compare")
 
 let test_hydra_measure () =
@@ -193,28 +194,28 @@ let hydra_descent_prop =
       let m = Hydra.measure h in
       List.for_all (fun h' -> Ord.lt (Hydra.measure h') m) (Hydra.chops ~regrow h))
 
-(* The sites are the chops, in order and sized right, and the strategy
-   picks among them what [pick] picks among the built successors. *)
-let hydra_sites_prop =
-  hydra_prop ~count:300 ~width:4 ~depth:4 "chop sites build and size chops' successors"
-    (fun h ~regrow strategy ->
-      let chops = Hydra.chops ~regrow h in
-      let sites = List.of_seq (Hydra.sites ~regrow h) in
-      List.map (fun (s : Hydra.site) -> Hydra.chop_at ~regrow h s.path) sites = chops
-      && List.map (fun (s : Hydra.site) -> s.size) sites = List.map Hydra.size chops
-      && Hydra.successor ~regrow strategy h
-         = match chops with [] -> None | cs -> Some (Hydra.pick strategy cs))
-
-(* Whole games on small hydras: the site-based play follows the
-   list-level reference state by state. *)
+(* The annotated game against the list-level one: [Measure.run] over
+   [system], cut after [limit] states or at a hydra of more than [big]
+   nodes (most games here are astronomically long), visits the states
+   the trajectory starts with, each cached measure is [measure] of its
+   state, and a game that ends uncut takes [play] as many chops. *)
 let hydra_trajectory_prop =
-  hydra_prop ~count:100 ~width:3 ~depth:2 "site-based play follows Measure.run"
+  hydra_prop ~count:300 ~width:4 ~depth:4 "annotated play follows Measure.run"
     (fun h ~regrow strategy ->
-      let reference = Measure.run (Hydra.system ~regrow) ~choose:(Hydra.pick strategy) h in
-      Measure.descend ~measure:Hydra.measure ~next:(Hydra.successor ~regrow strategy) h
-      = reference
-      && Hydra.play ~regrow ~choose:strategy h
-         = Result.map (fun states -> List.length states - 1) reference)
+      let limit = 200 and big = 200 in
+      let sys = Hydra.system ~regrow and left = ref limit and cut = ref false in
+      let step t =
+        decr left;
+        if !left <= 0 || Hydra.size t > big then (cut := true; []) else sys.step t
+      in
+      match Measure.run { sys with step } ~choose:(Hydra.pick strategy) h with
+      | Error _ -> false
+      | Ok states ->
+        let n = List.length states in
+        let annotated = List.of_seq (Seq.take n (Hydra.trajectory ~regrow ~choose:strategy h)) in
+        List.map fst annotated = states
+        && List.for_all (fun (t, m) -> Ord.equal m (Hydra.measure t)) annotated
+        && (!cut || Hydra.play ~regrow ~choose:strategy h = Ok (n - 1)))
 
 (* ---------- properties: simulation adequacy on random systems ---------- *)
 
@@ -285,7 +286,6 @@ let suite =
     Alcotest.test_case "hydra measures" `Quick test_hydra_measure;
     Alcotest.test_case "hydra ordinal work" `Quick test_hydra_ordinal_counts;
     hydra_descent_prop;
-    hydra_sites_prop;
     hydra_trajectory_prop;
   ]
   @ properties

@@ -2,7 +2,7 @@
 # pre-push check (build + tests + CLI smoke + bench + its gates).
 
 .PHONY: all build test test-domains bench baseline chaos ledger \
-  ledger-baseline analyze-baseline corpus verify clean
+  ledger-baseline analyze-baseline corpus mem-check verify clean
 
 all: build
 
@@ -111,6 +111,23 @@ corpus: build
 	replay analyze examples/shl/memo_fib.shl && \
 	replay analyze examples/shl/memo_fib.shl --format=json-stable
 	rm -rf $(REPLAY_CACHE) .replay.cold .replay.warm
+
+# The memory figures of the time-to-verdict benchmark
+# (bench/verdicts/README.md), one 2-second run per workload:
+# allocated words per verdict and the peak major heap.  Both are
+# deterministic for a given checkout (the same on every seed), and the
+# peak moves in whole 4096-word (32 KB) major-heap pools, so a change
+# that adds a pool to some workload's heaviest job shows here in about
+# 15 s, before any timed comparison.  Informational, not a gate.
+MEM_WORKLOADS = corpus-cold corpus-warm drivers ordinal
+
+mem-check:
+	dune build bin/tfiris_cli.exe bench/verdicts/verdicts.exe
+	@for w in $(MEM_WORKLOADS); do \
+	  _build/default/bench/verdicts/verdicts.exe run --workload=$$w --seconds=2 \
+	    | grep -E '^(run |  alloc_words_per_verdict |  peak_heap_mb )' \
+	    || exit 1; \
+	done
 
 # The bench gates work counters exactly (they are deterministic).
 # The perf and memory gates compare against a baseline usually

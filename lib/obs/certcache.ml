@@ -284,7 +284,7 @@ let store (t : t) (c : cert) : bool =
     let subdir = Filename.dirname path in
     mkdir_p subdir;
     let tmp = Filename.temp_file ~temp_dir:subdir "cert-" ".tmp" in
-    let line = Bytes.of_string (Json.to_string (to_json c) ^ "\n") in
+    let line = Json.to_line (to_json c) in
     (try
        let fd =
          Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644

@@ -76,102 +76,143 @@ let to_string (j : t) =
   to_buffer b j;
   Buffer.contents b
 
+(* [to_string j ^ "\n"] as bytes, built in one buffer and copied out
+   once: the form in which the ledger and the certificate cache write a
+   record. *)
+let to_line (j : t) =
+  let b = Buffer.create 256 in
+  to_buffer b j;
+  Buffer.add_char b '\n';
+  Buffer.to_bytes b
+
 (* ---------- parsing ---------- *)
 
 exception Parse_error of string
 
+(* The reader works on indices: it allocates nothing per byte, and a
+   string body without escapes is one [String.sub].  It accepts the
+   same language, with the same error messages and offsets, as the
+   reference reader under [test/]. *)
 type cursor = {
   src : string;
   mutable pos : int;
 }
 
-let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
+let at_end c = c.pos >= String.length c.src
+
+(* the current byte; only called when [not (at_end c)] *)
+let cur c = String.unsafe_get c.src c.pos
+
+let at c ch = c.pos < String.length c.src && String.unsafe_get c.src c.pos = ch
 
 let advance c = c.pos <- c.pos + 1
 
 let fail c msg = raise (Parse_error (Printf.sprintf "at %d: %s" c.pos msg))
 
-let rec skip_ws c =
-  match peek c with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance c;
-    skip_ws c
-  | Some _ | None -> ()
+(* The first index at or after [i] that is not JSON whitespace. *)
+let rec ws_end s i =
+  if i < String.length s then
+    match String.unsafe_get s i with
+    | ' ' | '\t' | '\n' | '\r' -> ws_end s (i + 1)
+    | _ -> i
+  else i
 
-let expect c ch =
-  match peek c with
-  | Some x when x = ch -> advance c
-  | _ -> fail c (Printf.sprintf "expected %C" ch)
+let skip_ws c = c.pos <- ws_end c.src c.pos
+
+let expect c ch = if at c ch then advance c else fail c (Printf.sprintf "expected %C" ch)
 
 let literal c word (v : t) =
-  String.iter (fun ch -> expect c ch) word;
+  for k = 0 to String.length word - 1 do
+    expect c word.[k]
+  done;
   v
 
+(* The end of the run of plain bytes at [i]: the first quote or
+   backslash, or the end of the input. *)
+let rec plain_run s i =
+  if i < String.length s then
+    match String.unsafe_get s i with '"' | '\\' -> i | _ -> plain_run s (i + 1)
+  else i
+
+(* One escape: [c.pos] is just past the backslash. *)
+let parse_escape c b =
+  if at_end c then fail c "bad escape";
+  match cur c with
+  | 'n' -> advance c; Buffer.add_char b '\n'
+  | 't' -> advance c; Buffer.add_char b '\t'
+  | 'r' -> advance c; Buffer.add_char b '\r'
+  | ('"' | '\\' | '/') as ch ->
+    advance c;
+    Buffer.add_char b ch
+  | 'u' ->
+    advance c;
+    if c.pos + 4 > String.length c.src then begin
+      c.pos <- String.length c.src;
+      fail c "truncated \\u escape"
+    end;
+    let hex = String.sub c.src c.pos 4 in
+    c.pos <- c.pos + 4;
+    let code =
+      match int_of_string_opt ("0x" ^ hex) with
+      | Some code -> code
+      | None -> fail c (Printf.sprintf "bad \\u escape %S" hex)
+    in
+    (* only BMP codepoints ≤ 0x7f are emitted unescaped by us; decode
+       the rest as UTF-8 for completeness *)
+    if code < 0x80 then Buffer.add_char b (Char.chr code)
+    else if code < 0x800 then begin
+      Buffer.add_char b (Char.chr (0xc0 lor (code lsr 6)));
+      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3f)))
+    end
+    else begin
+      Buffer.add_char b (Char.chr (0xe0 lor (code lsr 12)));
+      Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
+      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3f)))
+    end
+  | _ -> fail c "bad escape"
+
+(* A string body; [c.pos] is just past the opening quote. *)
 let parse_string_body c =
-  let b = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> fail c "unterminated string"
-    | Some '"' -> advance c
-    | Some '\\' -> (
+  let s = c.src in
+  let start = c.pos in
+  let j = plain_run s start in
+  c.pos <- j;
+  if at_end c then fail c "unterminated string"
+  else if cur c = '"' then begin
+    advance c;
+    String.sub s start (j - start)
+  end
+  else begin
+    (* copy the runs between escapes *)
+    let b = Buffer.create (j - start + 16) in
+    Buffer.add_substring b s start (j - start);
+    let rec escaped () =
       advance c;
-      match peek c with
-      | Some 'n' -> advance c; Buffer.add_char b '\n'; go ()
-      | Some 't' -> advance c; Buffer.add_char b '\t'; go ()
-      | Some 'r' -> advance c; Buffer.add_char b '\r'; go ()
-      | Some ('"' | '\\' | '/') ->
-        Buffer.add_char b (Option.get (peek c));
-        advance c;
-        go ()
-      | Some 'u' ->
-        advance c;
-        let hex = String.init 4 (fun _ ->
-            match peek c with
-            | Some ch -> advance c; ch
-            | None -> fail c "truncated \\u escape")
-        in
-        let code =
-          match int_of_string_opt ("0x" ^ hex) with
-          | Some code -> code
-          | None -> fail c (Printf.sprintf "bad \\u escape %S" hex)
-        in
-        (* only BMP codepoints ≤ 0x7f are emitted unescaped by us; decode
-           the rest as UTF-8 for completeness *)
-        if code < 0x80 then Buffer.add_char b (Char.chr code)
-        else if code < 0x800 then begin
-          Buffer.add_char b (Char.chr (0xc0 lor (code lsr 6)));
-          Buffer.add_char b (Char.chr (0x80 lor (code land 0x3f)))
-        end
-        else begin
-          Buffer.add_char b (Char.chr (0xe0 lor (code lsr 12)));
-          Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
-          Buffer.add_char b (Char.chr (0x80 lor (code land 0x3f)))
-        end;
-        go ()
-      | _ -> fail c "bad escape")
-    | Some ch ->
-      advance c;
-      Buffer.add_char b ch;
-      go ()
-  in
-  go ();
-  Buffer.contents b
+      parse_escape c b;
+      let start = c.pos in
+      let j = plain_run s start in
+      Buffer.add_substring b s start (j - start);
+      c.pos <- j;
+      if at_end c then fail c "unterminated string"
+      else if cur c = '"' then advance c
+      else escaped ()
+    in
+    escaped ();
+    Buffer.contents b
+  end
+
+let rec number_end s i =
+  if i < String.length s then
+    match String.unsafe_get s i with
+    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> number_end s (i + 1)
+    | _ -> i
+  else i
 
 let parse_number c =
+  let s = c.src in
   let start = c.pos in
-  let is_num_char = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
-  in
-  let rec go () =
-    match peek c with
-    | Some ch when is_num_char ch ->
-      advance c;
-      go ()
-    | Some _ | None -> ()
-  in
-  go ();
-  let s = String.sub c.src start (c.pos - start) in
+  c.pos <- number_end s start;
+  let s = String.sub s start (c.pos - start) in
   match int_of_string_opt s with
   | Some n -> Int n
   | None -> (
@@ -181,18 +222,18 @@ let parse_number c =
 
 let rec parse_value c : t =
   skip_ws c;
-  match peek c with
-  | None -> fail c "unexpected end of input"
-  | Some 'n' -> literal c "null" Null
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some '"' ->
+  if at_end c then fail c "unexpected end of input";
+  match cur c with
+  | 'n' -> literal c "null" Null
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | '"' ->
     advance c;
     Str (parse_string_body c)
-  | Some '[' ->
+  | '[' ->
     advance c;
     skip_ws c;
-    if peek c = Some ']' then begin
+    if at c ']' then begin
       advance c;
       List []
     end
@@ -200,20 +241,21 @@ let rec parse_value c : t =
       let rec items acc =
         let v = parse_value c in
         skip_ws c;
-        match peek c with
-        | Some ',' ->
+        if at c ',' then begin
           advance c;
           items (v :: acc)
-        | Some ']' ->
+        end
+        else if at c ']' then begin
           advance c;
           List (List.rev (v :: acc))
-        | _ -> fail c "expected ',' or ']'"
+        end
+        else fail c "expected ',' or ']'"
       in
       items []
-  | Some '{' ->
+  | '{' ->
     advance c;
     skip_ws c;
-    if peek c = Some '}' then begin
+    if at c '}' then begin
       advance c;
       Obj []
     end
@@ -226,27 +268,26 @@ let rec parse_value c : t =
         expect c ':';
         let v = parse_value c in
         skip_ws c;
-        match peek c with
-        | Some ',' ->
+        if at c ',' then begin
           advance c;
           fields ((k, v) :: acc)
-        | Some '}' ->
+        end
+        else if at c '}' then begin
           advance c;
           Obj (List.rev ((k, v) :: acc))
-        | _ -> fail c "expected ',' or '}'"
+        end
+        else fail c "expected ',' or '}'"
       in
       fields []
-  | Some ch -> (
-    match ch with
-    | '0' .. '9' | '-' -> parse_number c
-    | _ -> fail c (Printf.sprintf "unexpected %C" ch))
+  | '0' .. '9' | '-' -> parse_number c
+  | ch -> fail c (Printf.sprintf "unexpected %C" ch)
 
 let of_string (s : string) : (t, string) result =
   let c = { src = s; pos = 0 } in
   match parse_value c with
   | v ->
     skip_ws c;
-    if c.pos = String.length s then Ok v
+    if at_end c then Ok v
     else Error (Printf.sprintf "trailing input at %d" c.pos)
   | exception Parse_error m -> Error m
 

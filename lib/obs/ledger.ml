@@ -222,7 +222,7 @@ let of_json (j : Json.t) : (record, string) result =
     which beats the old behaviour of dying with an unstructured
     [Failure "short write"] and losing it. *)
 let append ~path (r : record) =
-  let line = Bytes.of_string (Json.to_string (to_json r) ^ "\n") in
+  let line = Json.to_line (to_json r) in
   let fd =
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
   in

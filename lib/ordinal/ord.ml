@@ -255,21 +255,40 @@ let descent_depth ?(fuel = 10_000) a =
   let rec go a n = if is_zero a || n >= fuel then n else go (descend a) (n + 1) in
   go a 0
 
+(* Direct [Format] calls, no format strings: a Goodstein run prints
+   thousands of ordinals, and [fprintf] re-reads its format on every
+   term.  The output is pinned by [test/cli_ordinal.golden]. *)
 let rec pp ppf (Cnf ts) =
   match ts with
   | [] -> Format.pp_print_string ppf "0"
-  | _ :: _ ->
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " + ")
-      pp_term ppf ts
+  | t :: rest ->
+    pp_term ppf t;
+    pp_rest ppf rest
+
+and pp_rest ppf = function
+  | [] -> ()
+  | t :: rest ->
+    Format.pp_print_string ppf " + ";
+    pp_term ppf t;
+    pp_rest ppf rest
 
 and pp_term ppf (e, c) =
   if is_zero e then Format.pp_print_int ppf c
   else begin
     if equal e one then Format.pp_print_string ppf "\xcf\x89"
-    else if atomic_exp e then Format.fprintf ppf "\xcf\x89^%a" pp e
-    else Format.fprintf ppf "\xcf\x89^(%a)" pp e;
-    if c > 1 then Format.fprintf ppf "\xc2\xb7%d" c
+    else if atomic_exp e then begin
+      Format.pp_print_string ppf "\xcf\x89^";
+      pp ppf e
+    end
+    else begin
+      Format.pp_print_string ppf "\xcf\x89^(";
+      pp ppf e;
+      Format.pp_print_string ppf ")"
+    end;
+    if c > 1 then begin
+      Format.pp_print_string ppf "\xc2\xb7";
+      Format.pp_print_int ppf c
+    end
   end
 
 and atomic_exp e =

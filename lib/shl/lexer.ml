@@ -32,6 +32,16 @@ let keywords =
     "fork"; "cas";
   ]
 
+(* [List.mem word keywords] as a compiled string match: the lexer asks
+   it of every identifier.  The lexer test holds the two to each
+   other. *)
+let is_keyword = function
+  | "let" | "in" | "rec" | "fun" | "if" | "then" | "else" | "match" | "with"
+  | "end" | "ref" | "fst" | "snd" | "inl" | "inr" | "not" | "true" | "false"
+  | "quot" | "rem" | "fork" | "cas" ->
+    true
+  | _ -> false
+
 exception Error of string * int
 
 let error pos fmt = Format.kasprintf (fun m -> raise (Error (m, pos))) fmt
@@ -76,56 +86,42 @@ let tokenize (s : string) : located list =
           incr j
         done;
         let word = String.sub s i (!j - i) in
-        emit i (if List.mem word keywords then Kw word else Ident word);
+        emit i (if is_keyword word then Kw word else Ident word);
         go !j
       end
       else
-        let two = if i + 1 < n then String.sub s i 2 else "" in
-        match two with
-        | ":=" ->
-          emit i Assign;
-          go (i + 2)
-        | "->" ->
-          emit i Arrow;
-          go (i + 2)
-        | "+l" when i + 2 < n && is_ident_char s.[i + 2] ->
+        (* operators are recognised on the character pair, not on a
+           [String.sub] of it *)
+        let c2 = if i + 1 < n then s.[i + 1] else ' ' in
+        match c, c2 with
+        | ':', '=' -> punct i 2 Assign
+        | '-', '>' -> punct i 2 Arrow
+        | '+', 'l' when i + 2 < n && is_ident_char s.[i + 2] ->
           (* [x+len] is [x + len]: the pointer-add operator only claims
              its [l] when no identifier continues it *)
-          emit i (Op "+");
-          go (i + 1)
-        | "<=" | "&&" | "||" | "+l" ->
-          emit i (Op two);
-          go (i + 2)
-        | _ -> (
-          match c with
-          | '(' ->
-            emit i Lparen;
-            go (i + 1)
-          | ')' ->
-            emit i Rparen;
-            go (i + 1)
-          | ',' ->
-            emit i Comma;
-            go (i + 1)
-          | ';' ->
-            emit i Semi;
-            go (i + 1)
-          | '!' ->
-            emit i Bang;
-            go (i + 1)
-          | '#' ->
-            emit i Hash;
-            go (i + 1)
-          | '.' ->
-            emit i Dot;
-            go (i + 1)
-          | '|' ->
-            emit i Bar;
-            go (i + 1)
-          | '+' | '-' | '*' | '<' | '=' ->
-            emit i (Op (String.make 1 c));
-            go (i + 1)
-          | _ -> error i "unexpected character %C" c)
+          punct i 1 (Op "+")
+        | '+', 'l' -> punct i 2 (Op "+l")
+        | '<', '=' -> punct i 2 (Op "<=")
+        | '&', '&' -> punct i 2 (Op "&&")
+        | '|', '|' -> punct i 2 (Op "||")
+        | '(', _ -> punct i 1 Lparen
+        | ')', _ -> punct i 1 Rparen
+        | ',', _ -> punct i 1 Comma
+        | ';', _ -> punct i 1 Semi
+        | '!', _ -> punct i 1 Bang
+        | '#', _ -> punct i 1 Hash
+        | '.', _ -> punct i 1 Dot
+        | '|', _ -> punct i 1 Bar
+        | '+', _ -> punct i 1 (Op "+")
+        | '-', _ -> punct i 1 (Op "-")
+        | '*', _ -> punct i 1 (Op "*")
+        | '<', _ -> punct i 1 (Op "<")
+        | '=', _ -> punct i 1 (Op "=")
+        | _ -> error i "unexpected character %C" c
+  (* a [len]-character punctuation token at [i] *)
+  and punct i len tok =
+    emit i tok;
+    go (i + len)
   in
   go 0;
   List.rev !toks

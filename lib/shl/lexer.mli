@@ -26,6 +26,11 @@ type located = {
 exception Error of string * int
 
 val keywords : string list
+(** The reserved words, the only list of them. *)
+
+val is_keyword : string -> bool
+(** [is_keyword w] iff [List.mem w keywords]; what {!tokenize} asks of
+    every identifier. *)
 
 val tokenize : string -> located list
 (** Tokenize a whole input (ends with {!Eof}); raises {!Error} on

@@ -217,6 +217,67 @@ let shl_expr : Shl.Ast.expr Q.t =
 
 let print_shl e = Shl.Pretty.expr_to_string e
 
+(* Wide SHL expressions: long identifiers and deep [let]/[match]/[if]/
+   application nesting, so that the printed form overruns the 78-column
+   margin and every box kind (the hov boxes of application, operators,
+   [:=], [cas] and functions; the hv boxes of [if] and [match]; the
+   vertical boxes of [let] and [;]) has to break.  Scoping is ignored:
+   these terms are only printed. *)
+let shl_wide : Shl.Ast.expr Q.t =
+  let open Q in
+  let open Shl.Ast in
+  let name =
+    oneofl
+      [
+        "remaining_budget"; "accumulator_of_the_left_spine"; "queue_head";
+        "next_cell_pointer"; "x"; "memo_table_for_fibonacci";
+        "continuation_after_the_loop";
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        map var name;
+        map (fun n -> Val (Int n)) (int_range (-99999) 99999);
+        return (Val Unit);
+        map (fun l -> Val (Loc l)) (int_bound 999);
+      ]
+  in
+  let rec go depth =
+    if depth = 0 then leaf
+    else
+      let sub = go (depth - 1) in
+      frequency
+        [
+          (1, leaf);
+          (3, map3 (fun x a b -> Let (x, a, b)) name sub sub);
+          ( 3,
+            let* c = sub in
+            let* x = name in
+            let* a = sub in
+            let* y = name in
+            let* b = sub in
+            return (Case (c, (x, a), (y, b))) );
+          (3, map3 (fun c a b -> If (c, a, b)) sub sub sub);
+          (3, map2 (fun a b -> App (a, b)) sub sub);
+          ( 2,
+            let* op = oneofl [ Add; Sub; Mul; Quot; Rem; Lt; Le; Eq; Ptr_add ] in
+            map2 (fun a b -> Bin_op (op, a, b)) sub sub );
+          (2, map2 (fun a b -> Seq (a, b)) sub sub);
+          (1, map2 (fun a b -> Store (a, b)) sub sub);
+          (1, map3 (fun a b c -> Cas (a, b, c)) sub sub sub);
+          (1, map2 (fun x b -> lam x b) name sub);
+          (1, map3 (fun f x b -> Rec (Some f, x, b)) name name sub);
+          (1, map3 (fun f x b -> Val (Rec_fun (Some f, x, b))) name name sub);
+          (1, map2 (fun a b -> Pair_e (a, b)) sub sub);
+          (1, map (fun a -> Un_op (Minus, a)) sub);
+          (1, map (fun a -> Un_op (Neg, a)) sub);
+          (1, map (fun a -> Load a) sub);
+          (1, map (fun a -> Inj_r_e a) sub);
+        ]
+  in
+  Q.sized_size (Q.int_range 3 5) go
+
 (* ---------- well-typed SHL expressions (int-typed, by construction) ---------- *)
 
 (* Mirrors the typing rules, so every generated term must pass
@@ -738,3 +799,82 @@ let conc_loop_expr : Shl.Ast.expr Q.t =
     ^ sp "(%s); !%s" main observe
   in
   return (Shl.Parser.parse_exn (lets ^ body))
+
+(* ---------- JSON documents ---------- *)
+
+(* Strings rich in what the reader must unescape: quotes, backslashes,
+   slashes, the named control characters, other control characters
+   (printed as \u00XX) and raw UTF-8 bytes. *)
+let json_string : string Q.t =
+  let open Q in
+  string_size
+    ~gen:
+      (frequency
+         [
+           (3, printable);
+           ( 2,
+             oneofl
+               [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\000'; '\031'; 'u'; '\xc3'; '\xa9' ]
+           );
+         ])
+    (int_bound 12)
+
+let rec json_sized depth : Obs.Json.t Q.t =
+  let open Q in
+  let open Obs.Json in
+  let base =
+    [
+      return Null;
+      map (fun b -> Bool b) bool;
+      map (fun n -> Int n) int;
+      map (fun n -> Int n) (int_range (-1000) 1000);
+      map (fun f -> Float f) float;
+      map (fun n -> Float (float_of_int n)) (int_range (-1000) 1000);
+      map (fun s -> Str s) json_string;
+    ]
+  in
+  if depth = 0 then oneof base
+  else
+    let sub = json_sized (depth - 1) in
+    oneof
+      (base
+      @ [
+          map (fun l -> List l) (list_size (int_bound 4) sub);
+          map (fun kvs -> Obj kvs) (list_size (int_bound 4) (pair json_string sub));
+        ])
+
+let json : Obs.Json.t Q.t = json_sized 3
+
+(* A printed document with one to three byte mutations: a byte
+   replaced, inserted or deleted, or the document cut short.  The bytes
+   put in are mostly JSON's own punctuation, escapes and digits, so the
+   mutants reach every error of the reader. *)
+let json_mutant : string Q.t =
+  let open Q in
+  let byte =
+    frequency
+      [
+        ( 4,
+          oneofl
+            [ '"'; '\\'; 'u'; '0'; '9'; 'a'; 'x'; ','; ':'; '['; ']'; '{'; '}'; ' ';
+              '\n'; 'n'; 't'; 'f'; '-'; '+'; 'e'; '.' ] );
+        (1, char);
+      ]
+  in
+  let mutate s =
+    let* k = int_bound 3 in
+    let* at = int_bound (String.length s) in
+    let* c = byte in
+    let n = String.length s in
+    let before = String.sub s 0 at in
+    return
+      (match k with
+      | 0 when at < n -> before ^ String.make 1 c ^ String.sub s (at + 1) (n - at - 1)
+      | 1 -> before ^ String.make 1 c ^ String.sub s at (n - at)
+      | 2 when at < n -> before ^ String.sub s (at + 1) (n - at - 1)
+      | _ -> before)
+  in
+  let* doc = map Obs.Json.to_string json in
+  let* rounds = int_range 1 3 in
+  let rec go s r = if r = 0 then return s else mutate s >>= fun s -> go s (r - 1) in
+  go doc rounds

@@ -148,6 +148,9 @@ let test_store_find_roundtrip () =
       in
       Alcotest.(check bool) "two-level entry path" true
         (Sys.file_exists expected_path);
+      Alcotest.(check string) "entry bytes: the JSON and a newline"
+        (Json.to_string (Cc.to_json sample_cert) ^ "\n")
+        (read_file expected_path);
       let st = Cc.stats t in
       Alcotest.(check int) "one entry" 1 st.Cc.st_entries;
       Alcotest.(check int) "no temp leftovers" 0 st.Cc.st_tmp;

@@ -368,7 +368,14 @@ let test_append_load_roundtrip () =
   Sys.remove path;
   (* append creates the file *)
   Ledger.append ~path sample_record;
-  Ledger.append ~path { sample_record with Ledger.verdict = "stuck"; ok = false };
+  let stuck = { sample_record with Ledger.verdict = "stuck"; ok = false } in
+  Ledger.append ~path stuck;
+  Alcotest.(check string) "file bytes: one JSON line per record"
+    (String.concat ""
+       (List.map
+          (fun r -> Json.to_string (Ledger.to_json r) ^ "\n")
+          [ sample_record; stuck ]))
+    (read_file path);
   (match Ledger.load ~path with
   | Error e -> Alcotest.failf "load failed: %s" e
   | Ok rs ->

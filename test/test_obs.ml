@@ -670,6 +670,30 @@ let test_json_nonfinite_floats () =
       (Json.member "x" j = Some Json.Null)
   | Error e -> Alcotest.failf "nan-bearing object unparseable: %s" e
 
+(* The indexed reader against the option-per-byte reader it replaced
+   ([Ref_json]): the same value, or the same error message, on printed
+   documents and on byte-mutated ones.  Values compare with [compare],
+   so a float reads equal to itself even if it is a NaN. *)
+let json_matches_reference name count gen =
+  QCheck_alcotest.to_alcotest
+    (Q.Test.make ~count ~name ~print:(Printf.sprintf "%S") gen (fun doc ->
+         let got = Json.of_string doc and want = Ref_json.of_string doc in
+         compare got want = 0
+         ||
+         let show = function
+           | Ok j -> "Ok " ^ Json.to_string j
+           | Error m -> "Error " ^ m
+         in
+         Q.Test.fail_reportf "reader: %s@.reference: %s" (show got) (show want)))
+
+let json_reference_prop =
+  json_matches_reference "Json.of_string = reference (printed)" 1000
+    (Q.Gen.map Json.to_string Gen.json)
+
+let json_reference_mutant_prop =
+  json_matches_reference "Json.of_string = reference (mutated)" 3000
+    Gen.json_mutant
+
 (* The anti-drift property ISSUE.md asks for: on arbitrary generated
    programs, the per-kind step counters published to the registry sum to
    exactly [stats.steps], which in turn equals the step count implied by
@@ -753,6 +777,8 @@ let suite =
       test_json_control_chars_exhaustive;
     Alcotest.test_case "json non-finite floats -> null" `Quick
       test_json_nonfinite_floats;
+    json_reference_prop;
+    json_reference_mutant_prop;
     interp_counters_agree;
     Alcotest.test_case "fuel bound is exact" `Quick test_fuel_exact;
   ]

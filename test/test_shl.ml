@@ -307,6 +307,101 @@ let roundtrip_prop =
          | Ok e' -> norm e' = norm e
          | Error _ -> false))
 
+(* The direct-call printer against the format-string printer it
+   replaced ([Ref_pretty]): byte for byte, on the roundtrip generator's
+   programs and on wide ones that overrun the margin. *)
+let pretty_matches_reference name count gen =
+  QCheck_alcotest.to_alcotest
+    (Q.Test.make ~count ~name ~print:Gen.print_shl gen (fun e ->
+         let got = Pretty.expr_to_string e in
+         let want = Ref_pretty.expr_to_string e in
+         got = want
+         || Q.Test.fail_reportf "printed:@.%s@.reference:@.%s" got want))
+
+let pretty_reference_prop =
+  pretty_matches_reference "printer = format-string printer" 1000 Gen.shl_expr
+
+let pretty_reference_wide_prop =
+  pretty_matches_reference "printer = format-string printer (wide)" 300
+    Gen.shl_wide
+
+(* One term per box kind, each too wide for one line and built so that
+   a different box kind would break it differently: the printer must
+   break it, exactly as the reference does. *)
+let test_pretty_boxes_break () =
+  let open Ast in
+  let v = Var "accumulator_of_the_left_spine" in
+  let long = "continuation_after_the_loop" in
+  let app2 = App (v, v) and app3 = App (App (v, v), v) in
+  let short x = Var x in
+  List.iter
+    (fun (kind, e) ->
+      let got = Pretty.expr_to_string e in
+      Alcotest.(check string) kind (Ref_pretty.expr_to_string e) got;
+      if not (String.contains got '\n') then
+        Alcotest.failf "%s: printed on one line: %s" kind got)
+    [
+      ("application (hov 2)", App (app3, app2));
+      ("operator (hov)", Bin_op (Add, Bin_op (Mul, v, v), Bin_op (Sub, v, v)));
+      ("if (hv)", If (short "c", short "d", app3));
+      ("match (hv)", Case (short "c", ("x", short "y"), (long, app2)));
+      ("let (v, hov 2)", Let (long, app3, short "x"));
+      ("sequence (v)", Seq (short "a", short "b"));
+      ("store (hov 2)", Store (v, Bin_op (Add, v, app2)));
+      ("cas (hov 2)", Cas (v, v, v));
+      ("rec (hov 2)", Rec (Some long, long, app2));
+      ("fun (hov 2)", lam long app3);
+      ("closure value (hov 2)", Val (Rec_fun (Some long, long, app2)));
+    ]
+
+(* Every keyword lexes as [Kw]; [is_keyword] is [List.mem] over
+   [Lexer.keywords] (the only list of them); and the near misses of
+   keywords and two-character operators lex as they always have. *)
+let test_lexer_keywords () =
+  let toks s =
+    List.map (fun (l : Lexer.located) -> (l.tok, l.pos)) (Lexer.tokenize s)
+  in
+  let show ts =
+    String.concat " "
+      (List.map
+         (fun (t, pos) -> Format.asprintf "%a@%d" Lexer.pp_token t pos)
+         ts)
+  in
+  let check src want =
+    Alcotest.(check string) src (show want) (show (toks src))
+  in
+  List.iter
+    (fun k -> check k [ (Lexer.Kw k, 0); (Lexer.Eof, String.length k) ])
+    Lexer.keywords;
+  let near k =
+    [ k; k ^ "s"; k ^ "'"; k ^ "_"; k ^ "1"; String.capitalize_ascii k;
+      String.sub k 0 (String.length k - 1); "_" ^ k ]
+  in
+  List.iter
+    (fun w ->
+      Alcotest.(check bool) ("is_keyword " ^ w) (List.mem w Lexer.keywords)
+        (Lexer.is_keyword w))
+    ("" :: "x" :: List.concat_map near Lexer.keywords);
+  let open Lexer in
+  check "lets" [ (Ident "lets", 0); (Eof, 4) ];
+  check "in'" [ (Ident "in'", 0); (Eof, 3) ];
+  check "fun_" [ (Ident "fun_", 0); (Eof, 4) ];
+  check "x+l" [ (Ident "x", 0); (Op "+l", 1); (Eof, 3) ];
+  check "x+ly" [ (Ident "x", 0); (Op "+", 1); (Ident "ly", 2); (Eof, 4) ];
+  check "x+l y" [ (Ident "x", 0); (Op "+l", 1); (Ident "y", 4); (Eof, 5) ];
+  check "a<=b" [ (Ident "a", 0); (Op "<=", 1); (Ident "b", 3); (Eof, 4) ];
+  check "p&&q" [ (Ident "p", 0); (Op "&&", 1); (Ident "q", 3); (Eof, 4) ];
+  check "a|b||c"
+    [ (Ident "a", 0); (Bar, 1); (Ident "b", 2); (Op "||", 3); (Ident "c", 5);
+      (Eof, 6) ];
+  check "f:=x->y"
+    [ (Ident "f", 0); (Assign, 1); (Ident "x", 3); (Arrow, 4); (Ident "y", 6);
+      (Eof, 7) ];
+  match Lexer.tokenize "p & q" with
+  | _ -> Alcotest.fail "a lone & lexed"
+  | exception Lexer.Error (m, 2) ->
+    Alcotest.(check string) "lone &" "unexpected character '&'" m
+
 let determinism_prop =
   QCheck_alcotest.to_alcotest
     (Q.Test.make ~count:300 ~name:"interpreter is deterministic"
@@ -391,6 +486,12 @@ let suite =
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "comments" `Quick test_comments;
     roundtrip_prop;
+    pretty_reference_prop;
+    pretty_reference_wide_prop;
+    Alcotest.test_case "printer breaks every box kind" `Quick
+      test_pretty_boxes_break;
+    Alcotest.test_case "lexer keywords and near misses" `Quick
+      test_lexer_keywords;
     determinism_prop;
     decompose_fill_prop;
     subst_closed_prop;

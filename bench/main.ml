@@ -464,7 +464,8 @@ let e14 () =
   show "spin lock, read under lock" Conc.spinlock_pair;
   show "spin lock, racy read" Conc.spinlock_pair_racy_read;
   row "  (the racy variants exhibit exactly the schedules a safety proof rules out)\n";
-  (* future work (§3), bounded: per-scheduler TP-refinement *)
+  (* future work (§3), bounded: per-scheduler TP-refinement, each
+     certificate a Driver game on the interleaving its pre-run took *)
   let ok, bad =
     Ref.Conc_refine.certify_all_seeds ~seeds:12 ~target:Conc.locked_incr
       ~source:(Shl.Parser.parse_exn "1 + 1") ()

@@ -178,10 +178,8 @@ let rec ceval (st : cstate) (env : (string * rval) list)
     | Ast.Add, R_int a, R_int b -> R_int (a + b)
     | Ast.Sub, R_int a, R_int b -> R_int (a - b)
     | Ast.Mul, R_int a, R_int b -> R_int (a * b)
-    | Ast.Quot, R_int _, R_int 0 | Ast.Rem, R_int _, R_int 0 ->
-      cstuck st ~id:"symheap/stuck-op" ~path:(path ()) "division by zero"
-    | Ast.Quot, R_int a, R_int b -> R_int (a / b)
-    | Ast.Rem, R_int a, R_int b -> R_int (a mod b)
+    | Ast.Quot, R_int a, R_int b -> R_int (if b = 0 then 0 else a / b)
+    | Ast.Rem, R_int a, R_int b -> R_int (if b = 0 then a else a mod b)
     | Ast.Lt, R_int a, R_int b -> R_bool (a < b)
     | Ast.Le, R_int a, R_int b -> R_bool (a <= b)
     | Ast.Eq, a, b -> (
@@ -877,7 +875,9 @@ and binop ctx (st : sst) op (v1 : Sh.sval) (v2 : Sh.sval) :
     | _ -> [])
   | Ast.Quot | Ast.Rem -> (
     match (n1, n2) with
-    | _, Sh.S_int 0 -> []
+    | (Sh.S_var _ | Sh.S_int _), Sh.S_int 0 ->
+      (* total, as [Step]: [n quot 0 = 0], [n rem 0 = n] *)
+      [ (st, match op with Ast.Quot -> Sh.S_int 0 | _ -> n1) ]
     | Sh.S_int a, Sh.S_int b ->
       [ (st, Sh.S_int (match op with Ast.Quot -> a / b | _ -> a mod b)) ]
     | (Sh.S_var _ | Sh.S_int _), (Sh.S_var _ | Sh.S_int _) -> fresh ()
@@ -1149,8 +1149,7 @@ let m_reused = Metrics.counter "analysis.symheap.fn_reused"
     is re-analyzed only when a summary its last analysis read changed
     in the previous round; otherwise {!analyze_fn} would repeat that
     run, so its result is kept and counts as stable. *)
-let summaries ?(rounds = fix_rounds) ?(budget = fn_budget)
-    (prog : Ast.expr) : summary list =
+let summaries (prog : Ast.expr) : summary list =
   let fns = Array.of_list (discover prog) in
   let n = Array.length fns in
   if n = 0 then []
@@ -1162,7 +1161,7 @@ let summaries ?(rounds = fix_rounds) ?(budget = fn_budget)
     let reads = Array.make n None in
     let analyses = ref 0 and reused = ref 0 in
     (try
-       for _round = 1 to rounds do
+       for _round = 1 to fix_rounds do
          (* last round's stability bits, fixed for this round (Jacobi) *)
          let was_stable = Array.copy stable in
          let next = Array.make n [] in
@@ -1174,7 +1173,7 @@ let summaries ?(rounds = fix_rounds) ?(budget = fn_budget)
              next.(fid) <- ctx.cand.(fid)
            | _ ->
              incr analyses;
-             let ds = analyze_fn ctx ~budget fid in
+             let ds = analyze_fn ctx ~budget:fn_budget fid in
              reads.(fid) <- Some ctx.reads;
              exact.(fid) <- not ctx.approx;
              stable.(fid) <- ds = ctx.cand.(fid);
@@ -1251,12 +1250,12 @@ let default_budget = 4000
 
 (** The concrete half alone: verdict, findings, leaks and node count of
     the whole-program checker; [r_summaries] is empty. *)
-let concrete ?(budget = default_budget) (e : Ast.expr) : result =
+let concrete (e : Ast.expr) : result =
   let st =
     {
       cells = Imap.empty;
       cnext = 0;
-      fuel = budget;
+      fuel = default_budget;
       visited = 0;
       sites = Hashtbl.create 16;
       findings = [];
@@ -1312,8 +1311,8 @@ let concrete ?(budget = default_budget) (e : Ast.expr) : result =
   }
 
 (** Run both halves of the analyzer on a whole program. *)
-let check ?budget (e : Ast.expr) : result =
-  { (concrete ?budget e) with r_summaries = summaries e }
+let check (e : Ast.expr) : result =
+  { (concrete e) with r_summaries = summaries e }
 
 (** The analyzer-pass entry point: concrete errors and leaks, plus one
     [Info] finding per inferred function summary. *)

@@ -14,7 +14,7 @@
       results.  Calls evaluate the callee's body under the summary
       parameter (with a re-entrancy guard for recursion), so the whole
       analysis is a monotone fixpoint over the summary table, iterated
-      by {!lfp}-style rounds with widening after a few rounds;
+      in Kleene rounds with widening after {!widen_after} rounds;
     - heap cells are summarized per allocation site (the path of the
       [ref]), flow-insensitively;
     - branches whose condition has a definite abstract truth value are
@@ -48,18 +48,11 @@ type 'a lattice = {
           for finite-height lattices. *)
 }
 
-(** Kleene iteration of [f] from [bottom], switching from [join] to
-    [widen] after [widen_after] rounds.  Returns the first stable
-    iterate (a post-fixpoint under widening); [max_iter] is a safety
-    net for broken domains. *)
-let lfp ?(widen_after = 8) ?(max_iter = 1000) (l : 'a lattice)
-    (f : 'a -> 'a) : 'a =
-  let rec go i x =
-    let fx = f x in
-    let x' = if i < widen_after then l.join x fx else l.widen x fx in
-    if l.equal x x' || i >= max_iter then x' else go (i + 1) x'
-  in
-  go 0 l.bottom
+(** Rounds that join before the engine switches to [widen]. *)
+let widen_after = 4
+
+(** The most rounds {!Engine.analyze} runs before its reporting pass. *)
+let max_rounds = 24
 
 (* ------------------------------------------------------------------ *)
 (* Value domains                                                       *)
@@ -194,7 +187,6 @@ module Engine (D : VALUE_DOMAIN) = struct
     mutable havoc : bool;
         (** a store went through a pointer with unknown sites: heap
             contents can no longer be trusted *)
-    widen_after : int;
     mutable report : F.t list option;
         (** [Some acc] during the reporting pass *)
     reported : (string * Path.t, unit) Hashtbl.t;
@@ -202,14 +194,13 @@ module Engine (D : VALUE_DOMAIN) = struct
         (** functions whose body is being analyzed: the recursion guard *)
   }
 
-  let create widen_after =
+  let create () =
     {
       summaries = [];
       heap = Hashtbl.create 32;
       dirty = true;
       round = 0;
       havoc = false;
-      widen_after;
       report = None;
       reported = Hashtbl.create 32;
       in_progress = Hashtbl.create 16;
@@ -218,7 +209,7 @@ module Engine (D : VALUE_DOMAIN) = struct
   let find_summary st p = List.assoc_opt p st.summaries
 
   let combine st old next =
-    if st.round < st.widen_after then join old next else widen old next
+    if st.round < widen_after then join old next else widen old next
 
   let bump st old next =
     let j = combine st old next in
@@ -526,9 +517,8 @@ module Engine (D : VALUE_DOMAIN) = struct
      and both domains' widenings, like join, return [old] when [next] is
      already below it.  So stopping at the first clean round gives the
      tables that running on to [max_rounds] would. *)
-  let analyze ?(widen_after = 4) ?(max_rounds = 24) (e : Ast.expr) :
-      F.t list =
-    let st = create widen_after in
+  let analyze (e : Ast.expr) : F.t list =
+    let st = create () in
     while st.dirty && st.round < max_rounds do
       round st e
     done;

@@ -10,10 +10,10 @@
 
     - {!Interval}: a classic integer-interval domain (with a separate
       boolean power-set component so comparisons can decide branches).
-      Reports division by zero ([interval/div-by-zero]: error when the
-      divisor is exactly zero, warning when a {e known} interval merely
-      contains zero) and negative [+l] pointer offsets
-      ([interval/ptr-offset]).  Wholly unknown divisors/offsets (⊤) are
+      Warns of division by zero ([interval/div-by-zero]: the divisor
+      is exactly zero, or a {e known} interval contains zero; division
+      is total, so neither gets stuck) and reports negative [+l]
+      pointer offsets ([interval/ptr-offset]).  Wholly unknown divisors/offsets (⊤) are
       deliberately not flagged — the pass only speaks when it has
       evidence, see DESIGN.md. *)
 
@@ -87,19 +87,15 @@ module Const : Dataflow.VALUE_DOMAIN = struct
     | Known u, Known v -> (
       match Step.eval_bin_op op u v with
       | Some _ -> []
-      | None -> (
-        match (op, v) with
-        | (Ast.Quot | Ast.Rem), Ast.Int 0 ->
-          (* definite division by zero belongs to the interval pass;
-             stay silent here to avoid double-reporting *)
-          []
-        | _ ->
-          [
-            ( "stuck-op",
-              F.Error,
-              Printf.sprintf "%s is stuck on these constant operands"
-                (op_sym op) );
-          ]))
+      | None ->
+        (* division is total, so a zero divisor never lands here: it
+           is the interval pass's warning *)
+        [
+          ( "stuck-op",
+            F.Error,
+            Printf.sprintf "%s is stuck on these constant operands"
+              (op_sym op) );
+        ])
     | _ -> []
 
   let to_string = function
@@ -261,7 +257,9 @@ module Interval : Dataflow.VALUE_DOMAIN = struct
     | Ast.Quot | Ast.Rem -> (
       match b with
       | Iv (Some 0, Some 0) ->
-        [ ("div-by-zero", F.Error, "divisor is always zero") ]
+        (* total division ([n quot 0 = 0], [n rem 0 = n]) does not get
+           stuck, but the answer is rarely the one meant *)
+        [ ("div-by-zero", F.Warning, "divisor is always zero") ]
       | Iv (lo, hi) when (lo, hi) <> (None, None) && contains_zero (lo, hi)
         ->
         [ ("div-by-zero", F.Warning, "divisor may be zero") ]

@@ -1,7 +1,8 @@
 (** Failure forensics: bounded step history + structured post-mortems.
 
-    The certified drivers ({!Tfiris.Refinement.Driver},
-    {!Tfiris.Termination.Wp}, {!Tfiris.Refinement.Conc_refine}) reject
+    The certified drivers ({!Tfiris.Refinement.Driver}, which also
+    plays {!Tfiris.Refinement.Conc_refine}'s games, and
+    {!Tfiris.Termination.Wp}) reject
     bad derivations by construction — but a bare [Rejected] does not
     say {e which} step died or what the machine looked like when it
     did.  With forensics enabled, each driver keeps a bounded ring of

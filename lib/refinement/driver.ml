@@ -270,25 +270,42 @@ let publish (s : strategy) (v : verdict) : verdict =
       ~attrs:[ ("strategy", Trace.S s.name); ("verdict", Trace.S (verdict_name v)) ];
   v
 
-(** [run ~budget ~target ~source strategy]: execute the refinement game.
+(** What the game needs of a target, built once per game: its result
+    once it has finished, one step, and the whole-program configuration
+    handed to strategies and forensics.  ['k] is whatever the stepper
+    reports alongside the new state; the game ignores it. *)
+type ('c, 'k) target = {
+  value : 'c -> Ast.value option;
+  step : 'c -> ('c * 'k, Step.error) result;
+  config : 'c -> Step.config;
+}
 
-    [budget] bounds the target's run; the source gets a meter of its
-    own from the same budget, covering advances {e and} the final drain
-    (so a strategy claiming an absurd advance runs out of gas instead
-    of hanging the driver).  [?fuel] is a steps-only budget kept only
-    for the benchmark's replay ([bench/verdicts/layers.ml]); [budget]
-    overrides it.  The initial
-    stutter budget is taken from the strategy's first decision by
-    starting from a maximal sentinel.
+(** A sequential target on the frame-stack machine. *)
+let machine_target : (Machine.config, Step.kind) target =
+  {
+    value =
+      (fun t ->
+        match Machine.view t.Machine.thread with
+        | Machine.V_value v -> Some v
+        | Machine.V_redex _ -> None);
+    step = Machine.prim_step;
+    config = Machine.to_config;
+  }
 
-    When tracing is enabled every strategy decision is a span
-    ([driver.decide], with the step number, budget and outcome as
-    attributes); every game additionally batches its counters into the
-    [refinement.driver.*] metrics, including histograms of stutter-run
-    lengths and advance batch sizes. *)
-let run ?fuel ?budget ?(init_budget = Ord.omega_pow Ord.omega) ~target
-    ~source (s : strategy) : verdict =
-  let b = Budget.resolve ?fuel ?budget ~default_steps:1_000_000 () in
+(* The game itself: the only place the stutter-budget rule is checked.
+   [b] bounds the target's run; the source gets a meter of its own
+   from the same budget, covering advances {e and} the final drain (so
+   a strategy claiming an absurd advance runs out of gas instead of
+   hanging the driver).  The initial stutter budget is taken from the
+   strategy's first decision by starting from a maximal sentinel.
+
+   When tracing is enabled every strategy decision is a span
+   ([driver.decide], with the step number, budget and outcome as
+   attributes); every game additionally batches its counters into the
+   [refinement.driver.*] metrics, including histograms of stutter-run
+   lengths and advance batch sizes. *)
+let game b ~init_budget (tg : ('c, 'k) target) (target : 'c)
+    ~(source : Step.config) (s : strategy) : verdict =
   let tm = Budget.meter b in
   let sm = Budget.meter b in
   (* Heartbeats count target steps (the game's clock); the budget
@@ -341,10 +358,10 @@ let run ?fuel ?budget ?(init_budget = Ord.omega_pow Ord.omega) ~target
   (* [src_conf] memoises the plugged source configuration: the source
      only moves on an advance, so one materialisation serves a whole
      stutter run of decisions. *)
-  let rec go (t : Machine.config) (src : Machine.config)
-      (src_conf : Step.config Lazy.t) budget stats =
-    match Machine.view t.Machine.thread with
-    | Machine.V_value v ->
+  let rec go t (src : Machine.config) (src_conf : Step.config Lazy.t) budget
+      stats =
+    match tg.value t with
+    | Some v ->
       if not (is_ground v) then Rejected (Result_not_ground v, stats)
       else (
         (match heartbeat with
@@ -357,21 +374,20 @@ let run ?fuel ?budget ?(init_budget = Ord.omega_pow Ord.omega) ~target
           match Ast.value_eq v v' with
           | Some true -> Accepted (Terminated v, stats)
           | Some false | None -> Rejected (Value_mismatch (v, v'), stats)))
-    | Machine.V_redex _ ->
+    | None ->
       if not (Budget.step tm) then
         Accepted (Fuel_exhausted (Budget.tripped tm), stats)
       else (
         (match heartbeat with
         | Some hb -> Progress.tick hb heartbeat_info
         | None -> ());
-        match Machine.prim_step t with
+        match tg.step t with
         | Error (Step.Stuck redex) -> Rejected (Target_stuck redex, stats)
         | Error Step.Finished -> assert false
         | Ok (t', _) -> (
           let stats = { stats with target_steps = stats.target_steps + 1 } in
           match
-            decide ~step_no:stats.target_steps
-              ~target:(Machine.to_config t')
+            decide ~step_no:stats.target_steps ~target:(tg.config t')
               ~source:(Lazy.force src_conf) ~budget
           with
           | Stutter b' ->
@@ -400,7 +416,6 @@ let run ?fuel ?budget ?(init_budget = Ord.omega_pow Ord.omega) ~target
                   })))
   in
   let source_m = Machine.of_config source in
-  let target_m = Machine.of_config target in
   let src_conf0 = lazy (Machine.to_config source_m) in
   let verdict =
     if Trace.on () then
@@ -408,14 +423,30 @@ let run ?fuel ?budget ?(init_budget = Ord.omega_pow Ord.omega) ~target
         ~attrs:
           [ ("strategy", Trace.S s.name);
             ("budget", Trace.S (Budget.to_string b)) ]
-        (fun () -> go target_m source_m src_conf0 init_budget zero_stats)
-    else go target_m source_m src_conf0 init_budget zero_stats
+        (fun () -> go target source_m src_conf0 init_budget zero_stats)
+    else go target source_m src_conf0 init_budget zero_stats
   in
   flush_stutter_run ();
   (match (ring, verdict) with
   | Some rg, Rejected (r, st) -> forensic_report s rg r st
   | _ -> ());
   publish s verdict
+
+let default_init_budget = Ord.omega_pow Ord.omega
+
+(** [play ~budget tg target ~source strategy]: the game on any target,
+    from [target], with the default initial stutter budget. *)
+let play ~budget tg target ~source s =
+  game budget ~init_budget:default_init_budget tg target ~source s
+
+(** [run ~budget ~target ~source strategy]: the game on a sequential
+    target.  [?fuel] is a steps-only budget kept only for the
+    benchmark's replay ([bench/verdicts/layers.ml]); [budget] overrides
+    it. *)
+let run ?fuel ?budget ?(init_budget = default_init_budget) ~target ~source
+    (s : strategy) : verdict =
+  let b = Budget.resolve ?fuel ?budget ~default_steps:1_000_000 () in
+  game b ~init_budget machine_target (Machine.of_config target) ~source s
 
 (** Convenience wrapper on closed expressions with empty heaps. *)
 let refine ?budget ?init_budget ~target ~source strategy =

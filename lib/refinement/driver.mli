@@ -79,6 +79,29 @@ val pp_verdict : Format.formatter -> verdict -> unit
 
 val is_ground : Ast.value -> bool
 
+type ('c, 'k) target = {
+  value : 'c -> Ast.value option;  (** the result, once finished *)
+  step : 'c -> ('c * 'k, Step.error) result;  (** one target step *)
+  config : 'c -> Step.config;
+      (** the configuration handed to strategies and forensics *)
+}
+(** What the game needs of a target, built once per game.  ['k] is
+    whatever the stepper reports alongside the new state; the game
+    ignores it.  {!run}'s instance steps with {!Machine.prim_step}
+    itself. *)
+
+val play :
+  budget:Tfiris_robust.Budget.t ->
+  ('c, 'k) target ->
+  'c ->
+  source:Step.config ->
+  strategy ->
+  verdict
+(** The game on any target, from the given state, with {!run}'s
+    default initial stutter budget: the one place the stutter-budget
+    rule is checked.  [budget] bounds the target, and the source gets a
+    meter of its own from it, as in {!run}. *)
+
 val run :
   ?fuel:int ->
   ?budget:Tfiris_robust.Budget.t ->

@@ -53,13 +53,29 @@ let stutter_only (b0 : Ord.t) : Driver.strategy =
         else Driver.Stutter (Ord.descend budget));
   }
 
+(** [evenly ~t_total ~s_total]: distribute [s_total] source steps
+    evenly over [t_total] target steps, stuttering with exact finite
+    budgets in between.  Consulted only at target steps [1..t_total],
+    so [t_total = 0] is fine when the target starts finished. *)
+let evenly ~t_total ~s_total : Driver.strategy =
+  (* Source steps scheduled at target step i: enough to reach
+     ⌊s_total·i / t_total⌋ cumulative source steps. *)
+  let scheduled i = s_total * i / t_total in
+  let decide ~step_no ~target:_ ~source:_ ~budget:_ =
+    let want = scheduled step_no in
+    let had = scheduled (step_no - 1) in
+    if want > had then
+      Driver.Advance { src_steps = want - had; budget = Ord.of_int t_total }
+    else Driver.Stutter (Ord.of_int (t_total - step_no))
+  in
+  { Driver.name = "oracle"; decide }
+
 (** [oracle ~fuel ~target ~source]: pre-run both sides; if both
-    terminate, emit a schedule that distributes the source's [S] steps
-    evenly over the target's [T] steps, stuttering with exact finite
-    budgets in between.  Produces [None] when either side fails to
-    terminate within [fuel], cycles, or hits [meter]'s wall deadline —
-    an oracle certificate only exists for terminating pairs (for
-    diverging pairs write an online strategy such as {!lockstep}). *)
+    terminate, pace the source {!evenly} along the target.  Produces
+    [None] when either side fails to terminate within [fuel], cycles,
+    or hits [meter]'s wall deadline — an oracle certificate only exists
+    for terminating pairs (for diverging pairs write an online strategy
+    such as {!lockstep}). *)
 let oracle ?fuel ?meter ~(target : Step.config) ~(source : Step.config) () :
     Driver.strategy option =
   (* the pre-runs go through the frame-stack machine: on deep-context
@@ -68,17 +84,7 @@ let oracle ?fuel ?meter ~(target : Step.config) ~(source : Step.config) () :
   let count cfg = Machine.steps_to_value ?fuel ?meter (Machine.of_config cfg) in
   match count target, count source with
   | Some t_total, Some s_total when t_total > 0 ->
-    (* Source steps scheduled at target step i: enough to reach
-       ⌈s_total·i / t_total⌉ cumulative source steps. *)
-    let scheduled i = s_total * i / t_total in
-    let decide ~step_no ~target:_ ~source:_ ~budget:_ =
-      let want = scheduled step_no in
-      let had = scheduled (step_no - 1) in
-      if want > had then
-        Driver.Advance { src_steps = want - had; budget = Ord.of_int t_total }
-      else Driver.Stutter (Ord.of_int (t_total - step_no))
-    in
-    Some { Driver.name = "oracle"; decide }
+    Some (evenly ~t_total ~s_total)
   | Some _, Some _ | Some _, None | None, _ -> None
 
 (** A strategy from an explicit move list (used in tests); falls back to

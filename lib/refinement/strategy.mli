@@ -18,6 +18,12 @@ val stutter_only : Ord.t -> Driver.strategy
     descent.  What a bogus refinement like [e_loop ⪯ skip] must resort
     to — and the driver stops it in finitely many steps. *)
 
+val evenly : t_total:int -> s_total:int -> Driver.strategy
+(** The oracle's pacing: [s_total] source steps spread evenly over
+    [t_total] target steps ([⌊s_total·i / t_total⌋] by target step
+    [i]), stuttering on exact finite budgets in between.  Shared by
+    {!oracle} and {!Conc_refine.certify}. *)
+
 val oracle :
   ?fuel:int ->
   ?meter:Tfiris_robust.Budget.meter ->

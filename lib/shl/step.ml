@@ -44,8 +44,10 @@ let eval_bin_op op v1 v2 =
   | Add, Int a, Int b -> Some (Int (a + b))
   | Sub, Int a, Int b -> Some (Int (a - b))
   | Mul, Int a, Int b -> Some (Int (a * b))
-  | Quot, Int a, Int b -> if b = 0 then None else Some (Int (a / b))
-  | Rem, Int a, Int b -> if b = 0 then None else Some (Int (a mod b))
+  (* total, as HeapLang's [Z.quot]/[Z.rem]: [n quot 0 = 0], [n rem 0 = n];
+     OCaml's [/] and [mod] truncate the same way otherwise *)
+  | Quot, Int a, Int b -> Some (Int (if b = 0 then 0 else a / b))
+  | Rem, Int a, Int b -> Some (Int (if b = 0 then a else a mod b))
   | Lt, Int a, Int b -> Some (Bool (a < b))
   | Le, Int a, Int b -> Some (Bool (a <= b))
   | Eq, a, b -> Option.map (fun r -> Bool r) (value_eq a b)

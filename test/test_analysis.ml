@@ -60,32 +60,6 @@ let test_shape () =
   Alcotest.(check bool) "eq on ground shapes is fine" false
     (has_id "shape/stuck-op" (An.Scope.run (parse "1 = true")))
 
-(* ---------- the generic engine: lfp and widening ---------- *)
-
-let test_lfp_widening () =
-  (* counter lattice: join = max.  Without widening the chain
-     0,1,2,…,5 stabilizes; with the jump-widening the unbounded chain
-     terminates at the sentinel instead of iterating forever. *)
-  let counter ~widen =
-    {
-      An.Dataflow.name = "counter";
-      bottom = 0;
-      equal = Int.equal;
-      join = Stdlib.max;
-      widen;
-    }
-  in
-  let finite = counter ~widen:Stdlib.max in
-  Alcotest.(check int) "finite chain reaches its fixpoint" 5
-    (An.Dataflow.lfp finite (fun x -> Stdlib.min 5 (x + 1)));
-  let sentinel = 1_000_000 in
-  let jumping =
-    counter ~widen:(fun old next -> if next > old then sentinel else old)
-  in
-  Alcotest.(check int) "widening forces stabilization" sentinel
-    (An.Dataflow.lfp ~widen_after:4 jumping (fun x ->
-         if x >= sentinel then x else x + 1))
-
 (* ---------- constant propagation ---------- *)
 
 let test_constprop () =
@@ -114,9 +88,10 @@ let test_constprop () =
 (* ---------- intervals ---------- *)
 
 let test_interval () =
+  (* division is total, so even a definite zero divisor only warns *)
   let fs = An.Domains.interval (parse "1 quot 0") in
   Alcotest.(check (option bool)) "definite division by zero" (Some true)
-    (Option.map (fun s -> s = F.Error) (severity_of "interval/div-by-zero" fs));
+    (Option.map (fun s -> s = F.Warning) (severity_of "interval/div-by-zero" fs));
   (* divisor in [0,3]: possible, a warning *)
   let fs =
     An.Domains.interval
@@ -188,14 +163,14 @@ let test_any_sites_havoc () =
   Alcotest.(check int) "cas through unknown pointer havocs the heap" 0
     (count_id "constprop/unreachable-branch" fs);
   (* havoc poisons *reads*, not the value lattice itself: a definite
-     stuck operation before the havoc is still reported *)
+     zero divisor before the havoc is still reported *)
   let fs =
     An.Domains.interval
       (parse "let r = ref 7 in let p = r +l 0 in p := 0; 1 quot 0")
   in
   Alcotest.(check (option bool)) "pre-existing facts survive havoc"
     (Some true)
-    (Option.map (fun s -> s = F.Error) (severity_of "interval/div-by-zero" fs));
+    (Option.map (fun s -> s = F.Warning) (severity_of "interval/div-by-zero" fs));
   (* and a load after havoc is ⊤, not stale: no div-by-zero claim even
      though the last remembered store was 0 *)
   let fs =
@@ -546,16 +521,16 @@ let test_examples_analyze_clean () =
 module type ENGINE = sig
   type state
 
-  val create : int -> state
+  val create : unit -> state
   val round : state -> Shl.Ast.expr -> unit
   val findings : state -> Shl.Ast.expr -> F.t list
 end
 
-(* The oracle for [analyze]: all 24 rounds run whether or not the last
-   one moved a table, then the reporting pass. *)
+(* The oracle for [analyze]: all [max_rounds] rounds run whether or not
+   the last one moved a table, then the reporting pass. *)
 let plain_loop (module E : ENGINE) e =
-  let st = E.create 4 in
-  for _ = 1 to 24 do
+  let st = E.create () in
+  for _ = 1 to An.Dataflow.max_rounds do
     E.round st e
   done;
   E.findings st e
@@ -664,7 +639,6 @@ let suite =
   [
     Alcotest.test_case "scope lint" `Quick test_scope;
     Alcotest.test_case "shape lint" `Quick test_shape;
-    Alcotest.test_case "lfp and widening" `Quick test_lfp_widening;
     Alcotest.test_case "constant propagation" `Quick test_constprop;
     Alcotest.test_case "interval analysis" `Quick test_interval;
     Alcotest.test_case "pointer-top heap havoc" `Quick test_any_sites_havoc;

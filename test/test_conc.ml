@@ -148,6 +148,13 @@ let locked_always_two_prop =
    bounded to per-scheduler certificates) ---------- *)
 
 module CR = Tfiris_refinement.Conc_refine
+module Driver = Tfiris_refinement.Driver
+
+let accepted = function
+  | Some (Driver.Accepted (Driver.Terminated _, _)) -> true
+  | Some (Driver.Accepted (Driver.Fuel_exhausted _, _) | Driver.Rejected _)
+  | None ->
+    false
 
 let test_conc_refinement_locked () =
   (* the CAS counter refines the sequential "2" under every schedule *)
@@ -158,19 +165,28 @@ let test_conc_refinement_locked () =
   Alcotest.(check int) "all seeds pass" 10 (List.length ok);
   Alcotest.(check int) "none fail" 0 (List.length bad)
 
+(* Against a 5-step source, seed 11's game once ran a different
+   interleaving (43 steps) from the one its pre-run counted (25), both
+   drawn from one stateful scheduler, and was rejected with the source
+   stuck mid-game. *)
+let test_conc_refinement_long_source () =
+  let ok, bad =
+    CR.certify_all_seeds ~seeds:12 ~target:Conc.locked_incr
+      ~source:(parse "let a = 1 in let b = a in let c = b in let d = c in d + 1")
+      ()
+  in
+  Alcotest.(check (list int)) "no seed fails" [] bad;
+  Alcotest.(check int) "all 12 seeds pass" 12 (List.length ok)
+
 let test_conc_refinement_racy () =
   (* under each schedule the racy counter deterministically yields 1 or
      2; it refines exactly one of the two sequential constants *)
   List.iter
     (fun seed ->
-      let sched = Conc.seeded (seed * 37) in
       let against src =
-        match
-          CR.certify ~tgt_sched:sched ~target:Conc.racy_incr
-            ~source:(parse src) ()
-        with
-        | CR.Accepted _ -> true
-        | CR.Still_running _ | CR.Rejected _ -> false
+        accepted
+          (CR.certify ~tgt_sched:(Conc.seeded (seed * 37))
+             ~target:Conc.racy_incr ~source:(parse src) ())
       in
       let one = against "0 + 1" and two = against "1 + 1" in
       Alcotest.(check bool)
@@ -179,16 +195,53 @@ let test_conc_refinement_racy () =
         (one <> two))
     [ 0; 1; 2; 3; 4 ]
 
+(* A certificate under a seeded schedule is a statement about the run a
+   fresh scheduler with that seed makes: it accepts the literal [v]
+   exactly when that run returns [v]. *)
+let certify_matches_run_prop =
+  let budget = Budget.of_steps 20_000 in
+  QCheck_alcotest.to_alcotest
+    (Q.Test.make ~count:150
+       ~name:"conc certificate accepts v iff the seeded run returns v"
+       ~print:(fun (e, seed, k) ->
+         Printf.sprintf "%s  seed=%d  v=%d" (Gen.print_shl e) seed k)
+       (Q.Gen.triple
+          (Q.Gen.oneof
+             [
+               Q.Gen.return Conc.racy_incr;
+               Q.Gen.return Conc.locked_incr;
+               Gen.conc_expr;
+             ])
+          (Q.Gen.int_bound 10_000) (Q.Gen.int_bound 8))
+       (fun (e, seed, k) ->
+         let ran =
+           match Conc.run ~budget ~sched:(Conc.seeded seed) (Conc.init e) with
+           | Conc.All_done (v, _) -> Some v
+           | Conc.Thread_stuck _ | Conc.Out_of_fuel _ -> None
+         in
+         (* the literal [k], and whatever the run returned *)
+         let literals =
+           Shl.Ast.Int k
+           :: (match ran with Some (Shl.Ast.Int n) -> [ Shl.Ast.Int n ] | _ -> [])
+         in
+         List.for_all
+           (fun v ->
+             let certified =
+               accepted
+                 (CR.certify ~budget ~tgt_sched:(Conc.seeded seed) ~target:e
+                    ~source:(Shl.Ast.Val v) ())
+             in
+             certified = (ran = Some v))
+           literals))
+
 let test_conc_refinement_divergence_rejected () =
   (* a diverging concurrent target can never be certified against a
      terminating source *)
   let spin = parse "let r = ref 0 in fork (r := 1); (rec w u. w u) ()" in
-  match
-    CR.certify ~budget:(Budget.of_steps 50_000) ~tgt_sched:Conc.round_robin ~target:spin
-      ~source:(parse "1 + 1") ()
-  with
-  | CR.Accepted _ -> Alcotest.fail "diverging target certified!"
-  | CR.Still_running _ | CR.Rejected _ -> ()
+  Alcotest.(check bool) "diverging target not certified" false
+    (accepted
+       (CR.certify ~budget:(Budget.of_steps 50_000) ~tgt_sched:Conc.round_robin
+          ~target:spin ~source:(parse "1 + 1") ()))
 
 (* ---------- the canonical visited-set key ---------- *)
 
@@ -658,8 +711,11 @@ let suite =
     locked_always_two_prop;
     Alcotest.test_case "conc TP-refinement: CAS counter ⪯ 2" `Quick
       test_conc_refinement_locked;
+    Alcotest.test_case "conc TP-refinement: CAS counter ⪯ a 5-step source"
+      `Quick test_conc_refinement_long_source;
     Alcotest.test_case "conc TP-refinement: racy counter per-schedule" `Quick
       test_conc_refinement_racy;
+    certify_matches_run_prop;
     Alcotest.test_case "conc TP-refinement: divergence rejected" `Quick
       test_conc_refinement_divergence_rejected;
     Alcotest.test_case "explore keys states canonically" `Quick

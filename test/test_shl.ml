@@ -28,6 +28,10 @@ let test_arith () =
   check_int "sub/assoc" "10 - 3 - 2" 5;
   check_int "quot" "17 quot 5" 3;
   check_int "rem" "17 rem 5" 2;
+  check_int "quot truncates" "(0 - 17) quot 5" (-3);
+  check_int "rem takes the dividend's sign" "(0 - 17) rem 5" (-2);
+  check_int "quot by zero is 0" "17 quot 0" 0;
+  check_int "rem by zero is the dividend" "17 rem 0" 17;
   check_int "unary minus" "-3 + 10" 7;
   check_bool "lt" "2 < 3" true;
   check_bool "le" "3 <= 3" true;
@@ -70,7 +74,6 @@ let test_stuck () =
   Alcotest.(check bool) "apply int stuck" true (stuck "3 4");
   Alcotest.(check bool) "load non-loc stuck" true (stuck "!5");
   Alcotest.(check bool) "store to unallocated stuck" true (stuck "#99 := 1");
-  Alcotest.(check bool) "div by zero stuck" true (stuck "1 quot 0");
   Alcotest.(check bool) "fst of int stuck" true (stuck "fst 3");
   Alcotest.(check bool) "unbound var stuck" true (stuck "x + 1")
 

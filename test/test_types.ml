@@ -132,6 +132,25 @@ let test_binder_order () =
   Alcotest.(check bool) "fundamental thm on rec z z. z ()" true
     (Logrel.fundamental ~fuel:1500 (parse "rec z z. z ()"))
 
+(* Division is total, as HeapLang's [Z.quot]/[Z.rem]: [n quot 0 = 0]
+   and [n rem 0 = n].  While [n quot 0] was stuck, the random
+   fundamental-theorem property failed under QCHECK_SEED=8 and
+   832083811, shrunk to [fun x -> x quot x], and under QCHECK_SEED=25,
+   shrunk to [inl (rec f f. f quot f)]: both are typed and reach
+   [0 quot 0]. *)
+let test_total_division () =
+  List.iter
+    (fun (src, n) ->
+      match Shl.Interp.eval (parse src) with
+      | Some (Shl.Ast.Int m) -> Alcotest.(check int) src n m
+      | _ -> Alcotest.failf "%s should evaluate to %d" src n)
+    [ ("0 quot 0", 0); ("7 quot 0", 0); ("7 rem 0", 7); ("(0 - 7) rem 0", -7) ];
+  List.iter
+    (fun src ->
+      Alcotest.(check bool) ("fundamental thm on " ^ src) true
+        (Logrel.fundamental ~fuel:1500 (parse src)))
+    [ "fun x -> x quot x"; "inl (rec f f. f quot f)" ]
+
 let progress_prop =
   QCheck_alcotest.to_alcotest
     (Q.Test.make ~count:250
@@ -158,4 +177,6 @@ let suite =
     progress_prop;
     Alcotest.test_case "rec f x: x shadows f (QCHECK_SEED=972311861)" `Quick
       test_binder_order;
+    Alcotest.test_case "quot/rem are total (QCHECK_SEED=8, 25, 832083811)"
+      `Quick test_total_division;
   ]

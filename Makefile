@@ -77,7 +77,9 @@ analyze-baseline: build
 # --diff` holds the two ledgers to zero verdict flips — cached replay
 # may be faster, never different.  Then every verdict command of
 # `make ledger` runs cold, then warm, against one fresh cache: stdout
-# and exit code must be byte-equal.  `make corpus` is self-contained
+# and exit code must be byte-equal.  The cold sweep must leave no
+# staging `*.tmp` file behind and commit every entry with mode 0644.
+# `make corpus` is self-contained
 # (fresh cache each time); point CACHE at a persistent directory to
 # verify incrementally across source changes.
 CACHE ?= .tfiris-cache
@@ -87,6 +89,10 @@ corpus: build
 	rm -rf $(CACHE) CORPUS_cold.jsonl CORPUS_warm.jsonl
 	dune exec bin/tfiris_cli.exe -- verify-corpus examples/shl \
 	  --cache=$(CACHE) --ledger=CORPUS_cold.jsonl
+	@left=$$(find $(CACHE) -name '*.tmp'; \
+	  find $(CACHE) -type f -name '*.json' ! -perm 0644); \
+	  test -z "$$left" || { echo "cold sweep left staging files or entries not 0644:"; \
+	    echo "$$left"; exit 1; }
 	dune exec bin/tfiris_cli.exe -- verify-corpus examples/shl \
 	  --cache=$(CACHE) --ledger=CORPUS_warm.jsonl --min-hit-rate=100
 	dune exec bin/tfiris_cli.exe -- report --diff CORPUS_cold.jsonl CORPUS_warm.jsonl

@@ -622,7 +622,7 @@ let finalize ctx (params : Sh.sval list) ((st, ret) : sst * Sh.sval) :
   let vs, bs = List.fold_left aids ids post in
   let neqs =
     List.filter_map
-      (fun (a, b) ->
+      (fun { Sh.l = a; r = b; _ } ->
         let a = sq a and b = sq b in
         if Sh.apart a b then None (* trivially true after normalization *)
         else

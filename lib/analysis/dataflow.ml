@@ -51,7 +51,8 @@ type 'a lattice = {
 (** Rounds that join before the engine switches to [widen]. *)
 let widen_after = 4
 
-(** The most rounds {!Engine.analyze} runs before its reporting pass. *)
+(** The most rounds {!Engine.analyze} runs; a loop that is still dirty
+    then gets one more, reporting round. *)
 let max_rounds = 24
 
 (* ------------------------------------------------------------------ *)
@@ -183,12 +184,14 @@ module Engine (D : VALUE_DOMAIN) = struct
     mutable summaries : (Path.t * summary) list;
     heap : (Path.t, aval) Hashtbl.t;  (** allocation site -> content *)
     mutable dirty : bool;  (** any monotone table moved this round *)
+    mutable newly_called : bool;
+        (** a summary's [real_called] was set this round: the next round
+            stops applying it to ⊤, so it may read differently *)
     mutable round : int;
     mutable havoc : bool;
         (** a store went through a pointer with unknown sites: heap
             contents can no longer be trusted *)
-    mutable report : F.t list option;
-        (** [Some acc] during the reporting pass *)
+    mutable report : F.t list;  (** this round's findings, newest first *)
     reported : (string * Path.t, unit) Hashtbl.t;
     in_progress : (Path.t, unit) Hashtbl.t;
         (** functions whose body is being analyzed: the recursion guard *)
@@ -199,9 +202,10 @@ module Engine (D : VALUE_DOMAIN) = struct
       summaries = [];
       heap = Hashtbl.create 32;
       dirty = true;
+      newly_called = false;
       round = 0;
       havoc = false;
-      report = None;
+      report = [];
       reported = Hashtbl.create 32;
       in_progress = Hashtbl.create 16;
     }
@@ -229,14 +233,11 @@ module Engine (D : VALUE_DOMAIN) = struct
       Hashtbl.replace st.heap site (bump st (heap_get st site) v)
 
   let report st ~id ~severity ~path msg =
-    match st.report with
-    | None -> ()
-    | Some acc ->
-      let key = (id, path) in
-      if not (Hashtbl.mem st.reported key) then begin
-        Hashtbl.replace st.reported key ();
-        st.report <- Some (F.make ~id ~severity ~path msg :: acc)
-      end
+    let key = (id, path) in
+    if not (Hashtbl.mem st.reported key) then begin
+      Hashtbl.replace st.reported key ();
+      st.report <- F.make ~id ~severity ~path msg :: st.report
+    end
 
   let fid defect = D.name ^ "/" ^ defect
 
@@ -305,7 +306,10 @@ module Engine (D : VALUE_DOMAIN) = struct
               match find_summary st h with
               | None -> acc
               | Some s ->
-                s.real_called <- true;
+                if not s.real_called then begin
+                  s.real_called <- true;
+                  st.newly_called <- true
+                end;
                 apply st s arg :: acc)
             f.fns []
         in
@@ -485,9 +489,13 @@ module Engine (D : VALUE_DOMAIN) = struct
      application of every function no call site reaches, so that (a)
      every body is analyzed and (b) the heap/summary effects of
      returned-but-uncalled closures (memoized functions!) participate
-     in the fixpoint rather than being bolted on afterwards. *)
+     in the fixpoint rather than being bolted on afterwards.  Every round
+     collects its own findings. *)
   let round st e =
     st.dirty <- false;
+    st.newly_called <- false;
+    st.report <- [];
+    Hashtbl.clear st.reported;
     ignore (eval st Smap.empty [] e);
     let rec sweep visited =
       let pending =
@@ -507,21 +515,27 @@ module Engine (D : VALUE_DOMAIN) = struct
   (* The reporting pass: one more round over the stabilized tables,
      collecting findings. *)
   let findings st e =
-    st.report <- Some [];
     round st e;
-    List.sort F.compare (Option.value ~default:[] st.report)
+    List.sort F.compare st.report
 
   let m_rounds = Metrics.counter ("analysis." ^ D.name ^ ".rounds")
 
   (* A round that moves no table hands the next round the same inputs,
      and both domains' widenings, like join, return [old] when [next] is
      already below it.  So stopping at the first clean round gives the
-     tables that running on to [max_rounds] would. *)
+     tables that running on to [max_rounds] would.  A clean round that
+     also called no function for the first time leaves the next round
+     exactly its own inputs (tables, [real_called] flags, summaries), so
+     its findings are the reporting pass's.  That pass runs only when the
+     loop stops dirty at [max_rounds] or the last round set a
+     [real_called] flag, which withdraws that function's ⊤ application
+     from the next round. *)
   let analyze (e : Ast.expr) : F.t list =
     let st = create () in
     while st.dirty && st.round < max_rounds do
       round st e
     done;
     Metrics.add m_rounds st.round;
-    findings st e
+    if st.dirty || st.newly_called then findings st e
+    else List.sort F.compare st.report
 end

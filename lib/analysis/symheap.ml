@@ -70,10 +70,18 @@ type atom =
 
 module Imap = Map.Make (Int)
 
+(** An asserted disequality [l ≠ r] with the {!mask} of the ids its
+    sides mention. *)
+type neq = {
+  l : sval;
+  r : sval;
+  mask : int;
+}
+
 type t = {
   eqs : sval Imap.t;  (** svar → value; acyclic, chased by {!norm} *)
   beqs : addr Imap.t;  (** base → address; acyclic, chased likewise *)
-  neqs : (sval * sval) list;
+  neqs : neq list;
       (** asserted disequalities, each side normalized and the two
           sides different (see {!unify}) *)
   spatial : atom list;
@@ -96,6 +104,26 @@ let fresh_var (t : t) : t * sval =
 
 let fresh_base (t : t) : t * addr =
   ({ t with nbase = t.nbase + 1 }, addr_of_base t.nbase)
+
+(* ---------- id masks ---------- *)
+
+(* A disequality's mask has one bit per variable and base id its sides
+   mention, ids folded modulo 31 into the low (variables) and high
+   (bases) 31 bits.  Two ids may share a bit, so a mask is a filter with
+   false positives and no false negatives: a binding whose bit misses a
+   mask cannot touch that disequality. *)
+let var_bit i = 1 lsl (i mod 31)
+let base_bit b = 1 lsl (31 + ((b + 1) mod 31))
+
+let rec mask (v : sval) : int =
+  match v with
+  | S_var i -> var_bit i
+  | S_loc a -> base_bit a.base
+  | S_pair (a, b) -> mask a lor mask b
+  | S_inj_l a | S_inj_r a -> mask a
+  | S_unit | S_bool _ | S_int _ | S_fun _ -> 0
+
+let make_neq l r = { l; r; mask = mask l lor mask r }
 
 (* ---------- normalization ---------- *)
 
@@ -152,7 +180,7 @@ let nonzero_int (t : t) (v : sval) =
   | v' ->
     if
       List.exists
-        (fun (a, b) -> (a = v' && b = S_int 0) || (b = v' && a = S_int 0))
+        (fun { l; r; _ } -> (l = v' && r = S_int 0) || (r = v' && l = S_int 0))
         t.neqs
     then Some true
     else None
@@ -197,7 +225,7 @@ let pts_disjoint (t : t) : bool =
     {!unify} checks only what its binding can change; this is its
     reference. *)
 let sat (t : t) : bool =
-  (not (List.exists (fun (a, b) -> definitely_eq t a b) t.neqs))
+  (not (List.exists (fun d -> definitely_eq t d.l d.r) t.neqs))
   && pts_disjoint t
 
 let rec mentions_base (b : int) (v : sval) =
@@ -213,19 +241,35 @@ exception Collapsed
    normal in; [touched] recognizes the terms that binding rewrites.
    Every other disequality is still normal and uncollapsed, so only the
    touched ones are renormalized and re-checked, and the list after the
-   last of them is shared.  Raises [Collapsed] when one collapses. *)
+   last of them is shared.  Raises [Collapsed] when one collapses.  This
+   is the full walk, the reference of {!bind_neqs}. *)
 let rec renorm_neqs t touched = function
   | [] -> []
-  | ((a, b) as d) :: rest as l ->
+  | d :: rest as l ->
     let rest' = renorm_neqs t touched rest in
-    if touched a || touched b then
-      let a = norm t a and b = norm t b in
-      if a = b then raise Collapsed else (a, b) :: rest'
+    if touched d.l || touched d.r then
+      let a = norm t d.l and b = norm t d.r in
+      if a = b then raise Collapsed else make_neq a b :: rest'
     else if rest' == rest then l
     else d :: rest'
 
-let bind (t : t) touched : t option =
-  match renorm_neqs t touched t.neqs with
+(* Whether the binding whose id has mask bit [bit] touches a stored
+   disequality: the mask rules most out before the exact test runs. *)
+let rec touches bit touched = function
+  | [] -> false
+  | d :: rest ->
+    (d.mask land bit <> 0 && (touched d.l || touched d.r))
+    || touches bit touched rest
+
+(** The disequalities of [t] (one binding more than they are normal in)
+    renormalized: [t.neqs] itself when the binding touches none of them,
+    without the non-tail walk of {!renorm_neqs}, which is taken only when
+    one is touched.  Raises [Collapsed] like it. *)
+let bind_neqs (t : t) bit touched : neq list =
+  if touches bit touched t.neqs then renorm_neqs t touched t.neqs else t.neqs
+
+let bind (t : t) bit touched : t option =
+  match bind_neqs t bit touched with
   | neqs ->
     if not (pts_disjoint t) then None
     else if neqs == t.neqs then Some t
@@ -245,7 +289,7 @@ let rec unify (t : t) (a : sval) (b : sval) : t option =
     match (a, b) with
     | S_var i, v | v, S_var i ->
       if occurs i v then None
-      else bind { t with eqs = Imap.add i v t.eqs } (occurs i)
+      else bind { t with eqs = Imap.add i v t.eqs } (var_bit i) (occurs i)
     | S_loc x, S_loc y -> unify_addr t x y
     | S_pair (a1, a2), S_pair (b1, b2) ->
       Option.bind (unify t a1 b1) (fun t -> unify t a2 b2)
@@ -265,14 +309,15 @@ and unify_addr (t : t) (x : addr) (y : addr) : t option =
         (x.base, { base = y.base; off = y.off - x.off })
       else (y.base, { base = x.base; off = x.off - y.off })
     in
-    bind { t with beqs = Imap.add b target t.beqs } (mentions_base b)
+    bind { t with beqs = Imap.add b target t.beqs } (base_bit b)
+      (mentions_base b)
 
 (** Assume [a ≠ b]; [None] when they are already definitely equal. *)
 let add_neq (t : t) (a : sval) (b : sval) : t option =
   let a = norm t a and b = norm t b in
   if a = b then None
   else if apart a b then Some t
-  else Some { t with neqs = (a, b) :: t.neqs }
+  else Some { t with neqs = make_neq a b :: t.neqs }
 
 (* ------------------------------------------------------------------ *)
 (* Spatial operations                                                  *)
@@ -509,10 +554,10 @@ let string_of_atom ?var_name (a : atom) : string =
     are already applied by normalization). *)
 let pure_strings ?var_name (t : t) : string list =
   List.rev_map
-    (fun (a, b) ->
+    (fun { l; r; _ } ->
       Printf.sprintf "%s != %s"
-        (string_of_sval ?var_name (norm t a))
-        (string_of_sval ?var_name (norm t b)))
+        (string_of_sval ?var_name (norm t l))
+        (string_of_sval ?var_name (norm t r)))
     t.neqs
 
 let to_string (t : t) : string =

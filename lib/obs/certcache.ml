@@ -10,10 +10,10 @@
 
     On-disk layout is two-level content addressing, git-style: a key
     [abcdef…] lives at [<dir>/ab/cdef….json], one JSON object per file.
-    Writes are atomic (temp file in the same directory, then
-    [rename(2)]), so a reader never observes a half-written
-    certificate and two processes racing to store the same key both
-    leave a complete entry behind.
+    Writes are atomic (a staging file opened once with [O_EXCL] in the
+    same directory, then [rename(2)]), so a reader never observes a
+    half-written certificate and two processes racing to store the same
+    key both leave a complete entry behind.
 
     Reads are corruption-tolerant by contract: a missing file is a
     miss, and an unreadable, truncated, ill-formed or mis-keyed entry
@@ -270,8 +270,33 @@ let rec write_all fd bytes pos len =
     write_all fd bytes (pos + n) (len - n)
   end
 
+(* Staging names are [cert-<pid>-<seq>.tmp]: unique within a process by
+   the sequence number, across processes by the pid.  A name left over
+   by a crashed process that had this pid is skipped ([EEXIST]). *)
+let tmp_seq = Atomic.make 0
+
+(* Create a fresh staging file in [subdir] with [O_EXCL], creating the
+   subdirectory (once) only when the open says it is missing. *)
+let rec open_tmp ?(mkdir = true) subdir =
+  let tmp =
+    Filename.concat subdir
+      (Printf.sprintf "cert-%d-%d.tmp" (Unix.getpid ())
+         (Atomic.fetch_and_add tmp_seq 1))
+  in
+  match
+    Unix.openfile tmp
+      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL; Unix.O_CLOEXEC ]
+      0o644
+  with
+  | fd -> (tmp, fd)
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) when mkdir ->
+    mkdir_p subdir;
+    open_tmp ~mkdir:false subdir
+  | exception Unix.Unix_error ((Unix.EEXIST | Unix.EINTR), _, _) ->
+    open_tmp ~mkdir subdir
+
 (** Store a certificate under its key, atomically: the bytes go to a
-    temp file in the entry's own subdirectory, then [rename(2)] onto
+    staging file in the entry's own subdirectory, then [rename(2)] onto
     the final name.  Uncacheable verdicts (see {!cacheable_verdict})
     are refused with [false]; genuine I/O failures escape as
     [Unix.Unix_error]/[Sys_error], which the {!Tfiris_robust.Failure}
@@ -281,21 +306,18 @@ let store (t : t) (c : cert) : bool =
   if not (cacheable_verdict c.verdict && valid_key c.key) then false
   else begin
     let path = entry_path t ~key:c.key in
-    let subdir = Filename.dirname path in
-    mkdir_p subdir;
-    let tmp = Filename.temp_file ~temp_dir:subdir "cert-" ".tmp" in
     let line = Json.to_line (to_json c) in
+    let tmp, fd = open_tmp (Filename.dirname path) in
     (try
-       let fd =
-         Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644
-       in
        Fun.protect
          ~finally:(fun () -> Unix.close fd)
-         (fun () -> write_all fd line 0 (Bytes.length line));
-       (* Filename.temp_file created the file 0600; committed entries
-          must be world-readable like any content-addressed store (the
-          cache dir is shared between users and uploaded from CI) *)
-       Unix.chmod tmp 0o644;
+         (fun () ->
+           (* the umask may have narrowed the create mode; committed
+              entries must be world-readable like any content-addressed
+              store (the cache dir is shared between users and uploaded
+              from CI) *)
+           Unix.fchmod fd 0o644;
+           write_all fd line 0 (Bytes.length line));
        Sys.rename tmp path
      with e ->
        (try Sys.remove tmp with Sys_error _ -> ());

@@ -323,6 +323,34 @@ let test_race_precision () =
   Alcotest.(check int) "sequential program: no races" 0
     (List.length (static_races (parse "let r = ref 0 in r := 1; !r")))
 
+(* The fork-free shortcut of [Races.run] against the full fixpoint. *)
+let races_same_as_analyze e =
+  let got = An.Races.run e
+  and expected = An.Races.findings (An.Races.analyze e) in
+  got = expected
+  || QCheck2.Test.fail_reportf "analyze [%s], run [%s]"
+       (String.concat "; " (ids expected))
+       (String.concat "; " (ids got))
+
+let races_oracle_prop name gen =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name ~print:Gen.print_shl gen
+       races_same_as_analyze)
+
+(* A fork reachable only through a function body still spawns a second
+   context, so the shortcut must look inside [rec] bodies. *)
+let test_race_fork_in_rec () =
+  let e =
+    parse
+      "let c = ref 0 in (rec f n. if n = 0 then fork (c := 1) else f (n - \
+       1)) 2; c := 2; !c"
+  in
+  let fs = An.Races.run e in
+  Alcotest.(check bool) "fork inside rec: write-write race reported" true
+    (has_id "race/write-write" fs);
+  Alcotest.(check bool) "same findings as the full analysis" true
+    (fs = An.Races.findings (An.Races.analyze e))
+
 (* In [rec z z. body] the parameter shadows the function name, as in
    [Step]: the dataflow passes bind the parameter over the function, and
    the race pass's flow-insensitive points-to sets give [z] both, which
@@ -586,6 +614,24 @@ let test_plain_loop_pinned () =
         (same_as_plain_loop e))
     chain_programs
 
+(* [h] is only ever applied to ⊤ by the round's sweep until its own body
+   loads it back out of [r] and calls it, in the second round, which
+   moves no table.  From then on no round analyzes [h]'s body, so the
+   reporting pass has no division finding: the clean round that set the
+   flag must not stand in for it. *)
+let test_plain_loop_first_call_in_clean_round () =
+  let e =
+    parse
+      "let r = ref (fun x -> x) in let h = rec h n. ((!r) 0; r := h; 1 quot \
+       0) in 0"
+  in
+  Alcotest.(check bool) "same findings as the plain loop" true
+    (same_as_plain_loop e);
+  Alcotest.(check (list int)) "rounds (constprop, interval)" [ 2; 2 ]
+    (rounds e);
+  Alcotest.(check (list string)) "no interval finding" []
+    (ids (An.Domains.interval e))
+
 let plain_loop_prop name gen =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:200 ~name ~print:Gen.print_shl gen
@@ -657,9 +703,18 @@ let suite =
       test_chains_golden;
     Alcotest.test_case "dataflow vs plain round loop (pinned)" `Quick
       test_plain_loop_pinned;
+    Alcotest.test_case "dataflow: a first call in the clean round" `Quick
+      test_plain_loop_first_call_in_clean_round;
     plain_loop_prop "dataflow vs plain round loop (let-chains of functions)"
       Gen.shl_fn_chain;
     plain_loop_prop "dataflow vs plain round loop (wild programs)" Gen.shl_expr;
+    Alcotest.test_case "races: fork inside a rec body" `Quick
+      test_race_fork_in_rec;
+    races_oracle_prop "races: run vs full analyze (wild programs)" Gen.shl_expr;
+    races_oracle_prop "races: run vs full analyze (let-chains of functions)"
+      Gen.shl_fn_chain;
+    races_oracle_prop "races: run vs full analyze (concurrent programs)"
+      Gen.conc_expr;
     Alcotest.test_case "shipped examples analyze clean" `Quick
       test_examples_analyze_clean;
     Alcotest.test_case "metrics integration" `Quick test_metrics;

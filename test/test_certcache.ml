@@ -131,6 +131,8 @@ let test_cacheable_verdicts () =
 
 (* ---------- store / find ---------- *)
 
+let cert_with_key key = { sample_cert with Cc.key }
+
 let test_store_find_roundtrip () =
   with_cache (fun t ->
       Cc.reset_session ();
@@ -223,15 +225,91 @@ let test_validate_reject_is_corrupt_miss () =
         (Cc.find t ~key:sample_key ~validate:(fun c -> c.Cc.cmd = "run")
         <> None))
 
-(* Committed entries are world-readable: Filename.temp_file creates the
-   staging file 0600, which must not leak into the store (a cache dir
-   shared between users or uploaded from CI stays readable). *)
+(* Committed entries are world-readable: the staging file is created
+   under the process umask, which must not leak into the store (a cache
+   dir shared between users or uploaded from CI stays readable). *)
 let test_entry_world_readable () =
   with_cache (fun t ->
       Alcotest.(check bool) "stored" true (Cc.store t sample_cert);
       let st = Unix.stat (entry_path_of t sample_key) in
       Alcotest.(check int) "entry mode 0644" 0o644
         (st.Unix.st_perm land 0o777))
+
+let test_store_under_umask () =
+  with_cache (fun t ->
+      let old = Unix.umask 0o077 in
+      let stored =
+        Fun.protect
+          ~finally:(fun () -> ignore (Unix.umask old))
+          (fun () -> Cc.store t sample_cert)
+      in
+      Alcotest.(check bool) "stored" true stored;
+      let st = Unix.stat (entry_path_of t sample_key) in
+      Alcotest.(check int) "entry mode 0644 under umask 077" 0o644
+        (st.Unix.st_perm land 0o777))
+
+let subdir_of t key = Filename.concat (Cc.dir t) (String.sub key 0 2)
+
+let files_with_suffix dir suffix =
+  List.filter
+    (fun f -> Filename.check_suffix f suffix)
+    (Array.to_list (Sys.readdir dir))
+
+let test_store_leaves_no_tmp () =
+  with_cache (fun t ->
+      List.iter
+        (fun i ->
+          let key = Printf.sprintf "%032x" (0xabc0 + i) in
+          Alcotest.(check bool) "stored" true (Cc.store t (cert_with_key key)))
+        [ 0; 1; 2 ];
+      (* one key stored twice: the second rename replaces the entry *)
+      Alcotest.(check bool) "stored" true (Cc.store t sample_cert);
+      Alcotest.(check bool) "stored again" true (Cc.store t sample_cert);
+      Array.iter
+        (fun sub ->
+          Alcotest.(check (list string)) ("no *.tmp in " ^ sub) []
+            (files_with_suffix (Filename.concat (Cc.dir t) sub) ".tmp"))
+        (Sys.readdir (Cc.dir t));
+      Alcotest.(check int) "stats: no temp leftovers" 0 (Cc.stats t).Cc.st_tmp)
+
+(* A crashed writer that had this process's pid may have left the very
+   staging names this process is about to use: [O_EXCL] refuses them
+   and the store moves on to the next name, leaving them for [gc]. *)
+let test_store_skips_stale_tmp () =
+  with_cache (fun t ->
+      let sub = subdir_of t sample_key in
+      Unix.mkdir sub 0o755;
+      let next = Atomic.get Cc.tmp_seq in
+      let stale =
+        List.map
+          (fun n ->
+            Filename.concat sub
+              (Printf.sprintf "cert-%d-%d.tmp" (Unix.getpid ()) n))
+          [ next; next + 1; next + 2 ]
+      in
+      List.iter (fun p -> write_file p "partial") stale;
+      Alcotest.(check bool) "stored past the stale names" true
+        (Cc.store t sample_cert);
+      Alcotest.(check bool) "entry readable" true
+        (Cc.find t ~key:sample_key = Some sample_cert);
+      Alcotest.(check bool) "stale files untouched" true
+        (List.for_all (fun p -> read_file p = "partial") stale);
+      Alcotest.(check int) "only the stale files are temp files" 3
+        (Cc.stats t).Cc.st_tmp)
+
+let test_store_creates_subdir () =
+  with_cache (fun t ->
+      let sub = subdir_of t sample_key in
+      Alcotest.(check bool) "no subdirectory before the first store" false
+        (Sys.file_exists sub);
+      Alcotest.(check bool) "stored" true (Cc.store t sample_cert);
+      Alcotest.(check bool) "subdirectory created" true (Sys.is_directory sub);
+      (* removed behind the store's back: the next store recreates it *)
+      Sys.remove (entry_path_of t sample_key);
+      Unix.rmdir sub;
+      Alcotest.(check bool) "stored again" true (Cc.store t sample_cert);
+      Alcotest.(check bool) "entry back" true
+        (Cc.find t ~key:sample_key = Some sample_cert))
 
 let test_read_fault_hook () =
   with_cache (fun t ->
@@ -249,8 +327,6 @@ let test_read_fault_hook () =
       | None -> Alcotest.fail "entry lost after read fault")
 
 (* ---------- stats and gc ---------- *)
-
-let cert_with_key key = { sample_cert with Cc.key }
 
 let test_gc () =
   with_cache (fun t ->
@@ -599,6 +675,14 @@ let suite =
       test_validate_reject_is_corrupt_miss;
     Alcotest.test_case "committed entries are world-readable" `Quick
       test_entry_world_readable;
+    Alcotest.test_case "store under umask 077 commits 0644" `Quick
+      test_store_under_umask;
+    Alcotest.test_case "store leaves no temp file" `Quick
+      test_store_leaves_no_tmp;
+    Alcotest.test_case "stale staging name does not block a store" `Quick
+      test_store_skips_stale_tmp;
+    Alcotest.test_case "store creates the subdirectory on demand" `Quick
+      test_store_creates_subdir;
     Alcotest.test_case "read-fault hook: miss, not crash" `Quick
       test_read_fault_hook;
     Alcotest.test_case "gc: age, cap, tmp sweep" `Quick test_gc;

@@ -133,7 +133,7 @@ let naive_nonzero t v =
     let zero x = naive_norm t x = Sh.S_int 0 in
     if
       List.exists
-        (fun (a, b) ->
+        (fun { Sh.l = a; r = b; _ } ->
           (naive_norm t a = v' && zero b) || (naive_norm t b = v' && zero a))
         t.Sh.neqs
     then Some true
@@ -222,12 +222,72 @@ let ops : op list Q.Gen.t =
          (6, map2 (fun a b -> Unify (a, b)) recipe recipe);
        ])
 
+(* Every variable and base id a stored disequality mentions has its bit
+   in the disequality's mask: the mask may over-approximate, never miss. *)
+let check_mask (d : Sh.neq) =
+  let rec ids = function
+    | Sh.S_var i -> [ Sh.var_bit i ]
+    | Sh.S_loc a -> [ Sh.base_bit a.Sh.base ]
+    | Sh.S_pair (a, b) -> ids a @ ids b
+    | Sh.S_inj_l a | Sh.S_inj_r a -> ids a
+    | Sh.S_unit | Sh.S_bool _ | Sh.S_int _ | Sh.S_fun _ -> []
+  in
+  List.iter
+    (fun bit ->
+      if d.Sh.mask land bit = 0 then
+        Q.Test.fail_reportf "the mask of %s != %s misses an id"
+          (Sh.string_of_sval d.Sh.l) (Sh.string_of_sval d.Sh.r))
+    (ids d.Sh.l @ ids d.Sh.r)
+
+(* Bind every unbound variable to a literal and every unbound base to a
+   concrete address, one at a time.  The masked scan of [Sh.bind_neqs]
+   must give what the full [Sh.renorm_neqs] walk gives, and [Sh.bind]
+   must return its input state physically exactly when that walk
+   returns the list unchanged. *)
+let check_bind_fast_path (t : Sh.t) =
+  let attempt f = match f () with l -> Some l | exception Sh.Collapsed -> None in
+  let check what (t' : Sh.t) bit touched =
+    let fast = attempt (fun () -> Sh.bind_neqs t' bit touched)
+    and full = attempt (fun () -> Sh.renorm_neqs t' touched t'.Sh.neqs) in
+    if fast <> full then
+      Q.Test.fail_reportf "binding %s: masked and full renormalization differ"
+        what;
+    match (Sh.bind t' bit touched, full) with
+    | Some t'', Some l ->
+      if t'' == t' <> (l == t'.Sh.neqs) then
+        Q.Test.fail_reportf
+          "binding %s: bind returns its input %b, the full walk keeps the \
+           list %b"
+          what (t'' == t') (l == t'.Sh.neqs)
+    | Some _, None -> Q.Test.fail_reportf "binding %s: bind misses a collapse" what
+    | None, Some _ when Sh.pts_disjoint t' ->
+      Q.Test.fail_reportf "binding %s: bind refuses a consistent binding" what
+    | None, _ -> ()
+  in
+  for i = 0 to t.Sh.nvar - 1 do
+    if not (Sh.Imap.mem i t.Sh.eqs) then
+      check (Printf.sprintf "_%d" i)
+        { t with Sh.eqs = Sh.Imap.add i (Sh.S_int 7) t.Sh.eqs }
+        (Sh.var_bit i) (Sh.occurs i)
+  done;
+  for b = 0 to t.Sh.nbase - 1 do
+    if not (Sh.Imap.mem b t.Sh.beqs) then
+      check (Printf.sprintf "a%d" b)
+        {
+          t with
+          Sh.beqs =
+            Sh.Imap.add b { Sh.base = Sh.conc_base; off = 3 } t.Sh.beqs;
+        }
+        (Sh.base_bit b) (Sh.mentions_base b)
+  done
+
 (* Run [ops] through the API.  At every unification the incremental
    [Sh.unify] must succeed exactly when the naive binding passes the
    full [Sh.sat], with the same bindings; after every step each stored
-   disequality is its own normal form with two different sides, and
-   [norm], [nonzero_int] and [definitely_eq] agree with normalizing
-   from scratch. *)
+   disequality is its own normal form with two different sides, its
+   mask covers every id it mentions, the masked fast path of [Sh.bind]
+   agrees with the full renormalization, and [norm], [nonzero_int] and
+   [definitely_eq] agree with normalizing from scratch. *)
 let incremental_sat ops =
   let check_state (t : Sh.t) =
     let probes =
@@ -236,11 +296,13 @@ let incremental_sat ops =
       @ [ Sh.S_int 0; Sh.S_int 1 ]
     in
     List.iter
-      (fun (a, b) ->
+      (fun { Sh.l = a; r = b; _ } ->
         if naive_norm t a <> a || naive_norm t b <> b || a = b then
           Q.Test.fail_reportf "stored disequality %s != %s is not normal"
             (Sh.string_of_sval a) (Sh.string_of_sval b))
       t.Sh.neqs;
+    List.iter check_mask t.Sh.neqs;
+    check_bind_fast_path t;
     List.iter
       (fun v ->
         if Sh.norm t v <> naive_norm t v then

@@ -287,7 +287,7 @@ let e8 () =
         | Error _ -> "ILL-TYPED"
       in
       row "  %-22s : %-16s %s\n" name ty
-        (Format.asprintf "%a" Prom.Termination.pp_verdict
+        (Format.asprintf "%a" (Term.Wp.pp_outcome Prom.Syntax.pp)
            (Prom.Termination.verify e)))
     [
       ("wait (post (1+2))", Prom.Termination.simple_promise);

@@ -16,7 +16,7 @@ let show name e =
   Format.printf "      %s@." (to_string e);
   match Typing.typecheck e with
   | Ok _ ->
-    Format.printf "      %a@." Termination.pp_verdict (Termination.verify e)
+    Format.printf "      %a@." (Termination.Wp.pp_outcome pp) (Termination.verify e)
   | Error _ -> (
     match Semantics.exec ~fuel:10_000 e with
     | Semantics.Out_of_fuel -> print_endline "      diverges (fuel exhausted)"

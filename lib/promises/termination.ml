@@ -5,28 +5,17 @@
     lines of Coq using transfinite time credits up to [ω^ω] (and +350
     lines for the polymorphic extension).  Executable counterpart:
 
-    - {!verify}: run the scheduler under the strict-descent credit
-      discipline starting from [ω^ω]; the adaptive certificate
-      instantiates the limit with dynamic information, and the checked
-      descent makes an accepted run a termination witness — the run
-      {e could not have been} infinite;
-    - {!terminates_all}: fuelled sanity executions used by the test
-      suite's generators;
+    - {!verify}: play {!Tfiris_termination.Wp}'s credit game on the
+      scheduler from [ω^ω]; the adaptive certificate instantiates the
+      limit with dynamic information, and the checked descent makes an
+      accepted run a termination witness — the run {e could not have
+      been} infinite;
     - example programs, including the polymorphic ones exercising
       impredicative instantiation. *)
 
 module Ord = Tfiris_ordinal.Ord
+module Wp = Tfiris_termination.Wp
 open Syntax
-
-type verdict =
-  | Terminated of term * int * Ord.t  (** value, steps, credit left *)
-  | Rejected of string * int
-
-let pp_verdict ppf = function
-  | Terminated (v, n, left) ->
-    Format.fprintf ppf "terminated with %a in %d steps (credit left %a)"
-      Syntax.pp v n Ord.pp left
-  | Rejected (r, n) -> Format.fprintf ppf "rejected at step %d: %s" n r
 
 (** Steps left until completion, within fuel (the adaptive oracle). *)
 let remaining ?(fuel = 2_000_000) (st : Semantics.state) : int option =
@@ -38,38 +27,36 @@ let remaining ?(fuel = 2_000_000) (st : Semantics.state) : int option =
   in
   go st fuel 0
 
-(** Run under strict ordinal descent from [credit] (default [ω^ω], the
-    bound of Spies et al.).  Needs no fuel: descent is well-founded. *)
-let verify ?(credit = Ord.omega_pow Ord.omega) ?oracle_fuel (e : term) :
-    verdict =
-  let rec go st credit n =
-    match Semantics.step st with
-    | Semantics.Done v -> Terminated (v, n, credit)
-    | Semantics.Deadlock _ -> Rejected ("deadlock", n)
-    | Semantics.Task_stuck t ->
-      Rejected (Format.asprintf "stuck task: %a" Syntax.pp t, n)
-    | Semantics.Progress st' -> (
-      let next =
-        match Ord.pred credit with
-        | Some c -> Some c
-        | None ->
-          if Ord.is_zero credit then None
-          else
-            (* limit: learn the remaining schedule length dynamically *)
-            Option.map Ord.of_int (remaining ?fuel:oracle_fuel st')
-      in
-      match next with
-      | None -> Rejected ("credit exhausted / no bound found", n + 1)
-      | Some c ->
-        if Ord.lt c credit then go st' c (n + 1)
-        else Rejected ("descent violation", n + 1))
-  in
-  go (Semantics.init e) credit 0
+(** The scheduler as a credit-game target: a scheduler state is its own
+    configuration, and its forensics frames show the front task. *)
+let target : (Semantics.state, Semantics.state, term) Wp.target =
+  {
+    Wp.step =
+      (fun st ->
+        match Semantics.step st with
+        | Semantics.Progress st' -> Wp.Next (st', "sched")
+        | Semantics.Done v -> Wp.Finished v
+        | Semantics.Deadlock _ -> Wp.Blocked "deadlock"
+        | Semantics.Task_stuck t ->
+          Wp.Blocked (Format.asprintf "stuck task: %a" Syntax.pp t));
+    config = Fun.id;
+    show =
+      (fun st ->
+        match st.Semantics.run with
+        | t :: _ -> to_string t.Semantics.body
+        | [] -> "");
+  }
 
-let terminates ?credit ?oracle_fuel e =
-  match verify ?credit ?oracle_fuel e with
-  | Terminated _ -> true
-  | Rejected _ -> false
+(** Play {!Wp}'s credit game on the scheduler from [credit] (default
+    [ω^ω], the bound of Spies et al.), with the adaptive strategy over
+    the {!remaining} pre-run ([oracle_fuel] is that pre-run's depth).
+    Needs no fuel: descent is well-founded. *)
+let verify ?(credit = Ord.omega_pow Ord.omega) ?oracle_fuel (e : term) :
+    term Wp.outcome =
+  Wp.play ~credits:credit target
+    (Wp.adaptive_with ~remaining:(fun ~meter:_ st ->
+         remaining ?fuel:oracle_fuel st))
+    (Semantics.init e)
 
 (** {1 Example programs} *)
 

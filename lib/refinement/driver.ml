@@ -45,12 +45,7 @@ type decision =
 
 type strategy = {
   name : string;
-  decide :
-    step_no:int ->
-    target:Step.config ->
-    source:Step.config ->
-    budget:Ord.t ->
-    decision;
+  decide : step_no:int -> budget:Ord.t -> decision;
 }
 
 type stats = {
@@ -126,9 +121,8 @@ let rec is_ground (v : Ast.value) =
   | Ast.Rec_fun _ -> false
 
 (* Both sides run on the frame-stack machine; whole [Step.config]s are
-   materialised only where the public API demands them (strategy
-   decisions, forensic frames, rejection payloads).  Advance batches and
-   the final drain in particular never plug. *)
+   materialised only for forensic frames and rejection payloads.
+   Strategies never see one. *)
 
 (** Run the source for [k] steps, charging the source meter — an
     adversarial strategy claiming an enormous advance runs out of gas
@@ -199,7 +193,8 @@ let rule_name = function
   | Source_did_not_terminate -> "source_did_not_terminate"
 
 (* One recorded frame per strategy decision: both configurations, the
-   budget it was consulted with, and what it answered. *)
+   budget it was consulted with, and what it answered.  The frames are
+   the only reason a game plugs configurations at all. *)
 let record_decision ring ~step_no ~(target : Step.config)
     ~(source : Step.config) ~budget (d : decision) =
   let decision_fields =
@@ -272,8 +267,9 @@ let publish (s : strategy) (v : verdict) : verdict =
 
 (** What the game needs of a target, built once per game: its result
     once it has finished, one step, and the whole-program configuration
-    handed to strategies and forensics.  ['k] is whatever the stepper
-    reports alongside the new state; the game ignores it. *)
+    shown in forensics frames (built only while the ring records).
+    ['k] is whatever the stepper reports alongside the new state; the
+    game ignores it. *)
 type ('c, 'k) target = {
   value : 'c -> Ast.value option;
   step : 'c -> ('c * 'k, Step.error) result;
@@ -324,42 +320,32 @@ let game b ~init_budget (tg : ('c, 'k) target) (target : 'c)
     end
   in
   let ring = Forensics.with_ring () in
-  let decide ~step_no ~target ~source ~budget =
-    let d =
-      if Trace.on () then
-        Trace.with_span "driver.decide"
-          ~attrs:
-            [
-              ("strategy", Trace.S s.name);
-              ("step_no", Trace.I step_no);
-              ("budget", Trace.S (Ord.to_string budget));
-            ]
-          (fun () ->
-            let d = s.decide ~step_no ~target ~source ~budget in
-            (match d with
-            | Stutter b' ->
-              Trace.instant "driver.stutter"
-                ~attrs:[ ("new_budget", Trace.S (Ord.to_string b')) ]
-            | Advance { src_steps; budget = b' } ->
-              Trace.instant "driver.advance"
-                ~attrs:
-                  [
-                    ("src_steps", Trace.I src_steps);
-                    ("new_budget", Trace.S (Ord.to_string b'));
-                  ]);
-            d)
-      else s.decide ~step_no ~target ~source ~budget
-    in
-    (match ring with
-    | Some rg -> record_decision rg ~step_no ~target ~source ~budget d
-    | None -> ());
-    d
+  let decide ~step_no ~budget =
+    if Trace.on () then
+      Trace.with_span "driver.decide"
+        ~attrs:
+          [
+            ("strategy", Trace.S s.name);
+            ("step_no", Trace.I step_no);
+            ("budget", Trace.S (Ord.to_string budget));
+          ]
+        (fun () ->
+          let d = s.decide ~step_no ~budget in
+          (match d with
+          | Stutter b' ->
+            Trace.instant "driver.stutter"
+              ~attrs:[ ("new_budget", Trace.S (Ord.to_string b')) ]
+          | Advance { src_steps; budget = b' } ->
+            Trace.instant "driver.advance"
+              ~attrs:
+                [
+                  ("src_steps", Trace.I src_steps);
+                  ("new_budget", Trace.S (Ord.to_string b'));
+                ]);
+          d)
+    else s.decide ~step_no ~budget
   in
-  (* [src_conf] memoises the plugged source configuration: the source
-     only moves on an advance, so one materialisation serves a whole
-     stutter run of decisions. *)
-  let rec go t (src : Machine.config) (src_conf : Step.config Lazy.t) budget
-      stats =
+  let rec go t (src : Machine.config) budget stats =
     match tg.value t with
     | Some v ->
       if not (is_ground v) then Rejected (Result_not_ground v, stats)
@@ -386,15 +372,18 @@ let game b ~init_budget (tg : ('c, 'k) target) (target : 'c)
         | Error Step.Finished -> assert false
         | Ok (t', _) -> (
           let stats = { stats with target_steps = stats.target_steps + 1 } in
-          match
-            decide ~step_no:stats.target_steps ~target:(tg.config t')
-              ~source:(Lazy.force src_conf) ~budget
-          with
+          let step_no = stats.target_steps in
+          let d = decide ~step_no ~budget in
+          (match ring with
+          | Some rg ->
+            record_decision rg ~step_no ~target:(tg.config t')
+              ~source:(Machine.to_config src) ~budget d
+          | None -> ());
+          match d with
           | Stutter b' ->
             if Ord.lt b' budget then begin
               incr stutter_run;
-              go t' src src_conf b'
-                { stats with stutters = stats.stutters + 1 }
+              go t' src b' { stats with stutters = stats.stutters + 1 }
             end
             else Rejected (Budget_not_decreasing (budget, b'), stats)
           | Advance { src_steps; budget = b' } ->
@@ -406,9 +395,7 @@ let game b ~init_budget (tg : ('c, 'k) target) (target : 'c)
               | Ok src' ->
                 flush_stutter_run ();
                 Metrics.observe_int h_advance_batch src_steps;
-                go t' src'
-                  (lazy (Machine.to_config src'))
-                  b'
+                go t' src' b'
                   {
                     stats with
                     source_steps = stats.source_steps + src_steps;
@@ -416,15 +403,14 @@ let game b ~init_budget (tg : ('c, 'k) target) (target : 'c)
                   })))
   in
   let source_m = Machine.of_config source in
-  let src_conf0 = lazy (Machine.to_config source_m) in
   let verdict =
     if Trace.on () then
       Trace.with_span "driver.run"
         ~attrs:
           [ ("strategy", Trace.S s.name);
             ("budget", Trace.S (Budget.to_string b)) ]
-        (fun () -> go target source_m src_conf0 init_budget zero_stats)
-    else go target source_m src_conf0 init_budget zero_stats
+        (fun () -> go target source_m init_budget zero_stats)
+    else go target source_m init_budget zero_stats
   in
   flush_stutter_run ();
   (match (ring, verdict) with

@@ -29,13 +29,12 @@ type decision =
 
 type strategy = {
   name : string;
-  decide :
-    step_no:int ->
-    target:Step.config ->
-    source:Step.config ->
-    budget:Ord.t ->
-    decision;
+  decide : step_no:int -> budget:Ord.t -> decision;
 }
+(** A strategy is consulted after every target step with the step
+    number and the current stutter budget.  It sees no configuration:
+    one that needs the programs (such as {!Strategy.oracle}) reads them
+    when it is built. *)
 
 type stats = {
   target_steps : int;
@@ -43,8 +42,6 @@ type stats = {
   stutters : int;
   budget_resets : int;
 }
-
-val zero_stats : stats
 
 type reject_reason =
   | Budget_not_decreasing of Ord.t * Ord.t  (** (old, claimed new) *)
@@ -83,7 +80,8 @@ type ('c, 'k) target = {
   value : 'c -> Ast.value option;  (** the result, once finished *)
   step : 'c -> ('c * 'k, Step.error) result;  (** one target step *)
   config : 'c -> Step.config;
-      (** the configuration handed to strategies and forensics *)
+      (** the configuration shown in forensics frames, built only while
+          the ring records *)
 }
 (** What the game needs of a target, built once per game.  ['k] is
     whatever the stepper reports alongside the new state; the game

@@ -21,7 +21,7 @@ let lockstep : Driver.strategy =
   {
     name = "lockstep";
     decide =
-      (fun ~step_no:_ ~target:_ ~source:_ ~budget:_ ->
+      (fun ~step_no:_ ~budget:_ ->
         Driver.Advance { src_steps = 1; budget = Ord.zero });
   }
 
@@ -31,7 +31,7 @@ let paced ~(src_per_burst : int) ~(tgt_per_burst : int) : Driver.strategy =
   {
     name = Printf.sprintf "paced(%d/%d)" src_per_burst tgt_per_burst;
     decide =
-      (fun ~step_no ~target:_ ~source:_ ~budget:_ ->
+      (fun ~step_no ~budget:_ ->
         if step_no mod tgt_per_burst = 0 then
           Driver.Advance
             { src_steps = src_per_burst; budget = Ord.of_int tgt_per_burst }
@@ -48,7 +48,7 @@ let stutter_only (b0 : Ord.t) : Driver.strategy =
   {
     name = Format.asprintf "stutter-only(%a)" Ord.pp b0;
     decide =
-      (fun ~step_no:_ ~target:_ ~source:_ ~budget ->
+      (fun ~step_no:_ ~budget ->
         if Ord.is_zero budget then Driver.Stutter Ord.zero
         else Driver.Stutter (Ord.descend budget));
   }
@@ -61,7 +61,7 @@ let evenly ~t_total ~s_total : Driver.strategy =
   (* Source steps scheduled at target step i: enough to reach
      ⌊s_total·i / t_total⌋ cumulative source steps. *)
   let scheduled i = s_total * i / t_total in
-  let decide ~step_no ~target:_ ~source:_ ~budget:_ =
+  let decide ~step_no ~budget:_ =
     let want = scheduled step_no in
     let had = scheduled (step_no - 1) in
     if want > had then
@@ -94,7 +94,7 @@ let scripted (moves : Driver.decision list) : Driver.strategy =
   {
     name = "scripted";
     decide =
-      (fun ~step_no ~target:_ ~source:_ ~budget ->
+      (fun ~step_no ~budget ->
         if step_no - 1 < Array.length arr then arr.(step_no - 1)
         else if Ord.is_zero budget then Driver.Stutter Ord.zero
         else Driver.Stutter (Ord.descend budget));

@@ -1,6 +1,8 @@
 (** Strategy combinators — ways of producing refinement certificates
     for {!Driver}.  Nothing here is trusted: the driver checks every
-    move. *)
+    move.  A strategy decides from the step number and the stutter
+    budget alone; {!oracle} reads the programs once, when it is
+    built. *)
 
 module Ord = Tfiris_ordinal.Ord
 open Tfiris_shl

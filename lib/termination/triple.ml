@@ -36,14 +36,15 @@ let c_pot2_spends = Metrics.counter "termination.tsplit.pot2_spends"
     [boundary] first holds, then from pot 2 with [s2].  The pots are the
     Hessenberg summands of the initial credit, supplied explicitly. *)
 let split_strategy ~(boundary : phase_boundary) ~(pot1 : Ord.t) ~(pot2 : Ord.t)
-    (s1 : Wp.strategy) (s2 : Wp.strategy) : Wp.strategy =
+    (s1 : Step.config Wp.strategy) (s2 : Step.config Wp.strategy) :
+    Step.config Wp.strategy =
   let pots = ref (pot1, pot2) in
   let phase2 = ref false in
   {
     Wp.name = Printf.sprintf "split(%s,%s)" s1.Wp.name s2.Wp.name;
     spend =
-      (fun ~step_no ~config ~kind ~credit:_ ~meter ->
-        if (not !phase2) && boundary config then begin
+      (fun ~step_no ~config ~credit:_ ~meter ->
+        if (not !phase2) && boundary (Lazy.force config) then begin
           phase2 := true;
           Metrics.incr c_phase_switches;
           if Trace.on () then
@@ -52,7 +53,7 @@ let split_strategy ~(boundary : phase_boundary) ~(pot1 : Ord.t) ~(pot2 : Ord.t)
         end;
         let a, b = !pots in
         if not !phase2 then
-          match s1.Wp.spend ~step_no ~config ~kind ~credit:a ~meter with
+          match s1.Wp.spend ~step_no ~config ~credit:a ~meter with
           | None -> None
           | Some a' ->
             if Ord.lt a' a then begin
@@ -62,7 +63,7 @@ let split_strategy ~(boundary : phase_boundary) ~(pot1 : Ord.t) ~(pot2 : Ord.t)
             end
             else None
         else
-          match s2.Wp.spend ~step_no ~config ~kind ~credit:b ~meter with
+          match s2.Wp.spend ~step_no ~config ~credit:b ~meter with
           | None -> None
           | Some b' ->
             if Ord.lt b' b then begin
@@ -76,7 +77,7 @@ let split_strategy ~(boundary : phase_boundary) ~(pot1 : Ord.t) ~(pot2 : Ord.t)
 type spec = {
   label : string;
   credit : Ord.t;
-  strategy : Wp.strategy;
+  strategy : Step.config Wp.strategy;
   prog : Step.config;
 }
 
@@ -85,7 +86,7 @@ let verify (s : spec) : Wp.verdict = Wp.run ~credits:s.credit s.strategy s.prog
 (** Number of steps [f ()] takes (the [n_f] of §5.1), measured once —
     the analogue of having proved [{$n_f} f () {m. m ∈ ℕ}]. *)
 let cost_of_call (f : Ast.expr) : int option =
-  Wp.remaining_steps (Step.config (Ast.App (f, Ast.unit_)))
+  Machine.steps_to_value (Machine.config (Ast.App (f, Ast.unit_)))
 
 (** {1 §5.1 example 1: [e_two = f () + f ()] with finite credits} *)
 

@@ -1,25 +1,5 @@
-(** TerminationSHL: proving termination with transfinite time credits.
-
-    §5 instantiates the liveness logic with ordinals as the source:
-    the resource [$α] holds [α] time credits, each target step spends
-    credit by the rule [TSource] — replace the current credit [α] by a
-    {e strictly smaller} [β].  Theorem 5.1: [⊨ ∃α. {$α} e {True}]
-    implies [e] terminates.
-
-    The executable counterpart: a {e credit strategy} (the certificate)
-    is asked, at every step of the program, for a strictly smaller
-    ordinal; the driver validates the descent.  The punchline is that
-    {!run} needs {b no fuel}: an accepted run {e cannot} be infinite,
-    because an infinite run would be an infinite strictly-descending
-    chain of ordinals.  Well-foundedness of [Ord] is the termination
-    argument, exactly as in the paper.
-
-    Finite credits ([{!countdown}] with a natural-number credit) are the
-    classical time credits of Mével et al. [47] — they prove {e bounded}
-    termination and need the bound up front.  Transfinite credits
-    ({!adaptive}) start at a limit ordinal and instantiate it {e during}
-    execution, when the dynamic information (the paper's [k = u ()])
-    becomes available. *)
+(* TerminationSHL's credit game (§5, Theorem 5.1); the interface
+   documents the rule, the targets and the strategies. *)
 
 module Ord = Tfiris_ordinal.Ord
 module Metrics = Tfiris_obs.Metrics
@@ -30,45 +10,39 @@ module Progress = Tfiris_obs.Progress
 module Budget = Tfiris_robust.Budget
 open Tfiris_shl
 
-type strategy = {
+type 'c strategy = {
   name : string;
   spend :
     step_no:int ->
-    config:Step.config ->
-    kind:Step.kind ->
+    config:'c Lazy.t ->
     credit:Ord.t ->
     meter:Budget.meter ->
     Ord.t option;
-      (** the new credit after this step; must be strictly smaller.
-          [None] aborts the proof attempt.  [meter] is the run's budget:
-          a strategy doing work of its own (a pre-run) polls its wall
-          deadline; charging it is {!run}'s job. *)
 }
 
 type stats = {
   steps : int;
   limit_refinements : int;
-      (** steps at which the credit jumped below a limit ordinal — the
-          paper's "learning dynamic information" moments *)
 }
+
+let no_stats = { steps = 0; limit_refinements = 0 }
 
 type reason =
   | Not_decreasing of Ord.t * Ord.t
   | Gave_up
-  | Stuck of Ast.expr
+  | Stuck of string
   | Out_of_budget of Budget.resource
-      (** an optional caller-supplied budget ran out — the ordinal
-          descent itself needs none *)
 
-type verdict =
-  | Terminated of Ast.value * Ord.t * stats
-      (** final value and unspent credit *)
+type 'v outcome =
+  | Terminated of 'v * Ord.t * stats
   | Rejected of reason * stats
 
-let pp_verdict ppf = function
+type verdict = Ast.value outcome
+
+let pp_outcome pp_value ppf = function
   | Terminated (v, left, st) ->
     Format.fprintf ppf "terminated with %a in %d steps (credit left: %a)"
-      Pretty.pp_value v st.steps Ord.pp left
+      pp_value v st.steps Ord.pp left
   | Rejected (Not_decreasing (o, n), st) ->
     Format.fprintf ppf "rejected at step %d: %a not < %a" st.steps Ord.pp n
       Ord.pp o
@@ -80,6 +54,8 @@ let pp_verdict ppf = function
     Format.fprintf ppf "%a budget exhausted at step %d" Budget.pp_resource r
       st.steps
 
+let pp_verdict ppf v = pp_outcome Pretty.pp_value ppf v
+
 (* ---------- observability ---------- *)
 
 let c_runs = Metrics.counter "termination.wp.runs"
@@ -90,7 +66,6 @@ let h_steps = Metrics.histogram "termination.wp.run_steps"
 
 (* ---------- forensics ---------- *)
 
-(** The violated rule, as a stable identifier for post-mortems. *)
 let rule_name = function
   | Not_decreasing _ -> "credit_not_decreasing"
   | Gave_up -> "gave_up"
@@ -102,31 +77,21 @@ let reason_text = function
     Format.asprintf "credit must strictly decrease: %a not < %a" Ord.pp n Ord.pp
       o
   | Gave_up -> "strategy gave up"
-  | Stuck redex ->
-    Format.asprintf "program stuck at %s"
-      (Forensics.trunc (Pretty.expr_to_string redex))
+  | Stuck why -> why
   | Out_of_budget r ->
     Format.asprintf "%a budget exhausted" Budget.pp_resource r
 
-let kind_name = function
-  | Step.Pure -> "pure"
-  | Step.Alloc _ -> "alloc"
-  | Step.Load_of _ -> "load"
-  | Step.Store_to _ -> "store"
-
 (* One recorded frame per credit spend: the configuration the strategy
    was consulted on, the step kind, and the credit before/after. *)
-let record_spend ring ~step_no ~(config : Step.config) ~kind ~credit res =
+let record_spend ring ~step_no ~shown ~kind ~credit res =
   Forensics.push ring
     {
       Forensics.f_step = step_no;
       f_label = "spend";
       f_data =
         [
-          ( "expr",
-            Json.Str (Forensics.trunc (Pretty.expr_to_string config.Step.expr))
-          );
-          ("step_kind", Json.Str (kind_name kind));
+          ("expr", Json.Str (Forensics.trunc shown));
+          ("step_kind", Json.Str kind);
           ("credit", Json.Str (Ord.to_string credit));
           ( "new_credit",
             match res with
@@ -135,7 +100,7 @@ let record_spend ring ~step_no ~(config : Step.config) ~kind ~credit res =
         ];
     }
 
-let publish (v : verdict) : verdict =
+let publish (v : 'v outcome) : 'v outcome =
   if Metrics.on () then begin
     let st = match v with Terminated (_, _, st) | Rejected (_, st) -> st in
     Metrics.incr c_runs;
@@ -146,81 +111,102 @@ let publish (v : verdict) : verdict =
   end;
   v
 
-(** [run ~credits strategy e]: execute [e], spending credit at every
-    step.  Terminates unconditionally: each iteration strictly
-    decreases an ordinal (validated), and ordinal descent is
-    well-founded.
+(* ---------- the game ---------- *)
 
-    Each run batches its counters into the [termination.wp.*] metrics;
-    with tracing on, the run is a span (strategy name, initial credit)
-    and every limit-ordinal instantiation — the "dynamic information
-    learned" moments — is an instant event carrying the old and new
-    credit. *)
-let run ?budget ~credits (s : strategy) (cfg : Step.config) : verdict =
+type ('s, 'v) move = Next of 's * string | Finished of 'v | Blocked of string
+
+type ('s, 'c, 'v) target = {
+  step : 's -> ('s, 'v) move;
+  config : 's -> 'c;
+  show : 'c -> string;
+}
+
+let kind_name = function
+  | Step.Pure -> "pure"
+  | Step.Alloc _ -> "alloc"
+  | Step.Load_of _ -> "load"
+  | Step.Store_to _ -> "store"
+
+let machine : (Machine.config, Step.config, Ast.value) target =
+  {
+    step =
+      (fun { Machine.thread; heap } ->
+        match Machine.step heap thread with
+        | Machine.Stepped (thread, heap, kind) ->
+          Next ({ Machine.thread; heap }, kind_name kind)
+        | Machine.Final v -> Finished v
+        | Machine.Stuck_redex redex ->
+          Blocked
+            ("program stuck at " ^ Forensics.trunc (Pretty.expr_to_string redex)));
+    config = Machine.to_config;
+    show = (fun cfg -> Pretty.expr_to_string cfg.Step.expr);
+  }
+
+(* Terminates unconditionally: each iteration strictly decreases an
+   ordinal (validated), and ordinal descent is well-founded.  Each run
+   batches its counters into the [termination.wp.*] metrics; with
+   tracing on, the run is a span and every limit-ordinal instantiation
+   is an instant event. *)
+let play ?budget ~credits (tg : ('s, 'c, 'v) target) (s : 'c strategy)
+    (st0 : 's) : 'v outcome =
   let meter = Budget.meter (Option.value budget ~default:Budget.unlimited) in
   let heartbeat = Progress.tracker ~component:"termination.wp" () in
   let heartbeat_info () =
     { Progress.no_info with Progress.budget_left = Budget.remaining_frac meter }
   in
   let ring = Forensics.with_ring () in
-  let spend ~step_no ~config ~kind ~credit =
-    let res = s.spend ~step_no ~config ~kind ~credit ~meter in
-    (match ring with
-    | Some rg -> record_spend rg ~step_no ~config ~kind ~credit res
-    | None -> ());
-    res
-  in
-  (* The program runs on the frame-stack machine; the whole
-     [Step.config] the strategy's [spend] is consulted on is
-     materialised per spend — the strategies genuinely inspect it
-     (e.g. [measured] reads the heap, [adaptive] re-runs the rest). *)
-  let rec go (cfg : Machine.config) credit stats =
-    match Machine.view cfg.Machine.thread with
-    | Machine.V_value v -> Terminated (v, credit, stats)
-    | Machine.V_redex _ -> (
-      if not (Budget.step meter) then
-        Rejected (Out_of_budget (Budget.tripped meter), stats)
-      else (
+  let rec go st credit stats =
+    match tg.step st with
+    | Finished v -> Terminated (v, credit, stats)
+    (* every attempted step is charged, a stuck one included *)
+    | Next _ | Blocked _ when not (Budget.step meter) ->
+      Rejected (Out_of_budget (Budget.tripped meter), stats)
+    | Blocked why -> Rejected (Stuck why, stats)
+    | Next (st', kind) -> (
       (match heartbeat with
       | Some t -> Progress.tick t heartbeat_info
       | None -> ());
-      match Machine.prim_step cfg with
-      | Error (Step.Stuck redex) -> Rejected (Stuck redex, stats)
-      | Error Step.Finished -> assert false
-      | Ok (cfg', kind) -> (
-        let step_no = stats.steps + 1 in
-        match spend ~step_no ~config:(Machine.to_config cfg') ~kind ~credit with
-        | None ->
-          (* a strategy stopped by the wall deadline tripped the meter *)
-          let reason =
-            match Budget.exhausted meter with
-            | Some r -> Out_of_budget r
-            | None -> Gave_up
-          in
-          Rejected (reason, { stats with steps = step_no })
-        | Some credit' ->
-          if Ord.lt credit' credit then begin
-            (* A descent that skips past the predecessor means a limit
-               component was instantiated with dynamic information. *)
-            let was_limit_jump = Ord.lt (Ord.succ credit') credit in
-            if was_limit_jump && Trace.on () then
-              Trace.instant "wp.limit_refinement"
-                ~attrs:
-                  [
-                    ("step_no", Trace.I step_no);
-                    ("from", Trace.S (Ord.to_string credit));
-                    ("to", Trace.S (Ord.to_string credit'));
-                  ];
-            go cfg' credit'
-              {
-                steps = step_no;
-                limit_refinements =
-                  (stats.limit_refinements + if was_limit_jump then 1 else 0);
-              }
-          end
-          else
-            Rejected
-              (Not_decreasing (credit, credit'), { stats with steps = step_no }))))
+      let step_no = stats.steps + 1 in
+      (* built at most once, and only if a strategy or the ring reads it *)
+      let config = lazy (tg.config st') in
+      let res = s.spend ~step_no ~config ~credit ~meter in
+      (match ring with
+      | Some rg ->
+        record_spend rg ~step_no ~shown:(tg.show (Lazy.force config)) ~kind
+          ~credit res
+      | None -> ());
+      match res with
+      | None ->
+        (* a strategy stopped by the wall deadline tripped the meter *)
+        let reason =
+          match Budget.exhausted meter with
+          | Some r -> Out_of_budget r
+          | None -> Gave_up
+        in
+        Rejected (reason, { stats with steps = step_no })
+      | Some credit' ->
+        if Ord.lt credit' credit then begin
+          (* A descent that skips past the predecessor means a limit
+             component was instantiated with dynamic information. *)
+          let was_limit_jump = Ord.lt (Ord.succ credit') credit in
+          if was_limit_jump && Trace.on () then
+            Trace.instant "wp.limit_refinement"
+              ~attrs:
+                [
+                  ("step_no", Trace.I step_no);
+                  ("from", Trace.S (Ord.to_string credit));
+                  ("to", Trace.S (Ord.to_string credit'));
+                ];
+          go st' credit'
+            {
+              steps = step_no;
+              limit_refinements =
+                (stats.limit_refinements + if was_limit_jump then 1 else 0);
+            }
+        end
+        else
+          Rejected
+            (Not_decreasing (credit, credit'), { stats with steps = step_no }))
   in
   let verdict =
     if Trace.on () then
@@ -230,9 +216,8 @@ let run ?budget ~credits (s : strategy) (cfg : Step.config) : verdict =
             ("strategy", Trace.S s.name);
             ("credits", Trace.S (Ord.to_string credits));
           ]
-        (fun () ->
-          go (Machine.of_config cfg) credits { steps = 0; limit_refinements = 0 })
-    else go (Machine.of_config cfg) credits { steps = 0; limit_refinements = 0 }
+        (fun () -> go st0 credits no_stats)
+    else go st0 credits no_stats
   in
   (match (ring, verdict) with
   | Some rg, Rejected (r, st) ->
@@ -250,39 +235,23 @@ let run ?budget ~credits (s : strategy) (cfg : Step.config) : verdict =
   | _ -> ());
   publish verdict
 
-let terminates ?budget ~credits s e =
-  match run ?budget ~credits s (Step.config e) with
-  | Terminated _ -> true
-  | Rejected _ -> false
+let run ?budget ~credits s (cfg : Step.config) : verdict =
+  play ?budget ~credits machine s (Machine.of_config cfg)
 
-(** {1 Strategies} *)
+(* ---------- strategies ---------- *)
 
-(** Classical finite time credits: decrement.  Fails (gives up) on limit
-    ordinals — by design: this {e is} the bounded-termination baseline,
-    it can only count down. *)
-let countdown : strategy =
+let countdown : 'c strategy =
   {
     name = "countdown";
-    spend =
-      (fun ~step_no:_ ~config:_ ~kind:_ ~credit ~meter:_ -> Ord.pred credit);
+    spend = (fun ~step_no:_ ~config:_ ~credit ~meter:_ -> Ord.pred credit);
   }
 
-(** Count the steps a configuration needs to terminate, within fuel —
-    [None] as soon as the run provably cycles
-    ({!Machine.steps_to_value}). *)
-let remaining_steps ?fuel ?meter (cfg : Step.config) : int option =
-  Machine.steps_to_value ?fuel ?meter (Machine.of_config cfg)
-
-(** Transfinite credits with dynamic instantiation: spend successor
-    credit by decrementing; when the finite part is exhausted and a
-    limit remains, instantiate the limit with the {e now-known} bound on
-    the rest of the execution (the executable face of [TSource]'s
-    "decrease ω to k·n_f + 1 once k is learned", §5.1). *)
-let adaptive ?fuel () : strategy =
+let adaptive_with ~(remaining : meter:Budget.meter -> 'c -> int option) :
+    'c strategy =
   {
     name = "adaptive";
     spend =
-      (fun ~step_no:_ ~config ~kind:_ ~credit ~meter ->
+      (fun ~step_no:_ ~config ~credit ~meter ->
         match Ord.pred credit with
         | Some c -> Some c
         | None ->
@@ -290,44 +259,29 @@ let adaptive ?fuel () : strategy =
           else
             (* limit ordinal: learn the remaining bound dynamically; the
                pre-run stops at the run's wall deadline *)
-            Option.map Ord.of_int (remaining_steps ?fuel ~meter config));
+            Option.map Ord.of_int (remaining ~meter (Lazy.force config)));
   }
 
-(** A strategy from an explicit ordinal descent (for tests). *)
-let scripted (descents : Ord.t list) : strategy =
+let adaptive ?fuel () : Step.config strategy =
+  adaptive_with ~remaining:(fun ~meter cfg ->
+      Machine.steps_to_value ?fuel ~meter (Machine.of_config cfg))
+
+let scripted (descents : Ord.t list) : 'c strategy =
   let arr = Array.of_list descents in
   {
     name = "scripted";
     spend =
-      (fun ~step_no ~config:_ ~kind:_ ~credit:_ ~meter:_ ->
+      (fun ~step_no ~config:_ ~credit:_ ~meter:_ ->
         if step_no - 1 < Array.length arr then Some arr.(step_no - 1) else None);
   }
 
-(** {1 Measured strategies}
-
-    A fully online certificate: the caller supplies an ordinal
-    {e measure} of configurations (typically read off the heap) whose
-    value is [0] or a limit ordinal and which never increases along
-    execution.  The strategy keeps the credit at [μ(config) ⊕ pad]:
-
-    - when the measure strictly drops, the pad is reset — the new credit
-      is below the old one because [μ' < μ] with [μ] a limit implies
-      [μ' ⊕ k < μ] for every finite [k];
-    - while the measure is flat, the pad pays for the (boundedly many)
-      steps until the next drop;
-    - a measure increase aborts the proof.
-
-    No oracle, no pre-running: this is the executable shape of a
-    lexicographic termination argument, with the dynamic information
-    (loop bounds read at run time) entering exactly at the drops. *)
-
 let measured ~(measure : Step.config -> Ord.t option) ~(pad : int) () :
-    strategy =
+    Step.config strategy =
   {
     name = Printf.sprintf "measured(pad=%d)" pad;
     spend =
-      (fun ~step_no:_ ~config ~kind:_ ~credit ~meter:_ ->
-        match measure config with
+      (fun ~step_no:_ ~config ~credit ~meter:_ ->
+        match measure (Lazy.force config) with
         | None -> None
         | Some mu ->
           if not (Ord.is_zero mu || Ord.is_limit mu) then None
@@ -339,12 +293,9 @@ let measured ~(measure : Step.config -> Ord.t option) ~(pad : int) () :
               Ord.pred credit);
   }
 
-(** [run_measured ~measure ~pad cfg]: run under the measured strategy,
-    with the initial credit derived from the initial measure. *)
 let run_measured ~measure ~pad (cfg : Step.config) : verdict =
   match measure cfg with
-  | None ->
-    Rejected (Gave_up, { steps = 0; limit_refinements = 0 })
+  | None -> Rejected (Gave_up, no_stats)
   | Some mu0 ->
     run
       ~credits:(Ord.hsum mu0 (Ord.of_int (pad + 1)))

@@ -800,6 +800,50 @@ let conc_loop_expr : Shl.Ast.expr Q.t =
   in
   return (Shl.Parser.parse_exn (lets ^ body))
 
+(* Concurrent programs whose only forks sit inside function bodies: 1–2
+   shared cells, and a [fun] or [rec] whose body forks a short
+   straight line of stores / cas / increments, called once (directly,
+   through a let, through a returned closure, or at a [rec]'s base case)
+   or never; then the main thread touches the cells.  {!conc_expr}
+   forks only at the top level of the main thread. *)
+let conc_fork_in_fn : Shl.Ast.expr Q.t =
+  let open Q in
+  let sp = Printf.sprintf in
+  let* nrefs = int_range 1 2 in
+  let cell = map (sp "r%d") (int_bound (nrefs - 1)) in
+  let stmt =
+    oneof
+      [
+        (let* r = cell in
+         let* n = int_bound 3 in
+         return (sp "%s := %d" r n));
+        (let* r = cell in
+         let* a = int_bound 2 in
+         let* b = int_bound 2 in
+         return (sp "cas %s %d %d" r a b));
+        map (fun r -> sp "%s := !%s + 1" r r) cell;
+      ]
+  in
+  let* forked = stmt in
+  let* main = stmt in
+  let* observe = cell in
+  let* k = int_bound 3 in
+  let fork = sp "fork (%s)" forked in
+  let* call =
+    oneofl
+      [
+        sp "(fun u -> %s) ()" fork;
+        sp "let g = fun u -> %s; () in g ()" fork;
+        sp "let g = fun u -> fun v -> %s in (g ()) ()" fork;
+        sp "(rec f n. if n = 0 then %s else f (n - 1)) %d" fork k;
+        sp "let g = fun u -> %s in ()" fork;
+      ]
+  in
+  let lets =
+    String.concat "" (List.init nrefs (fun i -> sp "let r%d = ref 0 in " i))
+  in
+  return (Shl.Parser.parse_exn (sp "%s(%s); %s; !%s" lets call main observe))
+
 (* ---------- JSON documents ---------- *)
 
 (* Strings rich in what the reader must unescape: quotes, backslashes,

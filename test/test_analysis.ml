@@ -715,6 +715,8 @@ let suite =
       Gen.shl_fn_chain;
     races_oracle_prop "races: run vs full analyze (concurrent programs)"
       Gen.conc_expr;
+    races_oracle_prop "races: run vs full analyze (forks in function bodies)"
+      Gen.conc_fork_in_fn;
     Alcotest.test_case "shipped examples analyze clean" `Quick
       test_examples_analyze_clean;
     Alcotest.test_case "metrics integration" `Quick test_metrics;

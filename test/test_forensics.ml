@@ -143,7 +143,7 @@ let test_driver_budget_violation () =
         {
           Refinement.Driver.name = "freeloader";
           decide =
-            (fun ~step_no:_ ~target:_ ~source:_ ~budget ->
+            (fun ~step_no:_ ~budget ->
               (* stutter without paying: budget unchanged *)
               Refinement.Driver.Stutter budget);
         }

@@ -100,12 +100,18 @@ let test_untyped_divergence () =
 
 (* ---------- termination with credits ---------- *)
 
+let certified e =
+  match Termination.verify e with
+  | Termination.Wp.Terminated _ -> true
+  | Termination.Wp.Rejected _ -> false
+
 let test_credit_verification () =
   List.iter
     (fun (name, e) ->
       match Termination.verify e with
-      | Termination.Terminated _ -> ()
-      | Termination.Rejected (r, _) -> Alcotest.failf "%s rejected: %s" name r)
+      | Termination.Wp.Terminated _ -> ()
+      | Termination.Wp.Rejected (r, _) ->
+        Alcotest.failf "%s rejected: %s" name (Termination.Wp.rule_name r))
     [
       ("simple", Termination.simple_promise);
       ("chain", Termination.chain 8);
@@ -117,8 +123,33 @@ let test_credit_verification () =
 
 let test_credit_rejects_divergence () =
   match Termination.verify ~oracle_fuel:20_000 Termination.omega_untyped with
-  | Termination.Terminated _ -> Alcotest.fail "Ω accepted!"
-  | Termination.Rejected _ -> ()
+  | Termination.Wp.Terminated _ -> Alcotest.fail "Ω accepted!"
+  | Termination.Wp.Rejected _ -> ()
+
+(* The scheduler plays Wp's game, so a rejected promise run publishes
+   what every credit run does: a forensics report and the metrics. *)
+let test_credit_rejection_observed () =
+  let module F = Obs.Forensics in
+  let module M = Obs.Metrics in
+  F.set_enabled true;
+  F.clear_last ();
+  M.reset ();
+  M.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      F.set_enabled false;
+      F.clear_last ();
+      M.set_enabled false;
+      M.reset ())
+    (fun () ->
+      ignore (Termination.verify ~oracle_fuel:20_000 Termination.omega_untyped);
+      (match F.last () with
+      | Some r ->
+        Alcotest.(check string) "component" "termination.wp" r.F.r_component;
+        Alcotest.(check string) "rule" "gave_up" r.F.r_rule
+      | None -> Alcotest.fail "no forensics report");
+      Alcotest.(check (option int)) "one rejection counted" (Some 1)
+        (M.counter_value (M.snapshot ()) "termination.wp.rejections"))
 
 (* ---------- promise combinators ---------- *)
 
@@ -166,7 +197,7 @@ let test_combinators_run () =
 let test_combinators_terminate () =
   List.iter
     (fun (name, e) ->
-      Alcotest.(check bool) name true (Termination.terminates e))
+      Alcotest.(check bool) name true (certified e))
     [
       ("pipeline 8", Combinators.pipeline 8);
       ("tree_sum 4", Combinators.tree_sum 4);
@@ -203,7 +234,21 @@ let welltyped_credit_prop =
     (Q.Test.make ~count:150
        ~name:"§5.2 theorem: credit harness certifies generated programs"
        ~print:Gen.print_promise Gen.promise_term
-       (fun e -> Termination.terminates e))
+       certified)
+
+(* The adaptive pre-run counts steps on the scheduler; the checked run
+   must take exactly that many, spending the learned credit to 0. *)
+let credit_counts_exec_prop =
+  QCheck_alcotest.to_alcotest
+    (Q.Test.make ~count:150
+       ~name:"§5.2 credit game: steps = Semantics.exec, credit spent"
+       ~print:Gen.print_promise Gen.promise_term
+       (fun e ->
+         match (Termination.verify e, Semantics.exec e) with
+         | Termination.Wp.Terminated (v, left, st), Semantics.Value (v', n) ->
+           v = v' && st.Termination.Wp.steps = n
+           && (n = 0 || Ord.is_zero left)
+         | _ -> false))
 
 let suite =
   [
@@ -217,6 +262,8 @@ let suite =
       test_credit_verification;
     Alcotest.test_case "credit harness rejects Ω" `Quick
       test_credit_rejects_divergence;
+    Alcotest.test_case "credit rejection: forensics and metrics" `Quick
+      test_credit_rejection_observed;
     Alcotest.test_case "combinators: typing" `Quick test_combinators_typed;
     Alcotest.test_case "combinators: evaluation" `Quick test_combinators_run;
     Alcotest.test_case "combinators: termination" `Quick
@@ -224,4 +271,5 @@ let suite =
     generated_welltyped_prop;
     welltyped_terminate_prop;
     welltyped_credit_prop;
+    credit_counts_exec_prop;
   ]

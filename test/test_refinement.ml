@@ -193,7 +193,7 @@ let test_driver_budget_enforced () =
     {
       Driver.name = "bad";
       decide =
-        (fun ~step_no:_ ~target:_ ~source:_ ~budget -> Driver.Stutter budget);
+        (fun ~step_no:_ ~budget -> Driver.Stutter budget);
     }
   in
   let t = Shl.Step.config Shl.Prog.e_loop in

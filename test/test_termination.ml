@@ -75,16 +75,41 @@ let test_adaptive_wall_deadline () =
 
 let test_descent_validated () =
   (* a cheating strategy that does not decrease is caught *)
-  let cheat : Wp.strategy =
+  let cheat : Shl.Step.config Wp.strategy =
     {
       Wp.name = "cheat";
-      spend =
-        (fun ~step_no:_ ~config:_ ~kind:_ ~credit ~meter:_ -> Some credit);
+      spend = (fun ~step_no:_ ~config:_ ~credit ~meter:_ -> Some credit);
     }
   in
   match Wp.run ~credits:Ord.omega cheat (cfg "1 + 2") with
   | Wp.Rejected (Wp.Not_decreasing _, _) -> ()
   | v -> Alcotest.failf "unexpected: %a" Wp.pp_verdict v
+
+(* Strategies pay for the configurations they read, and no more:
+   countdown never reads one, adaptive reads one at the limit. *)
+let test_config_on_demand () =
+  let calls = ref 0 in
+  let counting =
+    {
+      Wp.machine with
+      Wp.config =
+        (fun c ->
+          incr calls;
+          Wp.machine.Wp.config c);
+    }
+  in
+  let e = parse "(rec f n. if n = 0 then 0 else f (n - 1)) 5" in
+  let n = Option.get (Shl.Interp.steps_to_value e) in
+  let play credits s =
+    calls := 0;
+    match Wp.play ~credits counting s (Shl.Machine.config e) with
+    | Wp.Terminated (_, _, st) -> Alcotest.(check int) "steps" n st.Wp.steps
+    | v -> Alcotest.failf "unexpected: %a" Wp.pp_verdict v
+  in
+  play (Ord.of_int n) Wp.countdown;
+  Alcotest.(check int) "countdown builds no configuration" 0 !calls;
+  play Ord.omega (Wp.adaptive ());
+  Alcotest.(check int) "adaptive builds one, at the limit" 1 !calls
 
 let test_stuck_rejected () =
   match Wp.run ~credits:Ord.omega (Wp.adaptive ()) (cfg "1 + true") with
@@ -264,6 +289,25 @@ let countdown_tight_prop =
            in
            run n && ((n = 0) || not (run (n - 1)))))
 
+(* The adaptive pre-run counts the rest of the run once; the checked run
+   must take exactly the steps the machine needs, and spend the learned
+   credit to 0. *)
+let adaptive_counts_checked_prop =
+  QCheck_alcotest.to_alcotest
+    (Q.Test.make ~count:150
+       ~name:"adaptive: counted steps = checked steps, credit spent"
+       ~print:Gen.print_shl Gen.shl_expr
+       (fun e ->
+         match
+           Wp.run ~credits:Ord.omega
+             (Wp.adaptive ~fuel:2000 ())
+             (Shl.Step.config e)
+         with
+         | Wp.Terminated (_, left, st) ->
+           Shl.Machine.steps_to_value (Shl.Machine.config e) = Some st.Wp.steps
+           && (st.Wp.steps = 0 || Ord.is_zero left)
+         | Wp.Rejected _ -> true))
+
 let suite =
   [
     Alcotest.test_case "countdown with exact credit" `Quick test_countdown_exact;
@@ -275,6 +319,8 @@ let suite =
     Alcotest.test_case "adaptive pre-run stops at the wall deadline" `Quick
       test_adaptive_wall_deadline;
     Alcotest.test_case "descent is validated" `Quick test_descent_validated;
+    Alcotest.test_case "configurations built on demand" `Quick
+      test_config_on_demand;
     Alcotest.test_case "stuck programs rejected" `Quick test_stuck_rejected;
     Alcotest.test_case "TSplit: e_two (§5.1)" `Quick test_e_two;
     Alcotest.test_case "TSplit: dynamic loop with $(ω ⊕ n_u)" `Quick
@@ -296,4 +342,5 @@ let suite =
       test_event_loop_dynamic;
     theorem_5_1_prop;
     countdown_tight_prop;
+    adaptive_counts_checked_prop;
   ]

@@ -15,17 +15,49 @@
 
 module Ord = Tfiris_ordinal.Ord
 module Wp = Tfiris_termination.Wp
+module Machine = Tfiris_shl.Machine
+module Budget = Tfiris_robust.Budget
 open Syntax
 
-(** Steps left until completion, within fuel (the adaptive oracle). *)
-let remaining ?(fuel = 2_000_000) (st : Semantics.state) : int option =
-  let rec go st n k =
-    match Semantics.step st with
-    | Semantics.Done _ -> Some k
-    | Semantics.Deadlock _ | Semantics.Task_stuck _ -> None
-    | Semantics.Progress st' -> if n = 0 then None else go st' (n - 1) (k + 1)
+(** [prerun ?fuel ?meter st]: run the scheduler from [st] for at most
+    [fuel] steps, stopping early at the first repeated state — the
+    adaptive oracle's pre-run, the scheduler counterpart of
+    {!Tfiris_shl.Machine.prerun}.  A state is plain data (task bodies,
+    channels, the channel counter) and {!Semantics.step} is a function
+    of it, so a repeat proves divergence.  Repeats are found by Brent's
+    cycle detection over every state: one saved state, re-saved at
+    power-of-two step counts and compared with [compare], which skips
+    the subterms successive states share.  Untyped self-application
+    repeats after one step.  [meter] is polled for its wall deadline
+    every {!Tfiris_robust.Budget.wall_check_period} steps and never
+    charged. *)
+let prerun ?(fuel = 2_000_000) ?meter (st : Semantics.state) :
+    Tfiris_shl.Machine.prerun =
+  let out_of_time k =
+    match meter with
+    | None -> false
+    | Some m -> k mod Budget.wall_check_period = 0 && Budget.wall_expired m
   in
-  go st fuel 0
+  let rec go st k saved power =
+    match Semantics.step st with
+    | Semantics.Done _ -> Machine.Value_in k
+    | Semantics.Deadlock _ | Semantics.Task_stuck _ -> Machine.Stuck_in k
+    | Semantics.Progress st' ->
+      if k = fuel then Machine.Cut Budget.Steps
+      else if out_of_time k then Machine.Cut Budget.Wall_ms
+      else
+        let k = k + 1 in
+        if compare st' saved = 0 then Machine.Cycle_in k
+        else if k = power then go st' k st' (2 * power)
+        else go st' k saved power
+  in
+  go st 0 st 1
+
+(** Steps left until completion, if {!prerun} reaches it. *)
+let remaining ?fuel ?meter (st : Semantics.state) : int option =
+  match prerun ?fuel ?meter st with
+  | Machine.Value_in k -> Some k
+  | Machine.Stuck_in _ | Machine.Cycle_in _ | Machine.Cut _ -> None
 
 (** The scheduler as a credit-game target: a scheduler state is its own
     configuration, and its forensics frames show the front task. *)
@@ -49,13 +81,14 @@ let target : (Semantics.state, Semantics.state, term) Wp.target =
 
 (** Play {!Wp}'s credit game on the scheduler from [credit] (default
     [ω^ω], the bound of Spies et al.), with the adaptive strategy over
-    the {!remaining} pre-run ([oracle_fuel] is that pre-run's depth).
+    the {!remaining} pre-run ([oracle_fuel] is that pre-run's depth; it
+    stops at the run's wall deadline).
     Needs no fuel: descent is well-founded. *)
 let verify ?(credit = Ord.omega_pow Ord.omega) ?oracle_fuel (e : term) :
     term Wp.outcome =
   Wp.play ~credits:credit target
-    (Wp.adaptive_with ~remaining:(fun ~meter:_ st ->
-         remaining ?fuel:oracle_fuel st))
+    (Wp.adaptive_with ~remaining:(fun ~meter st ->
+         remaining ?fuel:oracle_fuel ~meter st))
     (Semantics.init e)
 
 (** {1 Example programs} *)

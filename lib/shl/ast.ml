@@ -214,6 +214,65 @@ and subst_value x v (w : value) : value =
     if String.equal x y || f = Some x then w
     else Rec_fun (f, y, subst x v body)
 
+(* [g = Some x] without allocating the [Some] *)
+let names (g : string option) (x : string) : bool =
+  match g with Some g -> String.equal g x | None -> false
+
+(* The simultaneous pass of {!subst2} over [x ↦ vx] and [f ↦ vf], with
+   the four passed as plain arguments. *)
+let rec sub2 x vx f vf (e : expr) : expr =
+  match e with
+  | Val w -> Val (sub2_value x vx f vf w)
+  | Var y ->
+    if String.equal x y then Val vx else if String.equal f y then Val vf else e
+  | Rec (g, y, body) -> Rec (g, y, sub2_rec x vx f vf g y body)
+  | App (e1, e2) -> App (sub2 x vx f vf e1, sub2 x vx f vf e2)
+  | Un_op (op, e1) -> Un_op (op, sub2 x vx f vf e1)
+  | Bin_op (op, e1, e2) -> Bin_op (op, sub2 x vx f vf e1, sub2 x vx f vf e2)
+  | If (e1, e2, e3) ->
+    If (sub2 x vx f vf e1, sub2 x vx f vf e2, sub2 x vx f vf e3)
+  | Pair_e (e1, e2) -> Pair_e (sub2 x vx f vf e1, sub2 x vx f vf e2)
+  | Fst e1 -> Fst (sub2 x vx f vf e1)
+  | Snd e1 -> Snd (sub2 x vx f vf e1)
+  | Inj_l_e e1 -> Inj_l_e (sub2 x vx f vf e1)
+  | Inj_r_e e1 -> Inj_r_e (sub2 x vx f vf e1)
+  | Case (e0, (y, e1), (z, e2)) ->
+    Case
+      ( sub2 x vx f vf e0,
+        (y, sub2_under x vx f vf y e1),
+        (z, sub2_under x vx f vf z e2) )
+  | Ref e1 -> Ref (sub2 x vx f vf e1)
+  | Load e1 -> Load (sub2 x vx f vf e1)
+  | Store (e1, e2) -> Store (sub2 x vx f vf e1, sub2 x vx f vf e2)
+  | Let (y, e1, e2) -> Let (y, sub2 x vx f vf e1, sub2_under x vx f vf y e2)
+  | Seq (e1, e2) -> Seq (sub2 x vx f vf e1, sub2 x vx f vf e2)
+  | Fork e1 -> Fork (sub2 x vx f vf e1)
+  | Cas (e1, e2, e3) ->
+    Cas (sub2 x vx f vf e1, sub2 x vx f vf e2, sub2 x vx f vf e3)
+
+and sub2_value x vx f vf (w : value) : value =
+  match w with
+  | Unit | Bool _ | Int _ | Loc _ -> w
+  | Pair (v1, v2) -> Pair (sub2_value x vx f vf v1, sub2_value x vx f vf v2)
+  | Inj_l v1 -> Inj_l (sub2_value x vx f vf v1)
+  | Inj_r v1 -> Inj_r (sub2_value x vx f vf v1)
+  | Rec_fun (g, y, body) -> Rec_fun (g, y, sub2_rec x vx f vf g y body)
+
+(* Binders shadow bindings one at a time; when only one of the two
+   survives, fall back to the single-binding substitution. *)
+and sub2_under x vx f vf (bound : string) (e : expr) : expr =
+  if String.equal bound x then
+    if String.equal bound f then e else subst f vf e
+  else if String.equal bound f then subst x vx e
+  else sub2 x vx f vf e
+
+(* The body of [rec g y. body]: both [g] and [y] bind. *)
+and sub2_rec x vx f vf (g : string option) (y : string) (body : expr) : expr =
+  if String.equal y x || names g x then
+    if String.equal y f || names g f then body else subst f vf body
+  else if String.equal y f || names g f then subst x vx body
+  else sub2 x vx f vf body
+
 (** [subst2 (x, vx) (f, vf) e]: simultaneous substitution of two closed
     values in a single traversal, with [x] taking precedence when
     [x = f].  For closed [vx] (so no free [f] inside it), this agrees
@@ -223,65 +282,18 @@ and subst_value x v (w : value) : value =
     This is the β-rule for named recursive functions: one application
     step substitutes both the argument and the function itself, and that
     double traversal dominates the per-step cost of every loop written
-    with [rec].  *)
-let rec subst2 ((x, _) as bx : string * value) ((f, _) as bf : string * value)
+    with [rec].  Its recursion ([sub2] and its helpers) passes [x, vx,
+    f, vf] as plain arguments and allocates no closure: non-flambda
+    [ocamlopt] would allocate a partial application or a local closure
+    on every call that built one, several times the words of the nodes
+    the substitution builds (DESIGN.md, "What a β-step allocates"). *)
+let subst2 ((x, vx) : string * value) ((f, vf) : string * value)
     (e : expr) : expr =
-  let sub = subst2 bx bf in
-  (* Binders shadow bindings one at a time; when only one of the two
-     survives, fall back to the single-binding substitution. *)
-  let under (bound : string) e =
-    if String.equal bound x then
-      if String.equal bound f then e else subst f (snd bf) e
-    else if String.equal bound f then subst x (snd bx) e
-    else sub e
-  in
-  match e with
-  | Val w -> Val (subst2_value bx bf w)
-  | Var y ->
-    if String.equal x y then Val (snd bx)
-    else if String.equal f y then Val (snd bf)
-    else e
-  | Rec (g, y, body) ->
-    let body =
-      if String.equal y x || g = Some x then
-        if String.equal y f || g = Some f then body else subst f (snd bf) body
-      else if String.equal y f || g = Some f then subst x (snd bx) body
-      else sub body
-    in
-    Rec (g, y, body)
-  | App (e1, e2) -> App (sub e1, sub e2)
-  | Un_op (op, e1) -> Un_op (op, sub e1)
-  | Bin_op (op, e1, e2) -> Bin_op (op, sub e1, sub e2)
-  | If (e1, e2, e3) -> If (sub e1, sub e2, sub e3)
-  | Pair_e (e1, e2) -> Pair_e (sub e1, sub e2)
-  | Fst e1 -> Fst (sub e1)
-  | Snd e1 -> Snd (sub e1)
-  | Inj_l_e e1 -> Inj_l_e (sub e1)
-  | Inj_r_e e1 -> Inj_r_e (sub e1)
-  | Case (e0, (y, e1), (z, e2)) -> Case (sub e0, (y, under y e1), (z, under z e2))
-  | Ref e1 -> Ref (sub e1)
-  | Load e1 -> Load (sub e1)
-  | Store (e1, e2) -> Store (sub e1, sub e2)
-  | Let (y, e1, e2) -> Let (y, sub e1, under y e2)
-  | Seq (e1, e2) -> Seq (sub e1, sub e2)
-  | Fork e1 -> Fork (sub e1)
-  | Cas (e1, e2, e3) -> Cas (sub e1, sub e2, sub e3)
+  sub2 x vx f vf e
 
-and subst2_value bx bf (w : value) : value =
-  match w with
-  | Unit | Bool _ | Int _ | Loc _ -> w
-  | Pair (v1, v2) -> Pair (subst2_value bx bf v1, subst2_value bx bf v2)
-  | Inj_l v1 -> Inj_l (subst2_value bx bf v1)
-  | Inj_r v1 -> Inj_r (subst2_value bx bf v1)
-  | Rec_fun (g, y, body) ->
-    let x, vx = bx and f, vf = bf in
-    let body =
-      if String.equal y x || g = Some x then
-        if String.equal y f || g = Some f then body else subst f vf body
-      else if String.equal y f || g = Some f then subst x vx body
-      else subst2 bx bf body
-    in
-    Rec_fun (g, y, body)
+let subst2_value ((x, vx) : string * value) ((f, vf) : string * value)
+    (w : value) : value =
+  sub2_value x vx f vf w
 
 (** {1 Locations mentioned by a term}
 

@@ -179,7 +179,13 @@ type exploration = {
    forked one), and reuses its parent's binding list and its hash when
    the step left the heap physically unchanged.  So a repeat visit costs
    a compare of a few ints and, at worst, one binding list, instead of a
-   deep compare of every thread's program. *)
+   deep compare of every thread's program.
+
+   Both tables test equality with [compare … = 0], not [=]: on values
+   without floats or functions (SHL terms and heaps have neither) the
+   two agree, but [compare] returns at once on physically shared
+   subterms — the closure bodies a β-step substitutes and the binding
+   lists successive states share — where [=] walks them. *)
 
 (* [Hashtbl.hash] reads only 10 meaningful words — little more than a
    program's outer constructors; reading up to 100 separates the states
@@ -203,7 +209,7 @@ module Ktbl = Hashtbl.Make (struct
   let equal a b =
     a.hash = b.hash
     && List.equal Int.equal a.ids b.ids
-    && (a.binds == b.binds || a.binds = b.binds)
+    && compare a.binds b.binds = 0
 
   let hash k = k.hash
 end)
@@ -212,7 +218,7 @@ end)
 module Itbl = Hashtbl.Make (struct
   type t = int * expr
 
-  let equal ((h1, e1) : t) ((h2, e2) : t) = h1 = h2 && e1 = e2
+  let equal ((h1, e1) : t) ((h2, e2) : t) = h1 = h2 && compare e1 e2 = 0
   let hash ((h, _) : t) = h
 end)
 

@@ -236,25 +236,28 @@ let prerun ?(fuel = 10_000_000) ?meter (c : config) : prerun =
       && Tfiris_robust.Budget.wall_expired m
   in
   (* [k] steps taken, [n] β-configurations met, [saved] the one met
-     when [n] last reached a power of two *)
-  let rec go c k n saved power =
-    match prim_step c with
-    | Error Step.Finished -> Value_in k
-    | Error (Step.Stuck _) -> Stuck_in k
-    | Ok (c', _) -> (
+     when [n] last reached a power of two.  The thread and the heap are
+     passed apart and a [config] is built only at the β-configurations
+     the check compares, so a plain step allocates nothing here. *)
+  let rec go th heap k n saved power =
+    match step heap th with
+    | Final _ -> Value_in k
+    | Stuck_redex _ -> Stuck_in k
+    | Stepped (th', h', _) -> (
       if k = fuel then Cut Tfiris_robust.Budget.Steps
       else if out_of_time k then Cut Tfiris_robust.Budget.Wall_ms
       else
         let k = k + 1 in
-        match c'.thread.focus with
+        match th'.focus with
         | App _ ->
           let n = n + 1 in
+          let c' = { thread = th'; heap = h' } in
           if same_config c' saved then Cycle_in k
-          else if n = power then go c' k n c' (2 * power)
-          else go c' k n saved power
-        | _ -> go c' k n saved power)
+          else if n = power then go th' h' k n c' (2 * power)
+          else go th' h' k n saved power
+        | _ -> go th' h' k n saved power)
   in
-  go c 0 0 c 1
+  go c.thread c.heap 0 0 c 1
 
 (** [steps_to_value ?fuel ?meter c]: the steps [c] takes to reach a
     value within [fuel] — [None] when {!prerun} ends any other way,

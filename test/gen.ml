@@ -217,6 +217,49 @@ let shl_expr : Shl.Ast.expr Q.t =
 
 let print_shl e = Shl.Pretty.expr_to_string e
 
+(* Binder collisions: SHL expressions whose inner binders are all named
+   [x] or [f] — [rec] self and parameter, [let], both [match] arms and
+   [Rec_fun] literals (bare, and inside pairs and injections) — over
+   free occurrences of [x], [f] and [y].  Each binder shadows one or
+   both of the two variables a named-rec β-step substitutes, so every
+   shadowing branch of [Ast.subst2] runs.  The terms are open and need
+   not be well formed: only substitution reads them. *)
+let shl_binder_collisions : Shl.Ast.expr Q.t =
+  let open Q in
+  let open Shl.Ast in
+  let name = oneofl [ "x"; "f" ] in
+  let self = oneofl [ None; Some "x"; Some "f" ] in
+  let atom =
+    oneof
+      [
+        map var (oneofl [ "x"; "f"; "y" ]);
+        map (fun n -> Val (Int n)) (int_bound 9);
+      ]
+  in
+  let rec go depth =
+    if depth = 0 then atom
+    else
+      let sub = go (depth - 1) in
+      let closure = map3 (fun g y b -> Rec_fun (g, y, b)) self name sub in
+      oneof
+        [
+          atom;
+          map2 (fun a b -> App (a, b)) sub sub;
+          map2 (fun a b -> Pair_e (a, b)) sub sub;
+          map3 (fun g y b -> Rec (g, y, b)) self name sub;
+          map (fun v -> Val v) closure;
+          map2 (fun v w -> Val (Pair (Inj_l v, Inj_r w))) closure closure;
+          map3 (fun y a b -> Let (y, a, b)) name sub sub;
+          (let* c = sub in
+           let* y = name in
+           let* e1 = sub in
+           let* z = name in
+           let* e2 = sub in
+           return (Case (c, (y, e1), (z, e2))));
+        ]
+  in
+  sized_size (int_bound 4) (fun d -> go (Stdlib.min d 4))
+
 (* Wide SHL expressions: long identifiers and deep [let]/[match]/[if]/
    application nesting, so that the printed form overruns the 78-column
    margin and every box kind (the hov boxes of application, operators,

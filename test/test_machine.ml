@@ -142,6 +142,134 @@ let subst2_same_name =
     (fun (e, vx, vf) ->
       Ast.subst2 ("x", vx) ("x", vf) e = Ast.subst "x" vx e)
 
+(* The same equation on the binder-collision slice, where every inner
+   binder is named x or f: the shadowing branches, which fall back to a
+   single-binding [subst], are where a one-pass substitution goes wrong
+   (a swapped fallback passes the property above but not this one). *)
+let binder_gen : (Ast.expr * Ast.value * Ast.value) Q.Gen.t =
+  let open Q.Gen in
+  let* e = Gen.shl_binder_collisions in
+  let* vx = closed_value in
+  let* vf = closed_value in
+  return (e, vx, vf)
+
+let subst2_binders =
+  prop ~count:800 "subst2 = sequential composition under x/f binders"
+    binder_gen print_subst2 (fun (e, vx, vf) ->
+      Ast.subst2 ("x", vx) ("f", vf) e
+      = Ast.subst "f" vf (Ast.subst "x" vx e))
+
+(* The binders [subst2 ("x", _) ("f", _)] meets before any of them
+   shadows one of its two variables — the ones that take a shadowing
+   branch — named by the binding form and what they shadow. *)
+let shadowings (e : Ast.expr) : string list =
+  let open Ast in
+  let shadow form xs =
+    match List.mem "x" xs, List.mem "f" xs with
+    | true, true -> [ form ^ " shadows both" ]
+    | true, false -> [ form ^ " shadows x" ]
+    | false, true -> [ form ^ " shadows f" ]
+    | false, false -> []
+  in
+  let binders g y = y :: Option.to_list g in
+  let rec expr acc = function
+    | Val w -> value acc w
+    | Var _ -> acc
+    | Rec (g, y, b) -> under acc "rec" (binders g y) b
+    | Un_op (_, a) | Fst a | Snd a | Inj_l_e a | Inj_r_e a | Ref a | Load a
+    | Fork a ->
+      expr acc a
+    | App (a, b) | Bin_op (_, a, b) | Pair_e (a, b) | Store (a, b) | Seq (a, b)
+      ->
+      expr (expr acc a) b
+    | If (a, b, c) | Cas (a, b, c) -> expr (expr (expr acc a) b) c
+    | Case (a, (y, b), (z, c)) ->
+      under (under (expr acc a) "left arm" [ y ] b) "right arm" [ z ] c
+    | Let (y, a, b) -> under (expr acc a) "let" [ y ] b
+  and value acc = function
+    | Unit | Bool _ | Int _ | Loc _ -> acc
+    | Pair (v, w) -> value (value acc v) w
+    | Inj_l v | Inj_r v -> value acc v
+    | Rec_fun (g, y, b) -> under acc "closure" (binders g y) b
+  and under acc form xs b =
+    match shadow form xs with [] -> expr acc b | s -> s @ acc
+  in
+  expr [] e
+
+(* A fixed-seed sample of the slice reaches every shadowing branch of
+   [subst2]'s helpers: each binding form shadowing x, f or both ([let]
+   and the arms bind one name, so "both" needs a two-binder form). *)
+let test_binder_slice_coverage () =
+  let rand = Random.State.make [| 28 |] in
+  let seen = Hashtbl.create 16 in
+  for _ = 1 to 800 do
+    List.iter
+      (fun s -> Hashtbl.replace seen s ())
+      (shadowings (Q.Gen.generate1 ~rand Gen.shl_binder_collisions))
+  done;
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " reached") true (Hashtbl.mem seen s))
+    (List.concat_map
+       (fun (form, both) ->
+         [ form ^ " shadows x"; form ^ " shadows f" ]
+         @ if both then [ form ^ " shadows both" ] else [])
+       [
+         ("rec", true);
+         ("closure", true);
+         ("let", false);
+         ("left arm", false);
+         ("right arm", false);
+       ])
+
+(* ---------- what a substitution allocates ---------- *)
+
+(* Minor words [f ()] allocates (less what the measurement itself
+   costs), and its result. *)
+let allocated f =
+  let measure f =
+    let w0 = Gc.minor_words () in
+    let r = f () in
+    let w1 = Gc.minor_words () in
+    (w1 -. w0, r)
+  in
+  let idle, () = measure (fun () -> ()) in
+  let words, r = measure f in
+  (words -. idle, r)
+
+(* A substitution allocates the nodes it builds and nothing else, and
+   those nodes are reachable from its result — so it allocates at most
+   the result's reachable words.  A closure per visited node (a partial
+   application, a local helper) breaks the bound several times over:
+   on fib's body the closure-building [subst2] allocated 284 words for
+   a result of 118 reachable words; the nodes themselves are 44. *)
+let over_reachable words r =
+  let reach = Obj.reachable_words (Obj.repr r) in
+  if words > float_of_int reach then
+    Some (Printf.sprintf "allocated %.0f words, result reaches %d" words reach)
+  else None
+
+let test_subst2_fib_alloc () =
+  match parse "rec fib n. if n < 2 then n else fib (n - 1) + fib (n - 2)" with
+  | Ast.Rec ((Some f as g), x, body) -> (
+    let bx = (x, Ast.Int 15) and bf = (f, Ast.Rec_fun (g, x, body)) in
+    let words, r = allocated (fun () -> Ast.subst2 bx bf body) in
+    match over_reachable words r with
+    | Some m -> Alcotest.fail ("subst2 " ^ m)
+    | None -> ())
+  | _ -> Alcotest.fail "fib is not a named rec"
+
+let subst_alloc_bound =
+  prop "subst2 and subst allocate within their result" subst2_gen print_subst2
+    (fun (e, vx, vf) ->
+      let bx = ("x", vx) and bf = ("f", vf) in
+      let w2, r2 = allocated (fun () -> Ast.subst2 bx bf e) in
+      let w1, r1 = allocated (fun () -> Ast.subst "x" vx e) in
+      match over_reachable w2 r2, over_reachable w1 r1 with
+      | Some m, _ -> Q.Test.fail_reportf "subst2 %s" m
+      | None, Some m -> Q.Test.fail_reportf "subst %s" m
+      | None, None -> true)
+
 (* ---------- goldens: machine stepping of cas and fork ---------- *)
 
 let kinds_and_outcome ?(fuel = 100) (e : Ast.expr) =
@@ -353,6 +481,12 @@ let suite =
     inject_matches_decompose;
     subst2_sequential;
     subst2_same_name;
+    subst2_binders;
+    Alcotest.test_case "binder slice reaches every shadowing branch" `Quick
+      test_binder_slice_coverage;
+    Alcotest.test_case "subst2 on fib's body allocates only its nodes" `Quick
+      test_subst2_fib_alloc;
+    subst_alloc_bound;
     Alcotest.test_case "cas success: alloc/pure/store golden" `Quick
       test_cas_success;
     Alcotest.test_case "cas failure: alloc/pure/load golden" `Quick

@@ -126,6 +126,42 @@ let test_credit_rejects_divergence () =
   | Termination.Wp.Terminated _ -> Alcotest.fail "Ω accepted!"
   | Termination.Wp.Rejected _ -> ()
 
+(* The adaptive pre-run stops Ω at its first repeated scheduler state,
+   so at the default [oracle_fuel] (2 000 000 steps) the verdict costs
+   one step of pre-run, not the whole fuel. *)
+let test_prerun_cuts_omega () =
+  (match Termination.prerun (Semantics.init Termination.omega_untyped) with
+  | Shl.Machine.Cycle_in k -> Alcotest.(check int) "repeat found after" 1 k
+  | _ -> Alcotest.fail "expected the pre-run to find Ω's cycle");
+  match Termination.verify Termination.omega_untyped with
+  | Termination.Wp.Terminated _ -> Alcotest.fail "Ω accepted!"
+  | Termination.Wp.Rejected (r, _) ->
+    Alcotest.(check string) "rule" "gave_up" (Termination.Wp.rule_name r)
+
+(* A terminating run is counted to its end, as [Semantics.exec] counts
+   it, and a past wall deadline stops the pre-run at its next poll
+   without charging the meter. *)
+let test_prerun_counts_and_deadline () =
+  let e = Termination.chain 400 in
+  let steps =
+    match Semantics.exec e with
+    | Semantics.Value (_, n) -> n
+    | _ -> Alcotest.fail "chain 400 does not finish"
+  in
+  Alcotest.(check bool) "longer than one wall poll" true
+    (steps > Robust.Budget.wall_check_period);
+  (match Termination.prerun (Semantics.init e) with
+  | Shl.Machine.Value_in k -> Alcotest.(check int) "pre-run steps" steps k
+  | _ -> Alcotest.fail "expected the pre-run to finish");
+  let m =
+    Robust.Budget.(meter { unlimited with steps = Some 1; wall_ms = Some 0 })
+  in
+  Unix.sleepf 0.002;
+  (match Termination.prerun ~meter:m (Semantics.init e) with
+  | Shl.Machine.Cut Robust.Budget.Wall_ms -> ()
+  | _ -> Alcotest.fail "expected the pre-run to stop at the deadline");
+  Alcotest.(check int) "no step charged" 0 (Robust.Budget.steps_used m)
+
 (* The scheduler plays Wp's game, so a rejected promise run publishes
    what every credit run does: a forensics report and the metrics. *)
 let test_credit_rejection_observed () =
@@ -264,6 +300,10 @@ let suite =
       test_credit_rejects_divergence;
     Alcotest.test_case "credit rejection: forensics and metrics" `Quick
       test_credit_rejection_observed;
+    Alcotest.test_case "pre-run stops Ω at its first repeat" `Quick
+      test_prerun_cuts_omega;
+    Alcotest.test_case "pre-run counts to the end, stops at the deadline"
+      `Quick test_prerun_counts_and_deadline;
     Alcotest.test_case "combinators: typing" `Quick test_combinators_typed;
     Alcotest.test_case "combinators: evaluation" `Quick test_combinators_run;
     Alcotest.test_case "combinators: termination" `Quick

@@ -4,7 +4,7 @@
 
    The paper is a logic paper — its evaluation consists of
    counterexamples, theorems and case studies rather than performance
-   tables; EXPERIMENTS.md maps each experiment id (E1–E15, E18, E20) to
+   tables; EXPERIMENTS.md maps each experiment id (E1–E15, E18) to
    the paper artifact or analyzer claim it reproduces and records the
    measured shapes.  Wall-time regressions of the verdicts users run are
    measured by bench/verdicts/, not here. *)
@@ -586,133 +586,6 @@ let e18 () =
     corpus
 
 (* ------------------------------------------------------------------ *)
-(* E20 — parallel exploration: work-stealing scaling curve              *)
-(* ------------------------------------------------------------------ *)
-
-(* The PR-9 work-stealing explorer against the sequential reference, on
-   the classic concurrent programs and the dynamic race oracle, at
-   1/2/4 domains.  What is measured and what is enforced:
-
-   - wall time per domain count, best of 3 replays (the scaling curve,
-     printed as the experiment's table);
-   - the reachable-set signature (state count, sorted finals, race
-     set) at every domain count, which MUST equal the sequential one —
-     a mismatch is a soundness bug and fails the harness, not a slow
-     run; so does an exploration whose state count leaves its pinned
-     value (140 for locked_incr, 310 for spinlock_pair on the full
-     graph, 88 for spinlock_pair on the reduced one), since the count
-     is a deterministic work counter;
-   - the >=1.7x-at-4-domains expectation is only meaningful on hardware
-     with 4 real cores, so the shortfall warning is gated on
-     [Domain.recommended_domain_count] — single-core CI runs the whole
-     curve (the differential check still bites) and reports ~1x. *)
-let e20 () =
-  section "E20  parallel exploration: work-stealing scaling (1/2/4 domains)";
-  let module Conc = Shl.Conc in
-  let module An = Tfiris.Analysis in
-  let domain_counts = [ 1; 2; 4 ] in
-  let best f =
-    let x, t0 = time f in
-    let b = ref t0 in
-    for _ = 2 to 3 do
-      let _, t = time f in
-      if t < !b then b := t
-    done;
-    (x, !b)
-  in
-  (* one signature type for both workload kinds: a stable string the
-     parallel run must reproduce byte-for-byte, plus a size to print *)
-  let explore_sig explore e d =
-    let r : Conc.exploration = explore ~domains:d (Conc.init e) in
-    let finals =
-      List.sort compare
-        (List.map (fun (v, _) -> Shl.Pretty.value_to_string v)
-           r.Conc.final_values)
-    in
-    ( Printf.sprintf "states=%d finals={%s} stuck=%d" r.Conc.states
-        (String.concat "," finals)
-        (List.length r.Conc.stuck),
-      r.Conc.states )
-  in
-  let oracle_sig e d =
-    let races = An.Races.dynamic_races ~domains:d e in
-    let show r =
-      let k = function
-        | An.Races.D_read -> "r"
-        | An.Races.D_write -> "w"
-        | An.Races.D_cas -> "c"
-      in
-      Printf.sprintf "%d:%s%s" r.An.Races.d_loc (k r.An.Races.k1)
-        (k r.An.Races.k2)
-    in
-    ( Printf.sprintf "races={%s}" (String.concat "," (List.map show races)),
-      List.length races )
-  in
-  (* name, run, and the exact state count where the run is an
-     exploration: a changed count is a changed key relation (or, on the
-     reduced graph, a changed chain rule).  Scaling is measured on the
-     full graph; the reduced row shows what collapsing pure chains
-     leaves to parallelize. *)
-  let full ~domains c = Conc.explore_all ~domains c in
-  let reduced ~domains c = Conc.explore ~domains c in
-  let workloads =
-    [
-      ("explore locked_incr", explore_sig full Conc.locked_incr, Some 140);
-      ("explore spinlock_pair", explore_sig full Conc.spinlock_pair, Some 310);
-      ( "reduced spinlock_pair",
-        explore_sig reduced Conc.spinlock_pair,
-        Some 88 );
-      ( "race oracle spinlock_racy",
-        oracle_sig Conc.spinlock_pair_racy_read,
-        None );
-    ]
-  in
-  let speedups_at_4 = ref [] in
-  List.iter
-    (fun (name, run, states) ->
-      let seq_sig = ref "" in
-      let seq_t = ref 0. in
-      List.iter
-        (fun d ->
-          let (sg, size), t = best (fun () -> run d) in
-          (match states with
-          | Some n when n <> size ->
-            failwith
-              (Printf.sprintf "E20 %s: %d states at %d domains, expected %d"
-                 name size d n)
-          | _ -> ());
-          if d = 1 then begin
-            seq_sig := sg;
-            seq_t := t
-          end
-          else if sg <> !seq_sig then
-            failwith
-              (Printf.sprintf
-                 "E20 %s: %d-domain exploration diverged from sequential \
-                  (%s vs %s)"
-                 name d sg !seq_sig);
-          let speedup = if t > 0. then !seq_t /. t else 1. in
-          if d = 4 then speedups_at_4 := speedup :: !speedups_at_4;
-          row "  %-28s %d domains %9.3f ms  %5.2fx  (%s)\n" name d t speedup
-            sg)
-        domain_counts)
-    workloads;
-  let recommended = Domain.recommended_domain_count () in
-  if recommended >= 4 then begin
-    let good = List.length (List.filter (fun s -> s >= 1.7) !speedups_at_4) in
-    if good < 2 then
-      Printf.eprintf
-        "bench: E20 scaling shortfall: %d/%d workloads reached 1.7x at 4 \
-         domains (%d cores available)\n"
-        good
-        (List.length !speedups_at_4)
-        recommended
-  end
-  else
-    row "  (speedup expectation skipped: %d core%s available)\n" recommended
-      (if recommended = 1 then "" else "s")
-
-(* ------------------------------------------------------------------ *)
 (* The driver: run every experiment under the metrics registry for     *)
 (* three trials, capture per-experiment counter deltas, the median     *)
 (* wall time and a GC/allocation delta, drop the record as             *)
@@ -1128,7 +1001,7 @@ let () =
       ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
       ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
       ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14);
-      ("e15", e15); ("e18", e18); ("e20", e20);
+      ("e15", e15); ("e18", e18);
     ]
   in
   let records = List.map (fun (name, f) -> observe name f) experiments in

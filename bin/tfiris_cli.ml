@@ -252,20 +252,21 @@ let ledger_arg =
            block) to the JSONL run ledger at $(docv), creating it if \
            missing. Query and diff ledgers with $(b,tfiris report).")
 
+(* The count itself is accepted and ignored until the time-to-verdict
+   harness, which passes --domains=2, stops doing so (ROADMAP item 1):
+   the flag's presence is what selects exploration or the race oracle. *)
 let domains_arg =
   Arg.(
     value
     & opt (some int) None
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Worker-domain count for the work-stealing parallel explorer. \
-           $(b,run): switch from scheduled execution to exhaustive \
-           interleaving exploration on $(docv) domains. $(b,analyze): \
-           additionally cross-validate the race pass against the dynamic \
-           oracle on $(docv) domains (stderr; findings are unchanged). \
-           $(b,chaos): size the parallel-explorer check's worker fleet. \
-           Where a subcommand leaves $(docv) unset, the \
-           $(b,TFIRIS_DOMAINS) environment variable supplies the default.")
+          "$(b,run): switch from scheduled execution to exhaustive \
+           interleaving exploration. $(b,analyze): additionally \
+           cross-validate the race pass against the dynamic oracle \
+           (stderr; findings are unchanged). Exploration runs on one \
+           domain, so $(docv) is ignored ($(b,run) still rejects $(docv) \
+           < 1).")
 
 (* ---- the certificate cache (--cache, shared by the verdict
    commands) ----
@@ -370,19 +371,17 @@ let render_run ?stats (o : Job.outcome) =
     ("", Printf.sprintf "out of %s budget (%d steps taken)\n" resource steps, 1)
 
 (* run --domains=N: exhaustive interleaving exploration instead of one
-   scheduled execution — every final value and every stuck thread, on N
-   work-stealing domains.  It explores the reduced graph
-   ([Conc.explore]: pure-step chains collapsed), so [states:] counts the
-   reduced graph's states and [steps:] also counts chained pure steps;
-   the finals and stuck threads are those of every interleaving.
-   Output is sorted so it is identical at every domain count (the
-   reduced graph is; only traversal order varies).  Exploration is not
-   cached: its stuck threads and per-domain splits are not in an
+   scheduled execution — every final value and every stuck thread.  It
+   explores the reduced graph ([Conc.explore]: pure-step chains
+   collapsed), so [states:] counts the reduced graph's states and
+   [steps:] also counts chained pure steps; the finals and stuck
+   threads are those of every interleaving.  Output is sorted.
+   Exploration is not cached: its stuck threads are not in an
    outcome. *)
-let run_explore ~label ~e ~budget ~stats ~ledger n =
+let run_explore ~label ~e ~budget ~ledger n =
   if n < 1 then or_die (Error "--domains must be >= 1");
   let t0 = Unix.gettimeofday () in
-  let r = Shl.Conc.explore ~budget ~domains:n (Shl.Conc.init e) in
+  let r = Shl.Conc.explore ~budget (Shl.Conc.init e) in
   let finals =
     List.sort compare
       (List.map (fun (v, _) -> Shl.Pretty.value_to_string v)
@@ -402,14 +401,6 @@ let run_explore ~label ~e ~budget ~stats ~ledger n =
       r.Shl.Conc.states
   | None -> ());
   Format.printf "states: %d@." r.Shl.Conc.states;
-  if stats then
-    List.iter
-      (fun w ->
-        Format.printf
-          "  domain %d: dequeued %d, stolen %d, %.1f ms, %d words allocated@."
-          w.Shl.Conc.w_domain w.Shl.Conc.w_dequeued w.Shl.Conc.w_stolen
-          w.Shl.Conc.w_wall_ms w.Shl.Conc.w_mem.Obs.Telemetry.allocated_words)
-      r.Shl.Conc.workers;
   let verdict, ok =
     match r.Shl.Conc.exhausted with
     | Some res -> ("out_of_fuel:" ^ Robust.Budget.resource_name res, false)
@@ -418,10 +409,7 @@ let run_explore ~label ~e ~budget ~stats ~ledger n =
   in
   Job.append ?ledger ~cmd:"run" ~label
     ~program:(Shl.Pretty.expr_to_string e)
-    ~spec:"" ~budget
-    ~domains:
-      (n, List.map (fun w -> w.Shl.Conc.w_wall_ms) r.Shl.Conc.workers)
-    ~t0
+    ~spec:"" ~budget ~t0
     {
       Job.engine = "shl.explore";
       verdict;
@@ -436,7 +424,7 @@ let run_cmd =
     let label, e = or_die (parse_labeled program) in
     let bound = Option.value budget ~default:Job.default_budget in
     match domains with
-    | Some n -> run_explore ~label ~e ~budget:bound ~stats ~ledger n
+    | Some n -> run_explore ~label ~e ~budget:bound ~ledger n
     | None -> (
       let program = Shl.Pretty.expr_to_string e in
       match engine with
@@ -533,12 +521,11 @@ let analyze_cmd =
     in
     let err =
       match domains, fresh with
-      | Some n, Some (_, races) ->
+      | Some _, Some (_, races) ->
         String.concat ""
           (List.concat_map
              (fun (label, dyn) ->
-               Printf.sprintf
-                 "dynamic race oracle (%d domains) %s: %d racy location%s\n" n
+               Printf.sprintf "dynamic race oracle %s: %d racy location%s\n"
                  label (List.length dyn)
                  (if List.length dyn = 1 then "" else "s")
                :: List.map
@@ -591,15 +578,13 @@ let analyze_cmd =
               (fun (label, e) -> An.analyze ~passes:selected ~label e)
               parsed
           in
-          (* --domains=N: re-derive races dynamically on the parallel
-             explorer; findings and stdout stay byte-identical *)
+          (* --domains: re-derive races dynamically on the explorer;
+             findings and stdout stay byte-identical *)
           let races =
             match domains with
             | None -> []
-            | Some n ->
-              List.map
-                (fun (label, e) -> (label, Races.dynamic_races ~domains:n e))
-                parsed
+            | Some _ ->
+              List.map (fun (label, e) -> (label, Races.dynamic_races e)) parsed
           in
           (Job.analyze_outcome ~fail_on ~passes:selected reports, (reports, races)))
     in
@@ -1050,10 +1035,10 @@ let profile_cmd =
 (* ---- chaos ---- *)
 
 let chaos_cmd =
-  let action seeds out ledger domains =
+  let action seeds out ledger =
     if seeds <= 0 then or_die (Error "--seeds must be positive");
     let t0 = Unix.gettimeofday () in
-    let r = Robust.Chaos.run ~seeds ?domains () in
+    let r = Robust.Chaos.run ~seeds () in
     Format.printf "%a@." Robust.Chaos.pp_report r;
     (match out with
     | None -> ()
@@ -1069,7 +1054,6 @@ let chaos_cmd =
     Job.append ?ledger ~cmd:"chaos" ~label:"chaos-battery"
       ~program:"chaos-battery"
       ~spec:(Printf.sprintf "seeds:%d" seeds)
-      ?domains:(Option.map (fun n -> (n, [])) domains)
       ~t0
       {
         Job.engine = "robust.chaos";
@@ -1107,9 +1091,8 @@ let chaos_cmd =
           under seeded fault injection: hostile schedulers, failing \
           allocations, throwing trace sinks, skewed clocks.")
     Term.(
-      const (fun () s o l d ->
-          Stdlib.exit (protect (fun () -> action s o l d)))
-      $ obs_term $ seeds $ out $ ledger_arg $ domains_arg)
+      const (fun () s o l -> Stdlib.exit (protect (fun () -> action s o l)))
+      $ obs_term $ seeds $ out $ ledger_arg)
 
 (* ---- report ---- *)
 

@@ -306,7 +306,14 @@ module Engine (D : VALUE_DOMAIN) = struct
               match find_summary st h with
               | None -> acc
               | Some s ->
-                if not s.real_called then begin
+                (* a call made while the callee's body is being
+                   analyzed is reached only from that body: marking it
+                   would end the ⊤ sweep that is the body's only
+                   analysis *)
+                if
+                  (not s.real_called)
+                  && not (Hashtbl.mem st.in_progress s.fn_path)
+                then begin
                   s.real_called <- true;
                   st.newly_called <- true
                 end;

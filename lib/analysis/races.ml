@@ -353,12 +353,9 @@ let redex_access (th : Machine.t) : (Ast.loc * dyn_kind) option =
     can never diverge on reachability again.  It needs the full
     interleaving graph: {!Conc.explore}'s reduction keeps the terminal
     outcomes, not every reachable state, and a co-enabled pair is a
-    property of one state.  [?domains] runs it on the
-    work-stealing parallel engine (the accumulator is mutex-guarded —
-    the callback fires on worker domains). *)
-let dynamic_races ?(max_states = 20_000) ?domains (e : expr) : dyn_race list =
+    property of one state. *)
+let dynamic_races ?(max_states = 20_000) (e : expr) : dyn_race list =
   let out = Hashtbl.create 16 in
-  let mu = Mutex.create () in
   let scan (c : Conc.cfg) =
     let accs =
       List.filteri (fun i _ -> List.mem i (Conc.runnable c))
@@ -370,18 +367,15 @@ let dynamic_races ?(max_states = 20_000) ?domains (e : expr) : dyn_race list =
       | (i, (l1, k1)) :: rest ->
         List.iter
           (fun (j, (l2, k2)) ->
-            if i <> j && l1 = l2 && (k1 = D_write || k2 = D_write) then begin
-              Mutex.lock mu;
-              Hashtbl.replace out (l1, min k1 k2, max k1 k2) ();
-              Mutex.unlock mu
-            end)
+            if i <> j && l1 = l2 && (k1 = D_write || k2 = D_write) then
+              Hashtbl.replace out (l1, min k1 k2, max k1 k2) ())
           rest;
         pairs rest
     in
     pairs accs
   in
   let (_ : Conc.exploration) =
-    Conc.explore_all ?domains
+    Conc.explore_all
       ~budget:(Tfiris_robust.Budget.of_states max_states)
       ~on_state:scan (Conc.init e)
   in

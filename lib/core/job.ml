@@ -59,7 +59,7 @@ let forensics_pointer () =
 let content_key ~program ~spec engine =
   Ledger.content_key ~program ~spec ~engine ~version
 
-let record ~path ~key ~cmd ~label ?budget ?domains ~cached ~t0 (o : outcome) =
+let record ~path ~key ~cmd ~label ?budget ~cached ~t0 (o : outcome) =
   Ledger.append ~path
     {
       Ledger.key;
@@ -76,7 +76,7 @@ let record ~path ~key ~cmd ~label ?budget ?domains ~cached ~t0 (o : outcome) =
       mem = Some (mem ());
       wall_ms = (Unix.gettimeofday () -. t0) *. 1000.;
       seed = None;
-      domains;
+      domains = None;
       metrics =
         (if Metrics.on () then Some (Metrics.to_json (Metrics.snapshot ()))
          else None);
@@ -84,13 +84,13 @@ let record ~path ~key ~cmd ~label ?budget ?domains ~cached ~t0 (o : outcome) =
     }
 
 (** Append one ledger record for an outcome that is never cached. *)
-let append ?ledger ~cmd ~label ~program ~spec ?budget ?domains ~t0
+let append ?ledger ~cmd ~label ~program ~spec ?budget ~t0
     (o : outcome) =
   Option.iter
     (fun path ->
       record ~path
         ~key:(content_key ~program ~spec o.engine)
-        ~cmd ~label ?budget ?domains ~cached:false ~t0 o)
+        ~cmd ~label ?budget ~cached:false ~t0 o)
     ledger
 
 (** [run ?cache ?ledger ~cmd ~engines ~label ~program ~spec ~replay

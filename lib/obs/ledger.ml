@@ -51,7 +51,9 @@ type record = {
       (** parallel runs: worker-domain count and the per-domain wall
           split (ms, by worker index).  Optional and excluded from the
           content key — parallelism affects how fast a verdict is
-          reached, never which *)
+          reached, never which.  No command writes it any more (the
+          explorer runs on one domain); it is still read, so older
+          ledgers load and report their domain counts *)
   metrics : Json.t option;  (** {!Metrics.to_json} snapshot if metrics on *)
   forensics : Json.t option;
       (** pointer into the forensics report on rejection *)

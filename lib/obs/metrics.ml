@@ -17,7 +17,7 @@
     {2 Domain safety}
 
     The registry is built to be ticked from several OCaml 5 domains at
-    once (ROADMAP item 1, the work-stealing explorer):
+    once:
 
     - counters and gauges are [Atomic.t]-backed; {!incr}/{!add} use
       [Atomic.fetch_and_add], so concurrent bumps from N domains

@@ -89,10 +89,9 @@ let restore (s, e, ev) =
    trace-sink errors. *)
 let c_sink_errors = Metrics.counter "obs.progress.sink_errors"
 
-(* Trackers on concurrent domains (the parallel seed replayer runs one
-   per worker) share the process-global sink; serialise delivery so
-   formatter/file sinks never interleave mid-line — same discipline as
-   the trace sink. *)
+(* Trackers on concurrent domains share the process-global sink;
+   serialise delivery so formatter/file sinks never interleave
+   mid-line — same discipline as the trace sink. *)
 let emit_mu = Mutex.create ()
 
 let emit snap =

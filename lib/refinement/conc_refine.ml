@@ -95,18 +95,9 @@ let certify ?(budget = Budget.of_steps 1_000_000)
 
 (** Replay the certificate under many seeded schedulers: the bounded
     face of "for all fair schedules".  Returns the seeds that passed
-    and failed.  [?domains] (default [TFIRIS_DOMAINS], else 1) spreads
-    the seed replays over that many OCaml domains; every [certify] is
-    deterministic per seed, so the merged verdict vector matches the
-    sequential replay exactly. *)
-let certify_all_seeds ?budget ?(seeds = 16) ?domains
-    ~(target : Ast.expr) ~(source : Ast.expr) () : (int list * int list) =
-  let n =
-    let d =
-      match domains with Some d -> max 1 d | None -> Conc.default_domains ()
-    in
-    min d (max 1 seeds)
-  in
+    and failed. *)
+let certify_all_seeds ?budget ?(seeds = 16) ~(target : Ast.expr)
+    ~(source : Ast.expr) () : (int list * int list) =
   let run s =
     match
       certify ?budget ~tgt_sched:(Conc.seeded (s * 37)) ~target ~source
@@ -117,26 +108,4 @@ let certify_all_seeds ?budget ?(seeds = 16) ?domains
     | None ->
       false
   in
-  let verdicts =
-    if n <= 1 then List.init seeds run
-    else begin
-      let slice wid () =
-        let rec go s acc =
-          if s >= seeds then List.rev acc else go (s + n) ((s, run s) :: acc)
-        in
-        go wid []
-      in
-      let handles = Array.init (n - 1) (fun i -> Domain.spawn (slice (i + 1))) in
-      let mine = slice 0 () in
-      let parts = mine :: Array.to_list (Array.map Domain.join handles) in
-      List.concat parts |> List.sort compare |> List.map snd
-    end
-  in
-  let rec split s vs ok bad =
-    match vs with
-    | [] -> (List.rev ok, List.rev bad)
-    | v :: rest ->
-      if v then split (s + 1) rest (s :: ok) bad
-      else split (s + 1) rest ok (s :: bad)
-  in
-  split 0 verdicts [] []
+  List.partition run (List.init seeds Fun.id)

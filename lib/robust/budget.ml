@@ -207,107 +207,6 @@ let remaining (m : meter) : t =
         m.limits.wall_ms;
   }
 
-(* ---------- shared (cross-domain) metering ---------- *)
-
-module Shared = struct
-  (* Same charge semantics as the sequential meter, with every counter
-     lifted to an [Atomic.t] so concurrent workers draw from one global
-     pool.  A successful charge is a [fetch_and_add] observing a
-     positive remainder, so a budget of [n] admits exactly [n]
-     successful charges process-wide regardless of how the domains
-     interleave — that is what keeps [states:]-capped explorations
-     deterministic at every domain count. *)
-  type meter = {
-    limits : t;
-    steps_left : int Atomic.t;
-    states_left : int Atomic.t;
-    cells_left : int Atomic.t;
-    deadline_ns : int64;
-    wall_tick : int Atomic.t;
-    steps_charged : int Atomic.t;
-    exhausted_ : int Atomic.t;  (** 0 = live; otherwise {!code} of the tripper *)
-  }
-
-  let code = function Steps -> 1 | States -> 2 | Wall_ms -> 3 | Heap_cells -> 4
-  let of_code = function 1 -> Steps | 2 -> States | 3 -> Wall_ms | _ -> Heap_cells
-
-  let create (b : t) : meter =
-    let lim = function Some n -> max n 0 | None -> max_int in
-    {
-      limits = b;
-      steps_left = Atomic.make (lim b.steps);
-      states_left = Atomic.make (lim b.states);
-      cells_left = Atomic.make (lim b.heap_cells);
-      deadline_ns =
-        (match b.wall_ms with
-        | None -> Int64.max_int
-        | Some ms ->
-          Int64.add (now_ns ()) (Int64.mul (Int64.of_int ms) 1_000_000L));
-      wall_tick = Atomic.make wall_check_period;
-      steps_charged = Atomic.make 0;
-      exhausted_ = Atomic.make 0;
-    }
-
-  (* First tripper wins; losers of the CAS raced an already-tripped
-     meter and must not double-count the exhaustion metric. *)
-  let trip m r =
-    if Atomic.compare_and_set m.exhausted_ 0 (code r) then
-      if Metrics.on () then Metrics.incr (exhausted_counter r);
-    false
-
-  let step (m : meter) =
-    if Atomic.get m.exhausted_ <> 0 then false
-    else if Atomic.fetch_and_add m.steps_left (-1) <= 0 then trip m Steps
-    else begin
-      Atomic.incr m.steps_charged;
-      if m.deadline_ns = Int64.max_int then true
-      else if Atomic.fetch_and_add m.wall_tick (-1) > 1 then true
-      else begin
-        Atomic.set m.wall_tick wall_check_period;
-        if Int64.compare (now_ns ()) m.deadline_ns > 0 then trip m Wall_ms
-        else true
-      end
-    end
-
-  let state (m : meter) =
-    if Atomic.get m.exhausted_ <> 0 then false
-    else if Atomic.fetch_and_add m.states_left (-1) <= 0 then trip m States
-    else true
-
-  let cells (m : meter) n =
-    if Atomic.get m.exhausted_ <> 0 then false
-    else if Atomic.fetch_and_add m.cells_left (-n) < n then trip m Heap_cells
-    else true
-
-  let exhausted m =
-    match Atomic.get m.exhausted_ with 0 -> None | c -> Some (of_code c)
-
-  let tripped m =
-    match Atomic.get m.exhausted_ with 0 -> Steps | c -> of_code c
-
-  let steps_used m = Atomic.get m.steps_charged
-  let limits m = m.limits
-
-  let remaining_frac (m : meter) : float option =
-    let frac limit left =
-      match limit with
-      | Some n when n > 0 ->
-        Some (float_of_int (max 0 (Atomic.get left)) /. float_of_int n)
-      | Some _ -> Some 0.
-      | None -> None
-    in
-    match
-      List.filter_map Fun.id
-        [
-          frac m.limits.steps m.steps_left;
-          frac m.limits.states m.states_left;
-          frac m.limits.heap_cells m.cells_left;
-        ]
-    with
-    | [] -> None
-    | fracs -> Some (List.fold_left Float.min 1. fracs)
-end
-
 let limits m = m.limits
 
 (* Only the deterministic counters contribute: consulting the wall

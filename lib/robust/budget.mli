@@ -110,29 +110,3 @@ val remaining_frac : meter -> float option
     deterministic resource is bounded.  The wall-clock bound is
     deliberately excluded: reading the clock here would make heartbeat
     sequences nondeterministic under the pinned test clock. *)
-
-(** {1 Shared metering}
-
-    The cross-domain counterpart of {!meter}: every counter is an
-    [Atomic.t], so workers on several OCaml domains draw steps, states,
-    cells and the wall deadline from {e one} global pool and the whole
-    fleet exhausts together, with the tripping resource still named.  A
-    budget of [n] admits exactly [n] successful charges process-wide —
-    [fetch_and_add] observing a positive remainder — which keeps
-    [states:]-capped parallel explorations deterministic at every
-    domain count.  Charge semantics otherwise match {!step}, {!state}
-    and {!cells}; the wall clock is consulted once per
-    {!wall_check_period} step charges fleet-wide. *)
-module Shared : sig
-  type meter
-
-  val create : t -> meter
-  val step : meter -> bool
-  val state : meter -> bool
-  val cells : meter -> int -> bool
-  val exhausted : meter -> resource option
-  val tripped : meter -> resource
-  val steps_used : meter -> int
-  val limits : meter -> t
-  val remaining_frac : meter -> float option
-end

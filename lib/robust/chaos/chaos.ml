@@ -57,20 +57,21 @@ type plan = {
   alloc_fault_period : int option;
   failing_sink : bool;
   clock_skew : bool;
-  steal_starve : bool;
   cache_corrupt : bool;
 }
 
 let plan_of_seed seed =
   let rng = lcg seed in
   (* the original record literal drew its fields right-to-left (clock,
-     sink, alloc); that order is kept explicit here and later faults
-     ([steal_starve], then [cache_corrupt]) are drawn after them, so
-     pre-existing seeds keep their exact per-seed fault mix *)
+     sink, alloc); that order is kept explicit here and later faults are
+     drawn after them, so pre-existing seeds keep their exact per-seed
+     fault mix.  The bit drawn before [cache_corrupt] belonged to a
+     retired fault; it is still drawn, so each seed keeps its cache
+     fault. *)
   let clock = rng 2 = 0 in
   let sink = rng 2 = 0 in
   let alloc = if rng 2 = 0 then Some (2 + rng 15) else None in
-  let steal = rng 2 = 0 in
+  let (_ : int) = rng 2 in
   let cache = rng 2 = 0 in
   {
     (* period ≥ 2: a period of 1 would fail the very first allocation
@@ -79,16 +80,15 @@ let plan_of_seed seed =
     alloc_fault_period = alloc;
     failing_sink = sink;
     clock_skew = clock;
-    steal_starve = steal;
     cache_corrupt = cache;
   }
 
 let pp_plan ppf p =
-  Format.fprintf ppf "{alloc=%s; sink=%b; clock=%b; steal=%b; cache=%b}"
+  Format.fprintf ppf "{alloc=%s; sink=%b; clock=%b; cache=%b}"
     (match p.alloc_fault_period with
     | Some n -> string_of_int n
     | None -> "off")
-    p.failing_sink p.clock_skew p.steal_starve p.cache_corrupt
+    p.failing_sink p.clock_skew p.cache_corrupt
 
 (* The cache-corrupting read fault: certificate bytes are deterministically
    mangled between disk and parser — truncated mid-object and bit-flipped —
@@ -117,16 +117,6 @@ let with_plan (p : plan) (f : unit -> 'a) : 'a =
     Heap.set_alloc_fault (fun _cells ->
         incr k;
         !k mod period = 0));
-  (* an unfair work-stealing world: one worker (picked by the seedless
-     deterministic mix below) never gets to steal at all, and a third
-     of the remaining raids are vetoed — the parallel explorer must
-     still converge, because owners always drain their own deque *)
-  if p.steal_starve then
-    Conc.Par_explore.set_steal_fault
-      (Some
-         (fun ~worker ~victim ->
-           worker land 3 = 1 || (worker + victim) mod 3 = 0))
-  else Conc.Par_explore.set_steal_fault None;
   Tfiris_obs.Certcache.set_read_fault
     (if p.cache_corrupt then Some mangle_cert_bytes else None);
   let prev_trace = if p.failing_sink then Some (Trace.install throwing_sink) else None in
@@ -142,7 +132,6 @@ let with_plan (p : plan) (f : unit -> 'a) : 'a =
   Fun.protect
     ~finally:(fun () ->
       Heap.clear_alloc_fault ();
-      Conc.Par_explore.set_steal_fault None;
       Tfiris_obs.Certcache.set_read_fault None;
       Trace.reset_clock ();
       match prev_trace with None -> () | Some prev -> Trace.restore prev)
@@ -267,28 +256,25 @@ let check_parser_garbage seed () =
     nasty;
   Ok ()
 
-(** The work-stealing parallel explorer under fault (including the
-    plan's starved/unfair stealing): if the exhaustive sweep of the
-    CAS-locked counter completes, it must find exactly the quiet-world
-    answer — final value 2 on every interleaving, no stuck thread.
-    Running out of budget under fault pressure is Degraded-class
-    behaviour (fine); a wrong final set or a stuck thread is unsound. *)
-let check_conc_explore_par domains () =
+(** The explorer under the plan's faults (failing allocations above
+    all): if the exhaustive sweep of the CAS-locked counter completes,
+    it must find exactly the quiet-world answer — final value 2 on every
+    interleaving, no stuck thread.  Running out of budget under fault
+    pressure is Degraded-class behaviour (fine); a wrong final set or a
+    stuck thread is unsound. *)
+let check_conc_explore () =
   let r =
-    Conc.Par_explore.explore ~domains
-      ~budget:(Budget.of_steps 50_000)
-      (Conc.init Conc.locked_incr)
+    Conc.explore ~budget:(Budget.of_steps 50_000) (Conc.init Conc.locked_incr)
   in
   if r.Conc.exhausted <> None then Ok ()
   else if r.Conc.stuck <> [] then
-    Error "parallel explorer: locked counter has a stuck thread"
+    Error "explorer: locked counter has a stuck thread"
   else
     match r.Conc.final_values with
     | [ (Ast.Int 2, _) ] -> Ok ()
     | fs ->
       Error
-        (Printf.sprintf
-           "parallel explorer: locked counter reached %d distinct finals"
+        (Printf.sprintf "explorer: locked counter reached %d distinct finals"
            (List.length fs))
 
 (** The certificate cache under the corrupting read fault: a stored
@@ -348,7 +334,7 @@ let check_cert_cache seed ~corrupt () =
               (Printf.sprintf "cache hit changed the verdict: %s (ok=%b)"
                  c.Certcache.verdict c.Certcache.ok))
 
-let battery seed ~domains ~plan =
+let battery seed ~plan =
   [
     ("existential_fin", check_existential_fin);
     ("existential_trans", check_existential_trans);
@@ -358,7 +344,7 @@ let battery seed ~domains ~plan =
     ("conc_locked_adversarial", check_conc_locked adversarial seed);
     ("conc_locked_starving", check_conc_locked starving seed);
     ("parser_garbage", check_parser_garbage seed);
-    ("conc_explore_parallel", check_conc_explore_par domains);
+    ("conc_explore", check_conc_explore);
     ("cert_cache", check_cert_cache seed ~corrupt:plan.cache_corrupt);
   ]
 
@@ -380,14 +366,7 @@ let classify = function
   | Error f when Failure.is_internal f -> Crashed f
   | Error f -> Degraded f
 
-(* The parallel-explorer check needs >= 2 workers to mean anything, so
-   the default rounds [TFIRIS_DOMAINS] (or 1) up to 2. *)
-let default_domains () = max 2 (Conc.default_domains ())
-
-let run_seed ?domains seed : seed_report =
-  let domains =
-    match domains with Some d -> max 2 d | None -> default_domains ()
-  in
+let run_seed seed : seed_report =
   let plan = plan_of_seed seed in
   let results =
     with_plan plan (fun () ->
@@ -398,7 +377,7 @@ let run_seed ?domains seed : seed_report =
             if (not (outcome_ok outcome)) && Metrics.on () then
               Metrics.incr c_failures;
             { check = name; outcome })
-          (battery seed ~domains ~plan))
+          (battery seed ~plan))
   in
   if Metrics.on () then Metrics.incr c_seeds;
   { seed; plan; results }
@@ -410,12 +389,12 @@ type report = {
   sink_errors : int;
 }
 
-let run ?(seeds = 50) ?domains () : report =
+let run ?(seeds = 50) () : report =
   let sink_errors0 = Trace.sink_errors () in
   let failures = ref [] in
   let checks = ref 0 in
   for seed = 0 to seeds - 1 do
-    let r = run_seed ?domains seed in
+    let r = run_seed seed in
     checks := !checks + List.length r.results;
     List.iter
       (fun cr ->

@@ -43,10 +43,6 @@ type plan = {
       (** every [n]-th allocation raises {!Heap.Alloc_failure} *)
   failing_sink : bool;  (** tracing on, into a sink that throws *)
   clock_skew : bool;  (** trace clock jumps backwards and forwards *)
-  steal_starve : bool;
-      (** unfair work stealing: one worker never steals, a third of the
-          remaining raids are vetoed ({!Conc.Par_explore.set_steal_fault}) —
-          the parallel explorer must stay sound regardless *)
   cache_corrupt : bool;
       (** certificate-cache reads return truncated, bit-flipped bytes
           ({!Tfiris_obs.Certcache.set_read_fault}) — a corrupt entry
@@ -86,10 +82,7 @@ type seed_report = {
   results : check_result list;
 }
 
-val run_seed : ?domains:int -> int -> seed_report
-(** [?domains] sizes the parallel-explorer check's worker fleet
-    (default: [TFIRIS_DOMAINS] rounded up to 2 — the check needs real
-    concurrency to exercise the stealing fault). *)
+val run_seed : int -> seed_report
 
 type report = {
   seeds : int;
@@ -99,9 +92,8 @@ type report = {
       (** trace-sink throws swallowed and counted across the run *)
 }
 
-val run : ?seeds:int -> ?domains:int -> unit -> report
-(** Replay the battery under [seeds] (default 50) fault plans;
-    [?domains] as in {!run_seed}. *)
+val run : ?seeds:int -> unit -> report
+(** Replay the battery under [seeds] (default 50) fault plans. *)
 
 val passed : report -> bool
 val report_to_json : report -> Tfiris_obs.Json.t

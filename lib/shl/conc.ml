@@ -23,7 +23,6 @@
 open Ast
 module Budget = Tfiris_robust.Budget
 module Progress = Tfiris_obs.Progress
-module Telemetry = Tfiris_obs.Telemetry
 
 type cfg = {
   threads : Machine.t list;  (** thread 0 is the main thread *)
@@ -49,8 +48,14 @@ type thread_step =
   | T_value  (** the thread is already a value (no step taken) *)
   | T_stuck of expr
 
+(* The pool with thread [i] replaced by [th]: it copies the threads
+   before [i] and shares the rest. *)
 let set_thread (c : cfg) (i : int) (th : Machine.t) : Machine.t list =
-  List.mapi (fun j t -> if j = i then th else t) c.threads
+  let rec go j = function
+    | [] -> []
+    | t :: rest -> if j = i then th :: rest else t :: go (j + 1) rest
+  in
+  go 0 c.threads
 
 (** Step thread [i] once.  Each thread carries its own frame stack, so
     a scheduling step costs one head step plus O(1) refocusing — the
@@ -144,25 +149,11 @@ let run ?budget ~sched c = fst (run_stats ?budget ~sched c)
    terminal outcomes; [exhausted] reports which budget resource (if
    any) ran out before the frontier emptied. *)
 
-(** Per-worker accounting from a parallel exploration: how the states
-    were split across domains, what stealing did, and each domain's own
-    GC telemetry (sampled on the worker's domain, so the allocation
-    split is per-worker, not just a process total). *)
-type worker_stat = {
-  w_domain : int;
-  w_dequeued : int;  (** configurations this worker expanded *)
-  w_stolen : int;  (** successful steal raids on other deques *)
-  w_wall_ms : float;  (** wall time inside the worker loop *)
-  w_mem : Telemetry.mem;  (** this domain's own GC delta *)
-}
-
 type exploration = {
   final_values : (value * Heap.t) list;  (** deduplicated *)
   stuck : (int * expr) list;
   exhausted : Budget.resource option;
   states : int;  (** distinct configurations visited *)
-  workers : worker_stat list;
-      (** per-domain split; [[]] for the sequential engine *)
 }
 
 (* Visited-set keys.  A configuration is keyed by its interned thread
@@ -222,44 +213,17 @@ module Itbl = Hashtbl.Make (struct
   let hash ((h, _) : t) = h
 end)
 
-(* Both tables are split into 64 mutex-guarded shards, so domains
-   rarely wait on each other.  A shard is picked from the hash's high
-   bits: [Hashtbl] picks a bucket from the low bits of the same hash,
-   and with the shard taken from those too every key of a shard would
-   land in the 1/64 of its buckets that share the shard's low 6 bits. *)
-let nshards = 64
-
-let shard_index h = (h lsr 16) land (nshards - 1)
-
-type ishard = { imu : Mutex.t; itbl : int Itbl.t }
-
-(** The intern table of one exploration: it maps plugged thread programs
-    to ids, equal exactly when the programs are structurally equal, and
-    is safe to use from every worker domain. *)
-type interner = { ishards : ishard array; next_id : int Atomic.t }
-
-let interner ~shards =
-  {
-    ishards =
-      Array.init shards (fun _ ->
-          { imu = Mutex.create (); itbl = Itbl.create 64 });
-    next_id = Atomic.make 0;
-  }
-
-let intern (t : interner) (e : expr) : int =
-  let ((h, _) as k) = (deep_hash e, e) in
-  let s = t.ishards.(shard_index h mod Array.length t.ishards) in
-  Mutex.lock s.imu;
-  let id =
-    match Itbl.find_opt s.itbl k with
-    | Some id -> id
-    | None ->
-      let id = Atomic.fetch_and_add t.next_id 1 in
-      Itbl.add s.itbl k id;
-      id
-  in
-  Mutex.unlock s.imu;
-  id
+(* The intern table of one exploration: it maps plugged thread programs
+   to ids, equal exactly when the programs are structurally equal.  Ids
+   are handed out in order, so the next one is the table's size. *)
+let intern (it : int Itbl.t) (e : expr) : int =
+  let k = (deep_hash e, e) in
+  match Itbl.find_opt it k with
+  | Some id -> id
+  | None ->
+    let id = Itbl.length it in
+    Itbl.add it k id;
+    id
 
 (** A frontier entry: the configuration and its visited-set key. *)
 type node = { cfg : cfg; key : key }
@@ -319,8 +283,8 @@ let pure_step heap (th : Machine.t) : Machine.t option =
    repeating a state, or one whose loop the cycle check misses (frame
    stacks that swing more than 32 frames within one loop turn), then
    neither hangs the explorer nor hides the other threads.  A constant
-   that reads only the state, so reduced counts stay the same at every
-   domain count. *)
+   that reads only the state, so the reduced graph does not depend on
+   the order states are expanded in. *)
 let chain_limit = 1_000
 
 (* What {!pure_chain} asks of [expand]. *)
@@ -338,7 +302,8 @@ type chain =
    loop that would never end.  Repeats are found as in
    {!Machine.prerun}: Brent's cycle detection over the configurations
    about to take a β-step.  The proviso reads only the state, never the
-   visited set, so the reduced graph is the same at every domain count.
+   visited set, so the reduced graph does not depend on the order states
+   are expanded in.
    Each chained step charges [charge] (the run's step meter).  Chain
    states are never interned or stored; a cut state is keyed but not
    visited. *)
@@ -370,7 +335,7 @@ let pure_chain ~charge (c : cfg) : chain =
   in
   first 0 c.threads
 
-(* One expansion, shared by both engines: a finished configuration
+(* One expansion, shared by both graphs: a finished configuration
    reports the main thread's value.  With [~reduce:(Some charge)] a
    pure chain's end is the state's only successor; otherwise, and at a
    cut chain's last state, each runnable thread either yields a
@@ -403,14 +368,14 @@ let expand it ~reduce ~final ~stuck ~visit (n : node) =
       expand_full n' (runnable n'.cfg)
     | Full -> expand_full n rs)
 
-let explore_seq ~reduce ?max_states ?budget ?on_state (c : cfg) : exploration =
+let engine ~reduce ?max_states ?budget ?on_state (c : cfg) : exploration =
   let b =
     match budget with
     | Some b -> b
     | None -> Budget.of_states (Option.value max_states ~default:200_000)
   in
   let m = Budget.meter b in
-  let it = interner ~shards:1 in
+  let it : int Itbl.t = Itbl.create 64 in
   let visited : unit Ktbl.t = Ktbl.create 1024 in
   let finals = ref [] in
   let stucks = ref [] in
@@ -466,292 +431,15 @@ let explore_seq ~reduce ?max_states ?budget ?on_state (c : cfg) : exploration =
          Some (match Budget.exhausted m with Some r -> r | None -> Budget.States)
        else None);
     states = Ktbl.length visited;
-    workers = [];
   }
 
-(** Work-stealing parallel BFS over [Domain.t] workers.  The visited
-    set and the intern table are sharded by high hash bits (one small
-    mutex per shard, so membership is owner-independent: whichever
-    worker reaches a state first claims it for the whole fleet); each
-    worker owns a deque of frontier nodes and raids a random victim
-    when its own drains; the budget meter is the shared atomic one, so
-    steps/states/ms/cells exhaust globally with the verdict still
-    resource-named.  The sequential engine above stays the reference —
-    the differential QCheck property in the test suite holds the two
-    to identical reachable sets at 1/2/4 domains. *)
-module Par_explore = struct
-  (* Chaos hook: when set, [f ~worker ~victim] vetoes that steal
-     attempt — an unfair/starving scheduler.  Soundness must not
-     depend on stealing (every enqueued state lives in some worker's
-     own deque, and owners always drain their deque), so the battery
-     check asserts vetoed runs still converge to the same verdicts. *)
-  let steal_fault : (worker:int -> victim:int -> bool) option Atomic.t =
-    Atomic.make None
+(* [?domains] is accepted and ignored: the time-to-verdict harness
+   still passes it, and it goes when the harness stops (ROADMAP item 1). *)
+let explore ?max_states ?budget ?domains:_ (c : cfg) : exploration =
+  engine ~reduce:true ?max_states ?budget c
 
-  let set_steal_fault f = Atomic.set steal_fault f
-
-  type deque = { mu : Mutex.t; q : node Queue.t }
-
-  type shard = { smu : Mutex.t; tbl : unit Ktbl.t }
-
-  (* The exploration, plus the visited and intern shards' bucket
-     statistics. *)
-  let run ~reduce ?max_states ?budget ?on_state ~domains (c0 : cfg) =
-    let n = max 1 domains in
-    let b =
-      match budget with
-      | Some b -> b
-      | None -> Budget.of_states (Option.value max_states ~default:200_000)
-    in
-    let m = Budget.Shared.create b in
-    let reduce =
-      if reduce then Some (fun () -> Budget.Shared.step m) else None
-    in
-    let it = interner ~shards:nshards in
-    let shards =
-      Array.init nshards (fun _ ->
-          { smu = Mutex.create (); tbl = Ktbl.create 64 })
-    in
-    let visited_count = Atomic.make 0 in
-    (* enqueued-but-not-fully-expanded configurations: when this hits 0
-       no further work can ever appear, which is the termination signal
-       idle workers poll *)
-    let pending = Atomic.make 0 in
-    let abort = Atomic.make false in
-    let out_of_states = Atomic.make false in
-    let exn_slot = Atomic.make None in
-    let deques =
-      Array.init n (fun _ -> { mu = Mutex.create (); q = Queue.create () })
-    in
-    let finals = Array.make n [] in
-    let stucks = Array.make n [] in
-    let stats = Array.make n None in
-    (* One tracker, ticked by every worker under a mutex: units count
-       fleet-wide expanded states, gauges read the shared atomics. *)
-    let heartbeat = Progress.tracker ~component:"conc.explore" () in
-    let hb_mu = Mutex.create () in
-    let heartbeat_info () =
-      {
-        Progress.states = Some (Atomic.get visited_count);
-        Progress.frontier = Some (Atomic.get pending);
-        Progress.budget_left = Budget.Shared.remaining_frac m;
-      }
-    in
-    (* The initial configuration mirrors the sequential engine: marked
-       unconditionally, charged once with the result ignored. *)
-    let n0 = root_node it c0 in
-    Ktbl.replace shards.(shard_index n0.key.hash).tbl n0.key ();
-    Atomic.incr visited_count;
-    let (_ : bool) = Budget.Shared.state m in
-    Atomic.incr pending;
-    Queue.add n0 deques.(0).q;
-    let push wid c =
-      Atomic.incr pending;
-      let d = deques.(wid) in
-      Mutex.lock d.mu;
-      Queue.add c d.q;
-      Mutex.unlock d.mu
-    in
-    let pop_own wid =
-      let d = deques.(wid) in
-      Mutex.lock d.mu;
-      let r = if Queue.is_empty d.q then None else Some (Queue.pop d.q) in
-      Mutex.unlock d.mu;
-      r
-    in
-    (* Raid [vid]: move about half its frontier (their [pending] charges
-       move with them) onto our own deque in one lock acquisition. *)
-    let steal_from wid vid =
-      let v = deques.(vid) in
-      Mutex.lock v.mu;
-      let k = min ((Queue.length v.q + 1) / 2) 64 in
-      let got = ref [] in
-      for _ = 1 to k do
-        got := Queue.pop v.q :: !got
-      done;
-      Mutex.unlock v.mu;
-      match !got with
-      | [] -> 0
-      | items ->
-        let d = deques.(wid) in
-        Mutex.lock d.mu;
-        List.iter (fun c -> Queue.add c d.q) items;
-        Mutex.unlock d.mu;
-        List.length items
-    in
-    (* membership + state charge + insert under the shard lock: a
-       successful charge corresponds to exactly one distinct inserted
-       state, so [states:]-capped counts stay deterministic at every
-       domain count *)
-    let visit wid (nd : node) =
-      let s = shards.(shard_index nd.key.hash) in
-      Mutex.lock s.smu;
-      if Ktbl.mem s.tbl nd.key then Mutex.unlock s.smu
-      else if Budget.Shared.state m then begin
-        Ktbl.replace s.tbl nd.key ();
-        Mutex.unlock s.smu;
-        Atomic.incr visited_count;
-        push wid nd
-      end
-      else begin
-        Mutex.unlock s.smu;
-        Atomic.set out_of_states true
-      end
-    in
-    (* a worker's callbacks are built once, not once per state *)
-    let process wid =
-      let final f = finals.(wid) <- add_final finals.(wid) f in
-      let stuck s = stucks.(wid) <- add_stuck stucks.(wid) s in
-      let visit = visit wid in
-      fun nd ->
-        (match heartbeat with
-        | Some hb ->
-          Mutex.lock hb_mu;
-          Progress.tick hb heartbeat_info;
-          Mutex.unlock hb_mu
-        | None -> ());
-        (if
-           (not (Budget.Shared.step m))
-           && Budget.Shared.exhausted m <> Some Budget.States
-         then Atomic.set abort true
-         else begin
-           (match on_state with Some f -> f nd.cfg | None -> ());
-           expand it ~reduce ~final ~stuck ~visit nd
-         end);
-        Atomic.decr pending
-    in
-    let worker wid () =
-      let t0 = Unix.gettimeofday () in
-      let g0 = Telemetry.sample () in
-      let dequeued = ref 0 in
-      let stolen = ref 0 in
-      let rng = ref ((0x9E3779 * (wid + 1)) land 0x3FFFFFFF) in
-      let next_victim () =
-        rng := ((!rng * 1103515245) + 12345) land 0x3FFFFFFF;
-        !rng lsr 16 mod n
-      in
-      let process = process wid in
-      let rec loop idle =
-        if Atomic.get abort then ()
-        else
-          match pop_own wid with
-          | Some nd ->
-            incr dequeued;
-            process nd;
-            loop 0
-          | None ->
-            if Atomic.get pending = 0 then ()
-            else begin
-              (* randomized stealing: probe the fleet from a random
-                 starting victim; chaos may veto individual attempts *)
-              let veto = Atomic.get steal_fault in
-              let got = ref 0 in
-              let v0 = next_victim () in
-              let j = ref 0 in
-              while !got = 0 && !j < n do
-                let vid = (v0 + !j) mod n in
-                let vetoed =
-                  match veto with
-                  | Some f -> f ~worker:wid ~victim:vid
-                  | None -> false
-                in
-                if (not vetoed) && vid <> wid then got := steal_from wid vid;
-                incr j
-              done;
-              if !got > 0 then begin
-                incr stolen;
-                loop 0
-              end
-              else begin
-                (* back off: spin briefly, then yield the core — idle
-                   workers must sleep on oversubscribed or single-core
-                   hosts or they starve whoever holds the work *)
-                if idle < 32 then Domain.cpu_relax ()
-                else Unix.sleepf 0.0002;
-                loop (min (idle + 1) 1000)
-              end
-            end
-      in
-      (try loop 0
-       with e ->
-         let bt = Printexc.get_raw_backtrace () in
-         Atomic.set abort true;
-         ignore (Atomic.compare_and_set exn_slot None (Some (e, bt))));
-      let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-      stats.(wid) <-
-        Some
-          {
-            w_domain = wid;
-            w_dequeued = !dequeued;
-            w_stolen = !stolen;
-            w_wall_ms = wall_ms;
-            w_mem = Telemetry.measure ~before:g0 ~after:(Telemetry.sample ());
-          }
-    in
-    let handles = Array.init (n - 1) (fun i -> Domain.spawn (worker (i + 1))) in
-    worker 0 ();
-    Array.iter Domain.join handles;
-    (match Atomic.get exn_slot with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    let merge add = Array.fold_left (List.fold_left add) [] in
-    ( {
-        final_values = merge add_final finals;
-        stuck = merge add_stuck stucks;
-        exhausted =
-          (if Atomic.get abort || Atomic.get out_of_states then
-             Some
-               (match Budget.Shared.exhausted m with
-               | Some r -> r
-               | None -> Budget.States)
-           else None);
-        states = Atomic.get visited_count;
-        workers = Array.to_list stats |> List.filter_map Fun.id;
-      },
-      Array.to_list (Array.map (fun s -> Ktbl.stats s.tbl) shards),
-      Array.to_list (Array.map (fun s -> Itbl.stats s.itbl) it.ishards) )
-
-  let explore ?max_states ?budget ~domains c =
-    let r, _, _ = run ~reduce:true ?max_states ?budget ~domains c in
-    r
-
-  let explore_all ?max_states ?budget ?on_state ~domains c =
-    let r, _, _ = run ~reduce:false ?max_states ?budget ?on_state ~domains c in
-    r
-
-  let shard_stats ~domains c =
-    let _, visited, interned = run ~reduce:false ~domains c in
-    (visited, interned)
-end
-
-(** [TFIRIS_DOMAINS] sets the default worker count for every [explore]
-    call that does not pass [~domains] — how CI runs the whole test
-    suite once over the parallel engine. *)
-let default_domains () =
-  match Sys.getenv_opt "TFIRIS_DOMAINS" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | _ -> 1)
-  | None -> 1
-
-let engine ~reduce ?max_states ?budget ?domains ?on_state (c : cfg) =
-  let n =
-    match domains with Some d -> max 1 d | None -> default_domains ()
-  in
-  if n <= 1 then explore_seq ~reduce ?max_states ?budget ?on_state c
-  else
-    let r, _, _ =
-      Par_explore.run ~reduce ?max_states ?budget ?on_state ~domains:n c
-    in
-    r
-
-let explore ?max_states ?budget ?domains (c : cfg) : exploration =
-  engine ~reduce:true ?max_states ?budget ?domains c
-
-let explore_all ?max_states ?budget ?domains ?on_state (c : cfg) :
-    exploration =
-  engine ~reduce:false ?max_states ?budget ?domains ?on_state c
+let explore_all ?max_states ?budget ?on_state (c : cfg) : exploration =
+  engine ~reduce:false ?max_states ?budget ?on_state c
 
 (** {1 Classic concurrent programs} *)
 

@@ -58,15 +58,6 @@ val run_stats :
     decisions; heap-cell charges use the O(1)
     allocation counter, so they are deterministic too. *)
 
-(** Per-worker accounting from a parallel exploration. *)
-type worker_stat = {
-  w_domain : int;
-  w_dequeued : int;  (** configurations this worker expanded *)
-  w_stolen : int;  (** successful steal raids on other deques *)
-  w_wall_ms : float;  (** wall time inside the worker loop *)
-  w_mem : Tfiris_obs.Telemetry.mem;  (** this domain's own GC delta *)
-}
-
 type exploration = {
   final_values : (value * Heap.t) list;  (** deduplicated terminals *)
   stuck : (int * expr) list;
@@ -74,15 +65,7 @@ type exploration = {
       (** the budget resource that ran out before the frontier emptied,
           if any ([States] for the classic [max_states] cap) *)
   states : int;  (** distinct configurations visited *)
-  workers : worker_stat list;
-      (** per-domain split; [[]] for the sequential engine *)
 }
-
-val default_domains : unit -> int
-(** The worker count the [TFIRIS_DOMAINS] environment variable asks
-    for (>= 1; 1 when unset or unparsable) — the default every
-    [?domains] consumer falls back to, so CI can run the whole suite
-    once over the parallel engines. *)
 
 val explore :
   ?max_states:int ->
@@ -104,8 +87,8 @@ val explore :
     step, every thread is expanded as in {!explore_all}.  A chain that
     reaches 1000 steps without ending is cut there, and the state it
     reached is expanded in full.  The proviso and the cut read only the
-    state, so the reduced graph and its [states] count are the same at
-    every domain count.
+    state, never the visited set, so the reduced graph and its [states]
+    count do not depend on the order states are expanded in.
 
     A visited state is keyed by its interned thread ids plus its sorted
     heap bindings: each distinct plugged thread program gets a small int
@@ -117,15 +100,13 @@ val explore :
     that stepped (and a forked one), and reuses its parent's bindings
     when the heap is physically unchanged.
 
-    [~domains:n] with [n >= 2] switches to the work-stealing parallel
-    engine ({!Par_explore}); omitted, the [TFIRIS_DOMAINS] environment
-    variable supplies the default (else 1, the sequential reference
-    engine).
+    The sweep is one breadth-first search on the calling domain.
+    [?domains] is accepted and ignored: the time-to-verdict harness
+    still passes it, and it goes when the harness stops.
 
-    Exhaustion semantics at any domain count: a [states:] cap stops the
-    frontier from growing but drains what was enqueued, so the visited
-    count is exactly [min (cap, |reachable|)] — deterministic even in
-    parallel; [steps:]/[ms:] exhaustion aborts the sweep.  [steps:]
+    Exhaustion: a [states:] cap stops the frontier from growing but
+    drains what was enqueued, so the visited count is exactly [min (cap,
+    |reachable|)]; [steps:]/[ms:] exhaustion aborts the sweep.  [steps:]
     counts one step per expanded state plus one per chained pure step.
     A thread that diverges on its own without repeating a state is cut
     every 1000 chained steps, and each cut adds new states, so it
@@ -134,7 +115,6 @@ val explore :
 val explore_all :
   ?max_states:int ->
   ?budget:Tfiris_robust.Budget.t ->
-  ?domains:int ->
   ?on_state:(cfg -> unit) ->
   cfg ->
   exploration
@@ -143,49 +123,8 @@ val explore_all :
     against, and the graph a client needs when it must see every pair
     of co-enabled steps.  [~on_state] is invoked once per expanded
     configuration — the frontier callback the dynamic race oracle rides
-    on; with [domains >= 2] it runs on worker domains and must be
-    thread-safe.  Keys, engines and budget semantics as for {!explore}
-    ([steps:] counts one step per expanded state). *)
-
-(** The work-stealing parallel engine itself: a visited set and an
-    intern table each split into 64 mutex-guarded shards chosen by the
-    key hash's high bits (owner-independent membership; the low bits
-    stay free for the shards' own buckets), one frontier deque per
-    domain with randomized stealing, and a shared atomic budget meter
-    so the fleet exhausts globally.  The sequential engine is the
-    reference: a QCheck differential property holds both to identical
-    reachable sets at 1/2/4 domains. *)
-module Par_explore : sig
-  val explore :
-    ?max_states:int ->
-    ?budget:Tfiris_robust.Budget.t ->
-    domains:int ->
-    cfg ->
-    exploration
-  (** {!Conc.explore}'s reduced graph on [domains] workers (the calling
-      domain plus [domains - 1] spawned ones); [domains = 1] exercises
-      the parallel machinery without spawning. *)
-
-  val explore_all :
-    ?max_states:int ->
-    ?budget:Tfiris_robust.Budget.t ->
-    ?on_state:(cfg -> unit) ->
-    domains:int ->
-    cfg ->
-    exploration
-  (** {!Conc.explore_all}'s full graph on [domains] workers. *)
-
-  val shard_stats :
-    domains:int -> cfg -> Hashtbl.statistics list * Hashtbl.statistics list
-  (** Explore the full graph under the default budget and return the bucket statistics
-      of every visited-set shard and every intern-table shard — how the
-      tests check that keys spread over a shard's buckets. *)
-
-  val set_steal_fault : (worker:int -> victim:int -> bool) option -> unit
-  (** Chaos hook: veto individual steal attempts (an unfair/starving
-      scheduler).  Soundness must not depend on stealing — owners always
-      drain their own deque — which the chaos battery asserts. *)
-end
+    on.  Keys and budget semantics as for {!explore} ([steps:] counts
+    one step per expanded state). *)
 
 (** {1 Classic concurrent programs} *)
 

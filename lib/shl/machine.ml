@@ -98,9 +98,9 @@ let inject (e : expr) : t = norm [] e
 let plug (st : t) : expr = Ctx.fill st.ctx st.focus
 
 let view (st : t) : view =
-  match st.focus with
-  | Val v when st.ctx = [] -> V_value v
-  | e -> V_redex e
+  match (st.focus, st.ctx) with
+  | Val v, [] -> V_value v
+  | e, _ -> V_redex e
 
 (** Result of attempting one genuine head step of a thread in a heap.
     Mirrors {!Step.prim_step}'s [(config * kind, error) result] shape:

@@ -714,15 +714,14 @@ let print_promise t = Promises.Syntax.to_string t
 
 (* ---------- fork-heavy concurrent SHL programs ---------- *)
 
-(* Closed programs for the parallel-explorer differential property:
-   1–2 shared cells allocated up front, 1–3 forked threads plus the
-   main thread, each a short straight line of loads / stores / cas over
+(* Closed programs for the explorer's differential properties: 1–2
+   shared cells allocated up front, 1–3 forked threads plus the main
+   thread, each a short straight line of loads / stores / cas over
    those cells.  No loops and no recursion, so every interleaving
    terminates and the reachable state space is finite (typically tens
    to a few hundred configurations) — small enough to explore
-   exhaustively 500 times per test run, contended enough that the
-   work-stealing engine's sharded visited set and shared budget meter
-   are actually exercised. *)
+   exhaustively hundreds of times per test run, contended enough that
+   distinct schedules meet in shared states. *)
 let conc_expr : Shl.Ast.expr Q.t =
   let open Q in
   let open Shl.Ast in

@@ -298,13 +298,11 @@ let test_interleaving_diamond_dedup () =
   | _ -> Alcotest.fail "expected main to finish with ()");
   Alcotest.(check int) "diamond, not a schedule tree" 7 r.Conc.states
 
-(* ---------- the parallel explorer (PR 9) ---------- *)
+(* ---------- exploration results ---------- *)
 
 (* The full observable signature of an exploration, as a comparable
    value: state count, sorted final (value, heap) pairs, sorted stuck
-   redexes, and which resource (if any) ran out.  The work-stealing
-   engine must reproduce the sequential engine's signature exactly —
-   only traversal order may differ. *)
+   redexes, and which resource (if any) ran out. *)
 let signature (r : Conc.exploration) =
   ( r.Conc.states,
     List.sort compare
@@ -318,99 +316,49 @@ let signature (r : Conc.exploration) =
          r.Conc.stuck),
     r.Conc.exhausted )
 
-let par_differential_prop =
-  QCheck_alcotest.to_alcotest
-    (Q.Test.make ~count:500
-       ~name:"parallel explore ≡ sequential at 1/2/4 domains"
-       ~print:Gen.print_shl Gen.conc_expr
-       (fun e ->
-         let budget = Budget.of_states 4_000 in
-         let seq_r = Conc.explore ~budget ~domains:1 (Conc.init e) in
-         let seq = signature seq_r in
-         List.for_all
-           (fun d ->
-             let par_r =
-               Conc.Par_explore.explore ~budget ~domains:d (Conc.init e)
-             in
-             match seq_r.Conc.exhausted with
-             | None -> signature par_r = seq
-             | Some res ->
-               (* a tripped states cap still admits exactly min(cap,
-                  |reachable|) states at every domain count, but *which*
-                  finals were collected while draining depends on
-                  traversal order — only count and verdict are
-                  deterministic *)
-               par_r.Conc.states = seq_r.Conc.states
-               && par_r.Conc.exhausted = Some res)
-           [ 1; 2; 4 ]))
-
-let test_par_budget_steps_exhaustion () =
-  (* a steps budget must exhaust globally and name the right resource
-     at every domain count *)
-  List.iter
-    (fun d ->
-      let r =
-        Conc.explore ~budget:(Budget.of_steps 40) ~domains:d
-          (Conc.init Conc.locked_incr)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "steps named at %d domains" d)
-        true
-        (r.Conc.exhausted = Some Budget.Steps))
-    [ 1; 2; 4 ]
-
-let test_par_budget_states_prefix () =
-  (* a states cap admits exactly min(cap, |reachable|) visited states —
-     deterministic at every domain count, because membership + charge +
-     insert happen under one shard lock *)
-  let full =
-    (Conc.explore ~domains:1 (Conc.init Conc.locked_incr)).Conc.states
+let test_budget_steps_exhaustion () =
+  (* a steps budget stops the sweep and names its resource *)
+  let r =
+    Conc.explore ~budget:(Budget.of_steps 40) (Conc.init Conc.locked_incr)
   in
+  Alcotest.(check bool) "steps named" true (r.Conc.exhausted = Some Budget.Steps)
+
+let test_budget_states_prefix () =
+  (* a states cap admits exactly min(cap, |reachable|) visited states *)
+  let full = (Conc.explore (Conc.init Conc.locked_incr)).Conc.states in
   List.iter
     (fun cap ->
-      List.iter
-        (fun d ->
-          let r =
-            Conc.explore ~budget:(Budget.of_states cap) ~domains:d
-              (Conc.init Conc.locked_incr)
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "states at cap %d, %d domains" cap d)
-            (Stdlib.min cap full) r.Conc.states;
-          Alcotest.(check bool)
-            (Printf.sprintf "verdict at cap %d, %d domains" cap d)
-            (cap < full)
-            (r.Conc.exhausted = Some Budget.States))
-        [ 1; 2; 4 ])
+      let r =
+        Conc.explore ~budget:(Budget.of_states cap) (Conc.init Conc.locked_incr)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "states at cap %d" cap)
+        (Stdlib.min cap full) r.Conc.states;
+      Alcotest.(check bool)
+        (Printf.sprintf "verdict at cap %d" cap)
+        (cap < full)
+        (r.Conc.exhausted = Some Budget.States))
     [ 1; 10; full - 1; full; full + 50 ]
 
-let test_par_worker_stats () =
-  (* the parallel engine reports one stat per domain and the dequeue
-     total covers the whole visited set; the sequential engine reports
-     none *)
-  let seq = Conc.explore ~domains:1 (Conc.init Conc.spinlock_pair) in
-  Alcotest.(check int) "sequential: no worker stats" 0
-    (List.length seq.Conc.workers);
-  let par = Conc.Par_explore.explore ~domains:3 (Conc.init Conc.spinlock_pair) in
-  Alcotest.(check int) "one stat per domain" 3 (List.length par.Conc.workers);
-  Alcotest.(check int) "dequeues cover the state space" par.Conc.states
-    (List.fold_left
-       (fun acc w -> acc + w.Conc.w_dequeued)
-       0 par.Conc.workers)
-
-let test_par_races_oracle_agrees () =
-  (* the dynamic race oracle rides the shared explorer's frontier
-     callback: its findings must not depend on the domain count *)
-  let module Races = Tfiris.Analysis.Races in
-  let seq = Races.dynamic_races ~domains:1 Conc.spinlock_pair_racy_read in
-  Alcotest.(check bool) "oracle finds races sequentially" true (seq <> []);
+(* The classic programs' state counts: the reduced graph's as the
+   experiment table E14 prints them, and the full graph's of the two
+   correct ones. *)
+let test_classic_counts_pinned () =
   List.iter
-    (fun d ->
-      let par = Races.dynamic_races ~domains:d Conc.spinlock_pair_racy_read in
-      Alcotest.(check bool)
-        (Printf.sprintf "oracle identical at %d domains" d)
-        true (par = seq))
-    [ 2; 4 ]
+    (fun (name, e, reduced, full) ->
+      Alcotest.(check int) (name ^ ": reduced states") reduced
+        (Conc.explore (Conc.init e)).Conc.states;
+      Option.iter
+        (fun full ->
+          Alcotest.(check int) (name ^ ": full states") full
+            (Conc.explore_all (Conc.init e)).Conc.states)
+        full)
+    [
+      ("racy_incr", Conc.racy_incr, 51, None);
+      ("locked_incr", Conc.locked_incr, 36, Some 140);
+      ("spinlock_pair", Conc.spinlock_pair, 88, Some 310);
+      ("spinlock_pair_racy_read", Conc.spinlock_pair_racy_read, 96, None);
+    ]
 
 (* ---------- interned keys against the reference key ---------- *)
 
@@ -469,13 +417,11 @@ let reference_explore ~cap (c0 : Conc.cfg) : Conc.exploration =
     stuck = !stucks;
     exhausted = (if !capped then Some Budget.States else None);
     states = Canon.length seen;
-    workers = [];
   }
 
-(* Sequential and parallel (1/2/4 domains) interned-key exploration of
-   the full graph against the reference: the full signature when the
-   reference ran to completion, count and verdict when the cap
-   tripped. *)
+(* Interned-key exploration of the full graph against the reference:
+   the full signature when the reference ran to completion, count and
+   verdict when the cap tripped. *)
 let agrees_with_reference ~cap e =
   let reference = reference_explore ~cap (Conc.init e) in
   let budget = Budget.of_states cap in
@@ -486,16 +432,12 @@ let agrees_with_reference ~cap e =
       r.Conc.states = reference.Conc.states
       && r.Conc.exhausted = reference.Conc.exhausted
   in
-  agree (Conc.explore_all ~budget ~domains:1 (Conc.init e))
-  && List.for_all
-       (fun d ->
-         agree (Conc.Par_explore.explore_all ~budget ~domains:d (Conc.init e)))
-       [ 1; 2; 4 ]
+  agree (Conc.explore_all ~budget (Conc.init e))
 
 let interned_key_prop =
   QCheck_alcotest.to_alcotest
     (Q.Test.make ~count:200
-       ~name:"interned-key explore ≡ canonical-key BFS (seq, 1/2/4 domains)"
+       ~name:"interned-key explore ≡ canonical-key BFS"
        ~print:Gen.print_shl Gen.conc_expr
        (agrees_with_reference ~cap:4_000))
 
@@ -507,9 +449,9 @@ let test_interned_keys_fork_heavy () =
       "let r = ref 0 in fork (fork (r := !r + 1); r := !r + 2); fork (fork \
        (r := 4); r := !r + 8); !r"
   in
-  let r = Conc.explore_all ~domains:1 (Conc.init e) in
+  let r = Conc.explore_all (Conc.init e) in
   Alcotest.(check int) "states" 15_453 r.Conc.states;
-  let reduced = Conc.explore ~domains:1 (Conc.init e) in
+  let reduced = Conc.explore (Conc.init e) in
   Alcotest.(check int) "reduced states" 6015 reduced.Conc.states;
   Alcotest.(check bool) "more than one outcome" true
     (List.length (final_ints r) > 1);
@@ -536,29 +478,26 @@ let counter_program ~cas k =
        (String.concat " " (List.init k (fun _ -> "fork (" ^ bump ^ ");")))
        k)
 
-(* The full graph's count, and the reduced graph's, pinned at every
-   domain count; both graphs must reach exactly [finals]. *)
+(* The full graph's count, and the reduced graph's, pinned; both graphs
+   must reach exactly [finals]. *)
 let test_counter_pinned ~cas k ~full ~reduced ~finals () =
   let e = counter_program ~cas k in
   List.iter
-    (fun d ->
-      List.iter
-        (fun (graph, explore, states) ->
-          let r : Conc.exploration = explore ~domains:d (Conc.init e) in
-          let what =
-            Printf.sprintf "%d-thread %s, %s graph, %d domains" k
-              (if cas then "CAS" else "racy")
-              graph d
-          in
-          Alcotest.(check int) (what ^ ": states") states r.Conc.states;
-          Alcotest.(check (list int)) (what ^ ": finals") finals (final_ints r);
-          Alcotest.(check bool) (what ^ ": complete") true
-            (r.Conc.exhausted = None && r.Conc.stuck = []))
-        [
-          ("full", (fun ~domains c -> Conc.explore_all ~domains c), full);
-          ("reduced", (fun ~domains c -> Conc.explore ~domains c), reduced);
-        ])
-    [ 1; 2; 4 ]
+    (fun (graph, explore, states) ->
+      let r : Conc.exploration = explore (Conc.init e) in
+      let what =
+        Printf.sprintf "%d-thread %s, %s graph" k
+          (if cas then "CAS" else "racy")
+          graph
+      in
+      Alcotest.(check int) (what ^ ": states") states r.Conc.states;
+      Alcotest.(check (list int)) (what ^ ": finals") finals (final_ints r);
+      Alcotest.(check bool) (what ^ ": complete") true
+        (r.Conc.exhausted = None && r.Conc.stuck = []))
+    [
+      ("full", (fun c -> Conc.explore_all c), full);
+      ("reduced", (fun c -> Conc.explore c), reduced);
+    ]
 
 (* ---------- the reduced graph against the full one ---------- *)
 
@@ -569,30 +508,20 @@ let outcomes (r : Conc.exploration) =
   (finals, stuck)
 
 (* On a program the full graph explores to the end, the reduced graph
-   must end too, with the same outcomes at 1/2/4 domains and one state
-   count at all three. *)
+   must end too, with the same outcomes. *)
 let reduced_agrees_with_full ?(cap = 4_000) e =
   let budget = Budget.of_states cap in
-  let full = Conc.explore_all ~budget ~domains:1 (Conc.init e) in
-  let reduced =
-    List.map
-      (fun d -> Conc.explore ~budget ~domains:d (Conc.init e))
-      [ 1; 2; 4 ]
-  in
-  let states = (List.hd reduced).Conc.states in
-  List.for_all (fun (r : Conc.exploration) -> r.Conc.states = states) reduced
-  && (full.Conc.exhausted <> None
-     || List.for_all
-          (fun (r : Conc.exploration) ->
-            r.Conc.exhausted = None && outcomes r = outcomes full)
-          reduced)
+  let full = Conc.explore_all ~budget (Conc.init e) in
+  let reduced = Conc.explore ~budget (Conc.init e) in
+  full.Conc.exhausted <> None
+  || (reduced.Conc.exhausted = None && outcomes reduced = outcomes full)
 
 (* Straight-line programs, and programs whose threads loop, spin-wait
    and get stuck. *)
 let reduced_differential_prop =
   QCheck_alcotest.to_alcotest
     (Q.Test.make ~count:800
-       ~name:"reduced explore ≡ explore_all on finals and stuck (1/2/4 domains)"
+       ~name:"reduced explore ≡ explore_all on finals and stuck"
        ~print:Gen.print_shl
        (Q.Gen.oneof [ Gen.conc_expr; Gen.conc_loop_expr ])
        (fun e -> reduced_agrees_with_full e))
@@ -644,51 +573,34 @@ let test_reduced_divergent_chain_budget () =
      thread is still found *)
   let e = parse "fork ((rec f x. f (x + 1)) 0); 1 + true" in
   let _, stuck =
-    outcomes
-      (Conc.explore_all ~budget:(Budget.of_states 1000) ~domains:1
-         (Conc.init e))
+    outcomes (Conc.explore_all ~budget:(Budget.of_states 1000) (Conc.init e))
   in
   List.iter
-    (fun d ->
-      List.iter
-        (fun (what, budget, resource) ->
-          let r = Conc.explore ~budget ~domains:d (Conc.init e) in
-          let what = Printf.sprintf "%s at %d domains" what d in
-          Alcotest.(check bool)
-            (what ^ ": resource named")
-            true
-            (r.Conc.exhausted = Some resource);
-          if resource = Budget.States then
-            Alcotest.(check bool) (what ^ ": stuck main thread") true
-              (snd (outcomes r) = stuck))
-        [
-          ("steps:1000", Budget.of_steps 1000, Budget.Steps);
-          ("states:1000", Budget.of_states 1000, Budget.States);
-        ])
-    [ 1; 2; 4 ]
+    (fun (what, budget, resource) ->
+      let r = Conc.explore ~budget (Conc.init e) in
+      Alcotest.(check bool)
+        (what ^ ": resource named")
+        true
+        (r.Conc.exhausted = Some resource);
+      if resource = Budget.States then
+        Alcotest.(check bool) (what ^ ": stuck main thread") true
+          (snd (outcomes r) = stuck))
+    [
+      ("steps:1000", Budget.of_steps 1000, Budget.Steps);
+      ("states:1000", Budget.of_states 1000, Budget.States);
+    ]
 
-let test_shard_buckets_spread () =
-  (* The shard index and the bucket index must come from different bits
-     of the key hash.  Taken from the same low bits, every key of a shard
-     falls into one bucket of its 64 (about 29 keys per shard here);
-     spread, no chain should pass 8. *)
-  let visited, interned =
-    Conc.Par_explore.shard_stats ~domains:1
-      (Conc.init (counter_program ~cas:true 2))
-  in
-  let longest =
-    List.fold_left (fun acc s -> max acc s.Hashtbl.max_bucket_length) 0
-  in
-  Alcotest.(check int) "every visited state in some shard" 1841
-    (List.fold_left (fun acc s -> acc + s.Hashtbl.num_bindings) 0 visited);
-  Alcotest.(check bool)
-    (Printf.sprintf "visited chains short (longest %d)" (longest visited))
-    true
-    (longest visited <= 8);
-  Alcotest.(check bool)
-    (Printf.sprintf "intern chains short (longest %d)" (longest interned))
-    true
-    (longest interned <= 8)
+(* Why loads stay out of pure chains: were main's [!r0] chained, the
+   reduced graph would read [r0] only before the child's [r0 := 1]
+   lands and lose the final 1. *)
+let test_reduced_store_race () =
+  let e = parse "let r0 = ref 0 in fork (r0 := 1); r0 := 0; !r0" in
+  let full = Conc.explore_all (Conc.init e) in
+  let reduced = Conc.explore (Conc.init e) in
+  Alcotest.(check (list int)) "full graph: both finals" [ 0; 1 ]
+    (List.sort_uniq compare (final_ints full));
+  Alcotest.(check bool) "same finals and stuck threads" true
+    (outcomes reduced = outcomes full)
 
 let suite =
   [
@@ -722,15 +634,12 @@ let suite =
       test_canonical_visited_key;
     Alcotest.test_case "explore dedups commuting interleavings" `Quick
       test_interleaving_diamond_dedup;
-    par_differential_prop;
-    Alcotest.test_case "parallel explore: steps budget exhausts globally"
-      `Quick test_par_budget_steps_exhaustion;
-    Alcotest.test_case "parallel explore: states cap is a deterministic prefix"
-      `Quick test_par_budget_states_prefix;
-    Alcotest.test_case "parallel explore: per-worker accounting" `Quick
-      test_par_worker_stats;
-    Alcotest.test_case "race oracle is domain-count independent" `Quick
-      test_par_races_oracle_agrees;
+    Alcotest.test_case "explore: a steps budget names its resource" `Quick
+      test_budget_steps_exhaustion;
+    Alcotest.test_case "explore: a states cap is a deterministic prefix"
+      `Quick test_budget_states_prefix;
+    Alcotest.test_case "explore: classic programs' state counts" `Quick
+      test_classic_counts_pinned;
     interned_key_prop;
     Alcotest.test_case "interned keys: fork-heavy program" `Quick
       test_interned_keys_fork_heavy;
@@ -750,6 +659,6 @@ let suite =
       `Slow test_reduced_agrees_on_loops;
     Alcotest.test_case "reduced explore: a divergent chain exhausts steps"
       `Quick test_reduced_divergent_chain_budget;
-    Alcotest.test_case "parallel explore: shard and bucket bits differ" `Quick
-      test_shard_buckets_spread;
+    Alcotest.test_case "reduced explore: a load racing a store keeps both finals"
+      `Quick test_reduced_store_race;
   ]

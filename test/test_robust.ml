@@ -332,10 +332,7 @@ let test_chaos_deterministic () =
     (List.exists (fun p -> p.Chaos.failing_sink) plans);
   Alcotest.(check bool)
     "some skewed clocks armed" true
-    (List.exists (fun p -> p.Chaos.clock_skew) plans);
-  Alcotest.(check bool)
-    "some starved work stealing armed" true
-    (List.exists (fun p -> p.Chaos.steal_starve) plans)
+    (List.exists (fun p -> p.Chaos.clock_skew) plans)
 
 let test_chaos_restores_hooks () =
   (* after a chaos run the world is quiet again: no fault hook, no

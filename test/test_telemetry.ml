@@ -206,8 +206,7 @@ let test_bench_mem_gate () =
     Out_channel.with_open_bin path (fun oc -> output_string oc contents)
   in
   (* the constant time gate may trip too (the leak also costs wall
-     time), and other experiments may warn on stderr (E20 on a host with
-     4+ cores), so only the lines of the gate under test are compared *)
+     time), so only the lines of the gate under test are compared *)
   let stderr_lines ~prefix =
     String.split_on_char '\n' (read_file stderr_f)
     |> List.filter (String.starts_with ~prefix)

@@ -119,11 +119,16 @@ corpus: build
 # peak moves in whole 4096-word (32 KB) major-heap pools, so a change
 # that adds a pool to some workload's heaviest job shows here in about
 # 15 s, before any timed comparison.  Informational, not a gate.
-# Last, the words one credit-game verdict allocates end to end (fib 15,
-# 8878 steps, read from the runtime's exit report), which follows the
-# per-step cost of the machine and its β-rule.
+# Last, from the runtime's exit report, the words one credit-game
+# verdict allocates end to end (fib 15, 8878 steps), which follows the
+# per-step cost of the machine and its β-rule, and the words
+# `tfiris --version` allocates, which is what every process spends on
+# start-up (module initialisers and argument parsing) before its job.
 MEM_WORKLOADS = corpus-cold corpus-warm drivers ordinal
 FIB15 = (rec fib n. if n < 2 then n else fib (n - 1) + fib (n - 2)) 15
+ALLOCATED_WORDS = awk '/^allocated_words:/ { found = 1; \
+	  printf "  %-40s %12s words\n", "allocated_words", $$2 } \
+	  END { exit !found }'
 
 mem-check:
 	dune build bin/tfiris_cli.exe bench/verdicts/verdicts.exe
@@ -134,10 +139,10 @@ mem-check:
 	done
 	@echo "check-term fib 15 --credits w"
 	@OCAMLRUNPARAM=v=0x400 _build/default/bin/tfiris_cli.exe check-term \
-	  -e "$(FIB15)" --credits w 2>&1 >/dev/null \
-	  | awk '/^allocated_words:/ { found = 1; \
-	           printf "  %-40s %12s words\n", "allocated_words", $$2 } \
-	         END { exit !found }'
+	  -e "$(FIB15)" --credits w 2>&1 >/dev/null | $(ALLOCATED_WORDS)
+	@echo "tfiris --version"
+	@OCAMLRUNPARAM=v=0x400 _build/default/bin/tfiris_cli.exe --version \
+	  2>&1 >/dev/null | $(ALLOCATED_WORDS)
 
 # The bench gates work counters exactly (they are deterministic).
 # The perf and memory gates compare against a baseline usually

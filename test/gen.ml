@@ -931,11 +931,11 @@ let rec json_sized depth : Obs.Json.t Q.t =
 
 let json : Obs.Json.t Q.t = json_sized 3
 
-(* A printed document with one to three byte mutations: a byte
-   replaced, inserted or deleted, or the document cut short.  The bytes
-   put in are mostly JSON's own punctuation, escapes and digits, so the
-   mutants reach every error of the reader. *)
-let json_mutant : string Q.t =
+(* [doc] with one to three byte mutations: a byte replaced, inserted
+   or deleted, or the document cut short.  The bytes put in are mostly
+   JSON's own punctuation, escapes and digits, so the mutants of a
+   printed document reach every error of the reader. *)
+let mutant (doc : string) : string Q.t =
   let open Q in
   let byte =
     frequency
@@ -960,7 +960,9 @@ let json_mutant : string Q.t =
       | 2 when at < n -> before ^ String.sub s (at + 1) (n - at - 1)
       | _ -> before)
   in
-  let* doc = map Obs.Json.to_string json in
   let* rounds = int_range 1 3 in
   let rec go s r = if r = 0 then return s else mutate s >>= fun s -> go s (r - 1) in
   go doc rounds
+
+(* A printed JSON document, mutated. *)
+let json_mutant : string Q.t = Q.bind (Q.map Obs.Json.to_string json) mutant

@@ -205,6 +205,45 @@ let test_corrupt_entry_is_miss () =
               { sample_cert with Cc.key = String.make 32 'a' })
         ^ "\n"))
 
+(* An entry whose bytes were damaged is a hit on a certificate for its
+   key, or a miss counted as corrupt, and the lookup never raises.  The
+   certificate carries every optional field the reader parses. *)
+let test_find_mutated_prop =
+  let module Q = QCheck2 in
+  let cert =
+    {
+      sample_cert with
+      Cc.verdict = "rejected:credit_not_decreasing";
+      ok = false;
+      consumed = [ ("steps", 3); ("states", 12) ];
+      replay = Some (Json.Obj [ ("component", Json.Str "termination.wp") ]);
+    }
+  in
+  let entry = Bytes.to_string (Json.to_line (Cc.to_json cert)) in
+  QCheck_alcotest.to_alcotest
+    (Q.Test.make ~count:500 ~name:"Certcache.find total on mutated bytes"
+       ~print:(Printf.sprintf "%S") (Gen.mutant entry) (fun doc ->
+         with_cache (fun t ->
+             assert (Cc.store t cert);
+             write_file (entry_path_of t sample_key) doc;
+             Cc.reset_session ();
+             let found =
+               try Ok (Cc.find t ~key:sample_key)
+               with e -> Error (Printexc.to_string e)
+             in
+             let hits, misses, corrupt, _ = Cc.session () in
+             match found with
+             | Error e -> Q.Test.fail_reportf "Certcache.find raised %s" e
+             | Ok (Some c) when c.Cc.key = sample_key ->
+               (hits, misses, corrupt) = (1, 0, 0)
+               || Q.Test.fail_reportf "hit counted as %d/%d/%d" hits misses
+                    corrupt
+             | Ok (Some c) -> Q.Test.fail_reportf "hit on key %S" c.Cc.key
+             | Ok None ->
+               (hits, misses, corrupt) = (0, 1, 1)
+               || Q.Test.fail_reportf "miss counted as %d/%d/%d" hits misses
+                    corrupt)))
+
 (* A parseable entry the caller's validate rejects (e.g. a cmd
    mismatch) is a corrupt miss, not a hit — the session stats must not
    over-report hits for certificates the invocation cannot replay. *)
@@ -704,4 +743,5 @@ let suite =
       test_cli_explain_stores;
     Alcotest.test_case "cli: cert without its verdict line recomputes" `Quick
       test_cli_cert_without_detail_recomputes;
+    test_find_mutated_prop;
   ]

@@ -437,6 +437,51 @@ let test_load_malformed () =
            [ ":3:" ]));
   Sys.remove path
 
+(* A ledger whose bytes were damaged loads to [Ok] or a line-numbered
+   [Error], and never raises.  The three records between them carry
+   every optional block the reader parses. *)
+let test_load_mutated_prop =
+  let module Q = QCheck2 in
+  let ledger =
+    String.concat ""
+      (List.map
+         (fun r -> Bytes.to_string (Json.to_line (Ledger.to_json r)))
+         [
+           sample_record;
+           {
+             sample_record with
+             Ledger.verdict = "rejected:credit_not_decreasing";
+             ok = false;
+             mem = Some sample_mem;
+             budget = Some (Json.Obj [ ("steps", Json.Int 100) ]);
+             seed = Some 42;
+             forensics =
+               Some (Json.Obj [ ("component", Json.Str "termination.wp") ]);
+           };
+           {
+             sample_record with
+             Ledger.cached = true;
+             domains = Some (2, [ 1.5; 0.25 ]);
+             metrics = Some (Json.Obj [ ("counters", Json.Obj []) ]);
+           };
+         ])
+  in
+  QCheck_alcotest.to_alcotest
+    (Q.Test.make ~count:500 ~name:"Ledger.load total on mutated bytes"
+       ~print:(Printf.sprintf "%S") (Gen.mutant ledger) (fun doc ->
+         let path = Filename.temp_file "tfiris_ledger" ".jsonl" in
+         Fun.protect
+           ~finally:(fun () -> Sys.remove path)
+           (fun () ->
+             let oc = open_out_bin path in
+             output_string oc doc;
+             close_out oc;
+             match Ledger.load ~path with
+             | Ok _ | Error _ -> true
+             | exception e ->
+               Q.Test.fail_reportf "Ledger.load raised %s"
+                 (Printexc.to_string e))))
+
 (* ---------- corpus summaries and diffs ---------- *)
 
 let rec_of ?(cmd = "run") ?(ok = true) ?(wall = 1.0) ?steps ~key ~verdict () =
@@ -1055,4 +1100,5 @@ let suite =
       test_cli_report_diff_detects_flip;
     Alcotest.test_case "cli: --progress writes JSONL" `Quick
       test_cli_progress_jsonl;
+    test_load_mutated_prop;
   ]

@@ -494,6 +494,41 @@ let test_cli_prerun_wall_budget () =
     Alcotest.failf "refine: no wall-budget verdict in %S" out;
   if ms > 400. then Alcotest.failf "refine took %.0f ms, deadline 50 ms" ms
 
+(* ---------- how the CLI is linked ---------- *)
+
+(* On Linux the CLI is linked static and non-PIE (bin/dune): its ELF
+   type is [ET_EXEC] and it has no [PT_INTERP] program header, so no
+   dynamic loader runs before each verdict.  Skipped on other systems
+   and on a CLI that is not ELF. *)
+let test_cli_static_on_linux () =
+  let uname =
+    let ic = Unix.open_process_in "uname -s" in
+    let s = try input_line ic with End_of_file -> "" in
+    ignore (Unix.close_process_in ic);
+    s
+  in
+  let elf = read_file cli_exe in
+  if uname <> "Linux" || String.length elf < 64 || String.sub elf 0 4 <> "\x7fELF"
+  then Alcotest.skip ();
+  let is64 = elf.[4] = '\x02' and le = elf.[5] = '\x01' in
+  let u16 at = if le then String.get_uint16_le elf at else String.get_uint16_be elf at in
+  let u32 at =
+    Int32.to_int (if le then String.get_int32_le elf at else String.get_int32_be elf at)
+    land 0xffff_ffff
+  in
+  let u64 at =
+    Int64.to_int (if le then String.get_int64_le elf at else String.get_int64_be elf at)
+  in
+  Alcotest.(check int) "e_type is ET_EXEC" 2 (u16 16);
+  let phoff, phentsize, phnum =
+    if is64 then (u64 32, u16 54, u16 56) else (u32 28, u16 42, u16 44)
+  in
+  Alcotest.(check bool) "program headers present" true (phnum > 0);
+  for i = 0 to phnum - 1 do
+    if u32 (phoff + (i * phentsize)) = 3 then
+      Alcotest.failf "program header %d is PT_INTERP: the CLI is dynamically linked" i
+  done
+
 let suite =
   [
     Alcotest.test_case "budget parse" `Quick test_budget_parse;
@@ -527,4 +562,6 @@ let suite =
       test_cli_divergent_verdicts;
     Alcotest.test_case "cli --budget ms bounds pre-runs" `Quick
       test_cli_prerun_wall_budget;
+    Alcotest.test_case "cli is a static executable on Linux" `Quick
+      test_cli_static_on_linux;
   ]

@@ -147,10 +147,9 @@ mem-check:
 # The bench gates work counters exactly (they are deterministic).
 # The perf and memory gates compare against a baseline usually
 # recorded on a different machine, so both thresholds are fixed and
-# deliberately loose (4x).  `dune
-# runtest` (via `test`) includes the 4-domain metrics stress tests and
-# the concurrent-ledger-append test, so a green verify also certifies
-# the domain-safe telemetry core.
+# deliberately loose (4x).  `dune runtest` (via `test`) includes the
+# concurrent-ledger-append test, whose two writers are forked processes
+# appending to one ledger, as corpus shards do.
 # The 3-thread CAS counter of the time-to-verdict benchmark's `drivers`
 # jobs: `verify` explores it as those jobs do (`run --domains=2`) and
 # diffs the stdout (sorted finals, reduced state count) against the

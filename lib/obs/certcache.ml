@@ -273,15 +273,15 @@ let rec write_all fd bytes pos len =
 (* Staging names are [cert-<pid>-<seq>.tmp]: unique within a process by
    the sequence number, across processes by the pid.  A name left over
    by a crashed process that had this pid is skipped ([EEXIST]). *)
-let tmp_seq = Atomic.make 0
+let tmp_seq = ref 0
 
 (* Create a fresh staging file in [subdir] with [O_EXCL], creating the
    subdirectory (once) only when the open says it is missing. *)
 let rec open_tmp ?(mkdir = true) subdir =
+  let seq = !tmp_seq in
+  incr tmp_seq;
   let tmp =
-    Filename.concat subdir
-      (Printf.sprintf "cert-%d-%d.tmp" (Unix.getpid ())
-         (Atomic.fetch_and_add tmp_seq 1))
+    Filename.concat subdir (Printf.sprintf "cert-%d-%d.tmp" (Unix.getpid ()) seq)
   in
   match
     Unix.openfile tmp

@@ -25,6 +25,9 @@
 
 let schema = "tfiris-run/2"
 
+(** No values: see {!record.domains}. *)
+type retired = |
+
 type record = {
   key : string;  (** content address, see {!content_key} *)
   cmd : string;  (** CLI subcommand: run, check-term, refine, … *)
@@ -47,13 +50,13 @@ type record = {
   detail : string option;  (** free-form, e.g. the final value *)
   budget : Json.t option;  (** the budget the run was given *)
   seed : int option;
-  domains : (int * float list) option;
-      (** parallel runs: worker-domain count and the per-domain wall
-          split (ms, by worker index).  Optional and excluded from the
-          content key — parallelism affects how fast a verdict is
-          reached, never which.  No command writes it any more (the
-          explorer runs on one domain); it is still read, so older
-          ledgers load and report their domain counts *)
+  domains : retired option;
+      (** always [None].  The [domains] block it once held is neither
+          written nor read: older lines that carry one still load, since
+          {!of_json} ignores members it does not know.  The field stays
+          only because the time-to-verdict harness's record literal
+          ([bench/verdicts/layers.ml]) names it; it goes with the
+          [--domains] shims (ROADMAP item 1) *)
   metrics : Json.t option;  (** {!Metrics.to_json} snapshot if metrics on *)
   forensics : Json.t option;
       (** pointer into the forensics report on rejection *)
@@ -97,14 +100,6 @@ let to_json (r : record) : Json.t =
     @ opt "detail" (fun s -> Json.Str s) r.detail
     @ opt "budget" Fun.id r.budget
     @ opt "seed" (fun n -> Json.Int n) r.seed
-    @ opt "domains"
-        (fun (count, walls) ->
-          Json.Obj
-            [
-              ("count", Json.Int count);
-              ("wall_ms", Json.List (List.map (fun w -> Json.Float w) walls));
-            ])
-        r.domains
     @ opt "metrics" Fun.id r.metrics
     @ opt "forensics" Fun.id r.forensics)
 
@@ -152,33 +147,6 @@ let of_json (j : Json.t) : (record, string) result =
       | Some (Json.Bool b) -> Ok b
       | Some _ -> Error "ill-typed field \"cached\""
     in
-    (* a malformed [domains] block is rejected, not silently dropped —
-       a parallel run must never be compared as sequential *)
-    let* domains =
-      match Json.member "domains" j with
-      | None -> Ok None
-      | Some d -> (
-        match Option.bind (Json.member "count" d) Json.to_int with
-        | None -> Error "malformed \"domains\" block: missing or ill-typed \"count\""
-        | Some count ->
-          let* walls =
-            match Json.member "wall_ms" d with
-            | Some (Json.List ws) ->
-              List.fold_left
-                (fun acc w ->
-                  let* acc = acc in
-                  match Json.to_float w with
-                  | Some f -> Ok (f :: acc)
-                  | None ->
-                    Error
-                      "malformed \"domains\" block: ill-typed \"wall_ms\" entry")
-                (Ok []) ws
-              |> Result.map List.rev
-            | Some _ -> Error "malformed \"domains\" block: ill-typed \"wall_ms\""
-            | None -> Ok []
-          in
-          Ok (Some (count, walls)))
-    in
     Ok
       {
         key;
@@ -195,7 +163,7 @@ let of_json (j : Json.t) : (record, string) result =
         detail = opt "detail" Json.to_str;
         budget = Json.member "budget" j;
         seed = opt "seed" Json.to_int;
-        domains;
+        domains = None;
         metrics = Json.member "metrics" j;
         forensics = Json.member "forensics" j;
       }
@@ -206,7 +174,7 @@ let of_json (j : Json.t) : (record, string) result =
     needed.  The whole line (record + newline) goes out in a single
     [write(2)] on an [O_APPEND] descriptor, which POSIX makes atomic
     with respect to other appenders on a regular file — so concurrent
-    writers (two CLI processes, or two domains sharing a ledger)
+    writers (two CLI processes, say two corpus shards sharing a ledger)
     interleave whole lines, never bytes, and the resulting file always
     loads.  One open/write/close per CLI invocation — the ledger is
     written at most once per process, so there is nothing to batch.

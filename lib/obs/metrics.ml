@@ -1,39 +1,21 @@
-(** A process-global, domain-safe metrics registry: counters, gauges,
-    histograms.
+(** A process-global metrics registry: counters, gauges, histograms.
 
     Every instrumented layer registers its instruments once (at module
-    initialisation — registration is idempotent by name and guarded by
-    a mutex) and bumps them from its hot paths.  A {!snapshot} freezes
-    the registry into plain data, renderable as an aligned text table
-    ({!render_text}) or JSON ({!to_json}); {!reset} zeroes every
-    instrument, which is how the harnesses measure per-experiment
-    deltas.
+    initialisation — registration is idempotent by name) and bumps them
+    from its hot paths.  A {!snapshot} freezes the registry into plain
+    data, renderable as an aligned text table ({!render_text}) or JSON
+    ({!to_json}); {!reset} zeroes every instrument in place, which is
+    how the harnesses measure per-experiment deltas.
 
     Like tracing, metrics are off by default: {!incr}/{!add}/{!observe}
     are a load-and-branch when disabled, and the instrumented libraries
     additionally batch their updates (one [add] per run, not per step)
     so the disabled path stays within measurement noise.
 
-    {2 Domain safety}
-
-    The registry is built to be ticked from several OCaml 5 domains at
-    once:
-
-    - counters and gauges are [Atomic.t]-backed; {!incr}/{!add} use
-      [Atomic.fetch_and_add], so concurrent bumps from N domains
-      produce {e exact} totals (stress-tested with 4 domains);
-    - histograms are sharded per domain: each domain writes only its
-      own shard (plain mutable fields, no contention on the hot path)
-      and shards are merged at {!snapshot} time.  Creating a domain's
-      shard takes the registry mutex once per (histogram, domain) pair.
-      A snapshot taken {e after} the writing domains have been joined
-      (or otherwise synchronised) sees exact totals; a snapshot raced
-      against live writers may lag by in-flight observations, which is
-      the usual monitoring contract;
-    - registration and {!reset} take a global mutex; snapshots read
-      instrument names under the same mutex and render sorted by name,
-      so output order is deterministic (not hash- or
-      registration-order).
+    Every instrument is a plain mutable record updated without
+    synchronisation, which assumes the program runs on one domain.
+    Snapshots render sorted by name, so output order is deterministic
+    (not hash- or registration-order).
 
     Histograms use base-2 exponential buckets: bucket [i] counts
     observations in [(2^(i-1), 2^i]] (bucket 0 is [[0,1]]), which is the
@@ -44,43 +26,30 @@
     which sum raw observations and never round through buckets) is
     bit-for-bit reproducible across machines. *)
 
-let enabled = Atomic.make false
+let enabled = ref false
 
-let on () = Atomic.get enabled
+let on () = !enabled
 
-let set_enabled b = Atomic.set enabled b
+let set_enabled b = enabled := b
 
 let n_buckets = 32
 
 type counter = {
   c_name : string;
-  c_value : int Atomic.t;
+  mutable c_value : int;
 }
 
 type gauge = {
   g_name : string;
-  (* Gauges hold a float; [Atomic.t] boxes it, which is fine off the
-     hot path ([set] is called per run / per heartbeat, not per step). *)
-  g_value : float Atomic.t;
-}
-
-(* One domain's private slice of a histogram.  Only the owning domain
-   writes these fields; the merge in [snapshot]/[hist_value] reads them,
-   which is exact once the writers have been joined. *)
-type hist_shard = {
-  hs_dom : int;
-  mutable hs_count : int;
-  mutable hs_sum : float;
-  mutable hs_max : float;
-  hs_buckets : int array;  (** [n_buckets] exponential buckets *)
+  mutable g_value : float;
 }
 
 type histogram = {
   h_name : string;
-  mutable h_shards : hist_shard list;
-      (** cons-only under [lock]; each domain finds its own shard by
-          [hs_dom] without locking (it can only race additions by
-          {e other} domains, whose shards it never reads) *)
+  mutable h_count : int;
+  mutable h_sum : float;
+  mutable h_max : float;
+  h_buckets : int array;  (** [n_buckets] exponential buckets *)
 }
 
 type instrument =
@@ -88,44 +57,39 @@ type instrument =
   | Gauge of gauge
   | Histogram of histogram
 
-(* One mutex guards registration, shard creation and [reset]; hot-path
-   updates never take it. *)
-let lock = Mutex.create ()
-
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
 let registry : (string, instrument) Hashtbl.t = Hashtbl.create 64
 
 let register name make =
-  locked (fun () ->
-      match Hashtbl.find_opt registry name with
-      | Some i -> i
-      | None ->
-        let i = make () in
-        Hashtbl.add registry name i;
-        i)
+  match Hashtbl.find_opt registry name with
+  | Some i -> i
+  | None ->
+    let i = make () in
+    Hashtbl.add registry name i;
+    i
 
 let counter name : counter =
-  match
-    register name (fun () -> Counter { c_name = name; c_value = Atomic.make 0 })
-  with
+  match register name (fun () -> Counter { c_name = name; c_value = 0 }) with
   | Counter c -> c
   | Gauge _ | Histogram _ ->
     invalid_arg (name ^ " is already registered as a non-counter")
 
 let gauge name : gauge =
-  match
-    register name (fun () -> Gauge { g_name = name; g_value = Atomic.make 0. })
-  with
+  match register name (fun () -> Gauge { g_name = name; g_value = 0. }) with
   | Gauge g -> g
   | Counter _ | Histogram _ ->
     invalid_arg (name ^ " is already registered as a non-gauge")
 
 let histogram name : histogram =
   match
-    register name (fun () -> Histogram { h_name = name; h_shards = [] })
+    register name (fun () ->
+        Histogram
+          {
+            h_name = name;
+            h_count = 0;
+            h_sum = 0.;
+            h_max = 0.;
+            h_buckets = Array.make n_buckets 0;
+          })
   with
   | Histogram h -> h
   | Counter _ | Gauge _ ->
@@ -133,11 +97,11 @@ let histogram name : histogram =
 
 (* ---------- updates (hot path) ---------- *)
 
-let incr c = if Atomic.get enabled then ignore (Atomic.fetch_and_add c.c_value 1)
+let incr c = if !enabled then c.c_value <- c.c_value + 1
 
-let add c n = if Atomic.get enabled then ignore (Atomic.fetch_and_add c.c_value n)
+let add c n = if !enabled then c.c_value <- c.c_value + n
 
-let set g v = if Atomic.get enabled then Atomic.set g.g_value v
+let set g v = if !enabled then g.g_value <- v
 
 (** {2 Bucket boundaries}
 
@@ -171,42 +135,13 @@ let bucket_upper_bound (i : int) : float =
   else if i = 0 then 1.
   else Float.pow 2. (float_of_int i)
 
-(* The calling domain's shard, created under the mutex on first use.
-   After [reset] drops the shard list the next observation re-creates
-   it, so a domain must re-read [h_shards] on every call (no caching). *)
-let own_shard (h : histogram) : hist_shard =
-  let dom = (Domain.self () :> int) in
-  let rec find = function
-    | [] -> None
-    | s :: rest -> if s.hs_dom = dom then Some s else find rest
-  in
-  match find h.h_shards with
-  | Some s -> s
-  | None ->
-    locked (fun () ->
-        match find h.h_shards with
-        | Some s -> s
-        | None ->
-          let s =
-            {
-              hs_dom = dom;
-              hs_count = 0;
-              hs_sum = 0.;
-              hs_max = 0.;
-              hs_buckets = Array.make n_buckets 0;
-            }
-          in
-          h.h_shards <- s :: h.h_shards;
-          s)
-
 let observe h v =
-  if Atomic.get enabled then begin
-    let s = own_shard h in
-    s.hs_count <- s.hs_count + 1;
-    s.hs_sum <- s.hs_sum +. v;
-    if v > s.hs_max then s.hs_max <- v;
-    let b = s.hs_buckets in
-    b.(bucket_of v) <- b.(bucket_of v) + 1
+  if !enabled then begin
+    h.h_count <- h.h_count + 1;
+    h.h_sum <- h.h_sum +. v;
+    if v > h.h_max then h.h_max <- v;
+    let i = bucket_of v in
+    h.h_buckets.(i) <- h.h_buckets.(i) + 1
   end
 
 let observe_int h n = observe h (float_of_int n)
@@ -231,55 +166,39 @@ type snapshot = entry list
 let entry_name = function
   | Counter_v (n, _) | Gauge_v (n, _) | Histogram_v (n, _) -> n
 
-(* Merge a histogram's per-domain shards into one [hist_data]. *)
-let merge_shards (h : histogram) : hist_data =
-  let count = ref 0 and sum = ref 0. and max_ = ref 0. in
-  let buckets = Array.make n_buckets 0 in
-  List.iter
-    (fun s ->
-      count := !count + s.hs_count;
-      sum := !sum +. s.hs_sum;
-      if s.hs_max > !max_ then max_ := s.hs_max;
-      for i = 0 to n_buckets - 1 do
-        buckets.(i) <- buckets.(i) + s.hs_buckets.(i)
-      done)
-    h.h_shards;
+let hist_data (h : histogram) : hist_data =
   let bl = ref [] in
   for i = n_buckets - 1 downto 0 do
-    if buckets.(i) > 0 then bl := (bucket_upper_bound i, buckets.(i)) :: !bl
+    let n = h.h_buckets.(i) in
+    if n > 0 then bl := (bucket_upper_bound i, n) :: !bl
   done;
-  { count = !count; sum = !sum; max = !max_; buckets = !bl }
+  { count = h.h_count; sum = h.h_sum; max = h.h_max; buckets = !bl }
 
 let snapshot () : snapshot =
   let instruments =
-    locked (fun () ->
-        Hashtbl.fold (fun name i acc -> (name, i) :: acc) registry [])
-  in
-  let instruments =
-    List.sort (fun (a, _) (b, _) -> String.compare a b) instruments
+    Hashtbl.fold (fun name i acc -> (name, i) :: acc) registry []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   List.map
     (fun (name, i) ->
       match i with
-      | Counter c -> Counter_v (name, Atomic.get c.c_value)
-      | Gauge g -> Gauge_v (name, Atomic.get g.g_value)
-      | Histogram h -> Histogram_v (name, merge_shards h))
+      | Counter c -> Counter_v (name, c.c_value)
+      | Gauge g -> Gauge_v (name, g.g_value)
+      | Histogram h -> Histogram_v (name, hist_data h))
     instruments
 
 let reset () =
-  locked (fun () ->
-      Hashtbl.iter
-        (fun _ i ->
-          match i with
-          | Counter c -> Atomic.set c.c_value 0
-          | Gauge g -> Atomic.set g.g_value 0.
-          | Histogram h ->
-            (* Dropping the shards (rather than zeroing them) keeps
-               reset race-free with a concurrently observing domain:
-               that domain simply re-creates its shard on the next
-               observation. *)
-            h.h_shards <- [])
-        registry)
+  Hashtbl.iter
+    (fun _ i ->
+      match i with
+      | Counter c -> c.c_value <- 0
+      | Gauge g -> g.g_value <- 0.
+      | Histogram h ->
+        h.h_count <- 0;
+        h.h_sum <- 0.;
+        h.h_max <- 0.;
+        Array.fill h.h_buckets 0 n_buckets 0)
+    registry
 
 (** Quantile estimate from the exponential buckets: the inclusive
     upper bound of the bucket containing the [⌈q·count⌉]-th smallest

@@ -89,16 +89,8 @@ let restore (s, e, ev) =
    trace-sink errors. *)
 let c_sink_errors = Metrics.counter "obs.progress.sink_errors"
 
-(* Trackers on concurrent domains share the process-global sink;
-   serialise delivery so formatter/file sinks never interleave
-   mid-line — same discipline as the trace sink. *)
-let emit_mu = Mutex.create ()
-
 let emit snap =
-  Mutex.lock emit_mu;
-  (try !sink snap
-   with _ -> if Metrics.on () then Metrics.incr c_sink_errors);
-  Mutex.unlock emit_mu
+  try !sink snap with _ -> if Metrics.on () then Metrics.incr c_sink_errors
 
 (* ---------- trackers ---------- *)
 

@@ -49,8 +49,6 @@ type summary = {
   s_median_steps : int option;  (** median of consumed ["steps"] *)
   s_alloc_w : int option;
       (** median allocated words over runs carrying a [mem] block *)
-  s_domains : int option;
-      (** worker-domain count of the latest run, when it was parallel *)
 }
 
 (** One row per content key, in first-appearance order; per-key record
@@ -111,7 +109,6 @@ let summarize (records : Ledger.record list) : summary list =
           | [] -> None
           | _ ->
             Some (int_of_float (median (List.map float_of_int allocs))));
-        s_domains = Option.map fst last.Ledger.domains;
       })
     (group_by_key records)
 
@@ -296,12 +293,9 @@ let pp_summary_row ppf (s : summary) =
     | None -> ""
     | Some n -> Printf.sprintf "  %d steps" n)
     s.s_label;
-  (match s.s_alloc_w with
+  match s.s_alloc_w with
   | None -> ()
-  | Some w -> Format.fprintf ppf "  %a" Telemetry.pp_words w);
-  match s.s_domains with
-  | None -> ()
-  | Some n -> Format.fprintf ppf "  [%d domains]" n
+  | Some w -> Format.fprintf ppf "  %a" Telemetry.pp_words w
 
 let render_summary_text (summaries : summary list) : string =
   let b = Buffer.create 512 in
@@ -375,13 +369,10 @@ let summary_to_json ?(passes = []) (summaries : summary list) : Json.t =
                  @ (match s.s_median_steps with
                    | None -> []
                    | Some n -> [ ("median_steps", Json.Int n) ])
-                 @ (match s.s_alloc_w with
-                   | None -> []
-                   | Some w -> [ ("alloc_w", Json.Int w) ])
                  @
-                 match s.s_domains with
+                 match s.s_alloc_w with
                  | None -> []
-                 | Some n -> [ ("domains", Json.Int n) ]))
+                 | Some w -> [ ("alloc_w", Json.Int w) ]))
              summaries) );
     ]
     @ pass_field)

@@ -23,10 +23,8 @@
     free on span-dense runs; run-level sampling has no switch — callers
     just take two samples.
 
-    Domain note: in OCaml 5, [Gc.quick_stat] reads the calling
-    domain's counters plus globally-merged totals, so run-level deltas
-    taken on the main domain after joining workers account for the
-    whole process. *)
+    The program runs on one domain, so a [Gc.quick_stat] delta
+    accounts for the whole process. *)
 
 type sample = {
   s_minor_words : float;
@@ -151,11 +149,11 @@ let render_text ppf (m : mem) =
 
 (* ---------- span-level sampling switch ---------- *)
 
-let spans = Atomic.make false
+let spans = ref false
 
-let spans_on () = Atomic.get spans
+let spans_on () = !spans
 
-let set_spans b = Atomic.set spans b
+let set_spans b = spans := b
 
 (* ---------- the memory gate ---------- *)
 

@@ -17,19 +17,15 @@
     [trace_event] array format ({!chrome_sink}), loadable in
     [chrome://tracing] / Perfetto.
 
-    {b Domain safety}: every event records the emitting domain's id
-    ([dom]), span-nesting depth is tracked per domain (domain-local
-    storage), and emission into the shared sink is serialised by a
-    mutex — sinks write to shared channels and ring buffers, so
-    unserialised concurrent emits would interleave bytes.  The Chrome
-    sink maps domains to [tid] lanes and announces them with
-    [process_name]/[thread_name] metadata events, so multi-domain
-    traces render as separate threads in Perfetto.
+    The span-nesting depth and the GC stack are plain refs and
+    emission takes no lock, which assumes the program runs on one
+    domain.  The Chrome sink puts every event on one [tid] lane, named
+    by a [process_name]/[thread_name] metadata pair.
 
     {b GC spans}: when {!Telemetry.set_spans} is on, every span close
     carries [gc.alloc_w]/[gc.minor_gcs]/[gc.major_gcs] attributes — the
-    [Gc.quick_stat] delta across the span, tracked on a per-domain
-    stack in lockstep with span nesting.
+    [Gc.quick_stat] delta across the span, tracked on a stack in
+    lockstep with span nesting.
 
     {b Cost discipline}: tracing is off by default and the hot paths in
     the instrumented libraries guard every emission with {!on}, a single
@@ -55,8 +51,7 @@ type event = {
   name : string;
   phase : phase;
   ts_ns : int64;  (** timestamp, nanoseconds since an arbitrary origin *)
-  depth : int;  (** span-nesting depth at emission (per domain) *)
-  dom : int;  (** id of the emitting domain (0 = the initial domain) *)
+  depth : int;  (** span-nesting depth at emission *)
   attrs : attr list;
 }
 
@@ -67,9 +62,9 @@ type sink = {
 
 (* ---------- global state ---------- *)
 
-let enabled = Atomic.make false
+let enabled = ref false
 
-let on () = Atomic.get enabled
+let on () = !enabled
 
 (* The clock is pluggable so a harness with a real monotonic clock can
    substitute it — and so the golden tests can pin timestamps; the
@@ -90,38 +85,24 @@ let null_sink = { emit = (fun _ -> ()); flush = (fun () -> ()) }
 
 let sink = ref null_sink
 
-(* Serialises sink access: sinks write shared out_channels / ring
-   buffers, so concurrent emits from two domains must not interleave.
-   Held only while tracing is on and an event is actually emitted. *)
-let sink_lock = Mutex.create ()
+let depth = ref 0
 
-let with_sink_lock f =
-  Mutex.lock sink_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock sink_lock) f
-
-(* Span-nesting depth, per domain: a global counter would make one
-   domain's spans indent another's. *)
-let depth_key = Domain.DLS.new_key (fun () -> ref 0)
-
-let depth () = Domain.DLS.get depth_key
-
-(* Per-domain stack of GC samples opened by [span_begin] when
-   {!Telemetry.spans_on}; popped by the matching [span_end]. *)
-let gc_stack_key : Telemetry.sample list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+(* GC samples opened by [span_begin] when {!Telemetry.spans_on};
+   popped by the matching [span_end]. *)
+let gc_stack : Telemetry.sample list ref = ref []
 
 (* A sink that throws (full disk, closed channel, an injected fault
    from the chaos harness) must never take the traced program down:
    tracing is an observer.  Failures are swallowed and counted — into a
    plain counter (always) and the [robust.trace.sink_errors] metric
    (when metrics are on). *)
-let sink_errors_ = Atomic.make 0
-let sink_errors () = Atomic.get sink_errors_
-let reset_sink_errors () = Atomic.set sink_errors_ 0
+let sink_errors_ = ref 0
+let sink_errors () = !sink_errors_
+let reset_sink_errors () = sink_errors_ := 0
 let c_sink_errors = Metrics.counter "robust.trace.sink_errors"
 
 let note_sink_error () =
-  ignore (Atomic.fetch_and_add sink_errors_ 1);
+  incr sink_errors_;
   if Metrics.on () then Metrics.incr c_sink_errors
 
 let flush_sink s = try s.flush () with _ -> note_sink_error ()
@@ -130,49 +111,37 @@ let set_sink s =
   flush_sink !sink;
   sink := s
 
-let set_enabled b = Atomic.set enabled b
+let set_enabled b = enabled := b
 
 (** Route events to [s] and switch tracing on; returns the previous
     (sink, enabled) pair for {!restore}. *)
 let install s =
-  let prev = (!sink, Atomic.get enabled) in
+  let prev = (!sink, !enabled) in
   sink := s;
-  Atomic.set enabled true;
+  enabled := true;
   prev
 
 let restore (s, e) =
   flush_sink !sink;
   sink := s;
-  Atomic.set enabled e
+  enabled := e
 
 let flush () = flush_sink !sink
 
 (* ---------- emission ---------- *)
 
 let emit phase name attrs =
-  let ev =
-    {
-      name;
-      phase;
-      ts_ns = now_ns ();
-      depth = !(depth ());
-      dom = (Domain.self () :> int);
-      attrs;
-    }
-  in
-  try with_sink_lock (fun () -> !sink.emit ev) with _ -> note_sink_error ()
+  let ev = { name; phase; ts_ns = now_ns (); depth = !depth; attrs } in
+  try !sink.emit ev with _ -> note_sink_error ()
 
 let instant ?(attrs = []) name =
-  if Atomic.get enabled then emit Instant name attrs
+  if !enabled then emit Instant name attrs
 
 let span_begin ?(attrs = []) name =
-  if Atomic.get enabled then begin
-    if Telemetry.spans_on () then begin
-      let st = Domain.DLS.get gc_stack_key in
-      st := Telemetry.sample () :: !st
-    end;
+  if !enabled then begin
+    if Telemetry.spans_on () then gc_stack := Telemetry.sample () :: !gc_stack;
     emit Span_begin name attrs;
-    incr (depth ())
+    incr depth
   end
 
 (* GC attributes for a span close: the delta since the matching
@@ -181,11 +150,10 @@ let span_begin ?(attrs = []) name =
 let gc_close_attrs () =
   if not (Telemetry.spans_on ()) then []
   else
-    let st = Domain.DLS.get gc_stack_key in
-    match !st with
+    match !gc_stack with
     | [] -> []
     | before :: rest ->
-      st := rest;
+      gc_stack := rest;
       let m = Telemetry.measure ~before ~after:(Telemetry.sample ()) in
       [
         ("gc.alloc_w", I m.Telemetry.allocated_words);
@@ -194,16 +162,15 @@ let gc_close_attrs () =
       ]
 
 let span_end ?(attrs = []) name =
-  if Atomic.get enabled then begin
-    let d = depth () in
-    d := max 0 (!d - 1);
+  if !enabled then begin
+    depth := max 0 (!depth - 1);
     emit Span_end name (attrs @ gc_close_attrs ())
   end
 
 (** [with_span name f]: run [f] inside a span.  When tracing is off this
     is a tail call to [f]. *)
 let with_span ?(attrs = []) name f =
-  if not (Atomic.get enabled) then f ()
+  if not !enabled then f ()
   else begin
     span_begin ~attrs name;
     Fun.protect ~finally:(fun () -> span_end name) f
@@ -282,19 +249,16 @@ let phase_of_name = function
   | "instant" -> Some Instant
   | _ -> None
 
-(* The "dom" field is elided for domain 0 so single-domain traces keep
-   the exact PR 1 byte format (golden-tested); [event_of_json] defaults
-   it back to 0. *)
+(* Field order is the golden-tested byte format. *)
 let json_of_event (ev : event) : Json.t =
   Json.Obj
-    ([
-       ("ev", Json.Str (phase_name ev.phase));
-       ("name", Json.Str ev.name);
-       ("ts", Json.Int (Int64.to_int ev.ts_ns));
-       ("depth", Json.Int ev.depth);
-     ]
-    @ (if ev.dom = 0 then [] else [ ("dom", Json.Int ev.dom) ])
-    @ [ ("attrs", json_of_attrs ev.attrs) ])
+    [
+      ("ev", Json.Str (phase_name ev.phase));
+      ("name", Json.Str ev.name);
+      ("ts", Json.Int (Int64.to_int ev.ts_ns));
+      ("depth", Json.Int ev.depth);
+      ("attrs", json_of_attrs ev.attrs);
+    ]
 
 (** Reparse one JSONL line into an event (attribute values come back
     typed as far as JSON allows).  Used by the round-trip tests. *)
@@ -305,11 +269,6 @@ let event_of_json (j : Json.t) : event option =
   let* name = Option.bind (Json.member "name" j) Json.to_str in
   let* ts = Option.bind (Json.member "ts" j) Json.to_int in
   let* depth = Option.bind (Json.member "depth" j) Json.to_int in
-  let dom =
-    match Option.bind (Json.member "dom" j) Json.to_int with
-    | Some d -> d
-    | None -> 0
-  in
   let attrs =
     match Json.member "attrs" j with
     | Some (Json.Obj kvs) ->
@@ -324,7 +283,7 @@ let event_of_json (j : Json.t) : event option =
         kvs
     | _ -> []
   in
-  Some { name; phase; ts_ns = Int64.of_int ts; depth; dom; attrs }
+  Some { name; phase; ts_ns = Int64.of_int ts; depth; attrs }
 
 (** One JSON object per line on [oc]. *)
 let jsonl_sink (oc : out_channel) : sink =
@@ -337,10 +296,10 @@ let jsonl_sink (oc : out_channel) : sink =
   }
 
 (** Chrome [trace_event] array format on [oc]: every span begin/end maps
-    to a ["B"]/["E"] duration event, instants to ["i"].  Domains map to
-    [tid] lanes, announced by ["process_name"]/["thread_name"] metadata
-    events the first time each domain appears, so multi-domain traces
-    render as separate named threads in [chrome://tracing] / Perfetto.
+    to a ["B"]/["E"] duration event, instants to ["i"].  Before the
+    first event it writes a ["process_name"]/["thread_name"] metadata
+    pair naming the process and its one [tid] lane in
+    [chrome://tracing] / Perfetto.
     [flush] closes the JSON array — call it (or {!restore}/{!set_sink})
     before reading the file. *)
 let chrome_sink (oc : out_channel) : sink =
@@ -348,27 +307,22 @@ let chrome_sink (oc : out_channel) : sink =
   output_string oc "[";
   let sep () = if !first then first := false else output_string oc ",\n" in
   let put kvs = output_string oc (Json.to_string (Json.Obj kvs)) in
-  let metadata name tid label =
+  let metadata name label =
     sep ();
     put
       [
         ("name", Json.Str name);
         ("ph", Json.Str "M");
         ("pid", Json.Int 1);
-        ("tid", Json.Int tid);
+        ("tid", Json.Int 0);
         ("args", Json.Obj [ ("name", Json.Str label) ]);
       ]
   in
-  let doms_seen = Hashtbl.create 4 in
-  let ensure_dom d =
-    if not (Hashtbl.mem doms_seen d) then begin
-      if Hashtbl.length doms_seen = 0 then metadata "process_name" 0 "tfiris";
-      Hashtbl.add doms_seen d ();
-      metadata "thread_name" d (Printf.sprintf "domain %d" d)
-    end
-  in
   let emit ev =
-    ensure_dom ev.dom;
+    if !first then begin
+      metadata "process_name" "tfiris";
+      metadata "thread_name" "domain 0"
+    end;
     sep ();
     let ph =
       match ev.phase with Span_begin -> "B" | Span_end -> "E" | Instant -> "i"
@@ -379,7 +333,7 @@ let chrome_sink (oc : out_channel) : sink =
         ("ph", Json.Str ph);
         ("ts", Json.Float (Int64.to_float ev.ts_ns /. 1e3));
         ("pid", Json.Int 1);
-        ("tid", Json.Int ev.dom);
+        ("tid", Json.Int 0);
       ]
     in
     let scope = if ev.phase = Instant then [ ("s", Json.Str "t") ] else [] in

@@ -318,7 +318,7 @@ let test_store_skips_stale_tmp () =
   with_cache (fun t ->
       let sub = subdir_of t sample_key in
       Unix.mkdir sub 0o755;
-      let next = Atomic.get Cc.tmp_seq in
+      let next = !Cc.tmp_seq in
       let stale =
         List.map
           (fun n ->

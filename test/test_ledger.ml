@@ -120,29 +120,6 @@ let test_record_roundtrip () =
         "unknown ledger schema \"tfiris-run/1\"" e
     | Ok _ -> Alcotest.fail "/1 record accepted"
 
-let test_record_domains () =
-  (* the PR-9 [domains] block: optional, rendered between seed and
-     metrics, round-trips, and — crucially — never enters the content
-     key (parallelism affects how fast a verdict lands, never which) *)
-  let r =
-    { sample_record with Ledger.domains = Some (4, [ 1.5; 2.; 0.5; 3. ]) }
-  in
-  Alcotest.(check string)
-    "record bytes with domains"
-    ("{\"schema\":\"tfiris-run/2\","
-   ^ "\"key\":\"15669f5e73b4bc124153de3076768bbe\","
-   ^ "\"cmd\":\"run\",\"label\":\"<expr>\",\"engine\":\"shl.machine\","
-   ^ "\"version\":\"1.0.0\",\"verdict\":\"value\",\"ok\":true,"
-   ^ "\"wall_ms\":1.5,\"consumed\":{\"steps\":3},\"detail\":\"1\","
-   ^ "\"domains\":{\"count\":4,\"wall_ms\":[1.5,2.0,0.5,3.0]}}")
-    (Json.to_string (Ledger.to_json r));
-  (match Ledger.of_json (Ledger.to_json r) with
-  | Error e -> Alcotest.failf "domains round-trip failed: %s" e
-  | Ok r' ->
-    Alcotest.(check bool) "domains round-trips exactly" true (r = r'));
-  Alcotest.(check string) "content key ignores domains" sample_record.Ledger.key
-    r.Ledger.key
-
 (* A record whose [consumed] block was mangled must poison the load
    like every other ill-typed field — silently dropping the entry (the
    old List.filter_map behaviour) would let report --diff compare a
@@ -184,42 +161,6 @@ let test_consumed_strict () =
   match load (patch ~from:",\"consumed\":{\"steps\":3}" ~to_:"" base) with
   | Ok r -> Alcotest.(check bool) "absent consumed -> []" true (r.Ledger.consumed = [])
   | Error e -> Alcotest.failf "absent consumed refused: %s" e
-
-(* A [domains] object with a missing or ill-typed [count] used to load
-   silently as a sequential record; it must be rejected so report
-   --diff can never compare a parallel run as sequential. *)
-let test_domains_strict () =
-  let with_domains d =
-    "{\"schema\":\"tfiris-run/2\","
-    ^ "\"key\":\"15669f5e73b4bc124153de3076768bbe\","
-    ^ "\"cmd\":\"run\",\"label\":\"<expr>\",\"engine\":\"shl.machine\","
-    ^ "\"version\":\"1.0.0\",\"verdict\":\"value\",\"ok\":true,"
-    ^ "\"wall_ms\":1.5,\"consumed\":{\"steps\":3},\"detail\":\"1\","
-    ^ "\"domains\":" ^ d ^ "}"
-  in
-  let load line = Result.bind (Json.of_string line) Ledger.of_json in
-  (* sanity: a well-formed block round-trips *)
-  (match load (with_domains "{\"count\":2,\"wall_ms\":[1.0,2.0]}") with
-  | Ok r ->
-    Alcotest.(check bool) "well-formed domains kept" true
-      (r.Ledger.domains = Some (2, [ 1.0; 2.0 ]))
-  | Error e -> Alcotest.failf "well-formed domains refused: %s" e);
-  (* count missing *)
-  (match load (with_domains "{\"wall_ms\":[1.0]}") with
-  | Ok _ -> Alcotest.fail "domains without count silently dropped"
-  | Error _ -> ());
-  (* count ill-typed *)
-  (match load (with_domains "{\"count\":\"four\"}") with
-  | Ok _ -> Alcotest.fail "ill-typed count silently dropped"
-  | Error _ -> ());
-  (* a garbage wall entry *)
-  (match load (with_domains "{\"count\":2,\"wall_ms\":[1.0,\"x\"]}") with
-  | Ok _ -> Alcotest.fail "ill-typed wall_ms entry silently dropped"
-  | Error _ -> ());
-  (* wall_ms not a list *)
-  match load (with_domains "{\"count\":2,\"wall_ms\":7}") with
-  | Ok _ -> Alcotest.fail "non-list wall_ms accepted"
-  | Error _ -> ()
 
 (* The PR-10 [cached] marker: rendered only when true (pre-cache
    records stay byte-identical), placed right after [consumed],
@@ -376,32 +317,53 @@ let test_append_load_roundtrip () =
           (fun r -> Json.to_string (Ledger.to_json r) ^ "\n")
           [ sample_record; stuck ]))
     (read_file path);
+  (* a line from an older ledger, carrying the retired [domains] block *)
+  let line = Json.to_string (Ledger.to_json sample_record) in
+  let oc = open_out_gen [ Open_append ] 0o644 path in
+  output_string oc (String.sub line 0 (String.length line - 1));
+  output_string oc ",\"domains\":{\"count\":2,\"wall_ms\":[1.5,0.25]}}\n";
+  close_out oc;
   (match Ledger.load ~path with
   | Error e -> Alcotest.failf "load failed: %s" e
   | Ok rs ->
-    Alcotest.(check int) "both records back" 2 (List.length rs);
+    Alcotest.(check int) "all three records back" 3 (List.length rs);
     Alcotest.(check bool) "first round-trips" true
       (List.nth rs 0 = sample_record);
     Alcotest.(check string) "order preserved" "stuck"
-      (List.nth rs 1).Ledger.verdict);
+      (List.nth rs 1).Ledger.verdict;
+    let legacy = List.nth rs 2 in
+    Alcotest.(check (pair string string))
+      "a legacy domains block loads with the same key and verdict"
+      (sample_record.Ledger.key, sample_record.Ledger.verdict)
+      (legacy.Ledger.key, legacy.Ledger.verdict));
   Sys.remove path
 
 (* Appends are line-atomic (one [write(2)] on an O_APPEND fd), so two
-   domains hammering the same ledger interleave whole records, never
-   bytes: the file must load cleanly with every record intact. *)
+   processes hammering the same ledger, as corpus shards do, interleave
+   whole records, never bytes: the file must load cleanly with every
+   record intact. *)
 let test_append_concurrent () =
   let path = Filename.temp_file "tfiris_ledger_conc" ".jsonl" in
   Sys.remove path;
   let per = 100 in
   let writer verdict =
-    Domain.spawn (fun () ->
-        for _ = 1 to per do
-          Ledger.append ~path { sample_record with Ledger.verdict }
-        done)
+    match Unix.fork () with
+    | 0 ->
+      (try
+         for _ = 1 to per do
+           Ledger.append ~path { sample_record with Ledger.verdict }
+         done
+       with _ -> Unix._exit 1);
+      Unix._exit 0
+    | pid -> pid
   in
-  let d1 = writer "left" and d2 = writer "right" in
-  Domain.join d1;
-  Domain.join d2;
+  let p1 = writer "left" and p2 = writer "right" in
+  List.iter
+    (fun pid ->
+      match snd (Unix.waitpid [] pid) with
+      | Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "a writer process failed")
+    [ p1; p2 ];
   (match Ledger.load ~path with
   | Error e -> Alcotest.failf "concurrently written ledger corrupt: %s" e
   | Ok rs ->
@@ -461,7 +423,6 @@ let test_load_mutated_prop =
            {
              sample_record with
              Ledger.cached = true;
-             domains = Some (2, [ 1.5; 0.25 ]);
              metrics = Some (Json.Obj [ ("counters", Json.Obj []) ]);
            };
          ])
@@ -1044,12 +1005,8 @@ let suite =
   [
     Alcotest.test_case "run record golden" `Quick test_record_golden;
     Alcotest.test_case "record round-trip" `Quick test_record_roundtrip;
-    Alcotest.test_case "domains block: bytes, round-trip, key-neutral" `Quick
-      test_record_domains;
     Alcotest.test_case "ill-typed consumed entries refused" `Quick
       test_consumed_strict;
-    Alcotest.test_case "malformed domains block refused" `Quick
-      test_domains_strict;
     Alcotest.test_case "cached marker: bytes, round-trip, key-neutral" `Quick
       test_cached_field;
     Alcotest.test_case "content key stability" `Quick

@@ -41,16 +41,41 @@ let test_span_nesting () =
   in
   Alcotest.(check bool) "timestamps monotone" true (mono evs)
 
+(* An exception unwinds the depth and the GC stack: the next span
+   opens at depth 0, and with GC sampling on both closes carry their
+   [gc.*] delta and leave the stack empty. *)
 let test_span_exception_safety () =
+  Obs.Telemetry.set_spans true;
   let (), evs =
-    with_memory_trace (fun () ->
-        try Trace.with_span "doomed" (fun () -> failwith "boom")
-        with Failure _ -> ())
+    Fun.protect
+      ~finally:(fun () -> Obs.Telemetry.set_spans false)
+      (fun () ->
+        with_memory_trace (fun () ->
+            (try Trace.with_span "doomed" (fun () -> failwith "boom")
+             with Failure _ -> ());
+            Trace.with_span "after" (fun () -> ())))
   in
-  let phases = List.map (fun ev -> ev.Trace.phase) evs in
+  let shape =
+    List.map (fun ev -> (ev.Trace.name, ev.Trace.phase, ev.Trace.depth)) evs
+  in
   Alcotest.(check bool)
-    "span closed on exception" true
-    (phases = [ Trace.Span_begin; Trace.Span_end ])
+    "span closed on exception, next span at depth 0" true
+    (shape
+    = Trace.
+        [
+          ("doomed", Span_begin, 0);
+          ("doomed", Span_end, 0);
+          ("after", Span_begin, 0);
+          ("after", Span_end, 0);
+        ]);
+  List.iter
+    (fun ev ->
+      if ev.Trace.phase = Trace.Span_end then
+        Alcotest.(check bool)
+          (ev.Trace.name ^ " close carries gc attrs") true
+          (List.mem_assoc "gc.alloc_w" ev.Trace.attrs))
+    evs;
+  Alcotest.(check int) "gc stack popped" 0 (List.length !Trace.gc_stack)
 
 let test_disabled_is_silent () =
   let sink, contents = Trace.memory_sink () in
@@ -82,16 +107,14 @@ let ev_testable =
   Alcotest.testable pp ( = )
 
 let test_jsonl_roundtrip () =
-  let mk ?(dom = 0) name phase ts d attrs =
-    Trace.{ name; phase; ts_ns = Int64.of_int ts; depth = d; dom; attrs }
+  let mk name phase ts d attrs =
+    Trace.{ name; phase; ts_ns = Int64.of_int ts; depth = d; attrs }
   in
   let evs =
     [
       mk "a" Trace.Span_begin 10 0 [ ("i", Trace.I 3); ("s", Trace.S "x\"y\n") ];
       mk "b" Trace.Instant 11 1 [ ("f", Trace.F 2.5); ("b", Trace.B true) ];
       mk "a" Trace.Span_end 12 0 [];
-      (* a worker domain's event keeps its id through the round-trip *)
-      mk ~dom:3 "c" Trace.Instant 13 0 [];
     ]
   in
   List.iter
@@ -150,7 +173,6 @@ let test_json_escaping_golden () =
         phase = Trace.Instant;
         ts_ns = 5L;
         depth = 1;
-        dom = 0;
         attrs = [ ("k\"", Trace.S "v\\") ];
       }
   in
@@ -292,6 +314,11 @@ let with_metrics f =
       Metrics.set_enabled false;
       Metrics.reset ())
 
+let find_hist name =
+  List.find_map
+    (function Metrics.Histogram_v (n, d) when n = name -> Some d | _ -> None)
+    (Metrics.snapshot ())
+
 let test_metrics_basic () =
   with_metrics (fun () ->
       let c = Metrics.counter "test.obs.counter" in
@@ -305,12 +332,7 @@ let test_metrics_basic () =
       Alcotest.(check (option int))
         "counter" (Some 5)
         (Metrics.counter_value snap "test.obs.counter");
-      (match
-         List.find_map
-           (function
-             | Metrics.Histogram_v ("test.obs.hist", d) -> Some d | _ -> None)
-           snap
-       with
+      (match find_hist "test.obs.hist" with
       | None -> Alcotest.fail "histogram missing from snapshot"
       | Some d ->
         Alcotest.(check int) "hist count" 5 d.Metrics.count;
@@ -320,9 +342,22 @@ let test_metrics_basic () =
            (2,4] and (512,1024] *)
         Alcotest.(check int) "hist buckets" 4 (List.length d.Metrics.buckets));
       Metrics.reset ();
+      let snap = Metrics.snapshot () in
       Alcotest.(check (option int))
         "reset zeroes" (Some 0)
-        (Metrics.counter_value (Metrics.snapshot ()) "test.obs.counter"))
+        (Metrics.counter_value snap "test.obs.counter");
+      Alcotest.(check bool)
+        "reset zeroes the gauge" true
+        (List.mem (Metrics.Gauge_v ("test.obs.gauge", 0.)) snap);
+      let empty = { Metrics.count = 0; sum = 0.; max = 0.; buckets = [] } in
+      Alcotest.(check bool)
+        "reset empties the histogram" true
+        (find_hist "test.obs.hist" = Some empty);
+      Metrics.observe_int h 3;
+      Alcotest.(check bool)
+        "one observation after reset counts once" true
+        (find_hist "test.obs.hist"
+        = Some { Metrics.count = 1; sum = 3.; max = 3.; buckets = [ (4., 1) ] }))
 
 let test_metrics_disabled () =
   Metrics.reset ();
@@ -417,11 +452,6 @@ let test_hist_snapshot_bounds () =
    inclusive upper bound of the bucket holding the rank-⌈q·count⌉
    observation — exact when observations sit on bucket boundaries
    (powers of two), otherwise an overshoot of at most one bucket. *)
-let find_hist name =
-  List.find_map
-    (function Metrics.Histogram_v (n, d) when n = name -> Some d | _ -> None)
-    (Metrics.snapshot ())
-
 let test_hist_quantiles () =
   with_metrics (fun () ->
       let h = Metrics.histogram "test.obs.quant" in
@@ -528,7 +558,7 @@ let test_hist_quantiles_rendered () =
         Alcotest.(check (float 0.)) "json p50_le" 2. (field "p50_le");
         Alcotest.(check (float 0.)) "json p95_le" 1024. (field "p95_le"))
 
-(* ---------- snapshot determinism and domain safety ---------- *)
+(* ---------- snapshot determinism ---------- *)
 
 (* Snapshots render sorted by instrument name, whatever the
    registration order — the Hashtbl's iteration order must never leak
@@ -554,80 +584,6 @@ let test_snapshot_sorted_golden () =
        ^ "test.order.m            2\n"
        ^ "test.order.z            3\n")
         text)
-
-(* The tentpole stress: one counter hammered from 4 domains; the
-   atomic read-modify-write must lose no increment. *)
-let test_counter_domain_stress () =
-  with_metrics (fun () ->
-      let c = Metrics.counter "test.obs.dstress.c" in
-      let per = 50_000 in
-      let doms =
-        List.init 4 (fun _ ->
-            Domain.spawn (fun () ->
-                for _ = 1 to per do
-                  Metrics.incr c
-                done))
-      in
-      List.iter Domain.join doms;
-      Alcotest.(check (option int))
-        "exact total after join" (Some (4 * per))
-        (Metrics.counter_value (Metrics.snapshot ()) "test.obs.dstress.c"))
-
-(* Same for histograms: per-domain shards merged after the writers are
-   joined must reproduce count, sum and max exactly.  Domain k observes
-   k*per+1 .. (k+1)*per, so all observations are distinct and the
-   closed-form sum is exact in float (well below 2^53). *)
-let test_histogram_domain_stress () =
-  with_metrics (fun () ->
-      let h = Metrics.histogram "test.obs.dstress.h" in
-      let per = 20_000 in
-      let doms =
-        List.init 4 (fun k ->
-            Domain.spawn (fun () ->
-                for i = 1 to per do
-                  Metrics.observe_int h ((k * per) + i)
-                done))
-      in
-      List.iter Domain.join doms;
-      match find_hist "test.obs.dstress.h" with
-      | None -> Alcotest.fail "histogram missing"
-      | Some d ->
-        let n = 4 * per in
-        Alcotest.(check int) "exact merged count" n d.Metrics.count;
-        Alcotest.(check (float 0.))
-          "exact merged sum"
-          (float_of_int (n * (n + 1) / 2))
-          d.Metrics.sum;
-        Alcotest.(check (float 0.)) "exact merged max" (float_of_int n)
-          d.Metrics.max;
-        Alcotest.(check int) "bucket counts sum to count" n
-          (List.fold_left (fun acc (_, c) -> acc + c) 0 d.Metrics.buckets))
-
-(* Property form: arbitrary per-domain workloads, exact totals. *)
-let counter_domain_stress_prop =
-  QCheck_alcotest.to_alcotest
-    (Q.Test.make ~count:15 ~name:"4-domain counter totals are exact"
-       Q.Gen.(list_size (return 4) (int_range 0 5_000))
-       (fun amounts ->
-         Metrics.reset ();
-         Metrics.set_enabled true;
-         let c = Metrics.counter "test.obs.dstress.p" in
-         let doms =
-           List.map
-             (fun n ->
-               Domain.spawn (fun () ->
-                   for _ = 1 to n do
-                     Metrics.incr c
-                   done))
-             amounts
-         in
-         List.iter Domain.join doms;
-         let got =
-           Metrics.counter_value (Metrics.snapshot ()) "test.obs.dstress.p"
-         in
-         Metrics.set_enabled false;
-         Metrics.reset ();
-         got = Some (List.fold_left ( + ) 0 amounts)))
 
 (* ---------- JSON writer audit (satellite S2) ---------- *)
 
@@ -768,11 +724,6 @@ let suite =
       test_hist_quantiles_rendered;
     Alcotest.test_case "snapshot sorted by name (golden)" `Quick
       test_snapshot_sorted_golden;
-    Alcotest.test_case "4-domain counter stress" `Quick
-      test_counter_domain_stress;
-    Alcotest.test_case "4-domain histogram stress" `Quick
-      test_histogram_domain_stress;
-    counter_domain_stress_prop;
     Alcotest.test_case "json control chars escape exhaustively" `Quick
       test_json_control_chars_exhaustive;
     Alcotest.test_case "json non-finite floats -> null" `Quick

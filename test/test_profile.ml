@@ -11,7 +11,7 @@ module Json = Obs.Json
 
 (* Synthetic events; [of_events] ignores depth and attrs. *)
 let ev name phase ts =
-  Trace.{ name; phase; ts_ns = Int64.of_int ts; depth = 0; dom = 0; attrs = [] }
+  Trace.{ name; phase; ts_ns = Int64.of_int ts; depth = 0; attrs = [] }
 
 let b name ts = ev name Trace.Span_begin ts
 let e name ts = ev name Trace.Span_end ts

@@ -301,7 +301,10 @@ let e8 () =
     (match Prom.Typing.typecheck Prom.Termination.omega_untyped with
     | Ok _ -> "TYPED?!"
     | Error _ -> "rejected by the linear type system")
-    (match Prom.Semantics.exec ~fuel:10_000 Prom.Termination.omega_untyped with
+    (match
+       Prom.Semantics.exec ~budget:(Budget.of_steps 10_000)
+         Prom.Termination.omega_untyped
+     with
     | Prom.Semantics.Out_of_fuel -> "still spinning after 10000 steps"
     | _ -> "?")
 

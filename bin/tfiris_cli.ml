@@ -380,13 +380,34 @@ let render_run ?stats (o : Job.outcome) =
    outcome. *)
 let run_explore ~label ~e ~budget ~ledger n =
   if n < 1 then or_die (Error "--domains must be >= 1");
-  let t0 = Unix.gettimeofday () in
-  let r = Shl.Conc.explore ~budget (Shl.Conc.init e) in
-  let finals =
-    List.sort compare
-      (List.map (fun (v, _) -> Shl.Pretty.value_to_string v)
-         r.Shl.Conc.final_values)
+  let explore () =
+    let r = Shl.Conc.explore ~budget (Shl.Conc.init e) in
+    let finals =
+      List.sort compare
+        (List.map (fun (v, _) -> Shl.Pretty.value_to_string v)
+           r.Shl.Conc.final_values)
+    in
+    let verdict, ok =
+      match r.Shl.Conc.exhausted with
+      | Some res -> ("out_of_fuel:" ^ Robust.Budget.resource_name res, false)
+      | None ->
+        if r.Shl.Conc.stuck = [] then ("explored", true) else ("stuck", false)
+    in
+    ( {
+        Job.engine = "shl.explore";
+        verdict;
+        ok;
+        detail = Some (String.concat "," finals);
+        consumed = [ ("states", r.Shl.Conc.states) ];
+      },
+      (r, finals) )
   in
+  (* no cache: the job always computes *)
+  let o, fresh =
+    Job.run ?ledger ~budget ~cmd:"run" ~engines:[ "shl.explore" ] ~label
+      ~program:(Shl.Pretty.expr_to_string e) ~spec:"" ~replay:false explore
+  in
+  let r, finals = Option.get fresh in
   List.iter (fun v -> Format.printf "final: %s@." v) finals;
   List.iter
     (fun (tid, redex) -> Format.eprintf "stuck (thread %d) on: %s@." tid redex)
@@ -401,23 +422,7 @@ let run_explore ~label ~e ~budget ~ledger n =
       r.Shl.Conc.states
   | None -> ());
   Format.printf "states: %d@." r.Shl.Conc.states;
-  let verdict, ok =
-    match r.Shl.Conc.exhausted with
-    | Some res -> ("out_of_fuel:" ^ Robust.Budget.resource_name res, false)
-    | None ->
-      if r.Shl.Conc.stuck = [] then ("explored", true) else ("stuck", false)
-  in
-  Job.append ?ledger ~cmd:"run" ~label
-    ~program:(Shl.Pretty.expr_to_string e)
-    ~spec:"" ~budget ~t0
-    {
-      Job.engine = "shl.explore";
-      verdict;
-      ok;
-      detail = Some (String.concat "," finals);
-      consumed = [ ("states", r.Shl.Conc.states) ];
-    };
-  if ok then 0 else 1
+  if o.Job.ok then 0 else 1
 
 let run_cmd =
   let action program budget stats engine ledger domains cache =
@@ -431,23 +436,29 @@ let run_cmd =
       | `Lockstep ->
         (* lockstep's agree/disagree report is not an outcome a
            certificate holds: it is never cached *)
-        let t0 = Unix.gettimeofday () in
-        let lo = Shl.Machine.lockstep ~budget:bound e in
-        let verdict, code =
-          match lo with
-          | Shl.Machine.Agree_value _ -> ("value", 0)
-          | Shl.Machine.Agree_stuck _ -> ("stuck", 1)
-          | Shl.Machine.Agree_out_of_fuel _ -> ("out_of_fuel", 1)
-          | Shl.Machine.Disagree _ -> ("disagree", 2)
+        let lockstep () =
+          let lo = Shl.Machine.lockstep ~budget:bound e in
+          let verdict, code =
+            match lo with
+            | Shl.Machine.Agree_value _ -> ("value", 0)
+            | Shl.Machine.Agree_stuck _ -> ("stuck", 1)
+            | Shl.Machine.Agree_out_of_fuel _ -> ("out_of_fuel", 1)
+            | Shl.Machine.Disagree _ -> ("disagree", 2)
+          in
+          ( {
+              Job.engine = "shl.lockstep";
+              verdict;
+              ok = code = 0;
+              detail = None;
+              consumed = [];
+            },
+            (lo, code) )
         in
-        Job.append ?ledger ~cmd:"run" ~label ~program ~spec:"" ?budget ~t0
-          {
-            Job.engine = "shl.lockstep";
-            verdict;
-            ok = code = 0;
-            detail = None;
-            consumed = [];
-          };
+        let _, fresh =
+          Job.run ?ledger ?budget ~cmd:"run" ~engines:[ "shl.lockstep" ] ~label
+            ~program ~spec:"" ~replay:false lockstep
+        in
+        let lo, code = Option.get fresh in
         emit (Format.asprintf "%a@." Shl.Machine.pp_lockstep lo, "", code)
       | `Machine ->
         let engine = "shl.machine" in
@@ -1037,8 +1048,34 @@ let profile_cmd =
 let chaos_cmd =
   let action seeds out ledger =
     if seeds <= 0 then or_die (Error "--seeds must be positive");
-    let t0 = Unix.gettimeofday () in
-    let r = Robust.Chaos.run ~seeds () in
+    (* one record for the whole battery; the seed count is the spec
+       (more seeds = a different, stronger check) *)
+    let battery () =
+      let r = Robust.Chaos.run ~seeds () in
+      let failures = List.length r.Robust.Chaos.failures in
+      ( {
+          Job.engine = "robust.chaos";
+          verdict =
+            (if Robust.Chaos.passed r then "passed"
+             else Printf.sprintf "failed:%d" failures);
+          ok = Robust.Chaos.passed r;
+          detail = None;
+          consumed =
+            [
+              ("seeds", seeds);
+              ("checks", r.Robust.Chaos.checks_run);
+              ("failures", failures);
+            ];
+        },
+        r )
+    in
+    let o, fresh =
+      Job.run ?ledger ~cmd:"chaos" ~engines:[ "robust.chaos" ]
+        ~label:"chaos-battery" ~program:"chaos-battery"
+        ~spec:(Printf.sprintf "seeds:%d" seeds)
+        ~replay:false battery
+    in
+    let r = Option.get fresh in
     Format.printf "%a@." Robust.Chaos.pp_report r;
     (match out with
     | None -> ()
@@ -1048,28 +1085,7 @@ let chaos_cmd =
       output_char oc '\n';
       close_out oc;
       Format.printf "report written to %s@." file);
-    let failures = List.length r.Robust.Chaos.failures in
-    (* one record for the whole battery; the seed count is the spec
-       (more seeds = a different, stronger check) *)
-    Job.append ?ledger ~cmd:"chaos" ~label:"chaos-battery"
-      ~program:"chaos-battery"
-      ~spec:(Printf.sprintf "seeds:%d" seeds)
-      ~t0
-      {
-        Job.engine = "robust.chaos";
-        verdict =
-          (if Robust.Chaos.passed r then "passed"
-           else Printf.sprintf "failed:%d" failures);
-        ok = Robust.Chaos.passed r;
-        detail = None;
-        consumed =
-          [
-            ("seeds", seeds);
-            ("checks", r.Robust.Chaos.checks_run);
-            ("failures", failures);
-          ];
-      };
-    if Robust.Chaos.passed r then 0 else 1
+    if o.Job.ok then 0 else 1
   in
   let seeds =
     Arg.(
@@ -1097,7 +1113,7 @@ let chaos_cmd =
 (* ---- report ---- *)
 
 let report_cmd =
-  let action files diff threshold min_delta mem_threshold fmt =
+  let action files diff mem_threshold fmt =
     let load path = or_die (Obs.Ledger.load ~path) in
     match (diff, files) with
     | false, [ path ] ->
@@ -1116,8 +1132,8 @@ let report_cmd =
       0
     | true, [ before; after ] ->
       let d =
-        Obs.Report.diff ~threshold ~min_delta_ms:min_delta ?mem_threshold
-          ~before:(load before) ~after:(load after) ()
+        Obs.Report.diff ?mem_threshold ~before:(load before)
+          ~after:(load after) ()
       in
       (match fmt with
       | `Text -> print_string (Obs.Report.render_diff_text d)
@@ -1142,25 +1158,10 @@ let report_cmd =
       & info [ "diff" ]
           ~doc:
             "Compare two ledgers (BEFORE AFTER): classify verdict flips, new \
-             failures and median-time regressions. Exit 1 when a verdict \
-             flipped or a new entry failed; time regressions are advisory.")
-  in
-  let threshold =
-    Arg.(
-      value & opt float 1.5
-      & info [ "threshold" ] ~docv:"X"
-          ~doc:
-            "Report a time regression when the median wall time grows beyond \
-             $(docv) times the baseline (with $(b,--min-delta-ms) absolute \
-             slack).")
-  in
-  let min_delta =
-    Arg.(
-      value & opt float 20.
-      & info [ "min-delta-ms" ] ~docv:"MS"
-          ~doc:
-            "Ignore median-time growth below $(docv) milliseconds — absolute \
-             noise floor for the regression classifier.")
+             failures and median-time regressions (a median wall time past \
+             1.5 times the baseline and 20 ms above it). Exit 1 when a \
+             verdict flipped or a new entry failed; time regressions are \
+             advisory.")
   in
   let mem_threshold =
     Arg.(
@@ -1186,9 +1187,8 @@ let report_cmd =
           wall-time trend, budget use, allocated words), or diff two ledgers \
           for verdict flips, new failures and time/memory regressions.")
     Term.(
-      const (fun fs d th md mt fmt ->
-          Stdlib.exit (protect (fun () -> action fs d th md mt fmt)))
-      $ files $ diff $ threshold $ min_delta $ mem_threshold $ fmt)
+      const (fun fs d mt fmt -> Stdlib.exit (protect (fun () -> action fs d mt fmt)))
+      $ files $ diff $ mem_threshold $ fmt)
 
 (* ---- cache (stats / gc) ---- *)
 

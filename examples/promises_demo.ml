@@ -18,7 +18,7 @@ let show name e =
   | Ok _ ->
     Format.printf "      %a@." (Termination.Wp.pp_outcome pp) (Termination.verify e)
   | Error _ -> (
-    match Semantics.exec ~fuel:10_000 e with
+    match Semantics.exec ~budget:(Tfiris.Robust.Budget.of_steps 10_000) e with
     | Semantics.Out_of_fuel -> print_endline "      diverges (fuel exhausted)"
     | Semantics.Value (v, n) ->
       Format.printf "      evaluates to %s in %d steps (untyped!)@." (to_string v) n

@@ -19,12 +19,6 @@ let severity_to_string = function
   | Warning -> "warning"
   | Error -> "error"
 
-let severity_of_string = function
-  | "info" -> Some Info
-  | "warning" -> Some Warning
-  | "error" -> Some Error
-  | _ -> None
-
 (* Info < Warning < Error *)
 let severity_rank = function Info -> 0 | Warning -> 1 | Error -> 2
 

@@ -344,6 +344,9 @@ let redex_access (th : Machine.t) : (Ast.loc * dyn_kind) option =
     | Cas (Val (Loc l), Val _, Val _) -> Some (l, D_cas)
     | _ -> None)
 
+(* The state cap of the dynamic oracle's exploration. *)
+let dynamic_states = 20_000
+
 (** Report every pair of {e simultaneously enabled} conflicting
     next-redexes: same location, distinct threads, at least one plain
     write.  Returns deduplicated (location, kind, kind) triples.
@@ -354,7 +357,7 @@ let redex_access (th : Machine.t) : (Ast.loc * dyn_kind) option =
     interleaving graph: {!Conc.explore}'s reduction keeps the terminal
     outcomes, not every reachable state, and a co-enabled pair is a
     property of one state. *)
-let dynamic_races ?(max_states = 20_000) (e : expr) : dyn_race list =
+let dynamic_races (e : expr) : dyn_race list =
   let out = Hashtbl.create 16 in
   let scan (c : Conc.cfg) =
     let accs =
@@ -376,7 +379,7 @@ let dynamic_races ?(max_states = 20_000) (e : expr) : dyn_race list =
   in
   let (_ : Conc.exploration) =
     Conc.explore_all
-      ~budget:(Tfiris_robust.Budget.of_states max_states)
+      ~budget:(Tfiris_robust.Budget.of_states dynamic_states)
       ~on_state:scan (Conc.init e)
   in
   Hashtbl.fold (fun (l, k1, k2) () acc -> { d_loc = l; k1; k2 } :: acc) out []

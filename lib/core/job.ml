@@ -83,16 +83,6 @@ let record ~path ~key ~cmd ~label ?budget ~cached ~t0 (o : outcome) =
       forensics = (if o.ok then None else forensics_pointer ());
     }
 
-(** Append one ledger record for an outcome that is never cached. *)
-let append ?ledger ~cmd ~label ~program ~spec ?budget ~t0
-    (o : outcome) =
-  Option.iter
-    (fun path ->
-      record ~path
-        ~key:(content_key ~program ~spec o.engine)
-        ~cmd ~label ?budget ~cached:false ~t0 o)
-    ledger
-
 (** [run ?cache ?ledger ~cmd ~engines ~label ~program ~spec ~replay
     compute]: the outcome of one job, and [compute]'s by-product when it
     ran ([None] on a cache hit).
@@ -112,7 +102,10 @@ let append ?ledger ~cmd ~label ~program ~spec ?budget ~t0
       note on stderr unless [announce] is false); on a miss [compute]
       runs and its outcome is stored.  Either way one ledger record is
       appended, marked [cached] on a hit; it leaves out the detail when
-      [record_detail] is false (analyze's multi-program report). *)
+      [record_detail] is false (analyze's multi-program report).
+    - A job that is never cached (lockstep, exploration, the chaos
+      battery) passes no [cache] and [~replay:false]: it always
+      computes, so [compute]'s by-product is always returned. *)
 let run ?cache ?ledger ?budget ?(announce = true) ?(adapt = Option.some)
     ?(record_detail = true) ~cmd ~engines ~label ~program ~spec ~replay
     (compute : unit -> outcome * 'a) : outcome * 'a option =

@@ -46,6 +46,7 @@ module Obs = struct
   module Profile = Tfiris_obs.Profile
   module Forensics = Tfiris_obs.Forensics
   module Progress = Tfiris_obs.Progress
+  module Span = Tfiris_obs.Span
   module Ledger = Tfiris_obs.Ledger
   module Certcache = Tfiris_obs.Certcache
   module Report = Tfiris_obs.Report

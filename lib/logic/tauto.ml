@@ -27,6 +27,7 @@
 module F = Formula
 module Metrics = Tfiris_obs.Metrics
 module Trace = Tfiris_obs.Trace
+module Span = Tfiris_obs.Span
 
 (* Proof-search instrumentation: one counter bump per sequent visited
    and per caught [Fail] (a backtrack point), so the cost of G4ip
@@ -347,20 +348,16 @@ and attempt_noninvertible gamma goal =
     returned derivation has conclusion [True ⊢ goal] (and re-checks in
     both systems: the fragment uses no step-indexed rules). *)
 let prove (goal : F.t) : Proof.t option =
-  let attempt () =
-    match search [] goal with
-    | d ->
-      Metrics.incr c_proved;
-      Some d
-    | exception Fail ->
-      Metrics.incr c_failed;
-      None
-  in
-  if Trace.on () then
-    Trace.with_span "tauto.prove"
-      ~attrs:[ ("goal", Trace.S (F.to_string goal)) ]
-      attempt
-  else attempt ()
+  Span.run ~name:"tauto.prove"
+    ~attrs:(fun () -> [ ("goal", Trace.S (F.to_string goal)) ])
+    (fun _ ->
+      match search [] goal with
+      | d ->
+        Metrics.incr c_proved;
+        Some d
+      | exception Fail ->
+        Metrics.incr c_failed;
+        None)
 
 (** [provable goal]. *)
 let provable goal = Option.is_some (prove goal)

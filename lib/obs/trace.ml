@@ -4,8 +4,7 @@
     interpreter, the refinement drivers and the proof checkers.  It is a
     classic span/event model:
 
-    - a {e span} is a named, nested interval ([span_begin]/[span_end],
-      or the bracketed {!with_span});
+    - a {e span} is a named, nested interval ([span_begin]/[span_end]);
     - an {e instant} is a point event;
     - both carry typed attributes (int/float/string/bool).
 
@@ -17,22 +16,18 @@
     [trace_event] array format ({!chrome_sink}), loadable in
     [chrome://tracing] / Perfetto.
 
-    The span-nesting depth and the GC stack are plain refs and
-    emission takes no lock, which assumes the program runs on one
-    domain.  The Chrome sink puts every event on one [tid] lane, named
-    by a [process_name]/[thread_name] metadata pair.
+    The span-nesting depth is a plain ref and emission takes no lock,
+    which assumes the program runs on one domain.  The Chrome sink puts
+    every event on one [tid] lane, named by a
+    [process_name]/[thread_name] metadata pair.
 
-    {b GC spans}: when {!Telemetry.set_spans} is on, every span close
-    carries [gc.alloc_w]/[gc.minor_gcs]/[gc.major_gcs] attributes — the
-    [Gc.quick_stat] delta across the span, tracked on a stack in
-    lockstep with span nesting.
+    This module only emits events.  Engines do not call it for their
+    spans: {!Span.run} opens and closes them, together with the GC
+    delta, the heartbeat and the forensics ring of the run.
 
-    {b Cost discipline}: tracing is off by default and the hot paths in
-    the instrumented libraries guard every emission with {!on}, a single
-    load-and-branch, before building any attribute list.  With tracing
-    disabled the instrumentation is a handful of predictable branches
-    per run — not per step — which is what keeps the tier-1 timings
-    within noise of the uninstrumented tree. *)
+    {b Cost discipline}: tracing is off by default; every emission is
+    guarded by {!on}, a single load-and-branch, before any attribute
+    list is built. *)
 
 type attr_value =
   | I of int
@@ -87,10 +82,6 @@ let sink = ref null_sink
 
 let depth = ref 0
 
-(* GC samples opened by [span_begin] when {!Telemetry.spans_on};
-   popped by the matching [span_end]. *)
-let gc_stack : Telemetry.sample list ref = ref []
-
 (* A sink that throws (full disk, closed channel, an injected fault
    from the chaos harness) must never take the traced program down:
    tracing is an observer.  Failures are swallowed and counted — into a
@@ -98,7 +89,6 @@ let gc_stack : Telemetry.sample list ref = ref []
    (when metrics are on). *)
 let sink_errors_ = ref 0
 let sink_errors () = !sink_errors_
-let reset_sink_errors () = sink_errors_ := 0
 let c_sink_errors = Metrics.counter "robust.trace.sink_errors"
 
 let note_sink_error () =
@@ -130,50 +120,25 @@ let flush () = flush_sink !sink
 
 (* ---------- emission ---------- *)
 
-let emit phase name attrs =
-  let ev = { name; phase; ts_ns = now_ns (); depth = !depth; attrs } in
+let emit ts phase name attrs =
+  let ev = { name; phase; ts_ns = ts; depth = !depth; attrs } in
   try !sink.emit ev with _ -> note_sink_error ()
 
 let instant ?(attrs = []) name =
-  if !enabled then emit Instant name attrs
+  if !enabled then emit (now_ns ()) Instant name attrs
 
-let span_begin ?(attrs = []) name =
+(** A span's two events, stamped with a clock reading [ts] the caller
+    took ({!Span} does, once per event). *)
+let span_begin ts name attrs =
   if !enabled then begin
-    if Telemetry.spans_on () then gc_stack := Telemetry.sample () :: !gc_stack;
-    emit Span_begin name attrs;
+    emit ts Span_begin name attrs;
     incr depth
   end
 
-(* GC attributes for a span close: the delta since the matching
-   [span_begin].  An unmatched close (sampling switched on mid-span)
-   finds an empty stack and simply carries no GC attrs. *)
-let gc_close_attrs () =
-  if not (Telemetry.spans_on ()) then []
-  else
-    match !gc_stack with
-    | [] -> []
-    | before :: rest ->
-      gc_stack := rest;
-      let m = Telemetry.measure ~before ~after:(Telemetry.sample ()) in
-      [
-        ("gc.alloc_w", I m.Telemetry.allocated_words);
-        ("gc.minor_gcs", I m.Telemetry.minor_collections);
-        ("gc.major_gcs", I m.Telemetry.major_collections);
-      ]
-
-let span_end ?(attrs = []) name =
+let span_end ts name attrs =
   if !enabled then begin
     depth := max 0 (!depth - 1);
-    emit Span_end name (attrs @ gc_close_attrs ())
-  end
-
-(** [with_span name f]: run [f] inside a span.  When tracing is off this
-    is a tail call to [f]. *)
-let with_span ?(attrs = []) name f =
-  if not !enabled then f ()
-  else begin
-    span_begin ~attrs name;
-    Fun.protect ~finally:(fun () -> span_end name) f
+    emit ts Span_end name attrs
   end
 
 (* ---------- sinks ---------- *)

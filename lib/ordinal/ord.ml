@@ -241,8 +241,6 @@ let rec fundamental a n =
       in
       add (prefix (c - 1)) last_step
 
-let sup_list = List.fold_left max zero
-
 let descend a =
   Metrics.incr c_descend;
   if is_zero a then invalid_arg "Ord.descend: zero"

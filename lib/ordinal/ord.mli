@@ -126,9 +126,6 @@ val fundamental : t -> int -> t
     a strictly increasing sequence with supremum [a].
     Raises [Invalid_argument] if [a] is not a limit ordinal. *)
 
-val sup_list : t list -> t
-(** Supremum (= maximum) of a finite, possibly empty list. *)
-
 (** {1 Descent} *)
 
 val descend : t -> t

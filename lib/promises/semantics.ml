@@ -13,6 +13,8 @@
 open Syntax
 module Metrics = Tfiris_obs.Metrics
 module Trace = Tfiris_obs.Trace
+module Span = Tfiris_obs.Span
+module Budget = Tfiris_robust.Budget
 
 (* Scheduler/channel instrumentation: each counter is bumped at the
    move it names (a load-and-branch each when metrics are disabled). *)
@@ -222,13 +224,19 @@ type result =
   | Stuck of term * int
   | Out_of_fuel
 
-(** Run the scheduler to completion with a fuel bound.  Every scheduler
-    pick (one call to {!step} that made progress) bumps
-    [promises.sched.steps]; with tracing on, the whole run is a
-    [promises.exec] span. *)
-let exec ?(fuel = 1_000_000) (e : term) : result =
-  let rec go st n k =
-    if n = 0 then Out_of_fuel
+(** Run the scheduler to completion within a budget (default 10{^6}
+    scheduler steps).  Every scheduler pick (one call to {!step} that
+    made progress) bumps [promises.sched.steps]; with tracing on, the
+    whole run is a [promises.exec] span whose [fuel] attribute is the
+    steps bound. *)
+let exec ?budget (e : term) : result =
+  let b = match budget with Some b -> b | None -> Budget.of_steps 1_000_000 in
+  let m = Budget.meter b in
+  let rec go st k =
+    if not (Budget.step m) then begin
+      Metrics.add c_sched_steps k;
+      Out_of_fuel
+    end
     else
       match step st with
       | Done v ->
@@ -240,20 +248,17 @@ let exec ?(fuel = 1_000_000) (e : term) : result =
       | Task_stuck t ->
         Metrics.add c_sched_steps k;
         Stuck (t, k)
-      | Progress st' -> go st' (n - 1) (k + 1)
+      | Progress st' -> go st' (k + 1)
   in
-  let run () =
-    match go (init e) fuel 0 with
-    | Out_of_fuel ->
-      Metrics.add c_sched_steps fuel;
-      Out_of_fuel
-    | r -> r
-  in
-  if Trace.on () then
-    Trace.with_span "promises.exec" ~attrs:[ ("fuel", Trace.I fuel) ] run
-  else run ()
+  Span.run ~name:"promises.exec"
+    ~attrs:(fun () ->
+      [
+        ( "fuel",
+          Trace.I (Option.value (Budget.limit b Budget.Steps) ~default:max_int) );
+      ])
+    (fun _ -> go (init e) 0)
 
-let eval ?fuel e =
-  match exec ?fuel e with
+let eval ?budget e =
+  match exec ?budget e with
   | Value (v, _) -> Some v
   | Deadlocked _ | Stuck _ | Out_of_fuel -> None

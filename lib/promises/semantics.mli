@@ -43,9 +43,10 @@ type result =
   | Stuck of Syntax.term * int
   | Out_of_fuel
 
-val exec : ?fuel:int -> Syntax.term -> result
-(** Run under the round-robin scheduler for at most [fuel] scheduler
-    steps.  The promises calculus has no heap cells or budget meter, so
-    its bound stays a plain int. *)
+val exec : ?budget:Tfiris_robust.Budget.t -> Syntax.term -> result
+(** Run under the round-robin scheduler within [budget] (default 10{^6}
+    scheduler steps; the calculus has no heap cells, so only its steps
+    and wall bounds apply).  [Out_of_fuel] means the budget ran out
+    with the program still running. *)
 
-val eval : ?fuel:int -> Syntax.term -> Syntax.term option
+val eval : ?budget:Tfiris_robust.Budget.t -> Syntax.term -> Syntax.term option

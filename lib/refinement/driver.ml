@@ -30,7 +30,7 @@ module Metrics = Tfiris_obs.Metrics
 module Trace = Tfiris_obs.Trace
 module Forensics = Tfiris_obs.Forensics
 module Json = Tfiris_obs.Json
-module Progress = Tfiris_obs.Progress
+module Span = Tfiris_obs.Span
 module Budget = Tfiris_robust.Budget
 open Tfiris_shl
 
@@ -195,8 +195,8 @@ let rule_name = function
 (* One recorded frame per strategy decision: both configurations, the
    budget it was consulted with, and what it answered.  The frames are
    the only reason a game plugs configurations at all. *)
-let record_decision ring ~step_no ~(target : Step.config)
-    ~(source : Step.config) ~budget (d : decision) =
+let decision_frame ~step_no ~(target : Step.config) ~(source : Step.config)
+    ~budget (d : decision) : Forensics.frame =
   let decision_fields =
     match d with
     | Stutter b' ->
@@ -211,39 +211,23 @@ let record_decision ring ~step_no ~(target : Step.config)
         ("new_budget", Json.Str (Ord.to_string b'));
       ]
   in
-  Forensics.push ring
-    {
-      Forensics.f_step = step_no;
-      f_label = "decide";
-      f_data =
-        [
-          ( "target",
-            Json.Str (Forensics.trunc (Pretty.expr_to_string target.Step.expr))
-          );
-          ( "source",
-            Json.Str (Forensics.trunc (Pretty.expr_to_string source.Step.expr))
-          );
-          ("tgt_heap", Json.Int (Heap.size target.Step.heap));
-          ("src_heap", Json.Int (Heap.size source.Step.heap));
-          ("budget", Json.Str (Ord.to_string budget));
-        ]
-        @ decision_fields;
-    }
-
-let forensic_report (s : strategy) ring (r : reject_reason) (st : stats) =
-  Forensics.set_last
-    (Forensics.report ~component:"refinement.driver" ~rule:(rule_name r)
-       ~step:st.target_steps
-       ~reason:(Format.asprintf "%a" pp_reject r)
-       ~attrs:
-         [
-           ("strategy", Json.Str s.name);
-           ("target_steps", Json.Int st.target_steps);
-           ("source_steps", Json.Int st.source_steps);
-           ("stutters", Json.Int st.stutters);
-           ("budget_resets", Json.Int st.budget_resets);
-         ]
-       ring)
+  {
+    Forensics.f_step = step_no;
+    f_label = "decide";
+    f_data =
+      [
+        ( "target",
+          Json.Str (Forensics.trunc (Pretty.expr_to_string target.Step.expr))
+        );
+        ( "source",
+          Json.Str (Forensics.trunc (Pretty.expr_to_string source.Step.expr))
+        );
+        ("tgt_heap", Json.Int (Heap.size target.Step.heap));
+        ("src_heap", Json.Int (Heap.size source.Step.heap));
+        ("budget", Json.Str (Ord.to_string budget));
+      ]
+      @ decision_fields;
+  }
 
 (* One bulk metrics update per game, derived from the verdict's own
    stats so the registry and the returned record cannot disagree. *)
@@ -288,6 +272,32 @@ let machine_target : (Machine.config, Step.kind) target =
     config = Machine.to_config;
   }
 
+(* A strategy decision under tracing: a [driver.decide] span nested in
+   the game's, with the decision as an instant.  Only a traced game
+   calls it, so an untraced step opens nothing. *)
+let traced_decide (s : strategy) ~step_no ~budget =
+  Span.run ~name:"driver.decide"
+    ~attrs:(fun () ->
+      [
+        ("strategy", Trace.S s.name);
+        ("step_no", Trace.I step_no);
+        ("budget", Trace.S (Ord.to_string budget));
+      ])
+    (fun _ ->
+      let d = s.decide ~step_no ~budget in
+      (match d with
+      | Stutter b' ->
+        Trace.instant "driver.stutter"
+          ~attrs:[ ("new_budget", Trace.S (Ord.to_string b')) ]
+      | Advance { src_steps; budget = b' } ->
+        Trace.instant "driver.advance"
+          ~attrs:
+            [
+              ("src_steps", Trace.I src_steps);
+              ("new_budget", Trace.S (Ord.to_string b'));
+            ]);
+      d)
+
 (* The game itself: the only place the stutter-budget rule is checked.
    [b] bounds the target's run; the source gets a meter of its own
    from the same budget, covering advances {e and} the final drain (so
@@ -295,21 +305,18 @@ let machine_target : (Machine.config, Step.kind) target =
    hanging the driver).  The initial stutter budget is taken from the
    strategy's first decision by starting from a maximal sentinel.
 
-   When tracing is enabled every strategy decision is a span
-   ([driver.decide], with the step number, budget and outcome as
-   attributes); every game additionally batches its counters into the
-   [refinement.driver.*] metrics, including histograms of stutter-run
-   lengths and advance batch sizes. *)
+   The game is one {!Span.run}: heartbeats count target steps (the
+   game's clock) and report the target meter's budget fraction, and the
+   forensics ring holds one frame per decision.  When tracing is
+   enabled every strategy decision is a nested span ([driver.decide],
+   with the step number, budget and outcome as attributes); every game
+   additionally batches its counters into the [refinement.driver.*]
+   metrics, including histograms of stutter-run lengths and advance
+   batch sizes. *)
 let game b ~init_budget (tg : ('c, 'k) target) (target : 'c)
     ~(source : Step.config) (s : strategy) : verdict =
   let tm = Budget.meter b in
   let sm = Budget.meter b in
-  (* Heartbeats count target steps (the game's clock); the budget
-     fraction reported is the target meter's. *)
-  let heartbeat = Progress.tracker ~component:"refinement.driver" ~phase:"game" () in
-  let heartbeat_info () =
-    { Progress.no_info with Progress.budget_left = Budget.remaining_frac tm }
-  in
   (* length of the current maximal run of consecutive stutters; flushed
      into the histogram at each advance and at game end *)
   let stutter_run = ref 0 in
@@ -319,40 +326,12 @@ let game b ~init_budget (tg : ('c, 'k) target) (target : 'c)
       stutter_run := 0
     end
   in
-  let ring = Forensics.with_ring () in
-  let decide ~step_no ~budget =
-    if Trace.on () then
-      Trace.with_span "driver.decide"
-        ~attrs:
-          [
-            ("strategy", Trace.S s.name);
-            ("step_no", Trace.I step_no);
-            ("budget", Trace.S (Ord.to_string budget));
-          ]
-        (fun () ->
-          let d = s.decide ~step_no ~budget in
-          (match d with
-          | Stutter b' ->
-            Trace.instant "driver.stutter"
-              ~attrs:[ ("new_budget", Trace.S (Ord.to_string b')) ]
-          | Advance { src_steps; budget = b' } ->
-            Trace.instant "driver.advance"
-              ~attrs:
-                [
-                  ("src_steps", Trace.I src_steps);
-                  ("new_budget", Trace.S (Ord.to_string b'));
-                ]);
-          d)
-    else s.decide ~step_no ~budget
-  in
-  let rec go t (src : Machine.config) budget stats =
+  let rec go sp t (src : Machine.config) budget stats =
     match tg.value t with
     | Some v ->
       if not (is_ground v) then Rejected (Result_not_ground v, stats)
       else (
-        (match heartbeat with
-        | Some hb -> Progress.set_phase hb "drain"
-        | None -> ());
+        Span.set_phase sp "drain";
         match src_drain sm src with
         | Error r -> Rejected (r, stats)
         | Ok (v', extra) -> (
@@ -364,26 +343,26 @@ let game b ~init_budget (tg : ('c, 'k) target) (target : 'c)
       if not (Budget.step tm) then
         Accepted (Fuel_exhausted (Budget.tripped tm), stats)
       else (
-        (match heartbeat with
-        | Some hb -> Progress.tick hb heartbeat_info
-        | None -> ());
+        Span.tick sp Budget.progress tm;
         match tg.step t with
         | Error (Step.Stuck redex) -> Rejected (Target_stuck redex, stats)
         | Error Step.Finished -> assert false
         | Ok (t', _) -> (
           let stats = { stats with target_steps = stats.target_steps + 1 } in
           let step_no = stats.target_steps in
-          let d = decide ~step_no ~budget in
-          (match ring with
-          | Some rg ->
-            record_decision rg ~step_no ~target:(tg.config t')
-              ~source:(Machine.to_config src) ~budget d
-          | None -> ());
+          let d =
+            if Trace.on () then traced_decide s ~step_no ~budget
+            else s.decide ~step_no ~budget
+          in
+          if Span.recording sp then
+            Span.frame sp
+              (decision_frame ~step_no ~target:(tg.config t')
+                 ~source:(Machine.to_config src) ~budget d);
           match d with
           | Stutter b' ->
             if Ord.lt b' budget then begin
               incr stutter_run;
-              go t' src b' { stats with stutters = stats.stutters + 1 }
+              go sp t' src b' { stats with stutters = stats.stutters + 1 }
             end
             else Rejected (Budget_not_decreasing (budget, b'), stats)
           | Advance { src_steps; budget = b' } ->
@@ -395,7 +374,7 @@ let game b ~init_budget (tg : ('c, 'k) target) (target : 'c)
               | Ok src' ->
                 flush_stutter_run ();
                 Metrics.observe_int h_advance_batch src_steps;
-                go t' src' b'
+                go sp t' src' b'
                   {
                     stats with
                     source_steps = stats.source_steps + src_steps;
@@ -403,20 +382,28 @@ let game b ~init_budget (tg : ('c, 'k) target) (target : 'c)
                   })))
   in
   let source_m = Machine.of_config source in
-  let verdict =
-    if Trace.on () then
-      Trace.with_span "driver.run"
-        ~attrs:
-          [ ("strategy", Trace.S s.name);
-            ("budget", Trace.S (Budget.to_string b)) ]
-        (fun () -> go target source_m init_budget zero_stats)
-    else go target source_m init_budget zero_stats
-  in
-  flush_stutter_run ();
-  (match (ring, verdict) with
-  | Some rg, Rejected (r, st) -> forensic_report s rg r st
-  | _ -> ());
-  publish s verdict
+  publish s
+    (Span.run ~name:"driver.run" ~component:"refinement.driver"
+       ~attrs:(fun () ->
+         [ ("strategy", Trace.S s.name); ("budget", Trace.S (Budget.to_string b)) ])
+       (fun sp ->
+         Span.set_phase sp "game";
+         let verdict = go sp target source_m init_budget zero_stats in
+         flush_stutter_run ();
+         (match verdict with
+         | Rejected (r, st) when Span.recording sp ->
+           Span.reject sp ~rule:(rule_name r) ~step:st.target_steps
+             ~reason:(Format.asprintf "%a" pp_reject r)
+             ~attrs:
+               [
+                 ("strategy", Json.Str s.name);
+                 ("target_steps", Json.Int st.target_steps);
+                 ("source_steps", Json.Int st.source_steps);
+                 ("stutters", Json.Int st.stutters);
+                 ("budget_resets", Json.Int st.budget_resets);
+               ]
+         | Rejected _ | Accepted _ -> ());
+         verdict))
 
 let default_init_budget = Ord.omega_pow Ord.omega
 

@@ -229,3 +229,6 @@ let remaining_frac (m : meter) : float option =
   with
   | [] -> None
   | fracs -> Some (List.fold_left Float.min 1. fracs)
+
+let progress (m : meter) : Tfiris_obs.Progress.info =
+  { Tfiris_obs.Progress.no_info with budget_left = remaining_frac m }

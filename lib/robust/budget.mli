@@ -110,3 +110,7 @@ val remaining_frac : meter -> float option
     deterministic resource is bounded.  The wall-clock bound is
     deliberately excluded: reading the clock here would make heartbeat
     sequences nondeterministic under the pinned test clock. *)
+
+val progress : meter -> Tfiris_obs.Progress.info
+(** The gauges of a heartbeat of a run metered by [m]: its
+    {!remaining_frac}. *)

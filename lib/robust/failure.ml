@@ -11,8 +11,6 @@ type t =
 
 exception Error of t
 
-let raise_ t = raise (Error t)
-
 let classifiers : (exn -> t option) list ref = ref []
 let register f = classifiers := f :: !classifiers
 

@@ -23,9 +23,7 @@ type t =
   | Internal of string  (** an escaped exception: a genuine bug *)
 
 exception Error of t
-(** The structured carrier; [raise_ f] and {!guard} speak this. *)
-
-val raise_ : t -> 'a
+(** The structured carrier {!guard} speaks. *)
 
 val register : (exn -> t option) -> unit
 (** Add a classifier consulted by {!of_exn} (later registrations win).

@@ -76,7 +76,6 @@ and expr =
 let lam x e = Rec (None, x, e)
 let lam_v x e = Rec_fun (None, x, e)
 let unit_ = Val Unit
-let bool_ b = Val (Bool b)
 let int_ n = Val (Int n)
 let var x = Var x
 let app2 f a b = App (App (f, a), b)
@@ -90,8 +89,6 @@ let lets bindings body =
     [None = inl ()], [Some v = inr v]. *)
 let none_ = Inj_l_e unit_
 
-let some_ e = Inj_r_e e
-
 (** [match_opt e none (y, some)]: case analysis on an encoded option. *)
 let match_opt e ~none ~some:(y, some_branch) =
   Case (e, ("_", none), (y, some_branch))
@@ -103,8 +100,6 @@ let is_value = function
   | Inj_l_e _ | Inj_r_e _ | Case _ | Ref _ | Load _ | Store _ | Let _ | Seq _
   | Fork _ | Cas _ ->
     false
-
-let to_value = function Val v -> Some v | _ -> None
 
 (** Structural equality of values, defined only on comparable values
     (no closures) — mirrors HeapLang's [=].  Returns [None] when either
@@ -290,10 +285,6 @@ and sub2_rec x vx f vf (g : string option) (y : string) (body : expr) : expr =
 let subst2 ((x, vx) : string * value) ((f, vf) : string * value)
     (e : expr) : expr =
   sub2 x vx f vf e
-
-let subst2_value ((x, vx) : string * value) ((f, vf) : string * value)
-    (w : value) : value =
-  sub2_value x vx f vf w
 
 (** {1 Locations mentioned by a term}
 

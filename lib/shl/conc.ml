@@ -23,6 +23,7 @@
 open Ast
 module Budget = Tfiris_robust.Budget
 module Progress = Tfiris_obs.Progress
+module Span = Tfiris_obs.Span
 
 type cfg = {
   threads : Machine.t list;  (** thread 0 is the main thread *)
@@ -368,11 +369,12 @@ let expand it ~reduce ~final ~stuck ~visit (n : node) =
       expand_full n' (runnable n'.cfg)
     | Full -> expand_full n rs)
 
-let engine ~reduce ?max_states ?budget ?on_state (c : cfg) : exploration =
+(* The state cap of an exploration given no budget. *)
+let default_states = 200_000
+
+let engine ~reduce ?budget ?on_state (c : cfg) : exploration =
   let b =
-    match budget with
-    | Some b -> b
-    | None -> Budget.of_states (Option.value max_states ~default:200_000)
+    match budget with Some b -> b | None -> Budget.of_states default_states
   in
   let m = Budget.meter b in
   let it : int Itbl.t = Itbl.create 64 in
@@ -380,7 +382,7 @@ let engine ~reduce ?max_states ?budget ?on_state (c : cfg) : exploration =
   let finals = ref [] in
   let stucks = ref [] in
   (* state-budget exhaustion stops the frontier from growing but drains
-     what was already enqueued (the classic [max_states] behaviour);
+     what was already enqueued (a state cap's classic behaviour);
      step/wall exhaustion aborts the sweep outright. *)
   let out_of_states = ref false in
   let aborted = ref false in
@@ -388,7 +390,6 @@ let engine ~reduce ?max_states ?budget ?on_state (c : cfg) : exploration =
   (* Heartbeats count dequeued states; the gauges read the live visited
      table and frontier, so a stalled sweep is visible as a flat-lining
      states figure. *)
-  let heartbeat = Progress.tracker ~component:"conc.explore" () in
   let heartbeat_info () =
     {
       Progress.states = Some (Ktbl.length visited);
@@ -411,18 +412,17 @@ let engine ~reduce ?max_states ?budget ?on_state (c : cfg) : exploration =
   Queue.add n0 queue;
   Ktbl.replace visited n0.key ();
   let _ = Budget.state m in
-  while not (Queue.is_empty queue || !aborted) do
-    let n = Queue.pop queue in
-    (match heartbeat with
-    | Some hb -> Progress.tick hb heartbeat_info
-    | None -> ());
-    if not (Budget.step m) && Budget.exhausted m <> Some Budget.States then
-      aborted := true
-    else begin
-      (match on_state with Some f -> f n.cfg | None -> ());
-      expand it ~reduce ~final ~stuck ~visit n
-    end
-  done;
+  Span.run ~component:"conc.explore" (fun sp ->
+      while not (Queue.is_empty queue || !aborted) do
+        let n = Queue.pop queue in
+        Span.tick sp heartbeat_info ();
+        if not (Budget.step m) && Budget.exhausted m <> Some Budget.States
+        then aborted := true
+        else begin
+          (match on_state with Some f -> f n.cfg | None -> ());
+          expand it ~reduce ~final ~stuck ~visit n
+        end
+      done);
   {
     final_values = !finals;
     stuck = !stucks;
@@ -435,11 +435,11 @@ let engine ~reduce ?max_states ?budget ?on_state (c : cfg) : exploration =
 
 (* [?domains] is accepted and ignored: the time-to-verdict harness
    still passes it, and it goes when the harness stops (ROADMAP item 1). *)
-let explore ?max_states ?budget ?domains:_ (c : cfg) : exploration =
-  engine ~reduce:true ?max_states ?budget c
+let explore ?budget ?domains:_ (c : cfg) : exploration =
+  engine ~reduce:true ?budget c
 
-let explore_all ?max_states ?budget ?on_state (c : cfg) : exploration =
-  engine ~reduce:false ?max_states ?budget ?on_state c
+let explore_all ?budget ?on_state (c : cfg) : exploration =
+  engine ~reduce:false ?budget ?on_state c
 
 (** {1 Classic concurrent programs} *)
 

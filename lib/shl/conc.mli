@@ -63,12 +63,11 @@ type exploration = {
   stuck : (int * expr) list;
   exhausted : Tfiris_robust.Budget.resource option;
       (** the budget resource that ran out before the frontier emptied,
-          if any ([States] for the classic [max_states] cap) *)
+          if any ([States] for the state cap) *)
   states : int;  (** distinct configurations visited *)
 }
 
 val explore :
-  ?max_states:int ->
   ?budget:Tfiris_robust.Budget.t ->
   ?domains:int ->
   cfg ->
@@ -104,16 +103,15 @@ val explore :
     [?domains] is accepted and ignored: the time-to-verdict harness
     still passes it, and it goes when the harness stops.
 
-    Exhaustion: a [states:] cap stops the frontier from growing but
-    drains what was enqueued, so the visited count is exactly [min (cap,
-    |reachable|)]; [steps:]/[ms:] exhaustion aborts the sweep.  [steps:]
+    The [budget] defaults to a cap of 200 000 states.  Exhaustion: a
+    [states:] cap stops the frontier from growing but drains what was
+    enqueued, so the visited count is exactly [min (cap, |reachable|)]; [steps:]/[ms:] exhaustion aborts the sweep.  [steps:]
     counts one step per expanded state plus one per chained pure step.
     A thread that diverges on its own without repeating a state is cut
     every 1000 chained steps, and each cut adds new states, so it
     exhausts [steps:] or [states:], whichever comes first. *)
 
 val explore_all :
-  ?max_states:int ->
   ?budget:Tfiris_robust.Budget.t ->
   ?on_state:(cfg -> unit) ->
   cfg ->

@@ -15,6 +15,7 @@
 open Ast
 module Metrics = Tfiris_obs.Metrics
 module Trace = Tfiris_obs.Trace
+module Span = Tfiris_obs.Span
 module Budget = Tfiris_robust.Budget
 
 type outcome =
@@ -117,11 +118,9 @@ let exec ?fuel ?budget ?(heap = Heap.empty) (e : expr) : outcome * stats =
       end
   in
   let outcome =
-    if Trace.on () then
-      Trace.with_span "shl.exec"
-        ~attrs:[ ("budget", Trace.S (Budget.to_string b)) ]
-        (fun () -> go (Machine.inject e) heap)
-    else go (Machine.inject e) heap
+    Span.run ~name:"shl.exec"
+      ~attrs:(fun () -> [ ("budget", Trace.S (Budget.to_string b)) ])
+      (fun _ -> go (Machine.inject e) heap)
   in
   (outcome, publish counts outcome)
 

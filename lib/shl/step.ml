@@ -133,6 +133,3 @@ let pure_steps ?(fuel = 10_000) e e' =
     else match pure_step e with None -> false | Some e2 -> go e2 (n - 1)
   in
   go e fuel
-
-let is_reducible_in (h : Heap.t) (e : expr) =
-  match prim_step { expr = e; heap = h } with Ok _ -> true | Error _ -> false

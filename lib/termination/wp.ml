@@ -6,7 +6,7 @@ module Metrics = Tfiris_obs.Metrics
 module Trace = Tfiris_obs.Trace
 module Forensics = Tfiris_obs.Forensics
 module Json = Tfiris_obs.Json
-module Progress = Tfiris_obs.Progress
+module Span = Tfiris_obs.Span
 module Budget = Tfiris_robust.Budget
 open Tfiris_shl
 
@@ -83,22 +83,21 @@ let reason_text = function
 
 (* One recorded frame per credit spend: the configuration the strategy
    was consulted on, the step kind, and the credit before/after. *)
-let record_spend ring ~step_no ~shown ~kind ~credit res =
-  Forensics.push ring
-    {
-      Forensics.f_step = step_no;
-      f_label = "spend";
-      f_data =
-        [
-          ("expr", Json.Str (Forensics.trunc shown));
-          ("step_kind", Json.Str kind);
-          ("credit", Json.Str (Ord.to_string credit));
-          ( "new_credit",
-            match res with
-            | Some c -> Json.Str (Ord.to_string c)
-            | None -> Json.Null );
-        ];
-    }
+let spend_frame ~step_no ~shown ~kind ~credit res : Forensics.frame =
+  {
+    Forensics.f_step = step_no;
+    f_label = "spend";
+    f_data =
+      [
+        ("expr", Json.Str (Forensics.trunc shown));
+        ("step_kind", Json.Str kind);
+        ("credit", Json.Str (Ord.to_string credit));
+        ( "new_credit",
+          match res with
+          | Some c -> Json.Str (Ord.to_string c)
+          | None -> Json.Null );
+      ];
+  }
 
 let publish (v : 'v outcome) : 'v outcome =
   if Metrics.on () then begin
@@ -150,12 +149,7 @@ let machine : (Machine.config, Step.config, Ast.value) target =
 let play ?budget ~credits (tg : ('s, 'c, 'v) target) (s : 'c strategy)
     (st0 : 's) : 'v outcome =
   let meter = Budget.meter (Option.value budget ~default:Budget.unlimited) in
-  let heartbeat = Progress.tracker ~component:"termination.wp" () in
-  let heartbeat_info () =
-    { Progress.no_info with Progress.budget_left = Budget.remaining_frac meter }
-  in
-  let ring = Forensics.with_ring () in
-  let rec go st credit stats =
+  let rec go sp st credit stats =
     match tg.step st with
     | Finished v -> Terminated (v, credit, stats)
     (* every attempted step is charged, a stuck one included *)
@@ -163,18 +157,15 @@ let play ?budget ~credits (tg : ('s, 'c, 'v) target) (s : 'c strategy)
       Rejected (Out_of_budget (Budget.tripped meter), stats)
     | Blocked why -> Rejected (Stuck why, stats)
     | Next (st', kind) -> (
-      (match heartbeat with
-      | Some t -> Progress.tick t heartbeat_info
-      | None -> ());
+      Span.tick sp Budget.progress meter;
       let step_no = stats.steps + 1 in
       (* built at most once, and only if a strategy or the ring reads it *)
       let config = lazy (tg.config st') in
       let res = s.spend ~step_no ~config ~credit ~meter in
-      (match ring with
-      | Some rg ->
-        record_spend rg ~step_no ~shown:(tg.show (Lazy.force config)) ~kind
-          ~credit res
-      | None -> ());
+      if Span.recording sp then
+        Span.frame sp
+          (spend_frame ~step_no ~shown:(tg.show (Lazy.force config)) ~kind
+             ~credit res);
       match res with
       | None ->
         (* a strategy stopped by the wall deadline tripped the meter *)
@@ -197,7 +188,7 @@ let play ?budget ~credits (tg : ('s, 'c, 'v) target) (s : 'c strategy)
                   ("from", Trace.S (Ord.to_string credit));
                   ("to", Trace.S (Ord.to_string credit'));
                 ];
-          go st' credit'
+          go sp st' credit'
             {
               steps = step_no;
               limit_refinements =
@@ -208,32 +199,28 @@ let play ?budget ~credits (tg : ('s, 'c, 'v) target) (s : 'c strategy)
           Rejected
             (Not_decreasing (credit, credit'), { stats with steps = step_no }))
   in
-  let verdict =
-    if Trace.on () then
-      Trace.with_span "wp.run"
-        ~attrs:
-          [
-            ("strategy", Trace.S s.name);
-            ("credits", Trace.S (Ord.to_string credits));
-          ]
-        (fun () -> go st0 credits no_stats)
-    else go st0 credits no_stats
-  in
-  (match (ring, verdict) with
-  | Some rg, Rejected (r, st) ->
-    Forensics.set_last
-      (Forensics.report ~component:"termination.wp" ~rule:(rule_name r)
-         ~step:st.steps ~reason:(reason_text r)
-         ~attrs:
-           [
-             ("strategy", Json.Str s.name);
-             ("credits", Json.Str (Ord.to_string credits));
-             ("steps", Json.Int st.steps);
-             ("limit_refinements", Json.Int st.limit_refinements);
-           ]
-         rg)
-  | _ -> ());
-  publish verdict
+  publish
+    (Span.run ~name:"wp.run" ~component:"termination.wp"
+       ~attrs:(fun () ->
+         [
+           ("strategy", Trace.S s.name);
+           ("credits", Trace.S (Ord.to_string credits));
+         ])
+       (fun sp ->
+         let verdict = go sp st0 credits no_stats in
+         (match verdict with
+         | Rejected (r, st) when Span.recording sp ->
+           Span.reject sp ~rule:(rule_name r) ~step:st.steps
+             ~reason:(reason_text r)
+             ~attrs:
+               [
+                 ("strategy", Json.Str s.name);
+                 ("credits", Json.Str (Ord.to_string credits));
+                 ("steps", Json.Int st.steps);
+                 ("limit_refinements", Json.Int st.limit_refinements);
+               ]
+         | Rejected _ | Terminated _ -> ());
+         verdict))
 
 let run ?budget ~credits s (cfg : Step.config) : verdict =
   play ?budget ~credits machine s (Machine.of_config cfg)

@@ -29,8 +29,6 @@ type source_state =
 (** One target state, stepping to itself. *)
 let target_steps () = [ () ]
 
-let source_result = function Pick | Run _ -> None | Done -> Some true
-
 (** Successors of a source state; [Pick] has countably many, which we
     expose as a function of the choice. *)
 let source_step_choice (s : source_state) (n : int) : source_state option =

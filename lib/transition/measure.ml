@@ -85,9 +85,3 @@ let run (sys : 'a t) ~(choose : 'a list -> 'a) (start : 'a) :
   descend ~measure:sys.measure
     ~next:(fun s -> match sys.step s with [] -> None | succs -> Some (choose succs))
     start
-
-(** Length of the run under a choice function. *)
-let run_length sys ~choose start =
-  match run sys ~choose start with
-  | Ok states -> Some (List.length states - 1)
-  | Error _ -> None

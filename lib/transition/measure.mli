@@ -35,5 +35,3 @@ val descend :
 val run : 'a t -> choose:('a list -> 'a) -> 'a -> ('a list, 'a violation) result
 (** {!descend} along [choose]'s pick among the system's successors: a
     run to termination under any successor choice. *)
-
-val run_length : 'a t -> choose:('a list -> 'a) -> 'a -> int option

@@ -14,6 +14,7 @@ module Json = Obs.Json
 module Ledger = Obs.Ledger
 module Report = Obs.Report
 module Progress = Obs.Progress
+module Span = Obs.Span
 module Trace = Obs.Trace
 module Budget = Robust.Budget
 module Shl = Tfiris.Shl
@@ -730,19 +731,25 @@ let with_heartbeats ?(every = 5) f =
   let r = Fun.protect ~finally:(fun () -> Progress.restore prev) f in
   (r, contents ())
 
+let no_info () = Progress.no_info
+
+(* A run with heartbeats on, failing if its span is off. *)
+let beating ?(component = "c") f =
+  Span.run ~component (function
+    | Span.Off -> Alcotest.fail "enabled span is off"
+    | sp -> f sp)
+
 let test_heartbeat_deterministic () =
-  (* one clock reading at tracker creation, then one per heartbeat:
+  (* one clock reading at the span's open, then one per heartbeat:
      with a 1ms step the n-th heartbeat sits at n ms, and each covers
      [every] units in exactly 1ms *)
   let (), snaps =
     with_heartbeats ~every:5 (fun () ->
         with_pinned_clock ~start:0 ~step:1_000_000 (fun () ->
-            match Progress.tracker ~component:"test.comp" () with
-            | None -> Alcotest.fail "enabled tracker missing"
-            | Some t ->
-              for _ = 1 to 12 do
-                Progress.tick t (fun () -> Progress.no_info)
-              done))
+            beating ~component:"test.comp" (fun sp ->
+                for _ = 1 to 12 do
+                  Span.tick sp no_info ()
+                done)))
   in
   let shape =
     List.map
@@ -764,21 +771,20 @@ let test_heartbeat_phase_and_gauges () =
   let (), snaps =
     with_heartbeats ~every:2 (fun () ->
         with_pinned_clock (fun () ->
-            match Progress.tracker ~component:"c" ~phase:"game" () with
-            | None -> Alcotest.fail "enabled tracker missing"
-            | Some t ->
-              let info () =
-                {
-                  Progress.states = Some 7;
-                  frontier = Some 3;
-                  budget_left = Some 0.25;
-                }
-              in
-              Progress.tick t info;
-              Progress.tick t info;
-              Progress.set_phase t "drain";
-              Progress.tick t info;
-              Progress.tick t info))
+            beating (fun sp ->
+                let info () =
+                  {
+                    Progress.states = Some 7;
+                    frontier = Some 3;
+                    budget_left = Some 0.25;
+                  }
+                in
+                Span.set_phase sp "game";
+                Span.tick sp info ();
+                Span.tick sp info ();
+                Span.set_phase sp "drain";
+                Span.tick sp info ();
+                Span.tick sp info ())))
   in
   match snaps with
   | [ s1; s2 ] ->
@@ -792,8 +798,8 @@ let test_heartbeat_phase_and_gauges () =
   | l -> Alcotest.failf "expected 2 heartbeats, got %d" (List.length l)
 
 let test_heartbeat_disabled_is_free () =
-  Alcotest.(check bool) "tracker is None when off" true
-    (Progress.tracker ~component:"c" () = None)
+  Alcotest.(check bool) "span is Off when off" true
+    (Span.run ~component:"c" (fun sp -> sp = Span.Off))
 
 let test_heartbeat_sink_errors_contained () =
   let prev = Progress.install (fun _ -> failwith "boom") in
@@ -801,11 +807,8 @@ let test_heartbeat_sink_errors_contained () =
   Fun.protect
     ~finally:(fun () -> Progress.restore prev)
     (fun () ->
-      match Progress.tracker ~component:"c" () with
-      | None -> Alcotest.fail "enabled tracker missing"
-      | Some t ->
-        (* must not raise *)
-        Progress.tick t (fun () -> Progress.no_info))
+      (* must not raise *)
+      beating (fun sp -> Span.tick sp no_info ()))
 
 let test_heartbeat_json () =
   let snap =
@@ -1040,7 +1043,7 @@ let suite =
       test_heartbeat_deterministic;
     Alcotest.test_case "heartbeat phases and gauges" `Quick
       test_heartbeat_phase_and_gauges;
-    Alcotest.test_case "disabled tracker is None" `Quick
+    Alcotest.test_case "disabled span is Off" `Quick
       test_heartbeat_disabled_is_free;
     Alcotest.test_case "sink errors contained" `Quick
       test_heartbeat_sink_errors_contained;

@@ -5,6 +5,7 @@
 open Tfiris
 open Support
 module Trace = Obs.Trace
+module Span = Obs.Span
 module Metrics = Obs.Metrics
 module Json = Obs.Json
 module Budget = Robust.Budget
@@ -13,9 +14,9 @@ module Q = QCheck2
 let test_span_nesting () =
   let (), evs =
     with_memory_trace (fun () ->
-        Trace.with_span "outer" (fun () ->
+        Span.run ~name:"outer" (fun _ ->
             Trace.instant "tick" ~attrs:[ ("n", Trace.I 1) ];
-            Trace.with_span "inner" (fun () -> Trace.instant "tock")))
+            Span.run ~name:"inner" (fun _ -> Trace.instant "tock")))
   in
   let shape =
     List.map (fun ev -> (ev.Trace.name, ev.Trace.phase, ev.Trace.depth)) evs
@@ -41,9 +42,9 @@ let test_span_nesting () =
   in
   Alcotest.(check bool) "timestamps monotone" true (mono evs)
 
-(* An exception unwinds the depth and the GC stack: the next span
+(* An exception closes the span and unwinds the depth: the next span
    opens at depth 0, and with GC sampling on both closes carry their
-   [gc.*] delta and leave the stack empty. *)
+   [gc.*] delta. *)
 let test_span_exception_safety () =
   Obs.Telemetry.set_spans true;
   let (), evs =
@@ -51,9 +52,9 @@ let test_span_exception_safety () =
       ~finally:(fun () -> Obs.Telemetry.set_spans false)
       (fun () ->
         with_memory_trace (fun () ->
-            (try Trace.with_span "doomed" (fun () -> failwith "boom")
+            (try Span.run ~name:"doomed" (fun _ -> failwith "boom")
              with Failure _ -> ());
-            Trace.with_span "after" (fun () -> ())))
+            Span.run ~name:"after" (fun _ -> ())))
   in
   let shape =
     List.map (fun ev -> (ev.Trace.name, ev.Trace.phase, ev.Trace.depth)) evs
@@ -75,16 +76,16 @@ let test_span_exception_safety () =
           (ev.Trace.name ^ " close carries gc attrs") true
           (List.mem_assoc "gc.alloc_w" ev.Trace.attrs))
     evs;
-  Alcotest.(check int) "gc stack popped" 0 (List.length !Trace.gc_stack)
+  Alcotest.(check int) "depth unwound" 0 !Trace.depth
 
 let test_disabled_is_silent () =
   let sink, contents = Trace.memory_sink () in
   let prev = Trace.install sink in
   Trace.set_enabled false;
-  let r = Trace.with_span "quiet" (fun () -> 41 + 1) in
+  let r = Span.run ~name:"quiet" (fun _ -> 41 + 1) in
   Trace.instant "quiet-too";
   Trace.restore prev;
-  Alcotest.(check int) "with_span passes result through" 42 r;
+  Alcotest.(check int) "Span.run passes result through" 42 r;
   Alcotest.(check int) "no events when disabled" 0 (List.length (contents ()))
 
 let test_ring_buffer () =
@@ -97,6 +98,70 @@ let test_ring_buffer () =
   Alcotest.(check (list string))
     "ring keeps last [capacity], oldest first" [ "3"; "4"; "5"; "6" ]
     (List.map (fun ev -> ev.Trace.name) evs)
+
+(* ---------- the engines' one bracket ---------- *)
+
+(* Each engine run is one [Span.run] (an analyzer pass one
+   [Span.timed]): under tracing it emits exactly its historical
+   begin/end pair at depth 0, the begin carrying the historical
+   attribute keys and the end none (GC sampling is off). *)
+let test_engine_spans () =
+  let parse = Shl.Parser.parse_exn in
+  let cfg src = Shl.Step.config (parse src) in
+  let pair name keys run =
+    let (), evs = with_memory_trace (fun () -> ignore (run ())) in
+    let mine =
+      List.filter_map
+        (fun (ev : Trace.event) ->
+          if ev.name = name then
+            Some (Trace.phase_name ev.phase, ev.depth, List.map fst ev.attrs)
+          else None)
+        evs
+    in
+    Alcotest.(check (list (triple string int (list string))))
+      (name ^ ": one begin/end pair")
+      [ ("begin", 0, keys); ("end", 0, []) ]
+      mine
+  in
+  pair "shl.exec" [ "budget" ] (fun () -> Shl.Interp.exec (parse "1 + 2"));
+  pair "wp.run" [ "strategy"; "credits" ] (fun () ->
+      Termination.Wp.run ~credits:(Ord.of_int 9) Termination.Wp.countdown
+        (cfg "1 + 2"));
+  pair "driver.run" [ "strategy"; "budget" ] (fun () ->
+      Refinement.Driver.run ~target:(cfg "1 + 2") ~source:(cfg "3")
+        Refinement.Strategy.lockstep);
+  pair "promises.exec" [ "fuel" ] (fun () ->
+      Promises.Semantics.exec Promises.Termination.simple_promise);
+  pair "tauto.prove" [ "goal" ] (fun () ->
+      Tauto.prove (Formula_parser.parse_exn "a -> a"));
+  List.iter
+    (fun p ->
+      pair ("analysis." ^ p) [] (fun () ->
+          Analysis.Analyzer.analyze ~passes:[ p ] (parse "1 + 2")))
+    Analysis.Analyzer.pass_names
+
+(* With tracing, heartbeats and forensics off, the bracket costs no
+   allocation: [Span.run] around a body allocates what the body does
+   and nothing more, and a tick allocates nothing. *)
+let no_info () = Obs.Progress.no_info
+
+let body _ = ()
+
+let test_span_off_allocates_nothing () =
+  Alcotest.(check bool) "every switch off" false
+    (Trace.on () || Obs.Progress.on () || Obs.Forensics.on ());
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let bare = words (fun () -> body Span.Off) in
+  Alcotest.(check (float 0.)) "Span.run adds no words" bare
+    (words (fun () -> Span.run ~name:"x" ~component:"c" body));
+  Alcotest.(check (float 0.)) "Span.tick adds no words" bare
+    (words (fun () -> Span.tick Span.Off no_info ()))
 
 (* ---------- serialisation ---------- *)
 
@@ -191,11 +256,11 @@ let test_jsonl_sink_golden () =
   let oc = open_out path in
   let prev = Trace.install (Trace.jsonl_sink oc) in
   with_pinned_clock ~start:1000 ~step:500 (fun () ->
-      Trace.with_span "outer"
-        ~attrs:[ ("s", Trace.S "a\"b\\c") ]
-        (fun () ->
+      Span.run ~name:"outer"
+        ~attrs:(fun () -> [ ("s", Trace.S "a\"b\\c") ])
+        (fun _ ->
           Trace.instant "tick";
-          Trace.with_span "inner" (fun () -> ())));
+          Span.run ~name:"inner" (fun _ -> ())));
   Trace.restore prev;
   close_out oc;
   let got = read_file path in
@@ -258,10 +323,10 @@ let test_chrome_sink_golden () =
   let oc = open_out path in
   let prev = Trace.install (Trace.chrome_sink oc) in
   with_pinned_clock ~start:7000 ~step:0 (fun () ->
-      Trace.span_begin "a";
-      Trace.span_begin "z";
-      Trace.span_end "z";
-      Trace.span_end "a";
+      Trace.span_begin (Trace.now_ns ()) "a" [];
+      Trace.span_begin (Trace.now_ns ()) "z" [];
+      Trace.span_end (Trace.now_ns ()) "z" [];
+      Trace.span_end (Trace.now_ns ()) "a" [];
       Trace.instant "w" ~attrs:[ ("q", Trace.S "x\"y") ]);
   Trace.restore prev;
   close_out oc;
@@ -697,6 +762,9 @@ let suite =
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
     Alcotest.test_case "span exception safety" `Quick test_span_exception_safety;
     Alcotest.test_case "disabled tracer is silent" `Quick test_disabled_is_silent;
+    Alcotest.test_case "engine spans: one pair each" `Quick test_engine_spans;
+    Alcotest.test_case "span off allocates nothing" `Quick
+      test_span_off_allocates_nothing;
     Alcotest.test_case "memory sink ring buffer" `Quick test_ring_buffer;
     Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
     Alcotest.test_case "json escaping golden" `Quick test_json_escaping_golden;

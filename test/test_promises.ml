@@ -94,7 +94,10 @@ let test_scheduler_counts () =
   | _ -> Alcotest.fail "unexpected outcome"
 
 let test_untyped_divergence () =
-  match Semantics.exec ~fuel:5_000 Termination.omega_untyped with
+  match
+    Semantics.exec ~budget:(Robust.Budget.of_steps 5_000)
+      Termination.omega_untyped
+  with
   | Semantics.Out_of_fuel -> ()
   | _ -> Alcotest.fail "untyped Ω should spin"
 
@@ -259,7 +262,7 @@ let welltyped_terminate_prop =
        (fun e ->
          Typing.well_typed e
          &&
-         match Semantics.exec ~fuel:100_000 e with
+         match Semantics.exec ~budget:(Robust.Budget.of_steps 100_000) e with
          | Semantics.Value (Int _, _) -> true
          | Semantics.Value _ | Semantics.Deadlocked _ | Semantics.Stuck _
          | Semantics.Out_of_fuel ->

@@ -142,8 +142,8 @@ let test_span_gc_attrs () =
       ~finally:(fun () -> Telemetry.set_spans false)
       (fun () ->
         with_memory_trace (fun () ->
-            Trace.with_span "outer" (fun () ->
-                Trace.with_span "alloc" (fun () ->
+            Obs.Span.run ~name:"outer" (fun _ ->
+                Obs.Span.run ~name:"alloc" (fun _ ->
                     ignore (Sys.opaque_identity (Array.make 50_000 0.))))))
   in
   match List.rev evs with
@@ -166,7 +166,7 @@ let test_span_gc_attrs () =
 
 let test_span_gc_attrs_off_by_default () =
   let (), evs =
-    with_memory_trace (fun () -> Trace.with_span "quiet" (fun () -> ()))
+    with_memory_trace (fun () -> Obs.Span.run ~name:"quiet" (fun _ -> ()))
   in
   List.iter
     (fun (ev : Trace.event) ->

@@ -359,14 +359,10 @@ type sst = {
 let branch_cap = 16
 let disjunct_cap = 4
 
-let rec take n = function
-  | [] -> []
-  | x :: r -> if n <= 0 then [] else x :: take (n - 1) r
-
 let cap ctx l =
   if List.length l > branch_cap then begin
     ctx.approx <- true;
-    take branch_cap l
+    List.filteri (fun i _ -> i < branch_cap) l
   end
   else l
 
@@ -679,7 +675,7 @@ let join ctx (ds : disjunct list) : disjunct list =
   in
   if List.length merged > disjunct_cap then begin
     ctx.approx <- true;
-    take disjunct_cap merged
+    List.filteri (fun i _ -> i < disjunct_cap) merged
   end
   else merged
 
@@ -1152,50 +1148,46 @@ let m_reused = Metrics.counter "analysis.symheap.fn_reused"
 let summaries (prog : Ast.expr) : summary list =
   let fns = Array.of_list (discover prog) in
   let n = Array.length fns in
-  if n = 0 then []
-  else begin
-    let ctx = context fns in
-    let exact = Array.make n true in
-    let stable = Array.make n false in
-    (* the read set of each function's last analysis; None before it *)
-    let reads = Array.make n None in
-    let analyses = ref 0 and reused = ref 0 in
-    (try
-       for _round = 1 to fix_rounds do
-         (* last round's stability bits, fixed for this round (Jacobi) *)
-         let was_stable = Array.copy stable in
-         let next = Array.make n [] in
-         for fid = 0 to n - 1 do
-           match reads.(fid) with
-           | Some r when Iset.for_all (Array.get was_stable) r ->
-             incr reused;
-             stable.(fid) <- true;
-             next.(fid) <- ctx.cand.(fid)
-           | _ ->
-             incr analyses;
-             let ds = analyze_fn ctx ~budget:fn_budget fid in
-             reads.(fid) <- Some ctx.reads;
-             exact.(fid) <- not ctx.approx;
-             stable.(fid) <- ds = ctx.cand.(fid);
-             next.(fid) <- ds
-         done;
-         Array.blit next 0 ctx.cand 0 n;
-         if Array.for_all (fun b -> b) stable then raise Exit
-       done
-     with Exit -> ());
-    Metrics.add m_analyses !analyses;
-    Metrics.add m_reused !reused;
-    List.mapi
-      (fun fid (f : fn) ->
-        {
-          s_name = f.f_name;
-          s_path = f.f_path;
-          s_params = f.f_params;
-          s_exact = exact.(fid) && stable.(fid);
-          s_disjuncts = ctx.cand.(fid);
-        })
-      (Array.to_list fns)
-  end
+  let ctx = context fns in
+  let exact = Array.make n true in
+  let stable = Array.make n false in
+  (* the read set of each function's last analysis; None before it *)
+  let reads = Array.make n None in
+  let analyses = ref 0 and reused = ref 0 in
+  let round () =
+    (* last round's stability bits, fixed for this round (Jacobi) *)
+    let was_stable = Array.copy stable in
+    let next = Array.make n [] in
+    for fid = 0 to n - 1 do
+      match reads.(fid) with
+      | Some r when Iset.for_all (Array.get was_stable) r ->
+        incr reused;
+        stable.(fid) <- true;
+        next.(fid) <- ctx.cand.(fid)
+      | _ ->
+        incr analyses;
+        let ds = analyze_fn ctx ~budget:fn_budget fid in
+        reads.(fid) <- Some ctx.reads;
+        exact.(fid) <- not ctx.approx;
+        stable.(fid) <- ds = ctx.cand.(fid);
+        next.(fid) <- ds
+    done;
+    Array.blit next 0 ctx.cand 0 n;
+    not (Array.for_all Fun.id stable)
+  in
+  ignore (Fixpoint.loop ~cap:fix_rounds round : int * bool);
+  Metrics.add m_analyses !analyses;
+  Metrics.add m_reused !reused;
+  List.mapi
+    (fun fid (f : fn) ->
+      {
+        s_name = f.f_name;
+        s_path = f.f_path;
+        s_params = f.f_params;
+        s_exact = exact.(fid) && stable.(fid);
+        s_disjuncts = ctx.cand.(fid);
+      })
+    (Array.to_list fns)
 
 (* ---------- rendering summaries ---------- *)
 

@@ -8,13 +8,14 @@
 
     - environments are flow-sensitive maps from variables to abstract
       values;
-    - every function ([rec]/[fun]) gets a {e summary} keyed by its
-      {!Tfiris_shl.Path}: the join of all argument abstractions it has
-      been applied to, its captured environment, and the join of its
-      results.  Calls evaluate the callee's body under the summary
-      parameter (with a re-entrancy guard for recursion), so the whole
-      analysis is a monotone fixpoint over the summary table, iterated
-      in Kleene rounds with widening after {!widen_after} rounds;
+    - every function ([rec]/[fun]) gets a {e summary} in a {!Fixpoint}
+      table keyed by its {!Tfiris_shl.Path}: the join of all argument
+      abstractions it has been applied to, its captured environment,
+      and the join of its results.  Calls evaluate the callee's body
+      under the summary parameter (with a re-entrancy guard for
+      recursion), so the whole analysis is a monotone fixpoint over the
+      summary table, iterated in Kleene rounds with widening after
+      {!widen_after} rounds;
     - heap cells are summarized per allocation site (the path of the
       [ref]), flow-insensitively;
     - branches whose condition has a definite abstract truth value are
@@ -33,21 +34,6 @@ open Ast
 module F = Finding
 module Metrics = Tfiris_obs.Metrics
 
-(* ------------------------------------------------------------------ *)
-(* Join-semilattices and fixpoints                                     *)
-(* ------------------------------------------------------------------ *)
-
-type 'a lattice = {
-  name : string;
-  bottom : 'a;
-  equal : 'a -> 'a -> bool;
-  join : 'a -> 'a -> 'a;
-  widen : 'a -> 'a -> 'a;
-      (** [widen old next]: an upper bound of both that guarantees
-          stabilization of ascending chains; [join] is a legal widening
-          for finite-height lattices. *)
-}
-
 (** Rounds that join before the engine switches to [widen]. *)
 let widen_after = 4
 
@@ -65,8 +51,15 @@ module type VALUE_DOMAIN = sig
   val name : string
   (** Pass name; finding ids are ["<name>/..."]. *)
 
-  val lattice : t lattice
+  val bottom : t
   val top : t
+  val equal : t -> t -> bool
+  val join : t -> t -> t
+
+  val widen : t -> t -> t
+  (** [widen old next]: an upper bound of both that guarantees
+      stabilization of ascending chains; [join] is a legal widening for
+      finite-height lattices. *)
 
   val const : Ast.value -> t
   (** Abstraction of a literal (closures never reach here — the engine
@@ -94,8 +87,6 @@ module type VALUE_DOMAIN = sig
   val check : Ast.bin_op -> t -> t -> (string * F.severity * string) list
   (** Domain-specific operator checks: [(defect, severity, message)];
       the finding id becomes ["<name>/<defect>"]. *)
-
-  val to_string : t -> string
 end
 
 (* ------------------------------------------------------------------ *)
@@ -141,47 +132,46 @@ module Engine (D : VALUE_DOMAIN) = struct
   }
 
   let no_sites = Known_sites Pset.empty
-  let bot = { d = D.lattice.bottom; fns = Pset.empty; sites = no_sites }
+  let bot = { d = D.bottom; fns = Pset.empty; sites = no_sites }
   let top_v = { d = D.top; fns = Pset.empty; sites = Any_sites }
   let of_d d = { d; fns = Pset.empty; sites = no_sites }
 
-  let join a b =
+  let join_with f a b =
     {
-      d = D.lattice.join a.d b.d;
+      d = f a.d b.d;
       fns = Pset.union a.fns b.fns;
       sites = sites_union a.sites b.sites;
     }
 
-  let widen a b =
-    {
-      d = D.lattice.widen a.d b.d;
-      fns = Pset.union a.fns b.fns;
-      sites = sites_union a.sites b.sites;
-    }
+  let join a b = join_with D.join a b
 
   let equal a b =
-    D.lattice.equal a.d b.d && Pset.equal a.fns b.fns
+    D.equal a.d b.d && Pset.equal a.fns b.fns
     && sites_equal a.sites b.sites
 
   let is_bot a = equal a bot
+  let map_d a f = if is_bot a then bot else { a with d = f a.d }
 
   type summary = {
     fn_path : Path.t;
+    handle : aval;  (** the function's value: its path alone *)
     self : string option;
     param : string;
     body : Ast.expr;
     fv : Ast.Sset.t;  (** free variables of [body], the ones captured *)
-    body_step : Path.step;  (** [Rec_body] or [Val_body] *)
+    rev_body : Path.step list;  (** reversed path of [body] *)
     mutable cap_env : aval Smap.t;  (** captured environment, joined *)
     mutable param_in : aval;
     mutable result : aval;
     mutable real_called : bool;
         (** applied at a call site (as opposed to the synthetic ⊤
             application every round gives never-called functions) *)
+    mutable in_progress : bool;
+        (** the body is being analyzed: the recursion guard *)
   }
 
   type state = {
-    mutable summaries : (Path.t * summary) list;
+    summaries : summary Fixpoint.t;
     heap : (Path.t, aval) Hashtbl.t;  (** allocation site -> content *)
     mutable dirty : bool;  (** any monotone table moved this round *)
     mutable newly_called : bool;
@@ -193,13 +183,11 @@ module Engine (D : VALUE_DOMAIN) = struct
             contents can no longer be trusted *)
     mutable report : F.t list;  (** this round's findings, newest first *)
     reported : (string * Path.t, unit) Hashtbl.t;
-    in_progress : (Path.t, unit) Hashtbl.t;
-        (** functions whose body is being analyzed: the recursion guard *)
   }
 
   let create () =
     {
-      summaries = [];
+      summaries = Fixpoint.create ();
       heap = Hashtbl.create 32;
       dirty = true;
       newly_called = false;
@@ -207,13 +195,10 @@ module Engine (D : VALUE_DOMAIN) = struct
       havoc = false;
       report = [];
       reported = Hashtbl.create 32;
-      in_progress = Hashtbl.create 16;
     }
 
-  let find_summary st p = List.assoc_opt p st.summaries
-
   let combine st old next =
-    if st.round < widen_after then join old next else widen old next
+    join_with (if st.round < widen_after then D.join else D.widen) old next
 
   let bump st old next =
     let j = combine st old next in
@@ -232,6 +217,16 @@ module Engine (D : VALUE_DOMAIN) = struct
     if not st.havoc then
       Hashtbl.replace st.heap site (bump st (heap_get st site) v)
 
+  (* A store through an unknown pointer may change every cell. *)
+  let store st l v =
+    match l.sites with
+    | Any_sites ->
+      if not st.havoc then begin
+        st.havoc <- true;
+        st.dirty <- true
+      end
+    | Known_sites s -> Pset.iter (fun site -> heap_join st site v) s
+
   let report st ~id ~severity ~path msg =
     let key = (id, path) in
     if not (Hashtbl.mem st.reported key) then begin
@@ -241,30 +236,30 @@ module Engine (D : VALUE_DOMAIN) = struct
 
   let fid defect = D.name ^ "/" ^ defect
 
-  (* Register (or refresh) the summary of a function node. *)
-  let summarize st rev_p (f, x, body) body_step env =
+  (* Register (or refresh) the summary of a function node; the node's
+     value is its handle. *)
+  let summarize st rev_p f x body body_step env =
     let fn_path = List.rev rev_p in
     let s =
-      match find_summary st fn_path with
+      match Fixpoint.find st.summaries fn_path with
       | Some s -> s
       | None ->
-        let s =
+        st.dirty <- true;
+        Fixpoint.register st.summaries fn_path
           {
             fn_path;
+            handle = { bot with fns = Pset.singleton fn_path };
             self = f;
             param = x;
             body;
             fv = Ast.free_vars body;
-            body_step;
+            rev_body = body_step :: rev_p;
             cap_env = Smap.empty;
             param_in = bot;
             result = bot;
             real_called = false;
+            in_progress = false;
           }
-        in
-        st.summaries <- (fn_path, s) :: st.summaries;
-        st.dirty <- true;
-        s
     in
     (* capture the free variables of the body from the defining env *)
     Smap.iter
@@ -279,7 +274,7 @@ module Engine (D : VALUE_DOMAIN) = struct
                 | Some old -> Some (bump st old a))
               s.cap_env)
       env;
-    s
+    s.handle
 
   let rec eval (st : state) (env : aval Smap.t) (rev_p : Path.step list)
       (e : Ast.expr) : aval =
@@ -287,11 +282,8 @@ module Engine (D : VALUE_DOMAIN) = struct
     let sub step e' = eval st env (step :: rev_p) e' in
     match e with
     | Val (Rec_fun (f, x, body)) ->
-      let s = summarize st rev_p (f, x, body) Path.Val_body env in
-      { bot with fns = Pset.singleton s.fn_path; d = D.lattice.bottom }
-    | Rec (f, x, body) ->
-      let s = summarize st rev_p (f, x, body) Path.Rec_body env in
-      { bot with fns = Pset.singleton s.fn_path }
+      summarize st rev_p f x body Path.Val_body env
+    | Rec (f, x, body) -> summarize st rev_p f x body Path.Rec_body env
     | Val v -> of_d (D.const v)
     | Var x -> (
       match Smap.find_opt x env with Some a -> a | None -> top_v)
@@ -303,17 +295,14 @@ module Engine (D : VALUE_DOMAIN) = struct
         let results =
           Pset.fold
             (fun h acc ->
-              match find_summary st h with
+              match Fixpoint.find st.summaries h with
               | None -> acc
               | Some s ->
                 (* a call made while the callee's body is being
                    analyzed is reached only from that body: marking it
                    would end the ⊤ sweep that is the body's only
                    analysis *)
-                if
-                  (not s.real_called)
-                  && not (Hashtbl.mem st.in_progress s.fn_path)
-                then begin
+                if (not s.real_called) && not s.in_progress then begin
                   s.real_called <- true;
                   st.newly_called <- true
                 end;
@@ -363,25 +352,11 @@ module Engine (D : VALUE_DOMAIN) = struct
     | Pair_e (e1, e2) ->
       let a = sub Path.Pair_l e1 in
       let b = sub Path.Pair_r e2 in
-      if is_bot a || is_bot b then bot
-      else
-        {
-          d = D.pair a.d b.d;
-          fns = Pset.union a.fns b.fns;
-          sites = sites_union a.sites b.sites;
-        }
-    | Fst e1 ->
-      let a = sub Path.Fst_arg e1 in
-      if is_bot a then bot else { a with d = D.fst_ a.d }
-    | Snd e1 ->
-      let a = sub Path.Snd_arg e1 in
-      if is_bot a then bot else { a with d = D.snd_ a.d }
-    | Inj_l_e e1 ->
-      let a = sub Path.Inj_arg e1 in
-      if is_bot a then bot else { a with d = D.inj_l a.d }
-    | Inj_r_e e1 ->
-      let a = sub Path.Inj_arg e1 in
-      if is_bot a then bot else { a with d = D.inj_r a.d }
+      if is_bot a || is_bot b then bot else join_with D.pair a b
+    | Fst e1 -> map_d (sub Path.Fst_arg e1) D.fst_
+    | Snd e1 -> map_d (sub Path.Snd_arg e1) D.snd_
+    | Inj_l_e e1 -> map_d (sub Path.Inj_arg e1) D.inj_l
+    | Inj_r_e e1 -> map_d (sub Path.Inj_arg e1) D.inj_r
     | Case (e0, (x, e1), (y, e2)) -> (
       let s = sub Path.Case_scrut e0 in
       if is_bot s then bot
@@ -423,33 +398,17 @@ module Engine (D : VALUE_DOMAIN) = struct
       let l = sub Path.Store_l e1 in
       let v = sub Path.Store_r e2 in
       if is_bot l || is_bot v then bot
-      else begin
-        (match l.sites with
-        | Any_sites ->
-          (* write through an unknown pointer: every cell may change *)
-          if not st.havoc then begin
-            st.havoc <- true;
-            st.dirty <- true
-          end
-        | Known_sites s -> Pset.iter (fun site -> heap_join st site v) s);
-        of_d (D.const Ast.Unit)
-      end
+      else (
+        store st l v;
+        of_d (D.const Ast.Unit))
     | Cas (e1, e2, e3) ->
       let l = sub Path.Cas_loc e1 in
       let _old = sub Path.Cas_old e2 in
       let v = sub Path.Cas_new e3 in
       if is_bot l || is_bot v then bot
-      else begin
-        (match l.sites with
-        | Any_sites ->
-          if not st.havoc then begin
-            st.havoc <- true;
-            st.dirty <- true
-          end
-        | Known_sites s -> Pset.iter (fun site -> heap_join st site v) s);
-        of_d
-          (D.lattice.join (D.const (Ast.Bool true)) (D.const (Ast.Bool false)))
-      end
+      else (
+        store st l v;
+        of_d (D.join (D.const (Ast.Bool true)) (D.const (Ast.Bool false))))
     | Let (x, e1, e2) ->
       let a = sub Path.Let_bound e1 in
       if is_bot a then bot
@@ -467,56 +426,48 @@ module Engine (D : VALUE_DOMAIN) = struct
      return the joined result. *)
   and apply st (s : summary) (arg : aval) : aval =
     s.param_in <- bump st s.param_in arg;
-    if Hashtbl.mem st.in_progress s.fn_path then s.result
+    if s.in_progress then s.result
     else begin
-      Hashtbl.replace st.in_progress s.fn_path ();
-      let env = body_env st s in
-      (* reversed path of the body: fn_path @ [body_step] *)
-      let rev_body = s.body_step :: List.rev s.fn_path in
-      let r =
-        Fun.protect
-          ~finally:(fun () -> Hashtbl.remove st.in_progress s.fn_path)
-          (fun () -> eval st env rev_body s.body)
+      s.in_progress <- true;
+      let env =
+        match s.self with
+        | Some f -> Smap.add f s.handle s.cap_env
+        | None -> s.cap_env
       in
+      let r = eval st (Smap.add s.param s.param_in env) s.rev_body s.body in
+      s.in_progress <- false;
       s.result <- bump st s.result r;
       s.result
     end
-
-  and body_env _st (s : summary) : aval Smap.t =
-    let env = s.cap_env in
-    let env =
-      match s.self with
-      | Some f ->
-        Smap.add f { bot with fns = Pset.singleton s.fn_path } env
-      | None -> env
-    in
-    Smap.add s.param s.param_in env
 
   (* One whole-program round: the root program, then a synthetic ⊤
      application of every function no call site reaches, so that (a)
      every body is analyzed and (b) the heap/summary effects of
      returned-but-uncalled closures (memoized functions!) participate
-     in the fixpoint rather than being bolted on afterwards.  Every round
-     collects its own findings. *)
+     in the fixpoint rather than being bolted on afterwards.  The sweep
+     collects the uncalled functions among those registered so far,
+     then applies them newest (highest id) first; it repeats for the
+     functions those applications registered.  Every round collects
+     its own findings. *)
   let round st e =
     st.dirty <- false;
     st.newly_called <- false;
     st.report <- [];
     Hashtbl.clear st.reported;
     ignore (eval st Smap.empty [] e);
-    let rec sweep visited =
-      let pending =
-        List.filter
-          (fun (p, s) -> (not s.real_called) && not (List.mem p visited))
-          st.summaries
-      in
-      if pending <> [] then begin
-        List.iter (fun (_, s) -> ignore (apply st s top_v)) pending;
-        (* applying can register new summaries; sweep again *)
-        sweep (List.map fst pending @ visited)
+    let rec sweep lo =
+      let hi = Fixpoint.length st.summaries in
+      if lo < hi then begin
+        let pending = ref [] in
+        for id = lo to hi - 1 do
+          let s = Fixpoint.get st.summaries id in
+          if not s.real_called then pending := s :: !pending
+        done;
+        List.iter (fun s -> ignore (apply st s top_v)) !pending;
+        sweep hi
       end
     in
-    sweep [];
+    sweep 0;
     st.round <- st.round + 1
 
   (* The reporting pass: one more round over the stabilized tables,
@@ -539,10 +490,12 @@ module Engine (D : VALUE_DOMAIN) = struct
      from the next round. *)
   let analyze (e : Ast.expr) : F.t list =
     let st = create () in
-    while st.dirty && st.round < max_rounds do
-      round st e
-    done;
-    Metrics.add m_rounds st.round;
-    if st.dirty || st.newly_called then findings st e
-    else List.sort F.compare st.report
+    let rounds, clean =
+      Fixpoint.loop ~cap:max_rounds (fun () ->
+          round st e;
+          st.dirty)
+    in
+    Metrics.add m_rounds rounds;
+    if clean && not st.newly_called then List.sort F.compare st.report
+    else findings st e
 end

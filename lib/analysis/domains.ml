@@ -31,6 +31,7 @@ module Const : Dataflow.VALUE_DOMAIN = struct
     | Top
 
   let name = "constprop"
+  let bottom = Bot
   let top = Top
 
   let equal a b = a = b
@@ -41,9 +42,7 @@ module Const : Dataflow.VALUE_DOMAIN = struct
     | Known u, Known v when u = v -> a
     | _ -> Top
 
-  let lattice : t Dataflow.lattice =
-    (* height-2 lattice: join is already a widening *)
-    { name; bottom = Bot; equal; join; widen = join }
+  let widen = join (* height-2 lattice: join is already a widening *)
 
   let const v = Known v
   let loc = Top (* allocation addresses are runtime data *)
@@ -97,11 +96,6 @@ module Const : Dataflow.VALUE_DOMAIN = struct
               (op_sym op) );
         ])
     | _ -> []
-
-  let to_string = function
-    | Bot -> "_|_"
-    | Known v -> Format.asprintf "%a" Pretty.pp_value v
-    | Top -> "T"
 end
 
 (* ------------------------------------------------------------------ *)
@@ -119,6 +113,7 @@ module Interval : Dataflow.VALUE_DOMAIN = struct
     | Top  (** any value, including non-scalars *)
 
   let name = "interval"
+  let bottom = Bot
   let top = Top
 
   let any_int = Iv (None, None)
@@ -156,8 +151,6 @@ module Interval : Dataflow.VALUE_DOMAIN = struct
           if le_hi h2 h1 then h1 else None)
     | Bools _, Bools _ -> join a b
     | _ -> Top
-
-  let lattice : t Dataflow.lattice = { name; bottom = Bot; equal; join; widen }
 
   let const = function
     | Ast.Int n -> Iv (Some n, Some n)
@@ -272,19 +265,6 @@ module Interval : Dataflow.VALUE_DOMAIN = struct
         [ ("ptr-offset", F.Warning, "pointer offset may be negative") ]
       | _ -> [])
     | _ -> []
-
-  let bound_to_string inf = function Some n -> string_of_int n | None -> inf
-
-  let to_string = function
-    | Bot -> "_|_"
-    | Iv (lo, hi) ->
-      Printf.sprintf "[%s, %s]" (bound_to_string "-inf" lo)
-        (bound_to_string "+inf" hi)
-    | Bools (true, true) -> "bool"
-    | Bools (true, false) -> "true"
-    | Bools (false, true) -> "false"
-    | Bools (false, false) -> "_|_b"
-    | Top -> "T"
 end
 
 module Const_engine = Dataflow.Engine (Const)

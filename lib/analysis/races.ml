@@ -103,11 +103,21 @@ type fn_info = {
 type state = {
   pts : (string, Aset.t) Hashtbl.t;
   heap : (Path.t, Aset.t) Hashtbl.t;
-  fns : (Path.t, fn_info) Hashtbl.t;
+  fns : fn_info Fixpoint.t;
   mutable dirty : bool;
   mutable recording : bool;
   mutable accesses : access list;
 }
+
+let create () =
+  {
+    pts = Hashtbl.create 32;
+    heap = Hashtbl.create 32;
+    fns = Fixpoint.create ();
+    dirty = false;
+    recording = false;
+    accesses = [];
+  }
 
 let get_set tbl k = Option.value ~default:Aset.empty (Hashtbl.find_opt tbl k)
 
@@ -121,16 +131,23 @@ let add_set st tbl k v =
 let record st acc = if st.recording then st.accesses <- acc :: st.accesses
 
 let register_fn st path self param body body_rev =
-  (match Hashtbl.find_opt st.fns path with
-  | Some _ -> ()
-  | None ->
-    st.dirty <- true;
-    Hashtbl.replace st.fns path
-      { param; body; body_rev; result = Aset.empty; ctxs = [] });
+  ignore
+    (Fixpoint.register st.fns path
+       { param; body; body_rev; result = Aset.empty; ctxs = [] });
   (match self with
   | Some f -> add_set st st.pts f (Aset.singleton (A_fn path))
   | None -> ());
   Aset.singleton (A_fn path)
+
+(* Record and perform a write of [v] through the sites among [l]. *)
+let write st c kind at l v =
+  Aset.iter
+    (function
+      | A_site s ->
+        record st { actx = c; kind; site = s; at = at () };
+        add_set st st.heap s v
+      | A_fn _ -> ())
+    l
 
 let rec eval st (c : ctx) (rev_p : Path.step list) (e : expr) : Aset.t =
   let path () = List.rev rev_p in
@@ -156,7 +173,7 @@ let rec eval st (c : ctx) (rev_p : Path.step list) (e : expr) : Aset.t =
       (fun atom acc ->
         match atom with
         | A_fn p -> (
-          match Hashtbl.find_opt st.fns p with
+          match Fixpoint.find st.fns p with
           | None -> acc
           | Some fi ->
             add_set st st.pts fi.param aa;
@@ -184,26 +201,12 @@ let rec eval st (c : ctx) (rev_p : Path.step list) (e : expr) : Aset.t =
       a Aset.empty
   | Store (e1, e2) ->
     let l = sub Path.Store_l e1 in
-    let v = sub Path.Store_r e2 in
-    Aset.iter
-      (function
-        | A_site s ->
-          record st { actx = c; kind = Write; site = s; at = path () };
-          add_set st st.heap s v
-        | A_fn _ -> ())
-      l;
+    write st c Write path l (sub Path.Store_r e2);
     Aset.empty
   | Cas (e1, e2, e3) ->
     let l = sub Path.Cas_loc e1 in
     let _ = sub Path.Cas_old e2 in
-    let v = sub Path.Cas_new e3 in
-    Aset.iter
-      (function
-        | A_site s ->
-          record st { actx = c; kind = Cas_write; site = s; at = path () };
-          add_set st st.heap s v
-        | A_fn _ -> ())
-      l;
+    write st c Cas_write path l (sub Path.Cas_new e3);
     Aset.empty
   | Fork e1 ->
     ignore (eval st (C_forked (path ())) (Path.Fork_body :: rev_p) e1);
@@ -219,12 +222,14 @@ let rec eval st (c : ctx) (rev_p : Path.step list) (e : expr) : Aset.t =
   | _ -> union_children ()
 
 (* One whole-program sweep: the root in the main context, then every
-   function body in every context it is called from. *)
+   function body, in registration order, in every context it is called
+   from.  It says whether it moved a table or met a new function. *)
 let sweep st e =
+  let known = Fixpoint.length st.fns in
+  st.dirty <- false;
   ignore (eval st C_main [] e);
-  let fns = Hashtbl.fold (fun p fi acc -> (p, fi) :: acc) st.fns [] in
-  List.iter
-    (fun (_, fi) ->
+  Fixpoint.iter
+    (fun fi ->
       List.iter
         (fun c ->
           let r = eval st c fi.body_rev fi.body in
@@ -233,57 +238,51 @@ let sweep st e =
             st.dirty <- true
           end)
         fi.ctxs)
-    fns
+    st.fns;
+  st.dirty || Fixpoint.length st.fns > known
 
-let conflicting (a : access) (b : access) =
+(** The most points-to sweeps {!analyze} runs before recording. *)
+let max_rounds = 100
+
+(* Two accesses to one site from distinct contexts. *)
+let shares (a : access) (b : access) =
   Path.equal a.site b.site && a.actx <> b.actx
-  && (a.kind = Write || b.kind = Write)
 
-let analyze (e : expr) : result =
-  let st =
-    {
-      pts = Hashtbl.create 32;
-      heap = Hashtbl.create 32;
-      fns = Hashtbl.create 32;
-      dirty = true;
-      recording = false;
-      accesses = [];
-    }
-  in
-  let rounds = ref 0 in
-  while st.dirty && !rounds < 100 do
-    st.dirty <- false;
-    sweep st e;
-    incr rounds
-  done;
+let conflicting a b = shares a b && (a.kind = Write || b.kind = Write)
+
+(* The recording sweep over the points-to tables [st] holds, and the
+   accesses, shared sites and races it finds. *)
+let recorded st e : result =
   st.recording <- true;
-  sweep st e;
+  ignore (sweep st e);
   (* dedup accesses (the recording sweep visits shared bodies once per
      calling context, but identical records can still repeat) *)
   let accesses = List.sort_uniq compare st.accesses in
-  let races = ref [] in
   let rec pairs = function
-    | [] -> ()
+    | [] -> []
     | a :: rest ->
-      List.iter
-        (fun b -> if conflicting a b then races := { r_site = a.site; a; b } :: !races)
-        rest;
-      pairs rest
+      List.filter_map
+        (fun b ->
+          if conflicting a b then Some { r_site = a.site; a; b } else None)
+        rest
+      @ pairs rest
   in
-  pairs accesses;
   let shared =
     List.sort_uniq Path.compare
-      (List.concat_map
+      (List.filter_map
          (fun a ->
-           if
-             List.exists
-               (fun b -> Path.equal a.site b.site && a.actx <> b.actx)
-               accesses
-           then [ a.site ]
-           else [])
+           if List.exists (shares a) accesses then Some a.site else None)
          accesses)
   in
-  { accesses; shared; races = List.rev !races }
+  { accesses; shared; races = pairs accesses }
+
+(* The union only grows and nothing widens, so the least fixpoint does
+   not depend on the sweep order, and a clean sweep hands the next one
+   the same tables. *)
+let analyze (e : expr) : result =
+  let st = create () in
+  ignore (Fixpoint.loop ~cap:max_rounds (fun () -> sweep st e) : int * bool);
+  recorded st e
 
 (* Whether a [fork] is reachable through {!Path.children}, the walk
    {!eval} makes (function bodies included).  Contexts other than

@@ -337,15 +337,17 @@ let measure_of_sites (sites : site_cls list) : measure option =
 
 (* Spine of curried parameters: [rec f x. fun y -> ...] has spine
    [x; y].  Returns the spine and the body below it, with the body's
-   reversed path. *)
-let rec spine_of (x : string) (body : expr) rev_p =
+   reversed path, and marks the inner lambdas as part of this function
+   in [consumed]. *)
+let rec spine_of consumed (x : string) (body : expr) rev_p =
+  let inner y b step =
+    Hashtbl.replace consumed (List.rev rev_p) ();
+    let xs, b', rp = spine_of consumed y b (step :: rev_p) in
+    (x :: xs, b', rp)
+  in
   match body with
-  | Rec (None, y, b) -> (
-    match spine_of y b (Path.Rec_body :: rev_p) with
-    | xs, b', rp -> (x :: xs, b', rp))
-  | Val (Rec_fun (None, y, b)) -> (
-    match spine_of y b (Path.Val_body :: rev_p) with
-    | xs, b', rp -> (x :: xs, b', rp))
+  | Rec (None, y, b) -> inner y b Path.Rec_body
+  | Val (Rec_fun (None, y, b)) -> inner y b Path.Val_body
   | _ -> ([ x ], body, rev_p)
 
 type analysis = {
@@ -369,19 +371,9 @@ let analyze_expr (e : expr) : analysis =
       match fn with
       | Some (f, x, b, step) when not (Hashtbl.mem consumed path) ->
         let rev_fn = List.rev path in
-        let params, body, body_rev_p = spine_of x b (step :: rev_fn) in
-        (* the inner spine lambdas are part of this function *)
-        let rec mark rp body =
-          match body with
-          | Rec (None, _, b) ->
-            Hashtbl.replace consumed (List.rev rp) ();
-            mark (Path.Rec_body :: rp) b
-          | Val (Rec_fun (None, _, b)) ->
-            Hashtbl.replace consumed (List.rev rp) ();
-            mark (Path.Val_body :: rp) b
-          | _ -> ()
+        let params, body, body_rev_p =
+          spine_of consumed x b (step :: rev_fn)
         in
-        mark (step :: rev_fn) b;
         let c = collect f params body body_rev_p in
         let n = List.length params in
         let name_str = match f with Some f -> f | None -> "<fun>" in

@@ -104,6 +104,7 @@ end
 module Analysis = struct
   module Finding = Tfiris_analysis.Finding
   module Scope = Tfiris_analysis.Scope
+  module Fixpoint = Tfiris_analysis.Fixpoint
   module Dataflow = Tfiris_analysis.Dataflow
   module Domains = Tfiris_analysis.Domains
   module Term_measure = Tfiris_analysis.Term_measure

@@ -337,6 +337,101 @@ let races_oracle_prop name gen =
     (QCheck2.Test.make ~count:200 ~name ~print:Gen.print_shl gen
        races_same_as_analyze)
 
+(* The oracle for [Races.analyze]: all [max_rounds] points-to sweeps run
+   whether or not the last one moved a table, then the recording sweep.
+   [analyze] stops at the first clean sweep and sweeps in registration
+   order; the union's least fixpoint depends on neither. *)
+let races_plain_loop e =
+  let st = An.Races.create () in
+  for _ = 1 to An.Races.max_rounds do
+    ignore (An.Races.sweep st e : bool)
+  done;
+  An.Races.recorded st e
+
+let races_same_as_plain_loop e =
+  let got = An.Races.analyze e and expected = races_plain_loop e in
+  let sites l = String.concat "; " (List.map Shl.Path.to_string l) in
+  (got.accesses = expected.accesses
+  && got.shared = expected.shared
+  && got.races = expected.races)
+  || QCheck2.Test.fail_reportf
+       "plain loop: %d accesses, shared [%s], %d races; analyze: %d \
+        accesses, shared [%s], %d races"
+       (List.length expected.accesses) (sites expected.shared)
+       (List.length expected.races) (List.length got.accesses)
+       (sites got.shared) (List.length got.races)
+
+let races_plain_loop_prop name gen =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name ~print:Gen.print_shl gen
+       races_same_as_plain_loop)
+
+(* ---------- the fixpoint table and round loop ---------- *)
+
+(* The path of a let-chain's [k]-th function.  From [k = 11] on, these
+   paths share their first ten steps, all that [Hashtbl.hash] reads. *)
+let chain_path k =
+  List.init (k - 1) (fun _ -> Shl.Path.Let_body) @ [ Shl.Path.Let_bound ]
+
+let test_fixpoint_table () =
+  let module Fx = An.Fixpoint in
+  let t = Fx.create () in
+  let reg k = Fx.register t (chain_path k) k in
+  let order = [ 12; 3; 11; 1; 20 ] in
+  Alcotest.(check (list int)) "register returns the new entries" order
+    (List.map reg order);
+  Alcotest.(check int) "one id per path" 5 (Fx.length t);
+  Alcotest.(check (list int)) "ids are dense, in first-registration order"
+    order (List.init (Fx.length t) (Fx.get t));
+  Alcotest.(check int) "a path registered again keeps its entry" 11
+    (Fx.register t (chain_path 11) 0);
+  Alcotest.(check int) "and its id" 11 (Fx.get t 2);
+  Alcotest.(check int) "and adds no id" 5 (Fx.length t);
+  Alcotest.(check (option int)) "find by path" (Some 20)
+    (Fx.find t (chain_path 20));
+  Alcotest.(check (option int)) "an unregistered path" None
+    (Fx.find t (chain_path 13));
+  Alcotest.check_raises "get past the last id"
+    (Invalid_argument "Fixpoint.get") (fun () -> ignore (Fx.get t 5));
+  let seen = ref [] in
+  Fx.iter
+    (fun k ->
+      seen := k :: !seen;
+      if k = 1 then ignore (reg 30))
+    t;
+  Alcotest.(check (list int))
+    "iter: id order, including entries registered while it runs"
+    (order @ [ 30 ]) (List.rev !seen);
+  (* at 8, 16, 32 and 64 paths the table grows and rehashes *)
+  let more = List.init 60 (fun i -> 100 + i) in
+  List.iter (fun k -> ignore (reg k)) more;
+  let all = order @ [ 30 ] @ more in
+  Alcotest.(check (list int)) "ids survive growth" all
+    (List.init (Fx.length t) (Fx.get t));
+  Alcotest.(check bool) "every path is found after growth" true
+    (List.for_all (fun k -> Fx.find t (chain_path k) = Some k) all)
+
+let test_fixpoint_loop () =
+  let module Fx = An.Fixpoint in
+  (* a round function dirty for its first [dirty] calls *)
+  let run ~cap dirty =
+    let calls = ref 0 in
+    let r =
+      Fx.loop ~cap (fun () ->
+          incr calls;
+          !calls <= dirty)
+    in
+    (r, !calls)
+  in
+  let check label expected got =
+    Alcotest.(check (pair (pair int bool) int)) label expected got
+  in
+  check "a first clean round stops the loop" ((1, true), 1) (run ~cap:5 0);
+  check "stops at the first clean round" ((3, true), 3) (run ~cap:5 2);
+  check "a clean last round under the cap" ((5, true), 5) (run ~cap:5 4);
+  check "the cap stops a dirty loop" ((5, false), 5) (run ~cap:5 10);
+  check "no round under a zero cap" ((0, false), 0) (run ~cap:0 10)
+
 (* A fork reachable only through a function body still spawns a second
    context, so the shortcut must look inside [rec] bodies. *)
 let test_race_fork_in_rec () =
@@ -719,6 +814,18 @@ let suite =
       Gen.conc_expr;
     races_oracle_prop "races: run vs full analyze (forks in function bodies)"
       Gen.conc_fork_in_fn;
+    races_plain_loop_prop "races vs plain sweep loop: wild programs"
+      Gen.shl_expr;
+    races_plain_loop_prop "races vs plain sweep loop: let-chains"
+      Gen.shl_fn_chain;
+    races_plain_loop_prop "races vs plain sweep loop: concurrent"
+      Gen.conc_expr;
+    races_plain_loop_prop "races vs plain sweep loop: forks in fns"
+      Gen.conc_fork_in_fn;
+    Alcotest.test_case "fixpoint: ids, lookup and iteration order" `Quick
+      test_fixpoint_table;
+    Alcotest.test_case "fixpoint: the round loop stops clean or at the cap"
+      `Quick test_fixpoint_loop;
     Alcotest.test_case "shipped examples analyze clean" `Quick
       test_examples_analyze_clean;
     Alcotest.test_case "metrics integration" `Quick test_metrics;
